@@ -36,15 +36,23 @@ def _cnum(x) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _parse_number(kind, text: str):
+    """kind(text), with a malformed value reported as a usage error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"malformed {kind.__name__} value {text!r}") from None
+
+
 def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace("i", "j"))
+    return _parse_number(complex, text.strip().replace("i", "j"))
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("interval must be 'a,b'")
-    return float(parts[0]), float(parts[1])
+    return _parse_number(float, parts[0]), _parse_number(float, parts[1])
 
 
 def _emit(text: str, path: str | None):
@@ -222,7 +230,7 @@ def _cmd_eigenfun(sym, args) -> int:
     parts = args.zgrid.split(",")
     if len(parts) != 2:
         raise UsageError("zgrid must be 'radius,count'")
-    r, count = float(parts[0]), int(parts[1])
+    r, count = _parse_number(float, parts[0]), _parse_number(int, parts[1])
     if not 0.0 < r < 1.0:
         raise UsageError("zgrid radius must lie in (0, 1)")
     zs = r * np.exp(2j * math.pi * np.arange(count) / count)
@@ -255,7 +263,7 @@ def _cmd_diagonalize(sym, args) -> int:
 
 def _cmd_validate(sym, args) -> int:
     a, b = _parse_interval(args.interval)
-    sizes = [int(t) for t in args.n.split(",")]
+    sizes = [_parse_number(int, t) for t in args.n.split(",")]
     points = [_parse_complex(t) for t in args.points.split(",")]
     g = oracle.smooth_bump(a, b)
     report = oracle.validate(sym, (a, b), g, points, sizes)

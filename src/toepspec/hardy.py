@@ -460,7 +460,14 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float,
     lr = log_rule(sym, lam, extra=(theta,), tol=tol)
 
     def corr(nodes, logvals):
-        return (logvals - f0) / np.tan(0.5 * (nodes - theta))
+        t = np.tan(0.5 * (nodes - theta))
+        hit = t == 0.0
+        out = np.divide(logvals - f0, t, where=~hit, out=np.empty_like(t))
+        if hit.any():
+            # panels refined toward theta can put a node on it in floating
+            # point; the integrand's limit there is 2 omega'/(omega - lam)
+            out[hit] = 2.0 * sym.eval_derivative(theta) / (sym.eval(theta) - lam)
+        return out
 
     fine = np.dot(lr.rule.w, corr(lr.rule.theta, lr.logvals))
     coarse = np.dot(lr.rule.w_c, corr(lr.rule.theta_c, lr.logvals_c))

@@ -5,17 +5,29 @@ every analytic formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .runtime import parallel_map
 from .spectral import weak_measure
 from .symbol import PiecewiseSymbol
 
+_SQRT_HALF = math.sqrt(0.5)
+
 
 class FiniteSection:
-    """N x N leading truncation of the Toeplitz matrix with its eigendata."""
+    """N x N leading truncation of the Toeplitz matrix with its eigendata.
+
+    A Hermitian Toeplitz matrix T is persymmetric, J T J = conj(T) with J the
+    exchange matrix, so U = (I + iJ)/sqrt(2) carries it to the real symmetric
+    S = U^H T U = Re T - Im(T) J of the same size.  One real ``eigh`` of S
+    gives the eigenvalues of T and real eigenvectors W, and T's eigenvectors
+    are V = U W = (W + i J W)/sqrt(2).  For a real symbol Im T = 0 and S = T.
+    """
 
     def __init__(self, sym: PiecewiseSymbol, N: int):
         if N < 2:
@@ -23,19 +35,43 @@ class FiniteSection:
         self.sym = sym
         self.N = N
         coeffs = np.array([sym.fourier_coefficient(n) for n in range(N)])
-        full = np.concatenate((np.conj(coeffs[:0:-1]), coeffs))
-        idx = np.arange(N)
-        self.matrix = full[idx[:, None] - idx[None, :] + N - 1]
-        if np.max(np.abs(coeffs.imag)) < 1e-15:
-            vals, vecs = np.linalg.eigh(self.matrix.real)
-            vecs = vecs.astype(complex)
-        else:
-            vals, vecs = np.linalg.eigh(self.matrix)
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
+        # t_{-(N-1)}, ..., t_{N-1}
+        self._diagonals = np.concatenate((np.conj(coeffs[:0:-1]), coeffs))
+        # S[j, k] = Re t_{j-k} - Im t_{j+k-(N-1)}: Toeplitz minus Hankel
+        s = self._toeplitz(self._diagonals.real) - sliding_window_view(self._diagonals.imag, N)
+        self.eigenvalues, self._w = np.linalg.eigh(s)
         g1, g2 = sym.essential_range()
-        if vals[0] < g1 - 1e-10 or vals[-1] > g2 + 1e-10:
+        if self.eigenvalues[0] < g1 - 1e-10 or self.eigenvalues[-1] > g2 + 1e-10:
             raise ValueError("section eigenvalues escape the essential range")
+
+    def _toeplitz(self, diagonals: np.ndarray) -> np.ndarray:
+        """Read-only view M[j, k] = diagonals[j - k + N - 1]."""
+        return sliding_window_view(diagonals[::-1], self.N)[::-1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The complex Hermitian section T itself, formed on first use."""
+        return self._toeplitz(self._diagonals).copy()
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors of T as columns, formed on first use."""
+        return _SQRT_HALF * (self._w + 1j * self._w[::-1])
+
+    def project(self, x) -> np.ndarray:
+        """Coefficients V^H x of a vector (or of the columns of a matrix) in
+        the eigenbasis: W^T (x - i J x)/sqrt(2), in real matrix products."""
+        x = np.asarray(x, dtype=complex)
+        if x.ndim not in (1, 2) or x.shape[0] != self.N:
+            raise ValueError(f"project needs {self.N} rows, got shape {x.shape}")
+        cols = x.reshape(self.N, -1)
+        flip = cols[::-1]
+        k = cols.shape[1]
+        y = np.empty((self.N, 2 * k))
+        y[:, :k] = cols.real + flip.imag
+        y[:, k:] = cols.imag - flip.real
+        r = self._w.T @ y
+        return (_SQRT_HALF * (r[:, :k] + 1j * r[:, k:])).reshape(x.shape)
 
     def orthonormality_residual(self) -> float:
         v = self.eigenvectors
@@ -56,14 +92,16 @@ def k_vector(u: complex, N: int) -> tuple[np.ndarray, float]:
     return vec, tail
 
 
+def _weights(section: FiniteSection, g) -> np.ndarray:
+    return np.array([g(lam) for lam in section.eigenvalues])
+
+
 def oracle_weak_measure(section: FiniteSection, u: complex, v: complex, g) -> complex:
     """(g(T_N) K_u^N, K_v^N) from the section's eigendata."""
     ku, _ = k_vector(u, section.N)
     kv, _ = k_vector(v, section.N)
-    a = section.eigenvectors.conj().T @ ku
-    b = section.eigenvectors.conj().T @ kv
-    gvals = np.array([g(lam) for lam in section.eigenvalues])
-    return complex(np.sum(gvals * a * np.conj(b)))
+    a, b = section.project(np.stack((ku, kv), axis=1)).T
+    return complex(np.sum(_weights(section, g) * a * np.conj(b)))
 
 
 @dataclass
@@ -130,10 +168,11 @@ def validate(sym: PiecewiseSymbol, interval, g, points, sizes) -> ValidationRepo
 
     def one(N):
         sec = build_section(sym, N)
-        return [oracle_weak_measure(sec, u, v, g) for u, v in pairs]
+        coef = sec.project(np.stack([k_vector(p, N)[0] for p in points], axis=1))
+        # gram[i, k] = (g(T_N) K_{p_i}, K_{p_k}), row-major in the order of pairs
+        gram = (_weights(sec, g)[:, None] * coef).T @ np.conj(coef)
+        return gram.ravel()
 
     rows = parallel_map(one, sizes)
-    errors = np.array(
-        [[abs(row[i] - analytic[i]) for i in range(len(pairs))] for row in rows]
-    )
+    errors = np.abs(np.array(rows) - np.array(analytic))
     return ValidationReport((a, b), sizes, pairs, analytic, errors)

@@ -329,7 +329,9 @@ def weak_measure(sym: PiecewiseSymbol, interval, u: complex, v: complex, g,
     """Integral of g(lambda) times the density kernel over an admissible interval.
 
     Gauss-Legendre in lambda with doubling until the value settles; the
-    density is smooth there, so convergence is fast.
+    density is smooth there, so convergence is fast for smooth weights.
+    Raises ``QuadratureError`` with the last change between doublings when
+    ``max_nodes`` is reached before ``rtol``.
     """
     a, b = float(interval[0]), float(interval[1])
     counting_report(sym, (a, b))  # admissibility and constant multiplicity
@@ -352,13 +354,18 @@ def weak_measure(sym: PiecewiseSymbol, interval, u: complex, v: complex, g,
 
     n = 32
     prev = sample(n)
+    delta = math.inf
     while n < max_nodes:
         n *= 2
         cur = sample(n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+        delta = abs(cur - prev)
+        if delta <= rtol * max(1.0, abs(cur)):
             return complex(cur)
         prev = cur
-    return complex(prev)
+    raise QuadratureError(
+        f"weak measure did not settle within {max_nodes} nodes: last change {delta:.3e}",
+        achieved_tol=delta,
+    )
 
 
 def stone_density(sym: PiecewiseSymbol, u: complex, v: complex, lam: float,

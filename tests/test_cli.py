@@ -32,6 +32,17 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["xi", "--symbol", "regular", "--z", "abc", "--lambda", "0.1"],
+    ["density", "--symbol", "regular", "--interval=-0.5,0.5", "--points", "0,zz"],
+    ["multiplicity", "--symbol", "regular", "--interval=a,0.5"],
+])
+def test_malformed_number_is_usage_error(capsys, argv):
+    code, _, err = run_capture(capsys, argv)
+    assert code == 1
+    assert "usage error" in err
+
+
 def test_spectrum_and_levelset(capsys):
     code, out, _ = run_capture(capsys, ["spectrum", "--symbol", "singular:0:3.141592653589793"])
     assert code == 0

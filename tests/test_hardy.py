@@ -254,6 +254,23 @@ def test_boundary_values_regular(regular):
         assert abs(xm - abs(math.cos(theta) - lam) * xp) < 1e-12
 
 
+@pytest.mark.parametrize("theta, lam, side", [
+    (2.2628671839199117, -0.6420396287072183, "-"),
+    (4.851600214051264, 0.1404243225890638, "+"),
+])
+def test_boundary_xi_node_on_theta(regular, theta, lam, side):
+    # theta close to a level crossing: the panels refined toward theta put
+    # a quadrature node on it in floating point
+    rule = hardy.log_rule(regular, lam, extra=(theta,)).rule
+    assert np.any(rule.theta == theta)
+    val = boundary_xi(regular, theta, lam, side)
+    want = regular_xi_closed(np.exp(1j * theta), lam)
+    if side == "-":
+        want *= abs(math.cos(theta) - lam)
+    assert np.isfinite(val)
+    assert abs(val - want) < 1e-8 * abs(want)
+
+
 def test_boundary_sigma_unimodular(regular, singular):
     for sym, lam, theta in ((regular, 0.3, 1.0), (singular, 0.4, 2.0)):
         sigma = boundary_sigma(sym, theta, lam)

@@ -11,6 +11,7 @@ from toepspec.oracle import (
     validate,
 )
 from toepspec.spectral import weak_measure
+from test_random_symbols import random_symbol
 
 
 def test_regular_section_is_discrete_laplacian(regular):
@@ -40,6 +41,36 @@ def test_section_trace_and_range(regular, singular_asym, fig2):
         g1, g2 = sym.essential_range()
         assert sec.eigenvalues[0] >= g1 - 1e-10
         assert sec.eigenvalues[-1] <= g2 + 1e-10
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 97])
+def test_real_reduction_matches_complex_eigh(regular, singular_asym, fig2, N):
+    # odd N puts the centre element on the exchange matrix's fixed point
+    rng = np.random.default_rng(97)
+    rand = random_symbol(rng)
+    assert np.max(np.abs([rand.fourier_coefficient(n).imag for n in range(1, 4)])) > 1e-3
+    g = smooth_bump(-0.4, 0.6)
+    pts = (0.0, 0.3 + 0.2j, -0.5j)
+    x = np.stack([k_vector(p, N)[0] for p in pts], axis=1) + rng.normal(size=(N, 3))
+    for sym in (regular, singular_asym, fig2, rand):
+        sec = build_section(sym, N)
+        vals, vecs = np.linalg.eigh(sec.matrix)
+        assert np.max(np.abs(sec.eigenvalues - vals)) < 1e-12
+        v = sec.eigenvectors
+        assert np.max(np.abs(sec.project(x) - v.conj().T @ x)) < 1e-12
+        assert np.max(np.abs(sec.project(x[:, 1]) - v.conj().T @ x[:, 1])) < 1e-12
+        assert sec.orthonormality_residual() < 1e-10
+        gv = np.array([g(lam) for lam in vals])
+        for u, w in ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[2])):
+            ku, kw = k_vector(u, N)[0], k_vector(w, N)[0]
+            ref = np.sum(gv * (vecs.conj().T @ ku) * np.conj(vecs.conj().T @ kw))
+            assert abs(oracle_weak_measure(sec, u, w, g) - ref) < 1e-12
+
+
+def test_project_rejects_wrong_length(regular):
+    sec = build_section(regular, 8)
+    with pytest.raises(ValueError):
+        sec.project(np.ones(16))
 
 
 def test_section_rejects_tiny(regular):
@@ -82,6 +113,17 @@ def test_validate_errors_shrink(regular):
     report = validate(regular, (-0.6, 0.6), g, [0.0, 0.3 + 0.2j], [128, 256, 512])
     assert report.monotone
     assert report.max_final_error < 5e-3
+
+
+def test_validate_matches_pairwise_oracle(singular_asym):
+    g = smooth_bump(0.2, 0.8)
+    points = [0.1, 0.3 + 0.2j]
+    report = validate(singular_asym, (0.1, 0.9), g, points, [64, 96])
+    for row, N in enumerate(report.sizes):
+        sec = build_section(singular_asym, N)
+        for col, (u, v) in enumerate(report.pairs):
+            err = abs(oracle_weak_measure(sec, u, v, g) - report.analytic[col])
+            assert report.errors[row, col] == pytest.approx(err, abs=1e-13)
 
 
 def test_validate_outside_spectrum_is_null(regular):

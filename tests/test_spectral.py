@@ -9,7 +9,7 @@ from conftest import (
     singular_phi_closed,
     singular_phi_ext_closed,
 )
-from toepspec.errors import FormMismatchError
+from toepspec.errors import FormMismatchError, QuadratureError
 from toepspec.spectral import (
     DensityKernel,
     resolvent_form,
@@ -262,6 +262,14 @@ def test_weak_measure_constant_weight(regular):
     ref = (2.0 / math.pi) * (0.5 * math.sqrt(0.75) + math.asin(0.5))
     assert val.real == pytest.approx(ref, abs=1e-8)
     assert abs(val.imag) < 1e-12
+
+
+def test_weak_measure_unsettled_raises(regular):
+    # a jump inside the interval: Gauss-Legendre converges only like 1/n
+    ind = lambda lam: 1.0 if 0.1 <= lam <= 0.5 else 0.0
+    with pytest.raises(QuadratureError) as info:
+        weak_measure(regular, (-0.5, 0.5), 0.0, 0.0, ind, rtol=1e-12, max_nodes=128)
+    assert 1e-12 < info.value.achieved_tol < 1e-1
 
 
 def test_weak_measure_zero_weight(regular):
