@@ -6,7 +6,9 @@ partial-fraction coefficients, boundary values, and the mu measure.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,8 @@ PEAK_RADIUS = 0.92
 
 
 def _interval_edges(a: float, b: float, depth: int, h_max: float) -> np.ndarray:
-    """Panel edges on [a, b], geometrically refined toward both endpoints."""
+    """Panel edges on [a, b], geometrically refined toward both endpoints;
+    panels wider than ``h_max`` are split evenly."""
     mid = 0.5 * (a + b)
     half = mid - a
     fr = 2.0 ** (-np.arange(depth, -1, -1, dtype=float))
@@ -39,10 +42,12 @@ def _interval_edges(a: float, b: float, depth: int, h_max: float) -> np.ndarray:
     splits = np.maximum(np.ceil(widths / h_max).astype(int), 1)
     if np.all(splits == 1):
         return edges
-    pieces = [edges[:1]]
-    for lo, w, k in zip(edges[:-1], widths, splits):
-        pieces.append(lo + w * np.arange(1, k + 1) / k)
-    return np.concatenate(pieces)
+    # panel i contributes lo_i + w_i * j / k_i for j = 1..k_i
+    ends = np.cumsum(splits)
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - splits, splits)
+    inner = (np.repeat(edges[:-1], splits)
+             + np.repeat(widths, splits) * j / np.repeat(splits, splits))
+    return np.concatenate((edges[:1], inner))
 
 
 def _edges_to_rule(edges: np.ndarray):
@@ -89,6 +94,11 @@ class CircleRule:
             raise QuadratureError("panel weights do not sum to the circle measure")
         self.panels = len(self.theta) // len(GL_NODES)
 
+    @property
+    def nbytes(self) -> int:
+        return (self.breakpoints.nbytes + self.theta.nbytes + self.w.nbytes
+                + self.theta_c.nbytes + self.w_c.nbytes)
+
     def integrate(self, fn):
         """Integral of fn(theta) against the normalized measure, with estimate."""
         fine = np.dot(self.w, fn(self.theta))
@@ -106,6 +116,10 @@ class LogRule:
     logvals_c: np.ndarray
     achieved_tol: float
 
+    @property
+    def nbytes(self) -> int:
+        return self.rule.nbytes + self.logvals.nbytes + self.logvals_c.nbytes
+
     def weighted(self, smooth_f, smooth_c):
         """Integral of ln|omega-lam| times a smooth factor given at the nodes."""
         fine = np.dot(self.rule.w * self.logvals, smooth_f)
@@ -119,7 +133,52 @@ class LogRule:
         return fine
 
 
-_rule_cache: "weakref.WeakKeyDictionary[PiecewiseSymbol, dict]" = weakref.WeakKeyDictionary()
+# Per-symbol bound on the cached rules and Fourier vectors: 256 of the
+# 256 KiB log_fourier vectors.
+RULE_CACHE_BYTES = 64 * 2**20
+_cache_lock = threading.Lock()
+
+
+class _SymbolCache:
+    """Least-recently-used store of one symbol's rules, bounded in bytes.
+
+    Every value carries ``nbytes``; one larger than the whole budget is
+    built and returned but not kept.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+        self.tau_values: np.ndarray | None = None
+
+    def get(self, key, build):
+        with _cache_lock:
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+                return hit
+        value = build()
+        size = value.nbytes
+        if size > RULE_CACHE_BYTES:
+            return value
+        with _cache_lock:
+            if key not in self.entries:
+                while self.entries and self.nbytes + size > RULE_CACHE_BYTES:
+                    self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+                self.entries[key] = value
+                self.nbytes += size
+        return value
+
+
+_rule_cache: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolCache]" = weakref.WeakKeyDictionary()
+
+
+def _cache_for(sym: PiecewiseSymbol) -> _SymbolCache:
+    with _cache_lock:
+        cache = _rule_cache.get(sym)
+        if cache is None:
+            cache = _rule_cache[sym] = _SymbolCache()
+        return cache
 
 
 def _symbol_breakpoints(sym: PiecewiseSymbol, x: float | None) -> np.ndarray:
@@ -142,17 +201,14 @@ def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
                tol: float = DEFAULT_TOL, depth: int = DEFAULT_DEPTH) -> CircleRule:
     """Cached panel rule with breakpoints at the jumps and, when ``x`` lies in
     the essential range, at the angles where the symbol crosses ``x``."""
-    cache = _rule_cache.setdefault(sym, {})
     key = ("plain", None if x is None else round(float(x), 14),
            tuple(round(float(e), 12) for e in sorted(extra)), tol, depth)
-    hit = cache.get(key)
-    if hit is None:
+
+    def build():
         breaks = np.concatenate((_symbol_breakpoints(sym, x), np.asarray(extra, dtype=float)))
-        hit = CircleRule(breaks, depth=depth, tol=tol)
-        if len(cache) > 256:
-            cache.clear()
-        cache[key] = hit
-    return hit
+        return CircleRule(breaks, depth=depth, tol=tol)
+
+    return _cache_for(sym).get(key, build)
 
 
 def log_rule(sym: PiecewiseSymbol, lam: float, extra=(), tol: float = DEFAULT_TOL) -> LogRule:
@@ -161,27 +217,23 @@ def log_rule(sym: PiecewiseSymbol, lam: float, extra=(), tol: float = DEFAULT_TO
     ``extra`` adds non-singular breakpoints (used to resolve the Schwarz
     peak of evaluation points close to the circle).
     """
-    cache = _rule_cache.setdefault(sym, {})
     key = (round(float(lam), 14), tuple(round(float(e), 12) for e in sorted(extra)), tol)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    breaks = np.concatenate((_symbol_breakpoints(sym, lam), np.asarray(extra, dtype=float)))
-    for depth in (DEFAULT_DEPTH, MAX_DEPTH):
-        rule = CircleRule(breaks, depth=depth, tol=tol)
-        logvals = _safe_log_abs(sym.values(rule.theta) - lam)
-        logvals_c = _safe_log_abs(sym.values(rule.theta_c) - lam)
-        base = np.dot(rule.w, logvals)
-        err = abs(base - np.dot(rule.w_c, logvals_c))
-        if err <= tol * max(1.0, abs(base)):
-            out = LogRule(rule, float(lam), logvals, logvals_c, err)
-            if len(cache) > 256:
-                cache.clear()
-            cache[key] = out
-            return out
-    raise QuadratureError(
-        f"log quadrature did not converge at depth {MAX_DEPTH}", achieved_tol=err
-    )
+
+    def build():
+        breaks = np.concatenate((_symbol_breakpoints(sym, lam), np.asarray(extra, dtype=float)))
+        for depth in (DEFAULT_DEPTH, MAX_DEPTH):
+            rule = CircleRule(breaks, depth=depth, tol=tol)
+            logvals = _safe_log_abs(sym.values(rule.theta) - lam)
+            logvals_c = _safe_log_abs(sym.values(rule.theta_c) - lam)
+            base = np.dot(rule.w, logvals)
+            err = abs(base - np.dot(rule.w_c, logvals_c))
+            if err <= tol * max(1.0, abs(base)):
+                return LogRule(rule, float(lam), logvals, logvals_c, err)
+        raise QuadratureError(
+            f"log quadrature did not converge at depth {MAX_DEPTH}", achieved_tol=err
+        )
+
+    return _cache_for(sym).get(key, build)
 
 
 def _rule_for_point(sym: PiecewiseSymbol, z: complex, lam: float, tol: float) -> LogRule:
@@ -192,12 +244,20 @@ def _rule_for_point(sym: PiecewiseSymbol, z: complex, lam: float, tol: float) ->
     return log_rule(sym, lam, extra=extra, tol=tol)
 
 
+def _schwarz_factor(z, theta: np.ndarray) -> np.ndarray:
+    """(1 + s)/(1 - s) with s = z e^{-i theta}; ``z`` a scalar or a column
+    of points.  Holds two (points x nodes) arrays at most."""
+    s = z * np.exp(-1j * theta)
+    h = 1.0 + s
+    h /= np.subtract(1.0, s, out=s)
+    return h
+
+
 def q_function(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> complex:
     """Schwarz-kernel average of ln|omega - lam| at z (inside or outside)."""
     lr = _rule_for_point(sym, z, lam, tol)
-    zf = z * np.exp(-1j * lr.rule.theta)
-    zc = z * np.exp(-1j * lr.rule.theta_c)
-    return complex(lr.weighted((1.0 + zf) / (1.0 - zf), (1.0 + zc) / (1.0 - zc)))
+    return complex(lr.weighted(_schwarz_factor(z, lr.rule.theta),
+                               _schwarz_factor(z, lr.rule.theta_c)))
 
 
 def xi(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> complex:
@@ -214,11 +274,9 @@ def xi_grid(sym: PiecewiseSymbol, zs, lam: float, tol: float = DEFAULT_TOL) -> n
     shared = np.abs(flat) <= PEAK_RADIUS
     if np.any(shared):
         lr = log_rule(sym, lam, tol=tol)
-        zsh = flat[shared]
-        hf = (1.0 + zsh[:, None] * np.exp(-1j * lr.rule.theta)[None, :])
-        hf /= (1.0 - zsh[:, None] * np.exp(-1j * lr.rule.theta)[None, :])
-        hc = (1.0 + zsh[:, None] * np.exp(-1j * lr.rule.theta_c)[None, :])
-        hc /= (1.0 - zsh[:, None] * np.exp(-1j * lr.rule.theta_c)[None, :])
+        zsh = flat[shared][:, None]
+        hf = _schwarz_factor(zsh, lr.rule.theta)
+        hc = _schwarz_factor(zsh, lr.rule.theta_c)
         q = lr.weighted(hf.T, hc.T)
         out[shared] = np.exp(-0.5 * q)
     for i in np.nonzero(~shared)[0]:
@@ -230,6 +288,19 @@ LOG_FOURIER_N = 16384    # Fourier modes kept for the circle fast path
 LOG_FOURIER_GRID = 32768  # sample grid for the smooth remainder
 CIRCLE_R_MAX = 0.9995     # beyond this the kept modes cannot resolve the peak
 
+# the half-offset sample grid and the phase that re-centres its FFT
+_TAU = TWO_PI * (np.arange(LOG_FOURIER_GRID) + 0.5) / LOG_FOURIER_GRID
+_TAU_PHASE = np.exp(-1j * math.pi * np.arange(LOG_FOURIER_N) / LOG_FOURIER_GRID)
+_MODES = np.arange(1, LOG_FOURIER_N)
+
+
+def _tau_values(sym: PiecewiseSymbol) -> np.ndarray:
+    """The symbol on the half-offset grid, computed once per symbol."""
+    cache = _cache_for(sym)
+    if cache.tau_values is None:
+        cache.tau_values = sym.values(_TAU)
+    return cache.tau_values
+
 
 def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     """Fourier coefficients of ln|omega - lam| for modes 0..N-1.
@@ -238,17 +309,17 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     exact closed-form coefficients; the continuous remainder is handled by
     an FFT on a half-offset grid.  Cached per level.
     """
-    cache = _rule_cache.setdefault(sym, {})
-    key = ("fourier", round(float(lam), 14))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _cache_for(sym).get(("fourier", round(float(lam), 14)),
+                               lambda: _log_fourier(sym, lam))
+
+
+def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     g1, g2 = sym.essential_range()
     if g1 < lam < g2 and exceptional_set(sym).distance(lam) < GUARD:
         raise ExceptionalLevelError(
             f"level {lam} within {GUARD} of the exceptional set"
         )
-    n = np.arange(1, LOG_FOURIER_N)
+    n = _MODES
     fhat = np.zeros(LOG_FOURIER_N, dtype=complex)
 
     roots = level_angles_raw(sym, lam) if g1 < lam < g2 else np.empty(0)
@@ -263,9 +334,8 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
         size = math.log(abs(j.right - lam)) - math.log(abs(j.left - lam))
         fhat[1:] += size * np.exp(-1j * n * j.theta) / (2j * math.pi * n)
 
-    m = LOG_FOURIER_GRID
-    tau = TWO_PI * (np.arange(m) + 0.5) / m
-    ratio = np.abs(sym.values(tau) - lam)
+    tau = _TAU
+    ratio = np.abs(_tau_values(sym) - lam)
     for t0 in roots:
         ratio = ratio / np.maximum(np.abs(2.0 * np.sin(0.5 * (tau - t0))), 1e-300)
     g = np.log(np.maximum(ratio, 1e-300))
@@ -275,12 +345,9 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
         size = math.log(abs(j.right - lam)) - math.log(abs(j.left - lam))
         x = np.mod(tau - j.theta, TWO_PI)
         g = g - size * (math.pi - x) / TWO_PI
-    ghat = np.fft.fft(g) / m
-    ghat *= np.exp(-1j * math.pi * np.arange(m) / m)  # half-offset grid phase
-    fhat += ghat[:LOG_FOURIER_N]
-    if len(cache) > 256:
-        cache.clear()
-    cache[key] = fhat
+    # g is real: the kept modes are the first half of its spectrum
+    ghat = np.fft.rfft(g)[:LOG_FOURIER_N] / LOG_FOURIER_GRID
+    fhat += ghat * _TAU_PHASE
     return fhat
 
 
@@ -315,9 +382,7 @@ def outer_F(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_T
         raise ValueError("outer function is defined inside the disk")
     lr = _rule_for_point(sym, z, lam, tol)
     # omega - lam > 0 here, so ln|omega - lam| is the honest logarithm
-    zf = z * np.exp(-1j * lr.rule.theta)
-    zc = z * np.exp(-1j * lr.rule.theta_c)
-    q = lr.weighted((1.0 + zf) / (1.0 - zf), (1.0 + zc) / (1.0 - zc))
+    q = lr.weighted(_schwarz_factor(z, lr.rule.theta), _schwarz_factor(z, lr.rule.theta_c))
     return complex(np.exp(0.5 * q))
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +62,7 @@ class ExceptionalSet:
     thresholds: tuple[float, ...]
     critical: tuple[float, ...]
 
-    @property
+    @cached_property
     def values(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.thresholds) | set(self.critical)))
 
@@ -105,12 +107,24 @@ def level_angles_raw(sym: PiecewiseSymbol, x: float) -> np.ndarray:
     return np.array(keep)
 
 
+_exceptional: "weakref.WeakKeyDictionary[PiecewiseSymbol, ExceptionalSet]" = (
+    weakref.WeakKeyDictionary())
+
+
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
     """Threshold values at jumps plus critical values of the smooth part.
 
     Locally constant pieces contribute their value as critical: a level
     equal to a plateau breaks the finite-arc structure of the sublevel set.
+    Symbols are immutable, so the set is computed once per symbol.
     """
+    exc = _exceptional.get(sym)
+    if exc is None:
+        exc = _exceptional[sym] = _exceptional_set(sym)
+    return exc
+
+
+def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
     thresholds = []
     for j in sym.jumps:
         thresholds.extend((j.left, j.right))

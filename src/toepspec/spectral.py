@@ -261,10 +261,6 @@ class SpectralFrame:
         data = coefficients_c(tuple(tilde), self.lam)
         return SpectralFrame(self.sym, self.lam, level, data, check_count=False)
 
-    def alt_eigenfunction(self, j: int, z: complex) -> complex:
-        """Eigenfunction of the complementary-arc representation."""
-        return self.alt_frame().eigenfunction(j, z)
-
 
 def spectral_frame(sym: PiecewiseSymbol, lam: float, check_count: bool = True) -> SpectralFrame:
     """Assemble the level set, arc coefficients, and multiplicity at a level."""

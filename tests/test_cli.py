@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toepspec
 from toepspec import cli
 from toepspec.symbol import PiecewiseSymbol, preset_singular
 
@@ -41,6 +46,25 @@ def test_malformed_number_is_usage_error(capsys, argv):
     code, _, err = run_capture(capsys, argv)
     assert code == 1
     assert "usage error" in err
+
+
+def run_module(*argv):
+    """``python -m toepspec.cli`` in a fresh interpreter on this checkout."""
+    src = str(Path(toepspec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "toepspec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_main():
+    proc = run_module("xi", "--symbol", "regular", "--z", "abc", "--lambda", "0.1")
+    assert proc.returncode == 1
+    assert "usage error" in proc.stderr
+    proc = run_module("spectrum", "--symbol", "regular")
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    assert data["gamma1"] == pytest.approx(-1.0) and data["gamma2"] == pytest.approx(1.0)
 
 
 def test_spectrum_and_levelset(capsys):

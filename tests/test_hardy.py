@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from toepspec.hardy import (
 )
 from toepspec.levelset import sublevel_set
 from toepspec.spectral import resolvent_form
+from toepspec.symbol import preset_regular
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +52,129 @@ def test_rule_cert_depth_doubling(regular):
     lr = hardy.log_rule(regular, 0.123)
     # the stored certificate compares two refinement depths
     assert lr.achieved_tol < hardy.DEFAULT_TOL
+
+
+def _loop_edges(a, b, depth, h_max):
+    """Panel edges built one panel at a time: the reference construction."""
+    mid = 0.5 * (a + b)
+    half = mid - a
+    fr = 2.0 ** (-np.arange(depth, -1, -1, dtype=float))
+    left = a + half * np.concatenate(([0.0], fr))
+    right = b - half * np.concatenate(([0.0], fr))
+    edges = np.concatenate((left, right[::-1][1:]))
+    widths = np.diff(edges)
+    splits = np.maximum(np.ceil(widths / h_max).astype(int), 1)
+    if np.all(splits == 1):
+        return edges
+    pieces = [edges[:1]]
+    for lo, w, k in zip(edges[:-1], widths, splits):
+        pieces.append(lo + w * np.arange(1, k + 1) / k)
+    return np.concatenate(pieces)
+
+
+@pytest.mark.parametrize("a, b, depth, h_max", [
+    (1.0, 1.1, hardy.DEFAULT_DEPTH, hardy.H_MAX),        # no panel is split
+    (0.3, 2.4, hardy.DEFAULT_DEPTH, hardy.H_MAX),
+    (0.3, 2.4, hardy.DEFAULT_DEPTH - 4, 2.0 * hardy.H_MAX),  # coarse grid
+    (5.9, 5.9 + TWO_PI, hardy.MAX_DEPTH, hardy.H_MAX),   # whole circle
+    (0.0, 1e-6, 6, 2.0 * hardy.H_MAX),
+    (2.0, 4.5, 6, 0.01),
+])
+def test_interval_edges_match_panel_loop(a, b, depth, h_max):
+    want = _loop_edges(a, b, depth, h_max)
+    got = hardy._interval_edges(a, b, depth, h_max)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_xi_grid_passes_build_each_rule_once(monkeypatch):
+    # a 300-level family is past the old 256-entry clearing point; repeat
+    # passes must be served from the cache
+    sym = preset_regular()
+    builds = []
+    init = CircleRule.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CircleRule, "__init__", counted)
+    lams = np.linspace(-0.9, 0.9, 300)
+    zs = np.array([0.3, -0.5j, 0.6 + 0.2j])
+    first = [xi_grid(sym, zs, lam) for lam in lams]
+    n_first = len(builds)
+    assert n_first >= len(lams)
+    for _ in range(2):
+        again = [xi_grid(sym, zs, lam) for lam in lams]
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+    assert len(builds) == n_first
+
+
+def test_rule_cache_evicts_least_recently_used(monkeypatch):
+    size = np.zeros(hardy.LOG_FOURIER_N, dtype=complex).nbytes   # one log_fourier vector
+    monkeypatch.setattr(hardy, "RULE_CACHE_BYTES", 3 * size)
+    sym = preset_regular()
+    cache = hardy._cache_for(sym)
+
+    def keys():
+        return [k[1] for k in cache.entries]
+
+    def check_budget():
+        assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
+        assert cache.nbytes <= hardy.RULE_CACHE_BYTES
+
+    for lam in (0.1, 0.2, 0.3):
+        hardy.log_fourier(sym, lam)
+        check_budget()
+    assert keys() == [0.1, 0.2, 0.3]
+    first = hardy.log_fourier(sym, 0.1)      # a hit refreshes 0.1
+    assert keys() == [0.2, 0.3, 0.1]
+    hardy.log_fourier(sym, 0.4)              # evicts 0.2, the least recent
+    check_budget()
+    assert keys() == [0.3, 0.1, 0.4]
+    assert hardy.log_fourier(sym, 0.1) is first   # and refreshes it again
+    lr = hardy.log_rule(sym, 0.5)            # evicts as many bytes as it needs
+    check_budget()
+    assert list(cache.entries) == [("fourier", 0.4), ("fourier", 0.1),
+                                   (0.5, (), hardy.DEFAULT_TOL)]
+    assert hardy.log_rule(sym, 0.5) is lr
+    # a value larger than the whole budget is returned but not kept
+    monkeypatch.setattr(hardy, "RULE_CACHE_BYTES", size // 2)
+    before = list(cache.entries)
+    hardy.log_fourier(sym, 0.6)
+    assert list(cache.entries) == before
+
+
+def test_rule_cache_budget_holds_under_threads(monkeypatch):
+    # cheap values keep the threads inside the cache's bookkeeping, where a
+    # lost update would break the byte count
+    monkeypatch.setattr(hardy, "RULE_CACHE_BYTES", 5 * 800)
+    cache = hardy._cache_for(preset_regular())
+    errors = []
+
+    def work(k):
+        rng = np.random.default_rng(k)
+        try:
+            for key in rng.integers(0, 20, size=10000):
+                value = cache.get(int(key), lambda: np.zeros(100))
+                assert value.nbytes == 800
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
+    assert cache.nbytes <= hardy.RULE_CACHE_BYTES
 
 
 # -- Q and xi --------------------------------------------------------------------

@@ -46,6 +46,14 @@ def test_exceptional_sets(regular, singular):
     assert len(exc.values) < math.inf
 
 
+def test_exceptional_set_computed_once_per_symbol(fig2):
+    exc = exceptional_set(fig2)
+    assert exceptional_set(fig2) is exc
+    fresh = PiecewiseSymbol([(p.theta_start, p.theta_end, p.poly) for p in fig2.pieces])
+    assert exceptional_set(fresh) is not exc
+    assert exceptional_set(fresh) == exc
+
+
 def test_sublevel_regular(regular):
     ls = sublevel_set(regular, 0.0)
     assert ls.m == 1
