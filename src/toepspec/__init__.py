@@ -22,6 +22,7 @@ from .hardy import (
     outer_F,
     phase_A_closed,
     phase_A_integral,
+    point_rule,
     q_function,
     xi,
     xi_circle,
@@ -37,7 +38,6 @@ from .levelset import (
 )
 from .oracle import FiniteSection, build_section, k_vector, oracle_weak_measure, smooth_bump, validate
 from .spectral import (
-    DensityKernel,
     SpectralFrame,
     resolvent_form,
     rh_residual,

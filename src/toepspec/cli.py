@@ -74,6 +74,14 @@ def _emit_csv(header, rows, path: str | None):
     _emit("\n".join(lines) + "\n", path)
 
 
+def _emit_complex_csv(names, lams, values, path: str | None):
+    """One row per level: lambda, then the real and imaginary parts of
+    each named complex column."""
+    header = ["lambda"] + [f"{name}_{part}" for name in names for part in ("re", "im")]
+    rows = [[lam] + [x for v in row for x in (v.real, v.imag)] for lam, row in zip(lams, values)]
+    _emit_csv(header, rows, path)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="toepspec", description="Spectral data of self-adjoint Toeplitz operators")
     sub = p.add_subparsers(dest="command", required=True)
@@ -177,8 +185,7 @@ def _cmd_multiplicity(sym, args) -> int:
 
 def _cmd_xi(sym, args) -> int:
     z = _parse_complex(args.z)
-    extra = (float(np.angle(z)) % (2 * math.pi),) if hardy.PEAK_RADIUS < abs(z) < 1 / hardy.PEAK_RADIUS else ()
-    lr = hardy.log_rule(sym, args.lam, extra=extra)
+    lr = hardy.point_rule(sym, z, args.lam)
     value = hardy.xi(sym, z, args.lam)
     _emit_json(
         {"value": _cnum(value), "achieved_tol": lr.achieved_tol,
@@ -206,22 +213,12 @@ def _cmd_phase(sym, args) -> int:
 def _cmd_density(sym, args) -> int:
     a, b = _parse_interval(args.interval)
     levelset.counting_report(sym, (a, b))
-    points = [_parse_complex(t) for t in args.points.split(",")]
+    pts = np.array([_parse_complex(t) for t in args.points.split(",")])
     lams = [a + (k + 0.5) * (b - a) / args.grid for k in range(args.grid)]
-    header = ["lambda"]
-    for i in range(len(points)):
-        for k in range(len(points)):
-            header += [f"d_{i}_{k}_re", f"d_{i}_{k}_im"]
-    rows = []
-    for lam in lams:
-        frame = spectral.spectral_frame(sym, lam, check_count=False)
-        row = [lam]
-        for u in points:
-            for v in points:
-                d = frame.density(u, v)
-                row += [d.real, d.imag]
-        rows.append(row)
-    _emit_csv(header, rows, args.output)
+    values = [spectral.spectral_frame(sym, lam, check_count=False)
+              .density(pts[:, None], pts[None, :]).ravel() for lam in lams]
+    names = [f"d_{i}_{k}" for i in range(len(pts)) for k in range(len(pts))]
+    _emit_complex_csv(names, lams, values, args.output)
     return 0
 
 
@@ -234,7 +231,9 @@ def _cmd_eigenfun(sym, args) -> int:
     if not 0.0 < r < 1.0:
         raise UsageError("zgrid radius must lie in (0, 1)")
     zs = r * np.exp(2j * math.pi * np.arange(count) / count)
-    vals = frame.eigen_grid(args.branch, zs)
+    if not 1 <= args.branch <= frame.m:
+        raise ValueError(f"branch index {args.branch} outside 1..{frame.m}")
+    vals = frame.eigen_matrix(zs)[args.branch - 1]
     rows = [[z.real, z.imag, v.real, v.imag] for z, v in zip(zs, vals)]
     _emit_csv(["re_z", "im_z", "re_phi", "im_phi"], rows, args.output)
     return 0
@@ -247,17 +246,8 @@ def _cmd_diagonalize(sym, args) -> int:
              for t in spec["terms"]]
     f = HardyVector.of(*terms)
     family = FrameFamily(sym, _parse_interval(args.interval), n_grid=args.grid)
-    values = phi_map_family(family, f)
-    header = ["lambda"]
-    for j in range(family.m):
-        header += [f"phi_{j + 1}_re", f"phi_{j + 1}_im"]
-    rows = []
-    for k, lam in enumerate(family.lams):
-        row = [lam]
-        for j in range(family.m):
-            row += [values[k, j].real, values[k, j].imag]
-        rows.append(row)
-    _emit_csv(header, rows, args.output)
+    names = [f"phi_{j + 1}" for j in range(family.m)]
+    _emit_complex_csv(names, family.lams, phi_map_family(family, f), args.output)
     return 0
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hardy import gauss_legendre
 from .levelset import counting_report
 from .oracle import FiniteSection, oracle_weak_measure
 from .spectral import SpectralFrame, resolvent_form, spectral_frame
@@ -56,7 +57,7 @@ class FrameFamily:
         self.interval = (float(interval[0]), float(interval[1]))
         self.report = counting_report(sym, self.interval)
         self.m = self.report.m
-        x, w = np.polynomial.legendre.leggauss(n_grid)
+        x, w = gauss_legendre(n_grid)
         a, b = self.interval
         self.lams = 0.5 * (a + b) + 0.5 * (b - a) * x
         self.weights = 0.5 * (b - a) * w
@@ -178,7 +179,7 @@ def stone_projection(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector,
                      subintervals, eps: float = 1e-2, n_nodes: int = 64) -> complex:
     """(E(X)f, g) for a finite union of intervals via the resolvent jump,
     second-order extrapolated in the offset."""
-    x_nodes, x_w = np.polynomial.legendre.leggauss(n_nodes)
+    x_nodes, x_w = gauss_legendre(n_nodes)
 
     def integral(e):
         total = 0.0 + 0.0j

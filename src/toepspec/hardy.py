@@ -5,6 +5,7 @@ partial-fraction coefficients, boundary values, and the mu measure.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import weakref
@@ -18,7 +19,17 @@ from .kernels import schwarz_H
 from .levelset import GUARD, exceptional_set, level_angles_raw, sublevel_set
 from .symbol import TWO_PI, PiecewiseSymbol
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per ``n``
+    and returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+GL_NODES, GL_WEIGHTS = gauss_legendre(16)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_DEPTH = 36
@@ -121,14 +132,14 @@ class LogRule:
         return self.rule.nbytes + self.logvals.nbytes + self.logvals_c.nbytes
 
     def weighted(self, smooth_f, smooth_c):
-        """Integral of ln|omega-lam| times a smooth factor given at the nodes."""
+        """Integrals of ln|omega-lam| times smooth factors given at the nodes,
+        one column per integral; each must meet the tolerance on its own."""
         fine = np.dot(self.rule.w * self.logvals, smooth_f)
         coarse = np.dot(self.rule.w_c * self.logvals_c, smooth_c)
-        err = np.max(np.atleast_1d(np.abs(fine - coarse)))
-        scale = max(1.0, np.max(np.atleast_1d(np.abs(fine))))
-        if err > self.rule.tol * scale:
+        ratio = np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine)), initial=0.0)
+        if ratio > self.rule.tol:
             raise QuadratureError(
-                f"log quadrature stalled at estimate {err:.3e}", achieved_tol=err
+                f"log quadrature stalled at relative estimate {ratio:.3e}", achieved_tol=ratio
             )
         return fine
 
@@ -236,52 +247,57 @@ def log_rule(sym: PiecewiseSymbol, lam: float, extra=(), tol: float = DEFAULT_TO
     return _cache_for(sym).get(key, build)
 
 
-def _rule_for_point(sym: PiecewiseSymbol, z: complex, lam: float, tol: float) -> LogRule:
-    az = abs(z)
-    if abs(az - 1.0) < 1e-8:
-        raise ValueError("evaluation on the unit circle requires boundary_xi")
-    extra = (float(np.angle(z)) % TWO_PI,) if PEAK_RADIUS < az < 1.0 / PEAK_RADIUS else ()
+def _in_peak_band(az):
+    return (PEAK_RADIUS < az) & (az < 1.0 / PEAK_RADIUS)
+
+
+def point_rule(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> LogRule:
+    """The rule ``q_function`` integrates with at z: the shared ``log_rule``,
+    plus a breakpoint at arg z when z lies in the peak band around the circle."""
+    extra = (float(np.angle(z)) % TWO_PI,) if _in_peak_band(abs(z)) else ()
     return log_rule(sym, lam, extra=extra, tol=tol)
 
 
 def _schwarz_factor(z, theta: np.ndarray) -> np.ndarray:
-    """(1 + s)/(1 - s) with s = z e^{-i theta}; ``z`` a scalar or a column
-    of points.  Holds two (points x nodes) arrays at most."""
+    """(1 + s)/(1 - s) with s = z e^{-i theta}; ``z`` a column of points.
+    Holds two (points x nodes) arrays at most."""
     s = z * np.exp(-1j * theta)
     h = 1.0 + s
     h /= np.subtract(1.0, s, out=s)
     return h
 
 
-def q_function(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> complex:
-    """Schwarz-kernel average of ln|omega - lam| at z (inside or outside)."""
-    lr = _rule_for_point(sym, z, lam, tol)
-    return complex(lr.weighted(_schwarz_factor(z, lr.rule.theta),
-                               _schwarz_factor(z, lr.rule.theta_c)))
+def q_function(sym: PiecewiseSymbol, z, lam: float, tol: float = DEFAULT_TOL):
+    """Schwarz-kernel average of ln|omega - lam| at z (inside or outside the
+    circle), for a point or an array of points.
+
+    Points in the peak band around the circle get their own ``point_rule``;
+    all others share the level's ``log_rule`` in one batch.
+    """
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    az = np.abs(flat)
+    if np.any(np.abs(az - 1.0) < 1e-8):
+        raise ValueError("evaluation on the unit circle requires boundary_xi")
+    out = np.empty(flat.shape, dtype=complex)
+    peak = _in_peak_band(az)
+    groups = [(np.nonzero(~peak)[0], log_rule(sym, lam, tol=tol))] if not peak.all() else []
+    groups += [([i], point_rule(sym, flat[i], lam, tol)) for i in np.nonzero(peak)[0]]
+    for idx, lr in groups:
+        col = flat[idx][:, None]
+        out[idx] = lr.weighted(_schwarz_factor(col, lr.rule.theta).T,
+                               _schwarz_factor(col, lr.rule.theta_c).T)
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def xi(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> complex:
     """Modulus part of the inverse outer function: exp(-Q/2); never zero."""
-    return complex(np.exp(-0.5 * q_function(sym, z, lam, tol=tol)))
+    return complex(np.exp(-0.5 * q_function(sym, complex(z), lam, tol=tol)))
 
 
 def xi_grid(sym: PiecewiseSymbol, zs, lam: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized xi over many points; points beyond the shared-panel radius
-    fall back to per-point rules."""
-    zs = np.asarray(zs, dtype=complex)
-    flat = zs.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    shared = np.abs(flat) <= PEAK_RADIUS
-    if np.any(shared):
-        lr = log_rule(sym, lam, tol=tol)
-        zsh = flat[shared][:, None]
-        hf = _schwarz_factor(zsh, lr.rule.theta)
-        hc = _schwarz_factor(zsh, lr.rule.theta_c)
-        q = lr.weighted(hf.T, hc.T)
-        out[shared] = np.exp(-0.5 * q)
-    for i in np.nonzero(~shared)[0]:
-        out[i] = xi(sym, complex(flat[i]), lam, tol=tol)
-    return out.reshape(zs.shape)
+    """xi over an array of points, in the shape of ``zs``."""
+    return np.exp(-0.5 * np.asarray(q_function(sym, zs, lam, tol=tol)))
 
 
 LOG_FOURIER_N = 16384    # Fourier modes kept for the circle fast path
@@ -321,11 +337,12 @@ def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
         )
     n = _MODES
     fhat = np.zeros(LOG_FOURIER_N, dtype=complex)
-
-    roots = level_angles_raw(sym, lam) if g1 < lam < g2 else np.empty(0)
+    ratio = np.abs(_tau_values(sym) - lam)
     # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|), zero mean
-    for t0 in roots:
+    for t0 in (level_angles_raw(sym, lam) if g1 < lam < g2 else ()):
         fhat[1:] -= np.exp(-1j * n * t0) / (2.0 * n)
+        ratio = ratio / np.maximum(np.abs(2.0 * np.sin(0.5 * (_TAU - t0))), 1e-300)
+    g = np.log(np.maximum(ratio, 1e-300))
     # a unit step rendered as the sawtooth (pi - x)/(2 pi) has coefficients
     # e^{-i n t0}/(2 pi i n), zero mean
     for j in sym.jumps:
@@ -333,18 +350,7 @@ def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
             continue
         size = math.log(abs(j.right - lam)) - math.log(abs(j.left - lam))
         fhat[1:] += size * np.exp(-1j * n * j.theta) / (2j * math.pi * n)
-
-    tau = _TAU
-    ratio = np.abs(_tau_values(sym) - lam)
-    for t0 in roots:
-        ratio = ratio / np.maximum(np.abs(2.0 * np.sin(0.5 * (tau - t0))), 1e-300)
-    g = np.log(np.maximum(ratio, 1e-300))
-    for j in sym.jumps:
-        if j.kind == "zero":
-            continue
-        size = math.log(abs(j.right - lam)) - math.log(abs(j.left - lam))
-        x = np.mod(tau - j.theta, TWO_PI)
-        g = g - size * (math.pi - x) / TWO_PI
+        g = g - size * (math.pi - np.mod(_TAU - j.theta, TWO_PI)) / TWO_PI
     # g is real: the kept modes are the first half of its spectrum
     ghat = np.fft.rfft(g)[:LOG_FOURIER_N] / LOG_FOURIER_GRID
     fhat += ghat * _TAU_PHASE
@@ -380,10 +386,8 @@ def outer_F(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_T
         raise ValueError("requires lambda below the essential infimum")
     if abs(z) >= 1.0:
         raise ValueError("outer function is defined inside the disk")
-    lr = _rule_for_point(sym, z, lam, tol)
     # omega - lam > 0 here, so ln|omega - lam| is the honest logarithm
-    q = lr.weighted(_schwarz_factor(z, lr.rule.theta), _schwarz_factor(z, lr.rule.theta_c))
-    return complex(np.exp(0.5 * q))
+    return complex(np.exp(0.5 * q_function(sym, z, lam, tol=tol)))
 
 
 # -- phase and arc coefficients -------------------------------------------------
@@ -412,15 +416,18 @@ def phase_A_integral(arcs, z: complex) -> complex:
     return complex(np.sum(-0.25 * (b - a) + 0.5j * logs))
 
 
-def phase_A_closed(arcs, z: complex) -> complex:
-    """Phase A(z) inside the disk: half-pi times the sublevel measure plus
-    the principal-branch log sum over the arc endpoints."""
-    if abs(z) >= 1.0:
+def phase_A_closed(arcs, z):
+    """Phase A(z) inside the disk, for a point or an array of points:
+    half-pi times the sublevel measure plus the principal-branch log sum
+    over the arc endpoints."""
+    zs = np.asarray(z, dtype=complex)
+    if np.any(np.abs(zs) >= 1.0):
         raise ValueError("closed phase form is the interior representation")
     a, b = _arc_pairs(arcs)
-    measure = float(np.sum(b - a)) / TWO_PI
-    logs = np.log(1.0 - z * np.exp(-1j * a)) - np.log(1.0 - z * np.exp(-1j * b))
-    return complex(0.5 * math.pi * measure + 0.5j * np.sum(logs))
+    col = zs[..., None]
+    logs = np.log(1.0 - col * np.exp(-1j * a)) - np.log(1.0 - col * np.exp(-1j * b))
+    value = 0.5 * math.pi * (float(np.sum(b - a)) / TWO_PI) + 0.5j * np.sum(logs, axis=-1)
+    return complex(value) if zs.ndim == 0 else value
 
 
 def arcs_measure(arcs) -> float:
@@ -577,19 +584,13 @@ class MuMeasure:
     def at(self, t: float) -> float:
         """mu(t; z), nudged off exceptional levels by the guard width."""
         g1, g2 = self.sym.essential_range()
+        if g1 < t <= g2 and self._exc.distance(t) < GUARD:
+            v = min(self._exc.values, key=lambda v: abs(v - t))
+            t = v + 2.0 * GUARD * (1.0 if t >= v else -1.0)
         if t <= g1:
             return 0.0
         if t > g2:
             return 1.0
-        d = self._exc.distance(t)
-        if d < GUARD:
-            vals = sorted(self._exc.values, key=lambda v: abs(v - t))
-            v = vals[0]
-            t = v + 2.0 * GUARD * (1.0 if t >= v else -1.0)
-            if t <= g1:
-                return 0.0
-            if t > g2:
-                return 1.0
         level = sublevel_set(self.sym, t)
         if level.full:
             return 1.0
@@ -602,20 +603,30 @@ class MuMeasure:
         return total
 
     def log_integral(self, w: complex) -> float:
-        """integral of ln|t - w| d mu(t), by parts against the exact evaluator."""
+        """integral of ln|t - w| d mu(t), by parts against the exact evaluator.
+
+        mu has square-root behaviour at the exceptional values, so each cut
+        interval is integrated in s with t = mid - half cos(s), which makes
+        the integrand smooth at both ends.
+        """
         g1, g2 = self.sym.essential_range()
         cuts = [g1] + [v for v in self._exc.values if g1 < v < g2] + [g2]
         total = math.log(abs(g2 - w))
-
-        def integrand(ts):
-            return np.array([self.at(t) * (t - w.real) / abs(t - w) ** 2 for t in ts])
-
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total -= _adaptive_gl(integrand, lo, hi, tol=1e-12)
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+            def integrand(ss):
+                ts = mid - half * np.cos(ss)
+                mu = np.array([self.at(t) for t in ts])
+                return mu * (ts - w.real) / np.abs(ts - w) ** 2 * half * np.sin(ss)
+
+            total -= _adaptive_gl(integrand, 0.0, math.pi, tol=1e-12)
         return total
 
 
 def _adaptive_gl(fn, a: float, b: float, tol: float, depth: int = 0) -> float:
+    """Adaptive 16-point Gauss-Legendre on [a, b] by bisection; raises
+    ``QuadratureError`` when a panel has not settled at depth 12."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     coarse = half * np.dot(GL_WEIGHTS, fn(mid + half * GL_NODES))
@@ -623,8 +634,14 @@ def _adaptive_gl(fn, a: float, b: float, tol: float, depth: int = 0) -> float:
     for lo, hi in ((a, mid), (mid, b)):
         h2 = 0.5 * (hi - lo)
         fine += h2 * np.dot(GL_WEIGHTS, fn(0.5 * (lo + hi) + h2 * GL_NODES))
-    if abs(fine - coarse) < tol * max(1.0, abs(fine)) or depth >= 12:
+    err = abs(fine - coarse)
+    if err < tol * max(1.0, abs(fine)):
         return fine
+    if depth >= 12:
+        raise QuadratureError(
+            f"adaptive quadrature did not settle at depth {depth}: estimate {err:.3e}",
+            achieved_tol=err,
+        )
     return (_adaptive_gl(fn, a, mid, tol, depth + 1)
             + _adaptive_gl(fn, mid, b, tol, depth + 1))
 

@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CountingError, ExceptionalLevelError, InadmissibleIntervalError
-from .symbol import ANGLE_TOL, TWO_PI, PiecewiseSymbol
+from .symbol import ANGLE_TOL, TWO_PI, PiecewiseSymbol, angles_on
 
 # Levels closer than this to an exceptional value are rejected: crossings
 # there cannot be classified reliably.
@@ -90,11 +90,8 @@ def level_angles_raw(sym: PiecewiseSymbol, x: float) -> np.ndarray:
     """
     found = []
     for piece in sym.pieces:
-        for r in piece.poly.roots(x):
-            for shift in (0.0, TWO_PI):
-                t = r + shift
-                if piece.theta_start - ANGLE_TOL <= t <= piece.theta_end + ANGLE_TOL:
-                    found.append(t % TWO_PI)
+        found += [t % TWO_PI for t in angles_on(piece.poly.roots(x), piece.theta_start - ANGLE_TOL,
+                                                piece.theta_end + ANGLE_TOL)]
     if not found:
         return np.empty(0)
     found = np.sort(np.array(found))
@@ -134,17 +131,15 @@ def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
         if piece.poly.is_constant():
             critical.append(float(piece.poly.a[0]))
             continue
-        for r in piece.poly.derivative().roots():
-            for shift in (0.0, TWO_PI):
-                t = r + shift
-                if piece.theta_start - ANGLE_TOL <= t <= piece.theta_end + ANGLE_TOL:
-                    tw = t % TWO_PI
-                    if any(abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s in seen_angles):
-                        continue
-                    if sym._is_jump_angle(tw):
-                        continue
-                    seen_angles.append(tw)
-                    critical.append(float(piece.poly(t)))
+        for t in angles_on(piece.poly.derivative().roots(), piece.theta_start - ANGLE_TOL,
+                           piece.theta_end + ANGLE_TOL):
+            tw = t % TWO_PI
+            if any(abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s in seen_angles):
+                continue
+            if sym._is_jump_angle(tw):
+                continue
+            seen_angles.append(tw)
+            critical.append(float(piece.poly(t)))
     return ExceptionalSet(tuple(sorted(set(thresholds))), tuple(sorted(set(critical))))
 
 
@@ -221,24 +216,19 @@ def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
 
 def _validate_level(sym: PiecewiseSymbol, level: LevelSet, samples: int = 64):
     """Sampled sign check: omega < lambda inside arcs, > lambda outside."""
-    lam = level.lam
-    eps = 1e-7
-    for i, arc in enumerate(level.arcs):
-        pad = min(eps, 1e-3 * arc.length)
-        t = np.linspace(arc.alpha + pad, arc.beta - pad, samples)
-        # skip sample points that collide with a jump angle
-        t = t[~np.isin(np.round(t % TWO_PI, 9), np.round(sym._jump_angles, 9))]
-        if np.any(sym.values(t) >= lam):
-            raise CountingError(f"arc {i} fails the sublevel sign check at level {lam}")
-        nxt = level.arcs[(i + 1) % len(level.arcs)]
-        gap_start, gap_end = arc.beta, nxt.alpha
-        if gap_end <= gap_start:
+    lam, arcs = level.lam, level.arcs
+    for i, arc in enumerate(arcs):
+        gap_end = arcs[(i + 1) % len(arcs)].alpha
+        if gap_end <= arc.beta:
             gap_end += TWO_PI
-        pad = min(eps, 1e-3 * (gap_end - gap_start))
-        t = np.linspace(gap_start + pad, gap_end - pad, samples)
-        t = t[~np.isin(np.round(t % TWO_PI, 9), np.round(sym._jump_angles, 9))]
-        if np.any(sym.values(t) <= lam):
-            raise CountingError(f"complement gap {i} fails the sign check at level {lam}")
+        for lo, hi, sign, what in ((arc.alpha, arc.beta, 1.0, "arc"),
+                                   (arc.beta, gap_end, -1.0, "complement gap")):
+            pad = min(1e-7, 1e-3 * (hi - lo))
+            t = np.linspace(lo + pad, hi - pad, samples)
+            # skip sample points that collide with a jump angle
+            t = t[~np.isin(np.round(t % TWO_PI, 9), np.round(sym._jump_angles, 9))]
+            if np.any(sign * (sym.values(t) - lam) >= 0.0):
+                raise CountingError(f"{what} {i} fails the sign check at level {lam}")
 
 
 def admissible_intervals(sym: PiecewiseSymbol) -> list[tuple[float, float]]:

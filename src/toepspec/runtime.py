@@ -1,29 +1,11 @@
-"""Worker-pool helpers; TOEPLITZ_THREADS caps parallelism."""
+"""Ordered map over the independent jobs of one call."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def worker_count() -> int:
-    env = os.environ.get("TOEPLITZ_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError("TOEPLITZ_THREADS must be an integer") from exc
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
-
 
 def parallel_map(fn, items):
-    """Map over items with a bounded thread pool; order preserved.
+    """[fn(x) for x in items].
 
-    Worthwhile only when fn releases the GIL (dense eigensolves do)."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) or 1
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    Dense eigensolves already run on every core through BLAS, so the jobs
+    run one after another."""
+    return [fn(x) for x in items]

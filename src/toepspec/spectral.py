@@ -11,10 +11,12 @@ import numpy as np
 from .errors import FormMismatchError, QuadratureError
 from . import hardy
 from .hardy import (
+    DEFAULT_DEPTH,
     DEFAULT_TOL,
     MAX_DEPTH,
     ArcData,
     coefficients_c,
+    gauss_legendre,
     phase_A_closed,
     xi as xi_point,
     xi_grid,
@@ -58,7 +60,6 @@ def resolvent_form(sym: PiecewiseSymbol, u: complex, v: complex, zlam: complex,
 
     extra = [float(np.angle(p)) % TWO_PI for p in (u, v) if abs(p) > hardy.PEAK_RADIUS]
     x = zlam.real if g1 < zlam.real < g2 else None
-    rule = hardy.plain_rule(sym, x, extra=tuple(extra), tol=tol)
 
     def integrand(theta):
         om = sym.values(theta)
@@ -67,13 +68,12 @@ def resolvent_form(sym: PiecewiseSymbol, u: complex, v: complex, zlam: complex,
         kern = (1.0 + zf) / (1.0 - zf) + (1.0 + zb) / (1.0 - zb)
         return np.log(om - zlam) * kern
 
-    value, err = rule.integrate(integrand)
-    if err > tol * max(1.0, abs(value)):
-        rule = hardy.plain_rule(sym, x, extra=tuple(extra), tol=tol, depth=MAX_DEPTH)
+    for depth in (DEFAULT_DEPTH, MAX_DEPTH):
+        rule = hardy.plain_rule(sym, x, extra=tuple(extra), tol=tol, depth=depth)
         value, err = rule.integrate(integrand)
-        if err > tol * max(1.0, abs(value)):
-            raise QuadratureError("resolvent quadrature stalled", achieved_tol=err)
-    return complex(np.exp(-0.5 * value) / (1.0 - np.conj(u) * v))
+        if err <= tol * max(1.0, abs(value)):
+            return complex(np.exp(-0.5 * value) / (1.0 - np.conj(u) * v))
+    raise QuadratureError("resolvent quadrature stalled", achieved_tol=err)
 
 
 class SpectralFrame:
@@ -114,25 +114,27 @@ class SpectralFrame:
     def xi(self, z: complex) -> complex:
         return xi_point(self.sym, z, self.lam)
 
-    def phase(self, z: complex) -> complex:
-        return phase_A_closed(self.level.arcs, z)
-
     # -- eigenfunctions ----------------------------------------------------------
 
-    def eigenfunction(self, j: int, z: complex) -> complex:
-        """Branch-j generalized eigenfunction inside the disk.
+    def _branches(self, zs: np.ndarray, xiv: np.ndarray) -> np.ndarray:
+        """Every interior eigenfunction at the points ``zs``, whose xi values
+        are ``xiv``; shape (m,) + zs.shape.
 
-        Uses the single-phase representation rho_j xi K_beta e^{iA} times
+        Uses the single-phase representation rho_j xi K_beta_j e^{iA} times
         the half-integer prefactor of the sublevel measure, which fixes all
         branches at once.
         """
-        self._check_branch(j)
-        if abs(z) >= 1.0:
+        if np.any(np.abs(zs) >= 1.0):
             raise ValueError("interior eigenfunction needs |z| < 1")
-        xiv = self.xi(z)
-        Av = self.phase(z)
-        k = 1.0 / (1.0 - z * np.conj(self._beta[j - 1]))
-        return complex(self._phase0 * self._rho[j - 1] * xiv * k * np.exp(1j * Av))
+        common = self._phase0 * xiv * np.exp(1j * phase_A_closed(self.level.arcs, zs))
+        col = (-1,) + (1,) * zs.ndim
+        k = 1.0 / (1.0 - zs * np.conj(self._beta).reshape(col))
+        return self._rho.reshape(col) * k * common
+
+    def eigenfunction(self, j: int, z: complex) -> complex:
+        """Branch-j generalized eigenfunction at one point inside the disk."""
+        self._check_branch(j)
+        return complex(self.eigen_matrix([z])[j - 1, 0])
 
     def eigenfunction_product(self, j: int, z: complex) -> complex:
         """Same eigenfunction in the explicit product form with principal
@@ -156,42 +158,21 @@ class SpectralFrame:
         pref = np.exp(-1j * math.pi * self.arcdata.measure)
         return complex(self._rho[j - 1] * pref * xiv * fac)
 
-    def phase_grid(self, zs) -> np.ndarray:
-        """Vectorized interior phase over an array of points."""
-        zs = np.asarray(zs, dtype=complex)
-        alphas = np.array([a.alpha for a in self.level.arcs])
-        betas = np.array([a.beta for a in self.level.arcs])
-        logs = (np.log(1.0 - zs[..., None] * np.exp(-1j * alphas))
-                - np.log(1.0 - zs[..., None] * np.exp(-1j * betas)))
-        return 0.5 * math.pi * self.arcdata.measure + 0.5j * np.sum(logs, axis=-1)
-
     def eigen_matrix(self, zs) -> np.ndarray:
         """All interior eigenfunctions on an array of points, shape (m, nz).
 
         The xi and phase factors are shared across branches, so a whole
         z-row costs little more than one branch."""
         zs = np.asarray(zs, dtype=complex).ravel()
-        xiv = xi_grid(self.sym, zs, self.lam)
-        common = self._phase0 * xiv * np.exp(1j * self.phase_grid(zs))
-        k = 1.0 / (1.0 - zs[None, :] * np.conj(self._beta)[:, None])
-        return self._rho[:, None] * k * common[None, :]
-
-    def eigen_grid(self, j: int, zs) -> np.ndarray:
-        """Vectorized interior eigenfunction over an array of points."""
-        self._check_branch(j)
-        zs = np.asarray(zs, dtype=complex)
-        return self.eigen_matrix(zs.ravel())[j - 1].reshape(zs.shape)
+        return self._branches(zs, xi_grid(self.sym, zs, self.lam))
 
     def eigen_circle(self, r: float, m_out: int = 4096) -> np.ndarray:
         """All eigenfunctions on the uniform grid r e^{2 pi i k/m_out}, (m, m_out).
 
         Uses the convolution fast path for xi, so radii close to the circle
         cost the same as small ones."""
-        zs = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
         xiv = hardy.xi_circle(self.sym, self.lam, r, m_out)
-        common = self._phase0 * xiv * np.exp(1j * self.phase_grid(zs))
-        k = 1.0 / (1.0 - zs[None, :] * np.conj(self._beta)[:, None])
-        return self._rho[:, None] * k * common[None, :]
+        return self._branches(r * np.exp(2j * math.pi * np.arange(m_out) / m_out), xiv)
 
     def _check_branch(self, j: int):
         if not 1 <= j <= self.m:
@@ -199,32 +180,34 @@ class SpectralFrame:
 
     # -- density -----------------------------------------------------------------
 
-    def density_pair(self, u: complex, v: complex) -> tuple[complex, complex]:
-        """Both density forms: the eigenfunction sum and the sine form."""
-        xiu, xiv = self.xi(u), self.xi(v)
-        Au, Av = self.phase(u), self.phase(v)
-        ku = 1.0 / (1.0 - u * np.conj(self._beta))
-        kv = 1.0 / (1.0 - v * np.conj(self._beta))
-        phases = np.exp(1j * (Av - np.conj(Au)))
-        el_sum = complex(np.sum(self._rho**2 * np.conj(ku) * kv)
-                         * np.conj(self._phase0) * self._phase0
-                         * np.conj(xiu) * xiv * phases)
-        sine = complex(
-            np.conj(xiu) * xiv / (math.pi * (1.0 - np.conj(u) * v))
-            * np.sin(np.conj(Au) + Av)
-        )
+    def density_pair(self, u, v):
+        """Both density forms: the eigenfunction sum and the sine form.
+
+        ``u`` and ``v`` are points or arrays of points that broadcast against
+        each other; xi is evaluated once per entry of each, in one batch.
+        """
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        xis = xi_grid(self.sym, np.concatenate((u.ravel(), v.ravel())), self.lam)
+        xiu, xiv = xis[:u.size].reshape(u.shape), xis[u.size:].reshape(v.shape)
+        el_sum = np.sum(np.conj(self._branches(u, xiu)) * self._branches(v, xiv), axis=0)
+        arcs = self.level.arcs
+        sine = (np.conj(xiu) * xiv / (math.pi * (1.0 - np.conj(u) * v))
+                * np.sin(np.conj(phase_A_closed(arcs, u)) + phase_A_closed(arcs, v)))
         return el_sum, sine
 
-    def density(self, u: complex, v: complex) -> complex:
-        """Spectral density kernel evaluated both ways.
+    def density(self, u, v):
+        """Spectral density kernel evaluated both ways, broadcast over point
+        arrays like ``density_pair``.
 
-        Returns the eigenfunction-sum value after checking it against the
-        sine form; a mismatch beyond FORM_TOL flags a branch defect.
+        Returns the eigenfunction-sum value after checking every entry
+        against the sine form; a mismatch beyond FORM_TOL flags a branch
+        defect.
         """
         el_sum, sine = self.density_pair(u, v)
-        if abs(el_sum - sine) > FORM_TOL * max(1.0, abs(el_sum)):
+        gap = np.abs(el_sum - sine)
+        if np.any(gap > FORM_TOL * np.maximum(1.0, np.abs(el_sum))):
             raise FormMismatchError(
-                f"density forms disagree by {abs(el_sum - sine):.3e} at lam={self.lam}"
+                f"density forms disagree by {np.max(gap):.3e} at lam={self.lam}"
             )
         return el_sum
 
@@ -271,28 +254,6 @@ def spectral_frame(sym: PiecewiseSymbol, lam: float, check_count: bool = True) -
     return SpectralFrame(sym, lam, level, data, check_count=check_count)
 
 
-class DensityKernel:
-    """Hermitian rank-<=m evaluator of the spectral density at one level."""
-
-    def __init__(self, frame: SpectralFrame):
-        self.frame = frame
-        self.lam = frame.lam
-
-    def __call__(self, u: complex, v: complex) -> complex:
-        return self.frame.density(u, v)
-
-    def gram(self, points) -> np.ndarray:
-        pts = list(points)
-        g = np.empty((len(pts), len(pts)), dtype=complex)
-        for i, u in enumerate(pts):
-            for k, v in enumerate(pts):
-                if k < i:
-                    g[i, k] = np.conj(g[k, i])
-                else:
-                    g[i, k] = self(u, v)
-        return g
-
-
 def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> float:
     """Defect of the boundary relation at radial offset delta.
 
@@ -337,7 +298,7 @@ def weak_measure(sym: PiecewiseSymbol, interval, u: complex, v: complex, g,
         raise ValueError("weight function is supported outside the interval")
 
     def sample(n):
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = gauss_legendre(n)
         lam = 0.5 * (a + b) + 0.5 * (b - a) * x
         total = 0.0 + 0.0j
         for wl, la in zip(w, lam):

@@ -35,6 +35,11 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
+def angles_on(roots, t0: float, t1: float) -> list[float]:
+    """The angles r and r + 2pi, for r in ``roots``, that lie in [t0, t1]."""
+    return [t for r in roots for t in (r, r + TWO_PI) if t0 <= t <= t1]
+
+
 class TrigPoly:
     """Real trigonometric polynomial a0 + sum(a_k cos k t + b_k sin k t)."""
 
@@ -125,12 +130,7 @@ class TrigPoly:
 
     def range_on(self, t0: float, t1: float) -> tuple[float, float]:
         """Min and max of the polynomial over the closed arc [t0, t1]."""
-        cand = [float(self(t0)), float(self(t1))]
-        for r in self.derivative().roots():
-            for shift in (0.0, TWO_PI):
-                t = r + shift
-                if t0 < t < t1:
-                    cand.append(float(self(t)))
+        cand = [float(self(t)) for t in [t0, t1] + angles_on(self.derivative().roots(), t0, t1)]
         return min(cand), max(cand)
 
     def __eq__(self, other):
@@ -202,16 +202,15 @@ class PiecewiseSymbol:
         if abs(total - TWO_PI) > 1e-9:
             raise ValueError("pieces do not tile the circle")
         starts = [it[0] for it in items]
-        for i, (s, e, _) in enumerate(items):
-            nxt = starts[(i + 1) % len(items)] + (TWO_PI if i + 1 == len(items) else 0.0)
+        # each piece ends where the next one starts; the last wraps round
+        ends = starts[1:] + [starts[0] + TWO_PI]
+        for (_, e, _), nxt in zip(items, ends):
             if abs(e - nxt) > 1e-9:
                 raise ValueError("piece interiors overlap or leave a gap")
         self._starts = np.array(starts)
         self._polys = [it[2] for it in items]
-        self.pieces = tuple(
-            SymbolPiece(starts[i], starts[(i + 1) % len(items)] + (TWO_PI if i + 1 == len(items) else 0.0), self._polys[i])
-            for i in range(len(items))
-        )
+        self._dpolys = [poly.derivative() for poly in self._polys]
+        self.pieces = tuple(SymbolPiece(*piece) for piece in zip(starts, ends, self._polys))
         self.name = name
         self.jumps = self._classify_jumps()
         self._jump_angles = np.array([j.theta for j in self.jumps])
@@ -260,15 +259,19 @@ class PiecewiseSymbol:
         idx = np.where(idx < 0, len(self._polys) - 1, idx)
         return theta, idx
 
-    def values(self, theta) -> np.ndarray:
-        """Vectorized evaluation; angles must avoid the jump set."""
+    def _piecewise(self, polys, theta) -> np.ndarray:
+        """polys[i] evaluated at the angles that fall in piece i."""
         theta, idx = self._piece_index(theta)
         out = np.empty(theta.shape)
-        for i, poly in enumerate(self._polys):
+        for i, poly in enumerate(polys):
             mask = idx == i
             if np.any(mask):
                 out[mask] = poly(theta[mask])
         return out
+
+    def values(self, theta) -> np.ndarray:
+        """Vectorized evaluation; angles must avoid the jump set."""
+        return self._piecewise(self._polys, theta)
 
     def eval(self, theta: float) -> float:
         """Value at an angle not in the jump set."""
@@ -308,17 +311,10 @@ class PiecewiseSymbol:
         t = wrap_angle(theta)
         if self._is_jump_angle(t):
             raise ValueError("derivative undefined at a jump angle")
-        _, idx = self._piece_index(t)
-        return float(self._polys[int(idx)].derivative()(t))
+        return float(self.derivative_values(t))
 
     def derivative_values(self, theta) -> np.ndarray:
-        theta, idx = self._piece_index(theta)
-        out = np.empty(theta.shape)
-        for i, poly in enumerate(self._polys):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = poly.derivative()(theta[mask])
-        return out
+        return self._piecewise(self._dpolys, theta)
 
     def essential_range(self) -> tuple[float, float]:
         """(gamma1, gamma2): essential infimum and supremum."""

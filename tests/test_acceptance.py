@@ -100,8 +100,9 @@ def test_c05_density_two_forms_and_gram(regular, singular, fig2, rng):
                 v = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, TWO_PI))
                 el, sine = frame.density_pair(u, v)
                 worst = max(worst, abs(el - sine))
-            pts = [rng.uniform(0, 0.85) * np.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(20)]
-            gram = spectral.DensityKernel(frame).gram(pts)
+            pts = np.array([rng.uniform(0, 0.85) * np.exp(1j * rng.uniform(0, TWO_PI))
+                            for _ in range(20)])
+            gram = frame.density(pts[:, None], pts[None, :])
             herm = np.max(np.abs(gram - gram.conj().T))
             eig = np.linalg.eigvalsh(gram)
             psd = eig[0] > -1e-10 * max(eig[-1], 1.0)

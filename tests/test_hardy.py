@@ -7,8 +7,10 @@ import pytest
 
 from conftest import regular_xi_closed
 from toepspec import hardy
+from toepspec.errors import QuadratureError
 from toepspec.hardy import (
     CircleRule,
+    LogRule,
     boundary_sigma,
     boundary_xi,
     coefficients_c,
@@ -108,6 +110,28 @@ def test_xi_grid_passes_build_each_rule_once(monkeypatch):
         again = [xi_grid(sym, zs, lam) for lam in lams]
         assert all(np.array_equal(x, y) for x, y in zip(first, again))
     assert len(builds) == n_first
+
+
+def test_weighted_checks_each_integral_on_its_own():
+    # a large first integral must not widen the tolerance of a small second one
+    rule = CircleRule(tol=1e-10)
+    ones, ones_c = np.ones_like(rule.theta), np.ones_like(rule.theta_c)
+    lr = LogRule(rule, 0.0, ones, ones_c, 0.0)
+    smooth_f = np.stack((1e6 * ones, 0.5 * ones), axis=1)
+    smooth_c = np.stack((1e6 * ones_c, (0.5 + 1e-6) * ones_c), axis=1)
+    with pytest.raises(QuadratureError) as info:
+        lr.weighted(smooth_f, smooth_c)
+    assert info.value.achieved_tol == pytest.approx(1e-6, rel=1e-6)
+    assert lr.weighted(smooth_f[:, :1], smooth_c[:, :1])[0] == pytest.approx(1e6, rel=1e-14)
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    x, w = hardy.gauss_legendre(40)
+    again = hardy.gauss_legendre(40)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    ref_x, ref_w = np.polynomial.legendre.leggauss(40)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
 def test_rule_cache_evicts_least_recently_used(monkeypatch):
@@ -216,6 +240,32 @@ def test_xi_grid_matches_pointwise(regular, rng):
         assert abs(v - xi(regular, complex(z), lam)) < 1e-12
 
 
+def test_q_function_band_split(regular):
+    # inside PEAK_RADIUS and beyond 1/PEAK_RADIUS the points share the
+    # level's rule in one batch; in the band between, each gets its own
+    lam = 0.31
+    inner, near_in, near_out, outer = (0.5 * np.exp(0.4j), 0.96 * np.exp(2.1j),
+                                       1.05 * np.exp(-2.5j), 1.3 * np.exp(-1.0j))
+    shared = hardy.log_rule(regular, lam)
+    assert hardy.point_rule(regular, inner, lam) is shared
+    assert hardy.point_rule(regular, outer, lam) is shared
+    assert hardy.point_rule(regular, 1.0 / hardy.PEAK_RADIUS, lam) is shared
+    for z in (near_in, near_out):
+        own = hardy.point_rule(regular, z, lam)
+        assert own is not shared
+        assert np.any(np.isclose(own.rule.breakpoints, np.angle(z) % TWO_PI))
+    zs = np.array([[inner, near_in], [near_out, outer]])
+    q = q_function(regular, zs, lam)
+    assert q.shape == zs.shape
+    for z, v in zip(zs.ravel(), q.ravel()):
+        assert abs(v - q_function(regular, complex(z), lam)) <= 1e-14 * abs(v)
+        assert abs(np.exp(-0.5 * v) - xi(regular, complex(z), lam)) <= 1e-14 * abs(np.exp(-0.5 * v))
+    assert np.allclose(xi_grid(regular, zs, lam), np.exp(-0.5 * q), rtol=1e-15, atol=0.0)
+    assert q_function(regular, np.empty((0,), dtype=complex), lam).shape == (0,)
+    with pytest.raises(ValueError):
+        q_function(regular, np.array([0.2, np.exp(0.7j)]), lam)
+
+
 def test_xi_on_circle_fast_path(regular, singular, fig2):
     lam = 0.3
     for sym in (regular, singular, fig2):
@@ -301,6 +351,18 @@ def test_phase_forms_agree(regular, fig2, rng):
         for _ in range(100):
             z = rng.uniform(0, 0.97) * np.exp(1j * rng.uniform(0, TWO_PI))
             assert abs(phase_A_integral(arcs, z) - phase_A_closed(arcs, z)) < 1e-12
+
+
+def test_phase_closed_on_arrays(fig2):
+    arcs = sublevel_set(fig2, 0.25).arcs
+    zs = np.array([[0.0, 0.3 + 0.2j, -0.5j], [0.8 * np.exp(2.0j), -0.9, 0.95 * np.exp(4.0j)]])
+    got = phase_A_closed(arcs, zs)
+    assert got.shape == zs.shape
+    for z, v in zip(zs.ravel(), got.ravel()):
+        assert abs(v - phase_A_closed(arcs, complex(z))) <= 1e-15 * max(1.0, abs(v))
+        assert abs(v - phase_A_integral(arcs, complex(z))) < 1e-12
+    with pytest.raises(ValueError):
+        phase_A_closed(arcs, np.array([0.2, 1.1j]))
 
 
 def test_phase_integral_vs_quadrature(regular, fig2):
@@ -442,6 +504,14 @@ def test_mu_strict_bounds_and_monotone(regular, fig2, rng):
         mm = mu_measure(sym, 0.4 - 0.3j, t)
         assert np.all(mm.mu > 0.0) and np.all(mm.mu < 1.0)
         assert np.all(np.diff(mm.mu) >= -1e-12)
+
+
+def test_adaptive_gl_raises_when_unsettled():
+    # a jump inside a panel keeps its estimate at O(width) down to the cap
+    with pytest.raises(QuadratureError) as info:
+        hardy._adaptive_gl(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, tol=1e-12)
+    assert info.value.achieved_tol > 1e-12
+    assert hardy._adaptive_gl(np.cos, 0.0, 1.0, tol=1e-12) == pytest.approx(math.sin(1.0), abs=1e-14)
 
 
 def test_modpsi_identity(regular, singular):

@@ -1,22 +1,6 @@
-import pytest
-
-from toepspec.runtime import parallel_map, worker_count
+from toepspec.runtime import parallel_map
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("TOEPLITZ_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("TOEPLITZ_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("TOEPLITZ_THREADS", "two")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("TOEPLITZ_THREADS")
-    assert worker_count() >= 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("TOEPLITZ_THREADS", "4")
+def test_parallel_map_preserves_order():
     assert parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-    monkeypatch.setenv("TOEPLITZ_THREADS", "1")
     assert parallel_map(lambda x: -x, [3, 1]) == [-3, -1]

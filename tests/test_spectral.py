@@ -11,7 +11,6 @@ from conftest import (
 )
 from toepspec.errors import FormMismatchError, QuadratureError
 from toepspec.spectral import (
-    DensityKernel,
     resolvent_form,
     rh_residual,
     spectral_frame,
@@ -226,9 +225,9 @@ def test_density_positivity(regular, singular, fig2, rng):
 def test_density_kernel_hermitian_and_rank(regular, fig2, rng):
     for sym, lam in ((regular, 0.2), (fig2, 0.25)):
         fr = spectral_frame(sym, lam)
-        kern = DensityKernel(fr)
-        pts = [rng.uniform(0, 0.85) * np.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(8)]
-        G = kern.gram(pts)
+        pts = np.array([rng.uniform(0, 0.85) * np.exp(1j * rng.uniform(0, TWO_PI))
+                        for _ in range(8)])
+        G = fr.density(pts[:, None], pts[None, :])
         assert np.max(np.abs(G - G.conj().T)) < 1e-12
         eig = np.linalg.eigvalsh(G)
         assert eig[0] > -1e-10 * max(eig[-1], 1.0)
@@ -241,6 +240,41 @@ def test_density_form_mismatch_detected(regular):
     fr._rho = fr._rho * 1.001  # corrupt a residue weight
     with pytest.raises(FormMismatchError):
         fr.density(0.2, 0.3j)
+
+
+def test_density_broadcasts_over_point_arrays(fig2, rng):
+    fr = spectral_frame(fig2, 0.25)
+    pts = np.array([rng.uniform(0, 0.85) * np.exp(1j * rng.uniform(0, TWO_PI))
+                    for _ in range(5)])
+    G = fr.density(pts[:, None], pts[None, :])
+    assert G.shape == (5, 5)
+    for i, u in enumerate(pts):
+        for k, v in enumerate(pts):
+            d = fr.density(complex(u), complex(v))
+            assert isinstance(d, complex)
+            assert abs(G[i, k] - d) <= 1e-14 * max(1.0, abs(d))
+    el, sine = fr.density_pair(pts, pts[::-1])
+    assert el.shape == sine.shape == (5,)
+    assert np.allclose(el, sine, rtol=0.0, atol=1e-8)
+    fr._rho = fr._rho * np.array([1.0, 1.001])  # corrupt one residue weight
+    with pytest.raises(FormMismatchError):
+        fr.density(pts[:, None], pts[None, :])
+
+
+def test_eigenfunction_reads_eigen_matrix(fig2):
+    fr = spectral_frame(fig2, 0.25)
+    zs = np.array([0.1, 0.4 - 0.3j, 0.95j, -0.2 + 0.6j])
+    E = fr.eigen_matrix(zs)
+    assert E.shape == (fr.m, len(zs))
+    for j in range(1, fr.m + 1):
+        for z, v in zip(zs, E[j - 1]):
+            assert abs(fr.eigenfunction(j, z) - v) <= 1e-14 * abs(v)
+    r = 0.6
+    circle = fr.eigen_circle(r, 64)
+    on = r * np.exp(2j * math.pi * np.arange(64) / 64)
+    assert np.allclose(circle, fr.eigen_matrix(on), rtol=1e-9, atol=0.0)
+    with pytest.raises(ValueError):
+        fr.eigen_matrix([0.3, 1.2])
 
 
 def test_stone_consistency(regular, singular):
