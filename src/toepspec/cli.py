@@ -215,8 +215,8 @@ def _cmd_density(sym, args) -> int:
     levelset.counting_report(sym, (a, b))
     pts = np.array([_parse_complex(t) for t in args.points.split(",")])
     lams = [a + (k + 0.5) * (b - a) / args.grid for k in range(args.grid)]
-    values = [spectral.spectral_frame(sym, lam, check_count=False)
-              .density(pts[:, None], pts[None, :]).ravel() for lam in lams]
+    values = [spectral.spectral_frame(sym, lam).density(pts[:, None], pts[None, :]).ravel()
+              for lam in lams]
     names = [f"d_{i}_{k}" for i in range(len(pts)) for k in range(len(pts))]
     _emit_complex_csv(names, lams, values, args.output)
     return 0

@@ -50,7 +50,7 @@ class HardyVector:
 
 class FrameFamily:
     """Spectral frames on a Gauss-Legendre lambda grid over one admissible
-    interval; multiplicity is checked once and shared."""
+    interval; every frame checks its multiplicity against the interval's."""
 
     def __init__(self, sym: PiecewiseSymbol, interval, n_grid: int = 256):
         self.sym = sym
@@ -61,7 +61,7 @@ class FrameFamily:
         a, b = self.interval
         self.lams = 0.5 * (a + b) + 0.5 * (b - a) * x
         self.weights = 0.5 * (b - a) * w
-        self.frames = [spectral_frame(sym, lam, check_count=False) for lam in self.lams]
+        self.frames = [spectral_frame(sym, lam) for lam in self.lams]
         self._taylor: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:

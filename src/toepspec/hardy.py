@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ExceptionalLevelError, QuadratureError
 from .kernels import schwarz_H
-from .levelset import GUARD, exceptional_set, level_angles_raw, sublevel_set
+from .levelset import GUARD, admissible_intervals, exceptional_set, level_angles_raw, sublevel_set
 from .symbol import TWO_PI, PiecewiseSymbol
 
 
@@ -35,9 +35,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_DEPTH = 36
 MAX_DEPTH = 40
 H_MAX = TWO_PI / 48.0
-# |z| beyond which the Schwarz factor is too peaked for the shared panels
-# and the evaluation point gets its own breakpoint
-PEAK_RADIUS = 0.92
+# |z| beyond which the Schwarz factor is too peaked for the shared panels and
+# the point gets its own breakpoint (at 0.92 the shared rule missed DEFAULT_TOL)
+PEAK_RADIUS = 0.9
 
 
 def _interval_edges(a: float, b: float, depth: int, h_max: float) -> np.ndarray:
@@ -75,16 +75,9 @@ def _build_nodes(breakpoints: np.ndarray, depth: int, h_max: float):
         edges = np.linspace(0.0, TWO_PI, int(math.ceil(TWO_PI / h_max)) + 1)
         return _edges_to_rule(edges)
     b = np.sort(np.mod(breakpoints, TWO_PI))
-    theta_all, w_all = [], []
-    for i in range(len(b)):
-        lo = b[i]
-        hi = b[i + 1] if i + 1 < len(b) else b[0] + TWO_PI
-        if hi - lo < 1e-13:
-            continue
-        t, w = _edges_to_rule(_interval_edges(lo, hi, depth, h_max))
-        theta_all.append(t)
-        w_all.append(w)
-    return np.concatenate(theta_all), np.concatenate(w_all)
+    rules = [_edges_to_rule(_interval_edges(lo, hi, depth, h_max))
+             for lo, hi in zip(b, np.append(b[1:], b[0] + TWO_PI)) if hi - lo >= 1e-13]
+    return np.concatenate([t for t, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 class CircleRule:
@@ -609,10 +602,9 @@ class MuMeasure:
         interval is integrated in s with t = mid - half cos(s), which makes
         the integrand smooth at both ends.
         """
-        g1, g2 = self.sym.essential_range()
-        cuts = [g1] + [v for v in self._exc.values if g1 < v < g2] + [g2]
+        g2 = self.sym.essential_range()[1]
         total = math.log(abs(g2 - w))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
+        for lo, hi in admissible_intervals(self.sym):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
             def integrand(ss):

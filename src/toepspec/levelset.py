@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass
@@ -67,10 +68,7 @@ class ExceptionalSet:
         return tuple(sorted(set(self.thresholds) | set(self.critical)))
 
     def distance(self, lam: float) -> float:
-        vals = self.values
-        if not vals:
-            return math.inf
-        return min(abs(lam - v) for v in vals)
+        return min((abs(lam - v) for v in self.values), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,48 @@ def level_angles_raw(sym: PiecewiseSymbol, x: float) -> np.ndarray:
     return np.array(keep)
 
 
-_exceptional: "weakref.WeakKeyDictionary[PiecewiseSymbol, ExceptionalSet]" = (
+class _SymbolAnalysis:
+    """The exceptional set, the admissible intervals and, on first use, the
+    counting report of each interval: the multiplicity is constant on an
+    admissible interval, so one report serves all its levels.  Holds no
+    reference to the symbol, so the weak-keyed memo can drop it.
+    """
+
+    def __init__(self, sym: PiecewiseSymbol):
+        self.exceptional = _exceptional_set(sym)
+        vals = self.exceptional.values
+        g1, g2 = sym.essential_range()
+        points = [g1] + [v for v in vals if g1 < v < g2] + [g2]
+        self.intervals = tuple(zip(points[:-1], points[1:]))
+        # the intervals shrunk to their points more than GUARD from every
+        # exceptional value
+        self._lo = [max([lo] + [v + GUARD for v in vals if v <= lo]) for lo, _ in self.intervals]
+        self._hi = [min([hi] + [v - GUARD for v in vals if v >= hi]) for _, hi in self.intervals]
+        self._reports: dict[int, CountReport] = {}
+
+    def index(self, a: float, b: float | None = None) -> int | None:
+        """Index of the admissible interval, shrunk by the guard, that holds
+        the level ``a`` or the interval [a, b]; None if there is none."""
+        b = a if b is None else b
+        i = bisect.bisect_left(self._lo, a) - 1
+        return i if i >= 0 and a <= b < self._hi[i] else None
+
+    def report(self, sym: PiecewiseSymbol, i: int) -> CountReport:
+        if i not in self._reports:
+            self._reports[i] = _count(sym, self._lo[i], self._hi[i])
+        return self._reports[i]
+
+
+_analyses: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolAnalysis]" = (
     weakref.WeakKeyDictionary())
+
+
+def _analysis(sym: PiecewiseSymbol) -> _SymbolAnalysis:
+    """The symbol's analysis; symbols are immutable, so it is built once."""
+    an = _analyses.get(sym)
+    if an is None:
+        an = _analyses[sym] = _SymbolAnalysis(sym)
+    return an
 
 
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
@@ -113,12 +151,8 @@ def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
 
     Locally constant pieces contribute their value as critical: a level
     equal to a plateau breaks the finite-arc structure of the sublevel set.
-    Symbols are immutable, so the set is computed once per symbol.
     """
-    exc = _exceptional.get(sym)
-    if exc is None:
-        exc = _exceptional[sym] = _exceptional_set(sym)
-    return exc
+    return _analysis(sym).exceptional
 
 
 def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
@@ -143,11 +177,9 @@ def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
     return ExceptionalSet(tuple(sorted(set(thresholds))), tuple(sorted(set(critical))))
 
 
-def _check_level(sym: PiecewiseSymbol, lam: float, exc: ExceptionalSet | None = None):
-    exc = exc or exceptional_set(sym)
-    if exc.distance(lam) < GUARD:
+def _check_level(sym: PiecewiseSymbol, lam: float):
+    if exceptional_set(sym).distance(lam) < GUARD:
         raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
-    return exc
 
 
 def solve_level(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, int]]:
@@ -180,15 +212,11 @@ def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
         return LevelSet(lam, ())
     if lam > g2:
         return LevelSet(lam, (), full=True)
-    _check_level(sym, lam)
 
-    crossings = []  # (theta, is_alpha, kind)
-    for theta, sign in solve_level(sym, lam):
-        crossings.append((theta, sign < 0, "root"))
-    for j in sym.jump_intervals:
-        if j.low < lam < j.high:
-            theta = sym.jumps[j.k].theta
-            crossings.append((theta, j.sign == "plus", "jump"))
+    # (theta, is_alpha, kind); solve_level rejects exceptional levels
+    crossings = [(theta, sign < 0, "root") for theta, sign in solve_level(sym, lam)]
+    crossings += [(sym.jumps[j.k].theta, j.sign == "plus", "jump")
+                  for j in sym.jump_intervals if j.low < lam < j.high]
     if not crossings:
         # lambda in (g1, g2) always has crossings for a non-constant symbol
         raise ExceptionalLevelError(f"no crossings found at level {lam}")
@@ -233,57 +261,53 @@ def _validate_level(sym: PiecewiseSymbol, level: LevelSet, samples: int = 64):
 
 def admissible_intervals(sym: PiecewiseSymbol) -> list[tuple[float, float]]:
     """Maximal open subintervals of (gamma1, gamma2) avoiding the exceptional set."""
-    g1, g2 = sym.essential_range()
-    cuts = [v for v in exceptional_set(sym).values if g1 < v < g2]
-    points = [g1] + sorted(cuts) + [g2]
-    return [(points[i], points[i + 1]) for i in range(len(points) - 1)]
+    return list(_analysis(sym).intervals)
 
 
-def _check_interval(sym: PiecewiseSymbol, interval, exc: ExceptionalSet):
-    a, b = float(interval[0]), float(interval[1])
-    g1, g2 = sym.essential_range()
-    if not (g1 < a < b < g2):
-        raise InadmissibleIntervalError(
-            f"interval ({a}, {b}) not strictly inside the spectrum ({g1}, {g2})"
-        )
-    for v in exc.values:
-        if a - GUARD <= v <= b + GUARD:
-            raise InadmissibleIntervalError(
-                f"interval ({a}, {b}) meets the exceptional value {v}"
-            )
-    return a, b
+def level_report(sym: PiecewiseSymbol, lam: float) -> CountReport:
+    """Counting report of the admissible interval that holds the level
+    ``lam``, shared by every level of that interval."""
+    an = _analysis(sym)
+    i = an.index(float(lam))
+    if i is None:
+        raise ValueError(f"level {lam} lies in no admissible interval")
+    return an.report(sym, i)
 
 
 def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
     """Crossing and jump counts on an admissible interval, and their common sum.
 
     The root counts are evaluated at the midpoint and checked for
-    constancy at five interior samples; a mismatch between the two
+    constancy at four more interior samples; a mismatch between the two
     orientation sums signals a root-finder defect.
     """
-    exc = exceptional_set(sym)
-    a, b = _check_interval(sym, interval, exc)
+    a, b = float(interval[0]), float(interval[1])
+    g1, g2 = sym.essential_range()
+    if not (g1 < a < b < g2):
+        raise InadmissibleIntervalError(
+            f"interval ({a}, {b}) not strictly inside the spectrum ({g1}, {g2})"
+        )
+    if _analysis(sym).index(a, b) is None:
+        raise InadmissibleIntervalError(
+            f"interval ({a}, {b}) comes within {GUARD} of an exceptional value"
+        )
+    return _count(sym, a, b)
 
+
+def _count(sym: PiecewiseSymbol, a: float, b: float) -> CountReport:
     def root_counts(lam):
         roots = solve_level(sym, lam)
         nm = sum(1 for _, s in roots if s > 0)
         return len(roots) - nm, nm  # (n_plus: omega' < 0, n_minus: omega' > 0)
 
     n_plus, n_minus = root_counts(0.5 * (a + b))
-    for frac in (0.125, 0.3125, 0.5, 0.6875, 0.875):
+    for frac in (0.125, 0.3125, 0.6875, 0.875):
         if root_counts(a + frac * (b - a)) != (n_plus, n_minus):
             raise CountingError("root counts vary across the interval")
 
-    s_plus = s_minus = 0
-    for j in sym.jump_intervals:
-        if j.contains_interval(a, b):
-            if j.sign == "plus":
-                s_plus += 1
-            else:
-                s_minus += 1
+    signs = [j.sign for j in sym.jump_intervals if j.contains_interval(a, b)]
+    s_plus, s_minus = signs.count("plus"), signs.count("minus")
 
     if n_plus + s_plus != n_minus + s_minus:
-        raise CountingError(
-            f"counting inconsistency: {n_plus}+{s_plus} != {n_minus}+{s_minus}"
-        )
+        raise CountingError(f"counting inconsistency: {n_plus}+{s_plus} != {n_minus}+{s_minus}")
     return CountReport(n_plus, n_minus, s_plus, s_minus, n_plus + s_plus)

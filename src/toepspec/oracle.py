@@ -158,12 +158,15 @@ def smooth_bump(a: float, b: float):
 def validate(sym: PiecewiseSymbol, interval, g, points, sizes) -> ValidationReport:
     """Compare the section weak measures against the analytic one.
 
-    ``points`` is a list of disk points; all ordered pairs are tested.
-    Sections for the different sizes run on the worker pool.
+    ``points`` is a list of disk points; all ordered pairs are tested.  The
+    analytic Gram matrix comes from one broadcast ``weak_measure`` call,
+    each section's from one projection of all kernel vectors.
     """
     a, b = float(interval[0]), float(interval[1])
     pairs = tuple((u, v) for u in points for v in points)
-    analytic = tuple(weak_measure(sym, (a, b), u, v, g) for u, v in pairs)
+    pts = np.asarray(points, dtype=complex)
+    # analytic[i, k] = weak measure of (K_{p_i}, K_{p_k}), row-major like pairs
+    analytic = tuple(weak_measure(sym, (a, b), pts[:, None], pts[None, :], g).ravel().tolist())
     sizes = tuple(int(n) for n in sizes)
 
     def one(N):

@@ -25,22 +25,13 @@ from .levelset import (
     Arc,
     GUARD,
     LevelSet,
-    admissible_intervals,
     counting_report,
+    level_report,
     sublevel_set,
 )
 from .symbol import TWO_PI, PiecewiseSymbol
 
 FORM_TOL = 1e-8
-
-
-def _cut_distance(zlam: complex, g1: float, g2: float) -> float:
-    x, y = zlam.real, zlam.imag
-    if x < g1:
-        return math.hypot(x - g1, y)
-    if x > g2:
-        return math.hypot(x - g2, y)
-    return abs(y)
 
 
 def resolvent_form(sym: PiecewiseSymbol, u: complex, v: complex, zlam: complex,
@@ -55,7 +46,7 @@ def resolvent_form(sym: PiecewiseSymbol, u: complex, v: complex, zlam: complex,
         raise ValueError("kernel points must lie inside the disk")
     g1, g2 = sym.essential_range()
     zlam = complex(zlam)
-    if _cut_distance(zlam, g1, g2) < 1e-8:
+    if abs(zlam - min(max(zlam.real, g1), g2)) < 1e-8:  # distance to the cut [g1, g2]
         raise ValueError("resolvent requested on the spectral cut")
 
     extra = [float(np.angle(p)) % TWO_PI for p in (u, v) if abs(p) > hardy.PEAK_RADIUS]
@@ -79,35 +70,26 @@ def resolvent_form(sym: PiecewiseSymbol, u: complex, v: complex, zlam: complex,
 class SpectralFrame:
     """Per-level bundle: sublevel arcs, residue weights, and multiplicity.
 
-    Immutable; all evaluators are pure functions of the stored data.
+    The arc count is checked against the counting report of the level's
+    admissible interval.  Immutable; all evaluators are pure functions of
+    the stored data.
     """
 
-    def __init__(self, sym: PiecewiseSymbol, lam: float, level: LevelSet,
-                 arcdata: ArcData, check_count: bool = True):
+    def __init__(self, sym: PiecewiseSymbol, lam: float, level: LevelSet, arcdata: ArcData):
         self.sym = sym
         self.lam = float(lam)
         self.level = level
         self.arcdata = arcdata
         self.m = level.m
-        if check_count:
-            interval = self.enclosing_interval()
-            report = counting_report(sym, interval)
-            if report.m != self.m:
-                raise FormMismatchError(
-                    f"level set has {self.m} arcs but the counting report says {report.m}"
-                )
+        report = level_report(sym, self.lam)
+        if report.m != self.m:
+            raise FormMismatchError(
+                f"level set has {self.m} arcs but the counting report says {report.m}"
+            )
         self._beta = np.exp(1j * np.array([a.beta for a in level.arcs]))
         self._alpha = np.exp(1j * np.array([a.alpha for a in level.arcs]))
         self._rho = np.array(arcdata.rho)
         self._phase0 = np.exp(-0.5j * math.pi * arcdata.measure)
-
-    def enclosing_interval(self) -> tuple[float, float]:
-        for a, b in admissible_intervals(self.sym):
-            if a + GUARD < self.lam < b - GUARD:
-                lo = a + min(10.0 * GUARD, 0.5 * (self.lam - a))
-                hi = b - min(10.0 * GUARD, 0.5 * (b - self.lam))
-                return (lo, hi)
-        raise ValueError(f"level {self.lam} lies in no admissible interval")
 
     # -- scalar building blocks ------------------------------------------------
 
@@ -242,16 +224,16 @@ class SpectralFrame:
             tilde.append(Arc(prev_beta, arc.alpha, arcs[j - 1].beta_kind, arc.alpha_kind))
         level = LevelSet(self.lam, tuple(tilde))
         data = coefficients_c(tuple(tilde), self.lam)
-        return SpectralFrame(self.sym, self.lam, level, data, check_count=False)
+        return SpectralFrame(self.sym, self.lam, level, data)
 
 
-def spectral_frame(sym: PiecewiseSymbol, lam: float, check_count: bool = True) -> SpectralFrame:
+def spectral_frame(sym: PiecewiseSymbol, lam: float) -> SpectralFrame:
     """Assemble the level set, arc coefficients, and multiplicity at a level."""
     level = sublevel_set(sym, lam)
     if level.m == 0:
         raise ValueError(f"level {lam} lies outside the open spectral interval")
     data = coefficients_c(level.arcs, lam)
-    return SpectralFrame(sym, lam, level, data, check_count=check_count)
+    return SpectralFrame(sym, lam, level, data)
 
 
 def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> float:
@@ -281,13 +263,15 @@ def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> floa
     return float(abs((om - frame.lam) * inner - outer))
 
 
-def weak_measure(sym: PiecewiseSymbol, interval, u: complex, v: complex, g,
-                 rtol: float = 1e-9, max_nodes: int = 1024) -> complex:
-    """Integral of g(lambda) times the density kernel over an admissible interval.
+def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
+                 rtol: float = 1e-9, max_nodes: int = 1024):
+    """Integral of g(lambda) times the density kernel over an admissible interval,
+    for points ``u`` and ``v`` or arrays of them that broadcast as in
+    ``SpectralFrame.density``.
 
-    Gauss-Legendre in lambda with doubling until the value settles; the
+    Gauss-Legendre in lambda with doubling until every entry settles; the
     density is smooth there, so convergence is fast for smooth weights.
-    Raises ``QuadratureError`` with the last change between doublings when
+    Raises ``QuadratureError`` with the worst change between doublings when
     ``max_nodes`` is reached before ``rtol``.
     """
     a, b = float(interval[0]), float(interval[1])
@@ -296,17 +280,18 @@ def weak_measure(sym: PiecewiseSymbol, interval, u: complex, v: complex, g,
                             b + np.linspace(0.01, 1.0, 4) * (b - a)))
     if any(g(float(x)) != 0.0 for x in probe):
         raise ValueError("weight function is supported outside the interval")
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    shape = np.broadcast_shapes(u.shape, v.shape)
 
     def sample(n):
         x, w = gauss_legendre(n)
         lam = 0.5 * (a + b) + 0.5 * (b - a) * x
-        total = 0.0 + 0.0j
+        total = np.zeros(shape, dtype=complex)
         for wl, la in zip(w, lam):
             gv = g(la)
             if gv == 0.0:
                 continue
-            frame = spectral_frame(sym, la, check_count=False)
-            total += wl * gv * frame.density(u, v)
+            total += wl * gv * spectral_frame(sym, la).density(u, v)
         return total * 0.5 * (b - a)
 
     n = 32
@@ -315,9 +300,10 @@ def weak_measure(sym: PiecewiseSymbol, interval, u: complex, v: complex, g,
     while n < max_nodes:
         n *= 2
         cur = sample(n)
-        delta = abs(cur - prev)
-        if delta <= rtol * max(1.0, abs(cur)):
-            return complex(cur)
+        gap = np.abs(cur - prev)
+        delta = float(np.max(gap, initial=0.0))
+        if np.all(gap <= rtol * np.maximum(1.0, np.abs(cur))):
+            return complex(cur) if cur.ndim == 0 else cur
         prev = cur
     raise QuadratureError(
         f"weak measure did not settle within {max_nodes} nodes: last change {delta:.3e}",

@@ -120,10 +120,7 @@ class TrigPoly:
             theta[ok] = theta[ok] - f[ok] / fp[ok]
         theta = np.sort(np.mod(theta, TWO_PI))
         # dedupe circularly
-        keep = np.ones(len(theta), dtype=bool)
-        for i in range(1, len(theta)):
-            if theta[i] - theta[i - 1] < 1e-9:
-                keep[i] = False
+        keep = np.concatenate(([True], np.diff(theta) >= 1e-9))
         if len(theta) > 1 and (theta[-1] - theta[0]) > TWO_PI - 1e-9:
             keep[-1] = False
         return theta[keep]
@@ -244,12 +241,8 @@ class PiecewiseSymbol:
         return tuple(jumps)
 
     def _essential_range(self):
-        los, his = [], []
-        for piece in self.pieces:
-            lo, hi = piece.poly.range_on(piece.theta_start, piece.theta_end)
-            los.append(lo)
-            his.append(hi)
-        return min(los), max(his)
+        ranges = [p.poly.range_on(p.theta_start, p.theta_end) for p in self.pieces]
+        return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
 
     # -- queries ---------------------------------------------------------------
 

@@ -117,7 +117,7 @@ def test_c06_stone_consistency(regular, singular):
     u = 0.2 + 0.1j
     for sym, (a, b) in ((regular, (-0.85, 0.85)), (singular, (0.1, 0.9))):
         for lam in np.linspace(a, b, 10):
-            frame = spectral.spectral_frame(sym, float(lam), check_count=False)
+            frame = spectral.spectral_frame(sym, float(lam))
             d = frame.density(u, u)
             s = spectral.stone_density(sym, u, u, float(lam))
             worst = max(worst, abs(s - d) / abs(d))

@@ -266,6 +266,21 @@ def test_q_function_band_split(regular):
         q_function(regular, np.array([0.2, np.exp(0.7j)]), lam)
 
 
+@pytest.mark.parametrize("radius", [0.905, 0.91, 0.915, 0.919, 1.0 / 0.919, 1.0 / 0.91, 1.1])
+def test_q_function_at_band_edges(radius, regular, singular, singular_asym, fig2, cos2_symbol):
+    # just inside PEAK_RADIUS and just outside its reciprocal the shared
+    # panels must still resolve the Schwarz peak
+    for sym in (regular, singular, singular_asym, fig2, cos2_symbol):
+        g1, g2 = sym.essential_range()
+        for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+            lam = g1 + frac * (g2 - g1)
+            zs = radius * np.exp(1j * np.array([0.4, 2.0, 3.5, 5.1]))
+            v = xi_grid(sym, zs, lam)
+            assert np.all(np.isfinite(v)) and np.all(v != 0.0)
+            if sym is regular and radius < 1.0:
+                assert np.allclose(v, regular_xi_closed(zs, lam), rtol=1e-9, atol=0.0)
+
+
 def test_xi_on_circle_fast_path(regular, singular, fig2):
     lam = 0.3
     for sym in (regular, singular, fig2):

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from toepspec import levelset
 from toepspec.errors import ExceptionalLevelError, InadmissibleIntervalError
 from toepspec.levelset import (
+    GUARD,
     admissible_intervals,
     counting_report,
     exceptional_set,
+    level_report,
     solve_level,
     sublevel_set,
 )
-from toepspec.symbol import PiecewiseSymbol, TrigPoly
+from toepspec.spectral import spectral_frame
+from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,6 +110,46 @@ def test_admissible_intervals(regular, singular):
     assert len(ivs) >= 2
     cuts = [iv[1] for iv in ivs[:-1]]
     assert any(abs(c - 0.5) < 1e-9 for c in cuts)  # omega(pi) = -0.5 + 1 = 0.5
+
+
+def test_counting_report_is_a_fact_of_the_interval(regular, fig2):
+    sym = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.0, 0.5, 1.0]))])
+    for s in (regular, fig2, sym):
+        for a, b in admissible_intervals(s):
+            w = b - a
+            lower = counting_report(s, (a + 0.05 * w, a + 0.4 * w))
+            upper = counting_report(s, (a + 0.6 * w, b - 0.05 * w))
+            assert lower == upper == level_report(s, a + 0.5 * w)
+
+
+def test_interval_guard_at_an_interior_exceptional_value():
+    sym = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.0, 0.5, 1.0]))])
+    cut = admissible_intervals(sym)[0][1]
+    counting_report(sym, (cut - 0.3, cut - 2.0 * GUARD))
+    counting_report(sym, (cut + 2.0 * GUARD, cut + 0.3))
+    for iv in ((cut - 0.3, cut - 0.5 * GUARD), (cut + 0.5 * GUARD, cut + 0.3),
+               (cut - 0.1, cut + 0.1)):
+        with pytest.raises(InadmissibleIntervalError):
+            counting_report(sym, iv)
+    with pytest.raises(ValueError):
+        level_report(sym, cut + 0.5 * GUARD)
+
+
+def test_frames_on_one_interval_count_once(monkeypatch):
+    sym = preset_regular()  # a fresh symbol: nothing counted for it yet
+    calls = []
+    real = levelset.solve_level
+
+    def counted(s, lam):
+        calls.append(lam)
+        return real(s, lam)
+
+    monkeypatch.setattr(levelset, "solve_level", counted)
+    lams = np.linspace(-0.9, 0.9, 300)
+    for lam in lams:
+        assert spectral_frame(sym, float(lam)).m == 1
+    # one solve per level set, plus the five samples of the interval's report
+    assert len(calls) == len(lams) + 5
 
 
 def test_arc_count_matches_multiplicity(regular, singular, fig2):

@@ -10,7 +10,11 @@ from conftest import (
     singular_phi_ext_closed,
 )
 from toepspec.errors import FormMismatchError, QuadratureError
+from toepspec.hardy import coefficients_c
+from toepspec.levelset import LevelSet, sublevel_set
+from toepspec.oracle import smooth_bump
 from toepspec.spectral import (
+    SpectralFrame,
     resolvent_form,
     rh_residual,
     spectral_frame,
@@ -214,7 +218,7 @@ def test_density_chebyshev_gram(regular):
 def test_density_positivity(regular, singular, fig2, rng):
     for sym, span in ((regular, (-0.9, 0.9)), (singular, (0.1, 0.9)), (fig2, (-0.55, 0.55))):
         for lam in np.linspace(span[0], span[1], 5):
-            fr = spectral_frame(sym, float(lam), check_count=False)
+            fr = spectral_frame(sym, float(lam))
             for _ in range(5):
                 u = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, TWO_PI))
                 d = fr.density(u, u)
@@ -261,6 +265,16 @@ def test_density_broadcasts_over_point_arrays(fig2, rng):
         fr.density(pts[:, None], pts[None, :])
 
 
+def test_frame_checks_its_multiplicity(fig2):
+    lam = 0.25
+    level = sublevel_set(fig2, lam)
+    assert level.m == 2
+    short = LevelSet(lam, level.arcs[:1])
+    with pytest.raises(FormMismatchError):
+        SpectralFrame(fig2, lam, short, coefficients_c(short.arcs, lam))
+    assert SpectralFrame(fig2, lam, level, coefficients_c(level.arcs, lam)).m == 2
+
+
 def test_eigenfunction_reads_eigen_matrix(fig2):
     fr = spectral_frame(fig2, 0.25)
     zs = np.array([0.1, 0.4 - 0.3j, 0.95j, -0.2 + 0.6j])
@@ -281,7 +295,7 @@ def test_stone_consistency(regular, singular):
     cases = ((regular, (-0.7, 0.7)), (singular, (0.15, 0.85)))
     for sym, (a, b) in cases:
         for lam in np.linspace(a, b, 4):
-            fr = spectral_frame(sym, float(lam), check_count=False)
+            fr = spectral_frame(sym, float(lam))
             d = fr.density(0.2 + 0.1j, 0.2 + 0.1j)
             s = stone_density(sym, 0.2 + 0.1j, 0.2 + 0.1j, float(lam))
             assert abs(s - d) / abs(d) < 1e-4
@@ -304,6 +318,30 @@ def test_weak_measure_unsettled_raises(regular):
     with pytest.raises(QuadratureError) as info:
         weak_measure(regular, (-0.5, 0.5), 0.0, 0.0, ind, rtol=1e-12, max_nodes=128)
     assert 1e-12 < info.value.achieved_tol < 1e-1
+
+
+def test_weak_measure_broadcasts_over_point_arrays(regular, singular):
+    pts = np.array([0.3 + 0.2j, -0.5j])
+    for sym, (a, b) in ((regular, (-0.5, 0.5)), (singular, (0.2, 0.8))):
+        g = smooth_bump(a, b)
+        gram = weak_measure(sym, (a, b), pts[:, None], pts[None, :], g)
+        assert gram.shape == (2, 2)
+        for i, u in enumerate(pts):
+            for k, v in enumerate(pts):
+                one = weak_measure(sym, (a, b), complex(u), complex(v), g)
+                assert isinstance(one, complex)
+                assert abs(gram[i, k] - one) <= 1e-12 * max(1.0, abs(one))
+    # an unsettled entry raises with the worst change among the entries
+    pts = np.array([0.0, 0.3 + 0.2j, -0.5j])
+    ind = lambda lam: 1.0 if 0.1 <= lam <= 0.5 else 0.0
+    worst = 0.0
+    for u in pts:
+        with pytest.raises(QuadratureError) as info:
+            weak_measure(regular, (-0.5, 0.5), complex(u), complex(u), ind, rtol=1e-12, max_nodes=128)
+        worst = max(worst, info.value.achieved_tol)
+    with pytest.raises(QuadratureError) as info:
+        weak_measure(regular, (-0.5, 0.5), pts, pts, ind, rtol=1e-12, max_nodes=128)
+    assert info.value.achieved_tol == pytest.approx(worst, rel=1e-9)
 
 
 def test_weak_measure_zero_weight(regular):
