@@ -6,8 +6,11 @@ validation failure.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -36,23 +39,34 @@ def _cnum(x) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _parse_number(kind, text: str):
-    """kind(text), with a malformed value reported as a usage error."""
+def _parse_number(kind, text: str, least=None):
+    """kind(text); a malformed, non-finite or below-``least`` value is a usage error."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise UsageError(f"malformed {kind.__name__} value {text!r}") from None
+    if not cmath.isfinite(value):
+        raise UsageError(f"non-finite {kind.__name__} value {text!r}")
+    if least is not None and value < least:
+        raise UsageError(f"{kind.__name__} value {text!r} is below {least}")
+    return value
+
+
+_parse_float = functools.partial(_parse_number, float)
+_parse_int = functools.partial(_parse_number, int)
+_parse_count = functools.partial(_parse_number, int, least=1)
 
 
 def _parse_complex(text: str) -> complex:
-    return _parse_number(complex, text.strip().replace("i", "j"))
+    # only a standalone imaginary unit becomes j: 'inf' keeps its i
+    return _parse_number(complex, re.sub(r"(?<![A-Za-z])i(?![A-Za-z])", "j", text.strip()))
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("interval must be 'a,b'")
-    return _parse_number(float, parts[0]), _parse_number(float, parts[1])
+    return _parse_float(parts[0]), _parse_float(parts[1])
 
 
 def _emit(text: str, path: str | None):
@@ -96,30 +110,30 @@ def _build_parser() -> _Parser:
     add("spectrum", "essential range, exceptional values, admissible intervals")
 
     s = add("levelset", "sublevel-set arcs at one level")
-    s.add_argument("--lambda", dest="lam", type=float, required=True)
+    s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
 
     s = add("multiplicity", "crossing counts and multiplicity on an interval")
     s.add_argument("--interval", required=True, help="a,b")
 
     s = add("xi", "outer-modulus function at a point")
     s.add_argument("--z", required=True, help="complex point, e.g. 0.3+0.2i")
-    s.add_argument("--lambda", dest="lam", type=float, required=True)
+    s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
 
     s = add("phase", "phase function at a point")
     s.add_argument("--z", required=True)
-    s.add_argument("--lambda", dest="lam", type=float, required=True)
+    s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
 
     s = add("density", "spectral density kernel on a lambda grid")
     s.epilog = ("CSV columns: lambda, then d_{i}_{k}_re and d_{i}_{k}_im for every "
                 "ordered pair (point i, point k); one row per grid level.")
     s.add_argument("--interval", required=True)
-    s.add_argument("--grid", type=int, default=64)
+    s.add_argument("--grid", type=_parse_count, default=64)
     s.add_argument("--points", required=True, help="comma-separated disk points")
 
     s = add("eigenfun", "generalized eigenfunction on a z grid")
     s.epilog = "CSV columns: re_z, im_z, re_phi, im_phi; one row per grid point."
-    s.add_argument("--lambda", dest="lam", type=float, required=True)
-    s.add_argument("--branch", type=int, default=1)
+    s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
+    s.add_argument("--branch", type=_parse_int, default=1)
     s.add_argument("--zgrid", default="0.5,64", help="radius,count of a circle grid")
 
     s = add("diagonalize", "diagonalizing-map components on a lambda grid")
@@ -127,7 +141,7 @@ def _build_parser() -> _Parser:
                 "the m branches; one row per Gauss-Legendre node.")
     s.add_argument("--interval", required=True)
     s.add_argument("--vector", required=True, help="JSON file listing kernel terms")
-    s.add_argument("--grid", type=int, default=64)
+    s.add_argument("--grid", type=_parse_count, default=64)
 
     s = add("validate", "finite-section comparison against the analytic measure")
     s.epilog = ("--csv table columns: N, then err_{i}_{k} (absolute weak-measure "
@@ -227,7 +241,7 @@ def _cmd_eigenfun(sym, args) -> int:
     parts = args.zgrid.split(",")
     if len(parts) != 2:
         raise UsageError("zgrid must be 'radius,count'")
-    r, count = _parse_number(float, parts[0]), _parse_number(int, parts[1])
+    r, count = _parse_float(parts[0]), _parse_count(parts[1])
     if not 0.0 < r < 1.0:
         raise UsageError("zgrid radius must lie in (0, 1)")
     zs = r * np.exp(2j * math.pi * np.arange(count) / count)
@@ -253,7 +267,7 @@ def _cmd_diagonalize(sym, args) -> int:
 
 def _cmd_validate(sym, args) -> int:
     a, b = _parse_interval(args.interval)
-    sizes = [_parse_number(int, t) for t in args.n.split(",")]
+    sizes = [_parse_count(t) for t in args.n.split(",")]
     points = [_parse_complex(t) for t in args.points.split(",")]
     g = oracle.smooth_bump(a, b)
     report = oracle.validate(sym, (a, b), g, points, sizes)

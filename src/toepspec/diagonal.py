@@ -12,7 +12,7 @@ import numpy as np
 from .hardy import gauss_legendre
 from .levelset import counting_report
 from .oracle import FiniteSection, oracle_weak_measure
-from .spectral import SpectralFrame, resolvent_form, spectral_frame
+from .spectral import SpectralFrame, spectral_frame, stone_density
 from .symbol import PiecewiseSymbol
 
 
@@ -166,34 +166,19 @@ def phi_adjoint_taylor(family: FrameFamily, values: np.ndarray, nmax: int,
 # -- independent projections for the intertwining checks ---------------------------
 
 
-def _resolvent_bilinear(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector,
-                        zlam: complex) -> complex:
-    total = 0.0 + 0.0j
-    for ci, zi in f.terms:
-        for ck, zk in g.terms:
-            total += ci * np.conj(ck) * resolvent_form(sym, zi, zk, zlam)
-    return complex(total)
-
-
 def stone_projection(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector,
                      subintervals, eps: float = 1e-2, n_nodes: int = 64) -> complex:
-    """(E(X)f, g) for a finite union of intervals via the resolvent jump,
-    second-order extrapolated in the offset."""
+    """(E(X)f, g) for a finite union of intervals: the Stone density Gram of
+    the kernel points, integrated over each interval."""
+    cf, zf = np.array(f.terms, dtype=complex).reshape(-1, 2).T
+    cg, zg = np.array(g.terms, dtype=complex).reshape(-1, 2).T
     x_nodes, x_w = gauss_legendre(n_nodes)
-
-    def integral(e):
-        total = 0.0 + 0.0j
-        for a, b in subintervals:
-            lam = 0.5 * (a + b) + 0.5 * (b - a) * x_nodes
-            w = 0.5 * (b - a) * x_w
-            for wl, la in zip(w, lam):
-                up = _resolvent_bilinear(sym, f, g, la + 1j * e)
-                dn = _resolvent_bilinear(sym, f, g, la - 1j * e)
-                total += wl * (up - dn) / (2j * math.pi)
-        return total
-
-    f1, f2, f4 = integral(eps), integral(eps / 2.0), integral(eps / 4.0)
-    return complex((8.0 * f4 - 6.0 * f2 + f1) / 3.0)
+    total = 0.0 + 0.0j
+    for a, b in subintervals:
+        for wl, la in zip(0.5 * (b - a) * x_w, 0.5 * (a + b) + 0.5 * (b - a) * x_nodes):
+            gram = stone_density(sym, zf[:, None], zg[None, :], float(la), eps=eps)
+            total += wl * (cf @ gram @ np.conj(cg))
+    return complex(total)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ partial-fraction coefficients, boundary values, and the mu measure.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import threading
@@ -103,19 +104,14 @@ class CircleRule:
         return (self.breakpoints.nbytes + self.theta.nbytes + self.w.nbytes
                 + self.theta_c.nbytes + self.w_c.nbytes)
 
-    def integrate(self, fn):
-        """Integral of fn(theta) against the normalized measure, with estimate."""
-        fine = np.dot(self.w, fn(self.theta))
-        coarse = np.dot(self.w_c, fn(self.theta_c))
-        return fine, abs(fine - coarse)
-
 
 @dataclass
 class LogRule:
-    """A CircleRule together with precomputed ln|omega - lam| node values."""
+    """A CircleRule together with precomputed log node values: ln|omega - lam|
+    at a real level, the principal log(omega - lam) at a non-real one."""
 
     rule: CircleRule
-    lam: float
+    lam: float | complex
     logvals: np.ndarray
     logvals_c: np.ndarray
     achieved_tol: float
@@ -125,7 +121,7 @@ class LogRule:
         return self.rule.nbytes + self.logvals.nbytes + self.logvals_c.nbytes
 
     def weighted(self, smooth_f, smooth_c):
-        """Integrals of ln|omega-lam| times smooth factors given at the nodes,
+        """Integrals of the log weight times smooth factors given at the nodes,
         one column per integral; each must meet the tolerance on its own."""
         fine = np.dot(self.rule.w * self.logvals, smooth_f)
         coarse = np.dot(self.rule.w_c * self.logvals_c, smooth_c)
@@ -185,58 +181,59 @@ def _cache_for(sym: PiecewiseSymbol) -> _SymbolCache:
         return cache
 
 
-def _symbol_breakpoints(sym: PiecewiseSymbol, x: float | None) -> np.ndarray:
-    # every piece seam, jump or not: panels must not straddle a point where
-    # the symbol stops being analytic
-    seams = np.asarray(sym._starts, dtype=float)
-    if x is None:
-        return seams
-    g1, g2 = sym.essential_range()
-    if not g1 < x < g2:
-        return seams
-    return np.concatenate((seams, level_angles_raw(sym, x)))
+def _log_weight(vals: np.ndarray, lam: float | complex) -> np.ndarray:
+    if isinstance(lam, complex):
+        return np.log(vals - lam)
+    return np.log(np.maximum(np.abs(vals - lam), 1e-300))
 
 
-def _safe_log_abs(vals: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(np.abs(vals), 1e-300))
+def _level(lam) -> float | complex:
+    """A real level as a float, a non-real one as a complex; finite or ValueError."""
+    zeta = complex(lam)
+    if not cmath.isfinite(zeta):
+        raise ValueError(f"level {lam} is not finite")
+    return zeta.real if zeta.imag == 0.0 else zeta
 
 
 def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
                tol: float = DEFAULT_TOL, depth: int = DEFAULT_DEPTH) -> CircleRule:
-    """Cached panel rule with breakpoints at the jumps and, when ``x`` lies in
-    the essential range, at the angles where the symbol crosses ``x``."""
-    key = ("plain", None if x is None else round(float(x), 14),
-           tuple(round(float(e), 12) for e in sorted(extra)), tol, depth)
-
-    def build():
-        breaks = np.concatenate((_symbol_breakpoints(sym, x), np.asarray(extra, dtype=float)))
-        return CircleRule(breaks, depth=depth, tol=tol)
-
-    return _cache_for(sym).get(key, build)
+    """Panel rule with breakpoints at every piece seam, jump or not (panels
+    must not straddle a point where the symbol stops being analytic), at the
+    angles where the symbol crosses ``x`` when ``x`` lies inside the
+    essential range, and at ``extra``."""
+    g1, g2 = sym.essential_range()
+    crossings = level_angles_raw(sym, x) if x is not None and g1 < x < g2 else ()
+    breaks = np.concatenate((sym._starts, crossings, extra), dtype=float)
+    return CircleRule(breaks, depth=depth, tol=tol)
 
 
-def log_rule(sym: PiecewiseSymbol, lam: float, extra=(), tol: float = DEFAULT_TOL) -> LogRule:
-    """Cached quadrature rule for integrals with the weight ln|omega - lam|.
+def log_rule(sym: PiecewiseSymbol, lam, extra=(), tol: float = DEFAULT_TOL) -> LogRule:
+    """Quadrature rule for integrals with the log weight of ``lam``, cached
+    per real level.
 
+    A real level has the weight ln|omega - lam|; a non-real one has the
+    principal log(omega - lam) and the breakpoints of its real part.
     ``extra`` adds non-singular breakpoints (used to resolve the Schwarz
     peak of evaluation points close to the circle).
     """
-    key = (round(float(lam), 14), tuple(round(float(e), 12) for e in sorted(extra)), tol)
+    lam = _level(lam)
 
     def build():
-        breaks = np.concatenate((_symbol_breakpoints(sym, lam), np.asarray(extra, dtype=float)))
         for depth in (DEFAULT_DEPTH, MAX_DEPTH):
-            rule = CircleRule(breaks, depth=depth, tol=tol)
-            logvals = _safe_log_abs(sym.values(rule.theta) - lam)
-            logvals_c = _safe_log_abs(sym.values(rule.theta_c) - lam)
+            rule = plain_rule(sym, lam.real, extra, tol=tol, depth=depth)
+            logvals = _log_weight(sym.values(rule.theta), lam)
+            logvals_c = _log_weight(sym.values(rule.theta_c), lam)
             base = np.dot(rule.w, logvals)
             err = abs(base - np.dot(rule.w_c, logvals_c))
             if err <= tol * max(1.0, abs(base)):
-                return LogRule(rule, float(lam), logvals, logvals_c, err)
+                return LogRule(rule, lam, logvals, logvals_c, err)
         raise QuadratureError(
             f"log quadrature did not converge at depth {MAX_DEPTH}", achieved_tol=err
         )
 
+    if isinstance(lam, complex):  # seldom asked twice; keeping it would evict real levels
+        return build()
+    key = (round(lam, 14), tuple(round(float(e), 12) for e in sorted(extra)), tol)
     return _cache_for(sym).get(key, build)
 
 
@@ -244,7 +241,7 @@ def _in_peak_band(az):
     return (PEAK_RADIUS < az) & (az < 1.0 / PEAK_RADIUS)
 
 
-def point_rule(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> LogRule:
+def point_rule(sym: PiecewiseSymbol, z: complex, lam, tol: float = DEFAULT_TOL) -> LogRule:
     """The rule ``q_function`` integrates with at z: the shared ``log_rule``,
     plus a breakpoint at arg z when z lies in the peak band around the circle."""
     extra = (float(np.angle(z)) % TWO_PI,) if _in_peak_band(abs(z)) else ()
@@ -260,15 +257,18 @@ def _schwarz_factor(z, theta: np.ndarray) -> np.ndarray:
     return h
 
 
-def q_function(sym: PiecewiseSymbol, z, lam: float, tol: float = DEFAULT_TOL):
-    """Schwarz-kernel average of ln|omega - lam| at z (inside or outside the
-    circle), for a point or an array of points.
+def q_function(sym: PiecewiseSymbol, z, lam, tol: float = DEFAULT_TOL):
+    """Schwarz-kernel average of the log weight of ``lam`` (see ``log_rule``)
+    at z inside or outside the circle, for a point or an array of points.
 
     Points in the peak band around the circle get their own ``point_rule``;
     all others share the level's ``log_rule`` in one batch.
     """
+    lam = _level(lam)
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("evaluation points must be finite")
     az = np.abs(flat)
     if np.any(np.abs(az - 1.0) < 1e-8):
         raise ValueError("evaluation on the unit circle requires boundary_xi")

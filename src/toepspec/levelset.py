@@ -178,6 +178,8 @@ def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
 
 
 def _check_level(sym: PiecewiseSymbol, lam: float):
+    if not math.isfinite(lam):
+        raise ValueError(f"level {lam} is not finite")
     if exceptional_set(sym).distance(lam) < GUARD:
         raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
 

@@ -11,13 +11,12 @@ import numpy as np
 from .errors import FormMismatchError, QuadratureError
 from . import hardy
 from .hardy import (
-    DEFAULT_DEPTH,
     DEFAULT_TOL,
-    MAX_DEPTH,
     ArcData,
     coefficients_c,
     gauss_legendre,
     phase_A_closed,
+    q_function,
     xi as xi_point,
     xi_grid,
 )
@@ -34,37 +33,33 @@ from .symbol import TWO_PI, PiecewiseSymbol
 FORM_TOL = 1e-8
 
 
-def resolvent_form(sym: PiecewiseSymbol, u: complex, v: complex, zlam: complex,
-                   tol: float = DEFAULT_TOL) -> complex:
-    """Bilinear resolvent form on a pair of reproducing kernels.
+def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex, tol: float = DEFAULT_TOL):
+    """Bilinear resolvent form on pairs of reproducing kernels, for points or
+    arrays of points ``u`` and ``v`` that broadcast against each other.
 
-    Principal logarithm of omega - zlam (real and positive below the
-    spectrum), integrated against the two Schwarz factors; analytic off
-    the spectral cut, real and positive for real zlam below it.
+    exp(-[Q(v) - Q(1/conj u)]/2) / (1 - conj(u) v), with Q the Schwarz
+    average of the principal log(omega - zlam): conj H(u e^{-i theta}) is
+    -H(e^{-i theta}/conj u), and at u = 0 the u-side average is +Q(0).
+    Analytic off the spectral cut, real and positive for real zlam below it.
     """
-    if abs(u) >= 1.0 or abs(v) >= 1.0:
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if np.any(np.abs(u) >= 1.0) or np.any(np.abs(v) >= 1.0):
         raise ValueError("kernel points must lie inside the disk")
     g1, g2 = sym.essential_range()
     zlam = complex(zlam)
     if abs(zlam - min(max(zlam.real, g1), g2)) < 1e-8:  # distance to the cut [g1, g2]
         raise ValueError("resolvent requested on the spectral cut")
-
-    extra = [float(np.angle(p)) % TWO_PI for p in (u, v) if abs(p) > hardy.PEAK_RADIUS]
-    x = zlam.real if g1 < zlam.real < g2 else None
-
-    def integrand(theta):
-        om = sym.values(theta)
-        zf = v * np.exp(-1j * theta)
-        zb = np.conj(u) * np.exp(1j * theta)
-        kern = (1.0 + zf) / (1.0 - zf) + (1.0 + zb) / (1.0 - zb)
-        return np.log(om - zlam) * kern
-
-    for depth in (DEFAULT_DEPTH, MAX_DEPTH):
-        rule = hardy.plain_rule(sym, x, extra=tuple(extra), tol=tol, depth=depth)
-        value, err = rule.integrate(integrand)
-        if err <= tol * max(1.0, abs(value)):
-            return complex(np.exp(-0.5 * value) / (1.0 - np.conj(u) * v))
-    raise QuadratureError("resolvent quadrature stalled", achieved_tol=err)
+    ubar = np.conj(u)
+    at_origin = ubar == 0.0
+    mirror = np.divide(1.0, ubar, out=np.zeros_like(ubar), where=~at_origin)
+    q = q_function(sym, np.concatenate((v.ravel(), mirror.ravel())), zlam, tol=tol)
+    qv, qu = q[:v.size].reshape(v.shape), q[v.size:].reshape(u.shape)
+    value = np.exp(-0.5 * (qv - np.where(at_origin, -qu, qu))) / (1.0 - ubar * v)
+    # a real zlam above the cut has the weight ln|omega - zlam|, short of the
+    # principal log by i pi, which turns the exponential by e^{-i pi}
+    if zlam.imag == 0.0 and zlam.real > g2:
+        value = -value
+    return complex(value) if value.ndim == 0 else value
 
 
 class SpectralFrame:
@@ -311,10 +306,10 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     )
 
 
-def stone_density(sym: PiecewiseSymbol, u: complex, v: complex, lam: float,
-                  eps: float = 1e-2) -> complex:
+def stone_density(sym: PiecewiseSymbol, u, v, lam: float, eps: float = 1e-2):
     """Density recovered from the resolvent jump across the cut, with
-    second-order extrapolation in the offsets eps, eps/2, eps/4."""
+    second-order extrapolation in the offsets eps, eps/2, eps/4; broadcast
+    over point arrays like ``resolvent_form``."""
 
     def jump(e):
         up = resolvent_form(sym, u, v, lam + 1j * e)
@@ -322,4 +317,4 @@ def stone_density(sym: PiecewiseSymbol, u: complex, v: complex, lam: float,
         return (up - dn) / (2j * math.pi)
 
     f1, f2, f4 = jump(eps), jump(eps / 2.0), jump(eps / 4.0)
-    return complex((8.0 * f4 - 6.0 * f2 + f1) / 3.0)
+    return (8.0 * f4 - 6.0 * f2 + f1) / 3.0

@@ -1,9 +1,26 @@
 import math
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import configuration
 
 from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular, preset_singular
+
+
+HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # hypothesis caches constants read from the source files under its home
+    # directory while it collects; keep that home out of the checkout
+    config.stash[HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="toepspec-hypothesis-")
+    configuration.set_hypothesis_home_dir(config.stash[HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

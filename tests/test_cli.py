@@ -48,6 +48,37 @@ def test_malformed_number_is_usage_error(capsys, argv):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["xi", "--symbol", "regular", "--z", "nan", "--lambda", "0.1"],
+    ["xi", "--symbol", "regular", "--z", "inf", "--lambda", "0.1"],
+    ["xi", "--symbol", "regular", "--z", "0.3+nanj", "--lambda", "0.1"],
+    ["xi", "--symbol", "regular", "--z", "0.3", "--lambda", "inf"],
+    ["phase", "--symbol", "regular", "--z", "nan", "--lambda", "0"],
+    ["density", "--symbol", "regular", "--interval=-0.5,0.5", "--points", "nan"],
+    ["density", "--symbol", "regular", "--interval=-0.5,0.5", "--points", "0", "--grid", "0"],
+    ["density", "--symbol", "regular", "--interval=nan,0.5", "--points", "0"],
+    ["levelset", "--symbol", "regular", "--lambda", "nan"],
+    ["eigenfun", "--symbol", "regular", "--lambda", "0", "--zgrid", "0.5,0"],
+    ["eigenfun", "--symbol", "regular", "--lambda", "0", "--zgrid", "nan,4"],
+    ["eigenfun", "--symbol", "regular", "--lambda", "0", "--branch", "1.5"],
+    ["diagonalize", "--symbol", "regular", "--interval=-0.5,0.5", "--vector", "v.json",
+     "--grid", "-3"],
+    ["validate", "--symbol", "regular", "--interval=-0.5,0.5", "--n", "512,0"],
+])
+def test_non_finite_or_empty_input_is_usage_error(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_complex_parser_keeps_inf_and_reads_the_unit():
+    with pytest.raises(cli.UsageError, match="non-finite complex value 'inf'"):
+        cli._parse_complex("inf")
+    assert cli._parse_complex(" -0.25+0.5i ") == complex(-0.25, 0.5)
+    assert cli._parse_complex("i") == 1j
+
+
 def run_module(*argv):
     """``python -m toepspec.cli`` in a fresh interpreter on this checkout."""
     src = str(Path(toepspec.__file__).resolve().parents[1])

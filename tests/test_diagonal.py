@@ -16,7 +16,7 @@ from toepspec.diagonal import (
     stone_projection,
 )
 from toepspec.oracle import build_section
-from toepspec.spectral import spectral_frame
+from toepspec.spectral import spectral_frame, stone_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,3 +196,22 @@ def test_stone_projection_hermitian(regular):
     val = stone_projection(regular, f, f, [(-0.5, 0.5)])
     assert abs(val.imag) < 1e-8
     assert 0.0 < val.real < f.norm_squared() + 1e-9
+
+
+def test_stone_projection_is_the_integrated_stone_gram(fig2):
+    # (E(X)f, g) = sum_ik c_i conj(d_k) (E(X)K_i, K_k), each term the Stone
+    # density integrated over the nodes of each subinterval
+    f = HardyVector.of((1.0, 0.3), (0.5j, -0.2 + 0.4j))
+    g = HardyVector.of((2.0 - 1.0j, 0.1 - 0.6j))
+    X = [(-0.6, -0.3), (0.1, 0.4)]
+    val = stone_projection(fig2, f, g, X, n_nodes=6)
+    x, w = np.polynomial.legendre.leggauss(6)
+    ref = 0.0
+    for a, b in X:
+        for wl, la in zip(0.5 * (b - a) * w, 0.5 * (a + b) + 0.5 * (b - a) * x):
+            for ci, zi in f.terms:
+                for dk, zk in g.terms:
+                    ref += wl * ci * np.conj(dk) * stone_density(fig2, zi, zk, float(la))
+    assert abs(val - ref) <= 1e-13 * abs(ref)
+    back = stone_projection(fig2, g, f, X, n_nodes=6)
+    assert abs(back - np.conj(val)) <= 1e-12 * abs(val)

@@ -35,9 +35,9 @@ TWO_PI = 2.0 * math.pi
 
 def test_rule_integrates_constants():
     rule = CircleRule(breakpoints=[0.3, 2.0, 4.4])
-    val, err = rule.integrate(lambda t: np.ones_like(t))
+    val, coarse = np.sum(rule.w), np.sum(rule.w_c)
     assert val == pytest.approx(1.0, abs=1e-14)
-    assert err < 1e-14
+    assert abs(val - coarse) < 1e-14
 
 
 def test_rule_known_log_integrals(regular):
@@ -238,6 +238,42 @@ def test_xi_grid_matches_pointwise(regular, rng):
     grid = xi_grid(regular, zs, lam)
     for z, v in zip(zs, grid):
         assert abs(v - xi(regular, complex(z), lam)) < 1e-12
+
+
+def test_log_rule_at_a_non_real_level(regular, fig2):
+    zeta = 0.3 + 0.02j
+    cache = hardy._cache_for(regular)
+    before = list(cache.entries)
+    lr = hardy.log_rule(regular, zeta)
+    assert lr.lam == zeta
+    assert list(cache.entries) == before        # a non-real level is not kept
+    assert hardy.log_rule(regular, zeta) is not lr
+    # principal log weight on the breakpoints of the real part
+    assert np.array_equal(lr.logvals, np.log(np.cos(lr.rule.theta) - zeta))
+    assert np.array_equal(lr.rule.breakpoints, hardy.log_rule(regular, 0.3).rule.breakpoints)
+    # cos theta: the circle average of log(cos t - zeta) is -log(-2a), with a
+    # the root of a^2 - 2 zeta a + 1 = 0 inside the disk
+    a = zeta - np.sqrt(zeta * zeta - 1.0)
+    a = a if abs(a) < 1.0 else 1.0 / a
+    assert abs(np.exp(-q_function(regular, 0.0, zeta)) + 2.0 * a) < 1e-13
+    # a level with zero imaginary part is the real level, cached as before
+    assert hardy.log_rule(fig2, complex(0.25, 0.0)) is hardy.log_rule(fig2, 0.25)
+
+
+def test_plain_rule_is_built_afresh(regular):
+    one, two = hardy.plain_rule(regular, 0.4), hardy.plain_rule(regular, 0.4)
+    assert one is not two
+    assert np.array_equal(one.theta, two.theta) and np.array_equal(one.w_c, two.w_c)
+
+
+@pytest.mark.parametrize("z, lam", [
+    (math.nan, 0.2), (complex(0.3, math.inf), 0.2), (np.array([0.1, math.nan]), 0.2),
+    (0.3, math.nan), (0.3, math.inf), (0.3, complex(0.2, math.nan)),
+    (np.empty(0, dtype=complex), math.nan),
+])
+def test_q_function_rejects_non_finite_input(regular, z, lam):
+    with pytest.raises(ValueError, match="finite"):
+        q_function(regular, z, lam)
 
 
 def test_q_function_band_split(regular):

@@ -40,6 +40,17 @@ def test_solve_level_guards(regular):
         solve_level(regular, 1.0 - 1e-10)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_solve_level_rejects_non_finite_level(regular, fig2, lam):
+    for sym in (regular, fig2):
+        with pytest.raises(ValueError, match="not finite"):
+            solve_level(sym, lam)
+    with pytest.raises(ValueError):
+        sublevel_set(fig2, math.nan)
+    with pytest.raises(ValueError):
+        spectral_frame(fig2, math.nan)
+
+
 def test_exceptional_sets(regular, singular):
     exc = exceptional_set(regular)
     assert exc.thresholds == ()

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     chebyshev_U,
@@ -13,6 +15,7 @@ from toepspec.errors import FormMismatchError, QuadratureError
 from toepspec.hardy import coefficients_c
 from toepspec.levelset import LevelSet, sublevel_set
 from toepspec.oracle import smooth_bump
+from toepspec.symbol import preset_singular
 from toepspec.spectral import (
     SpectralFrame,
     resolvent_form,
@@ -66,6 +69,76 @@ def test_resolvent_rejects_cut(regular):
         resolvent_form(regular, 0.0, 0.0, 0.3)
     with pytest.raises(ValueError):
         resolvent_form(regular, 1.1, 0.0, -2.0)
+
+
+# deterministic property runs that leave no example database behind
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def disk_points(r_max=0.97):
+    polar = st.builds(lambda r, t: r * cmath.exp(1j * t),
+                      st.floats(0.0, r_max), st.floats(0.0, TWO_PI))
+    return st.one_of(st.just(0j), polar)
+
+
+def off_cut(g1, g2):
+    """Levels off the cut [g1, g2]: |Im| from 1e-4 to 1 on either side, or
+    real and at least 0.01 below or above it."""
+    non_real = st.builds(lambda x, e, s: complex(x, s * 10.0**e), st.floats(g1 - 1.0, g2 + 1.0),
+                         st.floats(-4.0, 0.0), st.sampled_from((-1.0, 1.0)))
+    real = st.builds(lambda d, below: complex(g1 - d if below else g2 + d, 0.0),
+                     st.floats(0.01, 2.0), st.booleans())
+    return st.one_of(non_real, real)
+
+
+@PROPERTY
+@given(u=disk_points(), v=disk_points(), zeta=off_cut(-1.0, 1.0))
+def test_resolvent_regular_closed_form(regular, u, v, zeta):
+    # cos theta: a is the root of a^2 - 2 zeta a + 1 = 0 inside the disk
+    a = zeta - cmath.sqrt(zeta * zeta - 1.0)
+    a = a if abs(a) < 1.0 else 1.0 / a
+    ub = u.conjugate()
+    ref = -2.0 * a / ((1.0 - a * ub) * (1.0 - a * v) * (1.0 - ub * v))
+    assert abs(resolvent_form(regular, u, v, zeta) - ref) <= 1e-12 * abs(ref)
+
+
+def arc_schwarz(z, t1, t2):
+    """A(z): (1/2 pi) times the integral of (1 + z e^{-it})/(1 - z e^{-it})
+    over the counterclockwise arc (t1, t2)."""
+    ratio = (1.0 - z * cmath.exp(-1j * t2)) / (1.0 - z * cmath.exp(-1j * t1))
+    return ((t2 - t1) % TWO_PI) / TWO_PI - 1j / math.pi * cmath.log(ratio)
+
+
+@PROPERTY
+@given(u=disk_points(), v=disk_points(), zeta=off_cut(0.0, 1.0),
+       t1=st.floats(0.0, TWO_PI), length=st.floats(0.2, TWO_PI - 0.2))
+def test_resolvent_singular_closed_form(u, v, zeta, t1, length):
+    # the indicator of an arc: log(omega - zeta) takes two values, so the
+    # Schwarz averages reduce to the arc integral A; principal logs of
+    # 0 - zeta and 1 - zeta, as the quadrature takes them
+    t2 = (t1 + length) % TWO_PI
+    sym = preset_singular(t1, t2)
+    lo, l1 = cmath.log(0.0 - zeta), cmath.log(1.0 - zeta)
+    big_v = 2.0 * lo + (l1 - lo) * (arc_schwarz(v, t1, t2) + arc_schwarz(u, t1, t2).conjugate())
+    ref = cmath.exp(-0.5 * big_v) / (1.0 - u.conjugate() * v)
+    assert abs(resolvent_form(sym, u, v, zeta) - ref) <= 1e-12 * abs(ref)
+
+
+def test_resolvent_and_stone_broadcast(regular, singular_asym):
+    p = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.95 * np.exp(2.0j)])
+    for sym, zeta, lam in ((regular, 0.2 + 0.05j, 0.3), (singular_asym, 1.4, 0.4)):
+        R = resolvent_form(sym, p[:, None], p[None, :], zeta)
+        S = stone_density(sym, p[:, None], p[None, :], lam)
+        assert R.shape == S.shape == (4, 4)
+        for i, k in np.ndindex(4, 4):
+            r = resolvent_form(sym, p[i], p[k], zeta)
+            s = stone_density(sym, p[i], p[k], lam)
+            assert isinstance(r, complex) and isinstance(s, complex)
+            assert abs(R[i, k] - r) <= 1e-13 * abs(r)
+            assert abs(S[i, k] - s) <= 1e-13 * abs(s)
+        assert resolvent_form(sym, p, 0.1j, zeta).shape == (4,)
+    with pytest.raises(ValueError):
+        resolvent_form(regular, p, np.array([0.2, 1.0]).reshape(2, 1), -2.0)
 
 
 # -- frames -------------------------------------------------------------------------
