@@ -207,20 +207,34 @@ def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
     return CircleRule(breaks, depth=depth, tol=tol)
 
 
+def _nearest_extremum(sym: PiecewiseSymbol, x: float) -> tuple[float, ...]:
+    """Angles of the critical points inside pieces whose value lies nearest x."""
+    points = exceptional_set(sym).critical_points
+    if not points:
+        return ()
+    near = min(abs(v - x) for _, v in points)
+    return tuple(t for t, v in points if abs(v - x) == near)
+
+
 def log_rule(sym: PiecewiseSymbol, lam, extra=(), tol: float = DEFAULT_TOL) -> LogRule:
     """Quadrature rule for integrals with the log weight of ``lam``, cached
     per real level.
 
     A real level has the weight ln|omega - lam|; a non-real one has the
-    principal log(omega - lam) and the breakpoints of its real part.
-    ``extra`` adds non-singular breakpoints (used to resolve the Schwarz
-    peak of evaluation points close to the circle).
+    principal log(omega - lam) and the breakpoints of its real part.  When
+    Re lam lies outside the essential range nothing crosses it, yet
+    omega - lam comes close to zero at the extremum nearest in value, so the
+    rule also breaks at that extremum's angles.  ``extra`` adds non-singular
+    breakpoints (used to resolve the Schwarz peak of evaluation points close
+    to the circle).
     """
     lam = _level(lam)
+    g1, g2 = sym.essential_range()
+    near = () if g1 < lam.real < g2 else _nearest_extremum(sym, lam.real)
 
     def build():
         for depth in (DEFAULT_DEPTH, MAX_DEPTH):
-            rule = plain_rule(sym, lam.real, extra, tol=tol, depth=depth)
+            rule = plain_rule(sym, lam.real, tuple(extra) + near, tol=tol, depth=depth)
             logvals = _log_weight(sym.values(rule.theta), lam)
             logvals_c = _log_weight(sym.values(rule.theta_c), lam)
             base = np.dot(rule.w, logvals)

@@ -62,6 +62,8 @@ class LevelSet:
 class ExceptionalSet:
     thresholds: tuple[float, ...]
     critical: tuple[float, ...]
+    # (angle, value) of each critical point inside a piece, off the jump set
+    critical_points: tuple[tuple[float, float], ...]
 
     @cached_property
     def values(self) -> tuple[float, ...]:
@@ -160,7 +162,7 @@ def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
     for j in sym.jumps:
         thresholds.extend((j.left, j.right))
     critical = []
-    seen_angles: list[float] = []
+    points: list[tuple[float, float]] = []
     for piece in sym.pieces:
         if piece.poly.is_constant():
             critical.append(float(piece.poly.a[0]))
@@ -168,13 +170,14 @@ def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
         for t in angles_on(piece.poly.derivative().roots(), piece.theta_start - ANGLE_TOL,
                            piece.theta_end + ANGLE_TOL):
             tw = t % TWO_PI
-            if any(abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s in seen_angles):
+            if any(abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s, _ in points):
                 continue
             if sym._is_jump_angle(tw):
                 continue
-            seen_angles.append(tw)
-            critical.append(float(piece.poly(t)))
-    return ExceptionalSet(tuple(sorted(set(thresholds))), tuple(sorted(set(critical))))
+            points.append((tw, float(piece.poly(t))))
+            critical.append(points[-1][1])
+    return ExceptionalSet(tuple(sorted(set(thresholds))), tuple(sorted(set(critical))),
+                          tuple(points))
 
 
 def _check_level(sym: PiecewiseSymbol, lam: float):

@@ -17,16 +17,87 @@ from .spectral import weak_measure
 from .symbol import PiecewiseSymbol
 
 _SQRT_HALF = math.sqrt(0.5)
+# An axis is accepted when every rotated coefficient t_n e^{in theta0} is
+# real to within this many units of (n + 1) eps sup|omega|: the rounding of
+# the phase n theta0 and of the closed-form coefficients themselves.
+AXIS_ROUNDING = 8.0
+
+
+def _toeplitz(diagonals: np.ndarray, n: int) -> np.ndarray:
+    """Read-only n x n view M[j, k] = diagonals[j - k + n - 1]."""
+    return sliding_window_view(diagonals[::-1], n)[::-1]
+
+
+def _real_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w^T x for a real w and complex columns x, in one real product."""
+    k = x.shape[1]
+    r = w.T @ np.concatenate((x.real, x.imag), axis=1)
+    return r[:, :k] + 1j * r[:, k:]
+
+
+def _reflection_axis(coeffs: np.ndarray, sup: float) -> tuple[float, np.ndarray] | None:
+    """An angle theta0 in [0, pi) about which a symbol with sup|omega| = ``sup``
+    is even, read off its Fourier coefficients t_0, ..., t_{N-1}, with the
+    real coefficients r_n = t_n e^{in theta0}; None when no axis passes.
+
+    An even symbol has arg t_n = -n theta0 mod pi, so the axes to try are
+    (k pi - arg t_n*) / n* for k < n*, at the mode n* >= 1 of largest
+    modulus, whose phase carries the least rounding.  An axis is accepted
+    only if every Im r_n lies within ``AXIS_ROUNDING`` (n + 1) eps sup.  The
+    scale is sup|omega|, not max|t|: the coefficients of a short arc are
+    small differences of terms of size sup|omega|, and carry their rounding.
+    """
+    n = np.arange(len(coeffs))
+    bound = AXIS_ROUNDING * (n + 1) * np.finfo(float).eps * sup
+    top = 1 + int(np.argmax(np.abs(coeffs[1:])))
+    for k in range(top):
+        theta = (k * math.pi - np.angle(coeffs[top])) / top % math.pi
+        rotated = coeffs * np.exp(1j * n * theta)
+        if np.all(np.abs(rotated.imag) <= bound):
+            return theta, rotated.real
+    return None
+
+
+def _split_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of the real symmetric Toeplitz R[j, k] = r_|j-k|.
+
+    R is centrosymmetric, J R J = R, so the vectors (x; J x) and (x; -J x)
+    reduce it to A + J B and A - J B with A its leading m x m block and
+    J B the Hankel block r_{N-1-j-k}, m = N // 2.  For odd N the even
+    vectors (x; sqrt2 c; J x)/sqrt2 add the centre row with coupling
+    sqrt2 r_{m-j}.  Built from the diagonals, no N x N array.
+    """
+    N = len(r)
+    m = N // 2
+    a = _toeplitz(np.concatenate((r[m - 1:0:-1], r[:m])), m)
+    hankel = sliding_window_view(r[N - 1:N - 2 * m:-1], m)
+    even = np.empty((N - m, N - m))
+    np.add(a, hankel, out=even[:m, :m])
+    if N % 2:
+        even[m, :m] = even[:m, m] = math.sqrt(2.0) * r[m:0:-1]
+        even[m, m] = r[0]
+    return even, a - hankel
 
 
 class FiniteSection:
     """N x N leading truncation of the Toeplitz matrix with its eigendata.
 
-    A Hermitian Toeplitz matrix T is persymmetric, J T J = conj(T) with J the
-    exchange matrix, so U = (I + iJ)/sqrt(2) carries it to the real symmetric
-    S = U^H T U = Re T - Im(T) J of the same size.  One real ``eigh`` of S
-    gives the eigenvalues of T and real eigenvectors W, and T's eigenvectors
-    are V = U W = (W + i J W)/sqrt(2).  For a real symbol Im T = 0 and S = T.
+    Two routes to the eigendata, chosen by the coefficients alone:
+
+    - **Reflection split.** A symbol even about an angle theta0 has
+      T = D R D^H with D = diag(e^{-ij theta0}) and R the real symmetric
+      Toeplitz matrix of r_n = t_n e^{in theta0} (``_reflection_axis``).
+      R is centrosymmetric and splits into two real blocks of half size
+      (``_split_blocks``), each diagonalised by one real ``eigh``.  The
+      imaginary parts dropped from r_n are rounding, at most
+      ``AXIS_ROUNDING`` (n + 1) eps sup|omega| each.
+    - **Persymmetric reduction.** Any Hermitian Toeplitz T satisfies
+      J T J = conj(T) with J the exchange matrix, so U = (I + iJ)/sqrt(2)
+      carries it to the real symmetric S = U^H T U = Re T - Im(T) J of the
+      same size.  One real ``eigh`` of S gives the eigenvalues and real
+      eigenvectors W; T's eigenvectors are V = U W = (W + i J W)/sqrt(2).
+
+    ``axis`` is theta0 on the split route and None on the other.
     """
 
     def __init__(self, sym: PiecewiseSymbol, N: int):
@@ -34,44 +105,63 @@ class FiniteSection:
             raise ValueError("finite section needs N >= 2")
         self.sym = sym
         self.N = N
-        coeffs = np.array([sym.fourier_coefficient(n) for n in range(N)])
+        coeffs = sym.fourier_coefficients(N)
         # t_{-(N-1)}, ..., t_{N-1}
         self._diagonals = np.concatenate((np.conj(coeffs[:0:-1]), coeffs))
-        # S[j, k] = Re t_{j-k} - Im t_{j+k-(N-1)}: Toeplitz minus Hankel
-        s = self._toeplitz(self._diagonals.real) - sliding_window_view(self._diagonals.imag, N)
-        self.eigenvalues, self._w = np.linalg.eigh(s)
         g1, g2 = sym.essential_range()
+        found = _reflection_axis(coeffs, max(abs(g1), abs(g2)))
+        if found is None:
+            self.axis = None
+            # S[j, k] = Re t_{j-k} - Im t_{j+k-(N-1)}: Toeplitz minus Hankel
+            s = _toeplitz(self._diagonals.real, N) - sliding_window_view(self._diagonals.imag, N)
+            self.eigenvalues, self._w = np.linalg.eigh(s)
+        else:
+            self.axis, r = found
+            self._phase = np.exp(-1j * self.axis * np.arange(N))
+            (ve, self._we), (vo, self._wo) = (np.linalg.eigh(b) for b in _split_blocks(r))
+            vals = np.concatenate((ve, vo))
+            self._order = np.argsort(vals, kind="stable")
+            self.eigenvalues = vals[self._order]
         if self.eigenvalues[0] < g1 - 1e-10 or self.eigenvalues[-1] > g2 + 1e-10:
             raise ValueError("section eigenvalues escape the essential range")
-
-    def _toeplitz(self, diagonals: np.ndarray) -> np.ndarray:
-        """Read-only view M[j, k] = diagonals[j - k + N - 1]."""
-        return sliding_window_view(diagonals[::-1], self.N)[::-1]
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The complex Hermitian section T itself, formed on first use."""
-        return self._toeplitz(self._diagonals).copy()
+        return _toeplitz(self._diagonals, self.N).copy()
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Orthonormal eigenvectors of T as columns, formed on first use."""
-        return _SQRT_HALF * (self._w + 1j * self._w[::-1])
+        if self.axis is None:
+            return _SQRT_HALF * (self._w + 1j * self._w[::-1])
+        N, m = self.N, self.N // 2
+        w = np.zeros((N, N))
+        we, wo = self._we, self._wo
+        w[:m, :N - m] = _SQRT_HALF * we[:m]
+        w[N - m:, :N - m] = _SQRT_HALF * we[m - 1::-1]
+        w[m:N - m, :N - m] = we[m:]
+        w[:m, N - m:] = _SQRT_HALF * wo
+        w[N - m:, N - m:] = -_SQRT_HALF * wo[::-1]
+        return self._phase[:, None] * w[:, self._order]
 
     def project(self, x) -> np.ndarray:
         """Coefficients V^H x of a vector (or of the columns of a matrix) in
-        the eigenbasis: W^T (x - i J x)/sqrt(2), in real matrix products."""
+        the eigenbasis, in real matrix products: W^T (x - i J x)/sqrt(2) on
+        the persymmetric route, the two blocks on conj(D) x on the split."""
         x = np.asarray(x, dtype=complex)
         if x.ndim not in (1, 2) or x.shape[0] != self.N:
             raise ValueError(f"project needs {self.N} rows, got shape {x.shape}")
         cols = x.reshape(self.N, -1)
-        flip = cols[::-1]
-        k = cols.shape[1]
-        y = np.empty((self.N, 2 * k))
-        y[:, :k] = cols.real + flip.imag
-        y[:, k:] = cols.imag - flip.real
-        r = self._w.T @ y
-        return (_SQRT_HALF * (r[:, :k] + 1j * r[:, k:])).reshape(x.shape)
+        if self.axis is None:
+            return (_SQRT_HALF * _real_product(self._w, cols - 1j * cols[::-1])).reshape(x.shape)
+        N, m = self.N, self.N // 2
+        y = np.conj(self._phase)[:, None] * cols
+        top, bottom = y[:m], y[:N - m - 1:-1]
+        even = np.concatenate((_SQRT_HALF * (top + bottom), y[m:N - m]))
+        coef = np.concatenate((_real_product(self._we, even),
+                               _real_product(self._wo, _SQRT_HALF * (top - bottom))))
+        return coef[self._order].reshape(x.shape)
 
     def orthonormality_residual(self) -> float:
         v = self.eigenvectors

@@ -323,12 +323,18 @@ class PiecewiseSymbol:
         return tuple(out)
 
     def fourier_coefficient(self, n: int) -> complex:
-        """n-th Fourier coefficient against the normalized circle measure.
+        """n-th Fourier coefficient against the normalized circle measure;
+        conjugate-symmetric in n for real symbols."""
+        return complex(self._fourier(np.array([n]))[0])
 
-        Exact closed-form integration of e^{-i n t} times each piece's
-        harmonics over its arc; conjugate-symmetric in n for real symbols.
-        """
-        total = 0.0 + 0.0j
+    def fourier_coefficients(self, N: int) -> np.ndarray:
+        """The coefficients of modes 0, ..., N-1 in one array pass."""
+        return self._fourier(np.arange(N))
+
+    def _fourier(self, modes: np.ndarray) -> np.ndarray:
+        """Exact closed-form integration of e^{-i n t} times each piece's
+        harmonics over its arc, one array expression per piece harmonic."""
+        total = np.zeros(len(modes), dtype=complex)
         for piece in self.pieces:
             t0, t1 = piece.theta_start, piece.theta_end
             c = piece.poly._laurent()
@@ -337,12 +343,12 @@ class PiecewiseSymbol:
                 cm = c[m + K]
                 if cm == 0.0:
                     continue
-                k = m - n
-                if k == 0:
-                    total += cm * (t1 - t0)
-                else:
-                    total += cm * (np.exp(1j * k * t1) - np.exp(1j * k * t0)) / (1j * k)
-        return complex(total / TWO_PI)
+                k = m - modes
+                # the mode k = 0 is integrated apart; 1 keeps its division finite
+                ik = 1j * np.where(k == 0, 1, k)
+                total += np.where(k == 0, cm * (t1 - t0),
+                                  cm * (np.exp(1j * k * t1) - np.exp(1j * k * t0)) / ik)
+        return total / TWO_PI
 
     # -- serialization ----------------------------------------------------------
 

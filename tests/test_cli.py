@@ -204,16 +204,15 @@ def test_validate_small(capsys, tmp_path):
 
 
 def test_validate_fault_injection(capsys, monkeypatch):
-    # corrupting one Fourier coefficient must break the oracle agreement
-    true_fn = PiecewiseSymbol.fourier_coefficient
+    # corrupting the Fourier coefficients must break the oracle agreement
+    true_fn = PiecewiseSymbol.fourier_coefficients
 
-    def corrupted(self, n):
-        val = true_fn(self, n)
-        if n != 0:
-            return val * 0.99
+    def corrupted(self, N):
+        val = true_fn(self, N)
+        val[1:] *= 0.99
         return val
 
-    monkeypatch.setattr(PiecewiseSymbol, "fourier_coefficient", corrupted)
+    monkeypatch.setattr(PiecewiseSymbol, "fourier_coefficients", corrupted)
     code, out, _ = run_capture(capsys, ["validate", "--symbol", "regular", "--interval=-0.5,0.5",
                                         "--n", "64,128"])
     assert code == 3

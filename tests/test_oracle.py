@@ -11,6 +11,7 @@ from toepspec.oracle import (
     validate,
 )
 from toepspec.spectral import weak_measure
+from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_singular
 from test_random_symbols import random_symbol
 
 
@@ -65,6 +66,48 @@ def test_real_reduction_matches_complex_eigh(regular, singular_asym, fig2, N):
             ku, kw = k_vector(u, N)[0], k_vector(w, N)[0]
             ref = np.sum(gv * (vecs.conj().T @ ku) * np.conj(vecs.conj().T @ kw))
             assert abs(oracle_weak_measure(sec, u, w, g) - ref) < 1e-12
+
+
+def _even_symbols(regular, cos2_symbol, singular):
+    """Symbols even about an axis, with that axis mod pi."""
+    rotated = PiecewiseSymbol([(0.0, 2.0 * math.pi, TrigPoly([0.0, math.cos(0.3)], [math.sin(0.3)]))])
+    # cos 2t has t_1 = 0: its axes come from the mode n = 2.  The arc
+    # (5.5, 1.0) wraps round; its midpoint is 3.25 + pi
+    return [(regular, 0.0), (cos2_symbol, None), (singular, 0.5 * math.pi),
+            (preset_singular(0.7, 2.9), 1.8), (preset_singular(5.5, 1.0), 3.25 - math.pi),
+            (rotated, 0.3)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 97, 512])
+def test_reflection_split_matches_complex_eigh(regular, cos2_symbol, singular, fig2, N):
+    even = _even_symbols(regular, cos2_symbol, singular)
+    general = [fig2, random_symbol(np.random.default_rng(97)), random_symbol(np.random.default_rng(5))]
+    rng = np.random.default_rng(N)
+    x = rng.normal(size=(N, 3)) + 1j * rng.normal(size=(N, 3))
+    x /= np.linalg.norm(x, axis=0)
+    g = smooth_bump(-0.4, 0.6)
+    for sym, axis in even + [(sym, None) for sym in general]:
+        sec = build_section(sym, N)
+        if sym in general and N > 2:
+            assert sec.axis is None
+        else:
+            # every 2 x 2 Hermitian Toeplitz section is even about arg of t_1
+            assert sec.axis is not None and 0.0 <= sec.axis <= math.pi
+            if axis is not None:
+                assert abs(sec.axis - axis) < 1e-12
+        vals, vecs = np.linalg.eigh(sec.matrix)
+        assert np.max(np.abs(sec.eigenvalues - vals)) < 1e-12
+        v = sec.eigenvectors
+        assert np.max(np.abs(sec.matrix @ v - v * sec.eigenvalues)) < 1e-12
+        assert sec.orthonormality_residual() < 1e-10
+        # g(T) from either basis: invariant under phases and degenerate pairs
+        gs, gv = np.array([g(lam) for lam in sec.eigenvalues]), np.array([g(lam) for lam in vals])
+        assert np.max(np.abs((v * gs) @ v.conj().T - (vecs * gv) @ vecs.conj().T)) < 1e-12
+        c = sec.project(x)
+        assert np.max(np.abs(c - v.conj().T @ x)) < 1e-12
+        assert np.max(np.abs(sec.project(x[:, 0]) - c[:, 0])) < 1e-12
+        ref = vecs.conj().T @ x
+        assert np.max(np.abs((c.conj().T * gs) @ c - (ref.conj().T * gv) @ ref)) < 1e-12
 
 
 def test_project_rejects_wrong_length(regular):

@@ -124,6 +124,15 @@ def test_resolvent_singular_closed_form(u, v, zeta, t1, length):
     assert abs(resolvent_form(sym, u, v, zeta) - ref) <= 1e-12 * abs(ref)
 
 
+def test_resolvent_just_beyond_an_extremum(regular, cos2_symbol):
+    # Re zeta lies just below min cos 2t = -1: nothing crosses it, and
+    # log(omega - zeta) is nearly singular at the minima t = pi/2, 3pi/2.
+    # cos 2t is cos t under z -> z^2, so R = (1 + conj(u) v) R_regular(u^2, v^2)
+    u, v, zeta = 0.0488 + 0.8695j, -0.2723 - 0.7442j, -1.0036 + 0.00048j
+    ref = (1.0 + np.conj(u) * v) * resolvent_form(regular, u * u, v * v, zeta)
+    assert abs(resolvent_form(cos2_symbol, u, v, zeta) - ref) < 1e-10
+
+
 def test_resolvent_and_stone_broadcast(regular, singular_asym):
     p = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.95 * np.exp(2.0j)])
     for sym, zeta, lam in ((regular, 0.2 + 0.05j, 0.3), (singular_asym, 1.4, 0.4)):

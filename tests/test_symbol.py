@@ -61,6 +61,36 @@ def test_fourier_coefficients(regular, singular):
     assert singular.fourier_coefficient(0) == pytest.approx(0.5)
 
 
+def scalar_fourier_coefficient(sym, n: int) -> complex:
+    """The closed form one mode at a time, in a Python loop: the reference
+    for the array evaluation."""
+    total = 0.0 + 0.0j
+    for piece in sym.pieces:
+        t0, t1 = piece.theta_start, piece.theta_end
+        c = piece.poly._laurent()
+        K = piece.poly.degree
+        for m in range(-K, K + 1):
+            cm = c[m + K]
+            if cm == 0.0:
+                continue
+            k = m - n
+            if k == 0:
+                total += cm * (t1 - t0)
+            else:
+                total += cm * (np.exp(1j * k * t1) - np.exp(1j * k * t0)) / (1j * k)
+    return complex(total / TWO_PI)
+
+
+def test_fourier_coefficients_array_matches_scalar(regular, singular, singular_asym, fig2,
+                                                   cos2_symbol):
+    N = 4096
+    for sym in (regular, singular, singular_asym, fig2, cos2_symbol):
+        ref = np.array([scalar_fourier_coefficient(sym, n) for n in range(N)])
+        assert np.max(np.abs(sym.fourier_coefficients(N) - ref)) <= 1e-16
+        for n in (-5, -1, 0, 3, N - 1, N + 7):
+            assert abs(sym.fourier_coefficient(n) - scalar_fourier_coefficient(sym, n)) <= 1e-16
+
+
 def test_fourier_conjugate_symmetry(regular, singular_asym, fig2):
     for sym in (regular, singular_asym, fig2):
         for n in range(0, 9):
