@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import threading
 import weakref
@@ -151,6 +152,11 @@ class _SymbolCache:
         self.nbytes = 0
         self.tau_values: np.ndarray | None = None
 
+    def peek(self, key):
+        """The stored value, or None; leaves the recency order alone."""
+        with _cache_lock:
+            return self.entries.get(key)
+
     def get(self, key, build):
         with _cache_lock:
             hit = self.entries.get(key)
@@ -221,20 +227,27 @@ def log_rule(sym: PiecewiseSymbol, lam, extra=(), tol: float = DEFAULT_TOL) -> L
     per real level.
 
     A real level has the weight ln|omega - lam|; a non-real one has the
-    principal log(omega - lam) and the breakpoints of its real part.  When
-    Re lam lies outside the essential range nothing crosses it, yet
-    omega - lam comes close to zero at the extremum nearest in value, so the
-    rule also breaks at that extremum's angles.  ``extra`` adds non-singular
-    breakpoints (used to resolve the Schwarz peak of evaluation points close
-    to the circle).
+    principal log(omega - lam) and the breakpoints of its real part, on the
+    stored panels of that real level when there are some.  When Re lam lies
+    outside the essential range nothing crosses it, yet omega - lam comes
+    close to zero at the extremum nearest in value, so the rule also breaks
+    at that extremum's angles.  ``extra`` adds non-singular breakpoints
+    (used to resolve the Schwarz peak of evaluation points close to the
+    circle).
     """
     lam = _level(lam)
     g1, g2 = sym.essential_range()
     near = () if g1 < lam.real < g2 else _nearest_extremum(sym, lam.real)
+    key = (round(lam.real, 14), tuple(round(float(e), 12) for e in sorted(extra)), tol)
+    cache = _cache_for(sym)
 
-    def build():
-        for depth in (DEFAULT_DEPTH, MAX_DEPTH):
-            rule = plain_rule(sym, lam.real, tuple(extra) + near, tol=tol, depth=depth)
+    def rules(depths):
+        for depth in depths:
+            yield plain_rule(sym, lam.real, tuple(extra) + near, tol=tol, depth=depth)
+
+    def build(candidates):
+        err = math.inf
+        for rule in candidates:
             logvals = _log_weight(sym.values(rule.theta), lam)
             logvals_c = _log_weight(sym.values(rule.theta_c), lam)
             base = np.dot(rule.w, logvals)
@@ -246,9 +259,12 @@ def log_rule(sym: PiecewiseSymbol, lam, extra=(), tol: float = DEFAULT_TOL) -> L
         )
 
     if isinstance(lam, complex):  # seldom asked twice; keeping it would evict real levels
-        return build()
-    key = (round(lam, 14), tuple(round(float(e), 12) for e in sorted(extra)), tol)
-    return _cache_for(sym).get(key, build)
+        real = cache.peek(key)
+        if real is None:
+            return build(rules((DEFAULT_DEPTH, MAX_DEPTH)))
+        deeper = rules((MAX_DEPTH,) if real.rule.depth < MAX_DEPTH else ())
+        return build(itertools.chain((real.rule,), deeper))
+    return cache.get(key, lambda: build(rules((DEFAULT_DEPTH, MAX_DEPTH))))
 
 
 def _in_peak_band(az):
@@ -309,12 +325,24 @@ def xi_grid(sym: PiecewiseSymbol, zs, lam: float, tol: float = DEFAULT_TOL) -> n
 
 LOG_FOURIER_N = 16384    # Fourier modes kept for the circle fast path
 LOG_FOURIER_GRID = 32768  # sample grid for the smooth remainder
-CIRCLE_R_MAX = 0.9995     # beyond this the kept modes cannot resolve the peak
+CIRCLE_R_MAX = 0.9995     # largest radius xi_circle accepts
 
-# the half-offset sample grid and the phase that re-centres its FFT
+# Long exponential vectors are outer products of two short tables, entry
+# _BLOCK*q + p being row[q]*col[p]; that keeps the module's tables small.
+_BLOCK = 128
+_SHORT = np.arange(_BLOCK, dtype=float)
+# half angles tau/2 = A_q + B_p of the half-offset grid tau_k = 2 pi (k + 1/2)/GRID,
+# k = _BLOCK*q + p: A_q = pi _BLOCK q/GRID, and cos B_p, sin B_p as two rows
+_HALF_A = math.pi * _BLOCK * np.arange(LOG_FOURIER_GRID // _BLOCK) / LOG_FOURIER_GRID
+_HALF_B = np.stack((np.cos(math.pi * (_SHORT + 0.5) / LOG_FOURIER_GRID),
+                    np.sin(math.pi * (_SHORT + 0.5) / LOG_FOURIER_GRID)))
+
+# the half-offset sample grid, the phase that re-centres its FFT (with the
+# FFT's 1/GRID) and the reciprocal modes
 _TAU = TWO_PI * (np.arange(LOG_FOURIER_GRID) + 0.5) / LOG_FOURIER_GRID
-_TAU_PHASE = np.exp(-1j * math.pi * np.arange(LOG_FOURIER_N) / LOG_FOURIER_GRID)
-_MODES = np.arange(1, LOG_FOURIER_N)
+_TAU_PHASE = (np.exp(-1j * math.pi * np.arange(LOG_FOURIER_N) / LOG_FOURIER_GRID)
+              / LOG_FOURIER_GRID)
+_INV_MODES = 1.0 / np.arange(1, LOG_FOURIER_N)
 
 
 def _tau_values(sym: PiecewiseSymbol) -> np.ndarray:
@@ -342,47 +370,85 @@ def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
         raise ExceptionalLevelError(
             f"level {lam} within {GUARD} of the exceptional set"
         )
-    n = _MODES
+    crossings = level_angles_raw(sym, lam) if g1 < lam < g2 else np.empty(0)
+    steps = [(j.theta % TWO_PI, math.log(abs(j.right - lam)) - math.log(abs(j.left - lam)))
+             for j in sym.jumps if j.kind != "zero"]
+    # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|) and a unit
+    # step rendered as the sawtooth (pi - x)/(2 pi) has e^{-i n t0}/(2 pi i n),
+    # both with zero mean: one sum of exponentials, divided by n once
+    angles = np.concatenate((crossings, [t for t, _ in steps]))
+    weights = np.concatenate((np.full(len(crossings), -0.5),
+                              [size / (2j * math.pi) for _, size in steps]))
     fhat = np.zeros(LOG_FOURIER_N, dtype=complex)
-    ratio = np.abs(_tau_values(sym) - lam)
-    # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|), zero mean
-    for t0 in (level_angles_raw(sym, lam) if g1 < lam < g2 else ()):
-        fhat[1:] -= np.exp(-1j * n * t0) / (2.0 * n)
-        ratio = ratio / np.maximum(np.abs(2.0 * np.sin(0.5 * (_TAU - t0))), 1e-300)
-    g = np.log(np.maximum(ratio, 1e-300))
-    # a unit step rendered as the sawtooth (pi - x)/(2 pi) has coefficients
-    # e^{-i n t0}/(2 pi i n), zero mean
-    for j in sym.jumps:
-        if j.kind == "zero":
-            continue
-        size = math.log(abs(j.right - lam)) - math.log(abs(j.left - lam))
-        fhat[1:] += size * np.exp(-1j * n * j.theta) / (2j * math.pi * n)
-        g = g - size * (math.pi - np.mod(_TAU - j.theta, TWO_PI)) / TWO_PI
+    if len(angles):
+        rows = np.exp(-1j * _BLOCK * np.multiply.outer(_SHORT, angles))
+        cols = np.exp(-1j * np.multiply.outer(angles, _SHORT)) * weights[:, None]
+        np.matmul(rows, cols, out=fhat.reshape(_BLOCK, -1))
+        fhat[0] = 0.0
+        fhat[1:] *= _INV_MODES
+    ratio = np.subtract(_tau_values(sym), lam)
+    np.abs(ratio, out=ratio)
+    if len(crossings):
+        # the product of the 2 sin((tau - t0)/2), each by angle addition:
+        # 2 sin(A_q - t0/2) cos B_p + 2 cos(A_q - t0/2) sin B_p
+        chords = np.ones(LOG_FOURIER_GRID)
+        for t0 in crossings:
+            shifted = _HALF_A - 0.5 * t0
+            rows = 2.0 * np.stack((np.sin(shifted), np.cos(shifted)), axis=1)
+            chords *= (rows @ _HALF_B).ravel()
+        np.abs(chords, out=chords)
+        ratio /= np.maximum(chords, 1e-300, out=chords)
+    g = np.log(np.maximum(ratio, 1e-300, out=ratio), out=ratio)
+    # each step's sawtooth (pi - x)/(2 pi), x = tau - t0 mod 2 pi, comes off g
+    x = np.empty(LOG_FOURIER_GRID) if steps else None
+    for t0, size in steps:
+        np.subtract(_TAU, t0, out=x)
+        np.add(x, TWO_PI, out=x, where=x < 0.0)
+        x *= size / TWO_PI
+        g += x
+    g -= 0.5 * sum(size for _, size in steps)
     # g is real: the kept modes are the first half of its spectrum
-    ghat = np.fft.rfft(g)[:LOG_FOURIER_N] / LOG_FOURIER_GRID
-    fhat += ghat * _TAU_PHASE
+    spectrum = np.fft.rfft(g)[:LOG_FOURIER_N]
+    spectrum *= _TAU_PHASE
+    fhat += spectrum
     return fhat
 
 
-def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096) -> np.ndarray:
+def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096,
+              tol: float = DEFAULT_TOL) -> np.ndarray:
     """xi at the m_out points r e^{2 pi i k/m_out} in one sweep.
 
     The Schwarz average of ln|omega - lam| is a convolution on the circle,
-    so one coefficient vector serves every radius; accurate for r up to
-    CIRCLE_R_MAX, far past where shared panel rules stop resolving the peak.
+    so one coefficient vector serves every radius.  Q keeps the first
+    LOG_FOURIER_N modes; the dropped tail is at most
+    2 max_{n >= N/2}(n |f_n|) r^N / (N (1 - r)), which stays below 1e-15
+    for r <= 0.998 and grows to about 1e-4 at CIRCLE_R_MAX.  A bound above
+    ``tol`` raises ``QuadratureError``.
     """
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
     if m_out & (m_out - 1):
         raise ValueError("m_out must be a power of two")
     fhat = log_fourier(sym, lam)
-    n_eval = max(m_out, LOG_FOURIER_N)
-    c = np.zeros(n_eval, dtype=complex)
+    n = LOG_FOURIER_N
+    tail = r ** n
+    if tail > 0.0:
+        decay = float(np.max(np.arange(n // 2, n) * np.abs(fhat[n // 2:])))
+        bound = 2.0 * decay * tail / (n * (1.0 - r))
+        if bound > tol:
+            raise QuadratureError(
+                f"circle path drops a Fourier tail of up to {bound:.3e} at r={r}",
+                achieved_tol=bound,
+            )
+    # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
+    c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT), 2.0 * r ** _SHORT).ravel()
     c[0] = fhat[0]
-    powers = r ** np.arange(1, LOG_FOURIER_N, dtype=float)
-    c[1:LOG_FOURIER_N] = 2.0 * fhat[1:] * powers
-    q = np.fft.ifft(c) * n_eval
-    return np.exp(-0.5 * q[:: n_eval // m_out])
+    # mode n lands on sample index n mod m_out, so fold before transforming
+    if m_out < n:
+        c = c.reshape(-1, m_out).sum(axis=0)
+    elif m_out > n:
+        c = np.concatenate((c, np.zeros(m_out - n)))
+    return np.exp(-0.5 * np.fft.ifft(c) * m_out)
 
 
 def outer_F(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> complex:

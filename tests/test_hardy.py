@@ -337,6 +337,96 @@ def test_xi_circle_rejects_exceptional_level(singular):
         xi_circle(singular, 1.0 - 1e-12, 0.5, 512)
 
 
+def reference_log_fourier(sym, lam: float) -> np.ndarray:
+    """Coefficients of ln|omega - lam| one closed-form term at a time, each
+    crossing and jump with its own exponential over all modes and its own
+    pass over the grid: the reference for the table-driven ``log_fourier``."""
+    from toepspec.levelset import level_angles_raw
+
+    N, G = hardy.LOG_FOURIER_N, hardy.LOG_FOURIER_GRID
+    tau = TWO_PI * (np.arange(G) + 0.5) / G
+    n = np.arange(1, N)
+    fhat = np.zeros(N, dtype=complex)
+    ratio = np.abs(sym.values(tau) - lam)
+    g1, g2 = sym.essential_range()
+    for t0 in (level_angles_raw(sym, lam) if g1 < lam < g2 else ()):
+        fhat[1:] -= np.exp(-1j * n * t0) / (2.0 * n)
+        ratio = ratio / np.maximum(np.abs(2.0 * np.sin(0.5 * (tau - t0))), 1e-300)
+    g = np.log(np.maximum(ratio, 1e-300))
+    for j in sym.jumps:
+        if j.kind == "zero":
+            continue
+        size = math.log(abs(j.right - lam)) - math.log(abs(j.left - lam))
+        fhat[1:] += size * np.exp(-1j * n * j.theta) / (2j * math.pi * n)
+        g = g - size * (math.pi - np.mod(tau - j.theta, TWO_PI)) / TWO_PI
+    ghat = np.fft.rfft(g)[:N] / G
+    return fhat + ghat * np.exp(-1j * math.pi * np.arange(N) / G)
+
+
+def test_log_fourier_matches_reference(regular, singular, singular_asym, cos2_symbol, fig2):
+    for sym in (regular, singular, singular_asym, cos2_symbol, fig2):
+        g1, g2 = sym.essential_range()
+        # inside the range, crossings and jumps; outside it, jumps only
+        for frac in (-0.15, 0.13, 0.31, 0.52, 0.77, 0.94, 1.2):
+            lam = g1 + frac * (g2 - g1)
+            ref = reference_log_fourier(sym, lam)
+            assert np.max(np.abs(hardy.log_fourier(sym, lam) - ref)) <= 1e-14
+
+
+def unfolded_xi_circle(sym, lam, r, m_out):
+    """xi on the circle of radius r from one inverse FFT over all kept modes
+    (or m_out of them when more), sampled down to m_out points."""
+    fhat = hardy.log_fourier(sym, lam)
+    n_eval = max(m_out, hardy.LOG_FOURIER_N)
+    c = np.zeros(n_eval, dtype=complex)
+    c[0] = fhat[0]
+    c[1:hardy.LOG_FOURIER_N] = 2.0 * fhat[1:] * r ** np.arange(1, hardy.LOG_FOURIER_N)
+    return np.exp(-0.5 * np.fft.ifft(c) * n_eval)[:: n_eval // m_out]
+
+
+@pytest.mark.parametrize("m_out", [64, 512, 2048, 16384, 32768])
+def test_folded_xi_circle_matches_unfolded(m_out, regular, singular, fig2):
+    # below LOG_FOURIER_N the modes fold onto m_out bins, at it nothing
+    # changes, above it the coefficients are zero-padded
+    for sym, lam in ((regular, 0.3), (singular, 0.25), (fig2, 0.2)):
+        for r in (0.5, 0.95, 0.999):
+            got = xi_circle(sym, lam, r, m_out, tol=1e-7)
+            want = unfolded_xi_circle(sym, lam, r, m_out)
+            assert got.shape == (m_out,)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_xi_circle_certifies_its_truncation(regular):
+    # the dropped tail 2 max(n|f_n|) r^N/(N(1 - r)) is 6.7e-5 at 0.9995
+    with pytest.raises(QuadratureError) as err:
+        xi_circle(regular, 0.3, 0.9995, 512)
+    assert 1e-5 < err.value.achieved_tol < 1e-4
+    with pytest.raises(QuadratureError):
+        xi_circle(regular, 0.3, 0.999, 512)
+    vals = xi_circle(regular, 0.3, 0.999, 512, tol=1e-8)
+    z = 0.999 * np.exp(2j * math.pi * np.arange(512) / 512)
+    assert np.max(np.abs(vals / regular_xi_closed(z, 0.3) - 1.0)) < 1e-8
+    vals = xi_circle(regular, 0.3, 0.99, 512)
+    z = 0.99 * np.exp(2j * math.pi * np.arange(512) / 512)
+    assert np.max(np.abs(vals / regular_xi_closed(z, 0.3) - 1.0)) < 1e-12
+
+
+def test_non_real_level_reuses_the_real_panels(regular, fig2):
+    for sym, lam in ((regular, 0.3), (fig2, 0.2), (regular, -1.2)):
+        zeta = complex(lam, 1e-3)
+        alone = hardy.log_rule(sym, zeta)     # nothing stored yet at Re zeta
+        real = hardy.log_rule(sym, lam)
+        hardy.log_rule(sym, lam + 0.05)
+        cache = hardy._cache_for(sym)
+        before = list(cache.entries)
+        reused = hardy.log_rule(sym, zeta)
+        assert reused.rule is real.rule
+        assert list(cache.entries) == before   # not stored, order untouched
+        assert np.array_equal(reused.logvals, alone.logvals)
+        assert np.array_equal(reused.logvals_c, alone.logvals_c)
+        assert np.array_equal(reused.rule.theta, alone.rule.theta)
+
+
 def test_xi_radial_reflection(regular, fig2, rng):
     # the Schwarz average of a real weight satisfies Q(z) = -conj(Q(1/conj(z))),
     # tying the exterior evaluations to the interior ones
@@ -587,10 +677,11 @@ def test_xi_hardy_norm_bounded(regular, singular):
     wts = 0.5 * (b - a) * wts
     for sym in (regular, singular):
         prev = None
-        for r in (0.9, 0.99, 0.999):
+        # at r = 0.999 the circle path certifies its dropped tail at about 1e-8
+        for r, tol in ((0.9, hardy.DEFAULT_TOL), (0.99, hardy.DEFAULT_TOL), (0.999, 1e-8)):
             means = []
             for lam in lams:
-                vals = xi_circle(sym, float(lam), r, 8192)
+                vals = xi_circle(sym, float(lam), r, 8192, tol=tol)
                 means.append(float(np.mean(np.abs(vals) ** 1.5)))
             total = float(np.dot(wts, means))
             assert total < bound

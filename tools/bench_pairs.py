@@ -1,0 +1,144 @@
+"""Run the declared benchmark on two revisions in alternating pairs and
+record the result as a trajectory file.
+
+    python3 tools/bench_pairs.py --parent e63650d --change HEAD \\
+        --workloads sweep oracle point-queries --seeds 8001-8010 --label pr8
+
+Both revisions are exported with ``git archive`` into a temporary directory
+(under ``--workdir`` when given, removed afterwards), so each side runs its
+committed files, the benchmark included, from a fresh directory.
+For every workload and seed, the command of ``BENCHMARK.json`` runs once on
+each side; the side that goes first alternates from pair to pair.  The file
+``BENCH_<label>.json`` holds, per workload and end-to-end metric, each side's
+runs with their median and quartiles, and how many pairs each side won
+(ties count for neither).  Nothing under the benchmark's own directories is
+read or written beyond running its command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Seeds as '8001-8010' or '8001,8003,8007'."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def export(rev: str, workdir: str, name: str) -> tuple[str, str]:
+    """Check out ``rev`` of this repository into workdir/name; returns the
+    directory and the full commit id."""
+    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", rev], check=True,
+                            capture_output=True, text=True).stdout.strip()
+    dest = os.path.join(workdir, name)
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", commit], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+    return dest, commit
+
+
+def run_once(checkout: str, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
+    """One benchmark run; the parsed result line."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs won."""
+    out = {}
+    for spec in metrics:
+        name, sign = spec["name"], (1.0 if spec["better"] == "higher" else -1.0)
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        diffs = [sign * (c - p) for p, c in zip(parent, change)]
+        out[name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "parent": spread(parent), "change": spread(change),
+            "change_won": sum(d > 0 for d in diffs),
+            "parent_won": sum(d < 0 for d in diffs),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="git revision of the parent side")
+    p.add_argument("--change", default="HEAD", help="git revision of the change side")
+    p.add_argument("--workloads", nargs="+", required=True)
+    p.add_argument("--seeds", required=True, type=parse_seeds,
+                   help="one seed per pair, as 8001-8010 or 8001,8003")
+    p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    p.add_argument("--workdir", help="where the two temporary checkouts go (default: the "
+                                     "system's temporary directory)")
+    p.add_argument("--out", help="output path (default: BENCH_<label>.json at the repo root)")
+    args = p.parse_args(argv)
+    if len(args.seeds) < 2:
+        p.error("quartiles need at least two pairs")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as workdir:
+        sides = {name: export(rev, workdir, name)
+                 for name, rev in (("parent", args.parent), ("change", args.change))}
+        record = run_pairs(bench, sides, args)
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    print(out)
+    return 0
+
+
+def run_pairs(bench: dict, sides: dict, args) -> dict:
+    """Every workload and seed on both checkouts; the trajectory record."""
+    command, seconds = bench["command"], bench["run_seconds"]
+    record = {
+        "label": args.label, "command": command, "run_seconds": seconds,
+        "parent": sides["parent"][1], "change": sides["change"][1],
+        "seeds": args.seeds, "workloads": {},
+    }
+    for workload in args.workloads:
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            result = {side: run_once(sides[side][0], command, workload, seed, seconds)
+                      for side in order}
+            pairs.append((result["parent"], result["change"]))
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{side} jobs_per_s {result[side]['metrics']['jobs_per_s']['value']:.4g}"
+                for side in order), file=sys.stderr)
+        record["workloads"][workload] = {
+            "pairs": len(pairs),
+            "failed": {"parent": [r["failed"] for r, _ in pairs],
+                       "change": [r["failed"] for _, r in pairs]},
+            "metrics": summarize(bench["end_to_end"], pairs),
+        }
+    return record
+
+
+if __name__ == "__main__":
+    sys.exit(main())
