@@ -394,8 +394,8 @@ def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
         chords = np.ones(LOG_FOURIER_GRID)
         for t0 in crossings:
             shifted = _HALF_A - 0.5 * t0
-            rows = 2.0 * np.stack((np.sin(shifted), np.cos(shifted)), axis=1)
-            chords *= (rows @ _HALF_B).ravel()
+            sin_cos = 2.0 * np.stack((np.sin(shifted), np.cos(shifted)), axis=1)
+            chords *= (sin_cos @ _HALF_B).ravel()
         np.abs(chords, out=chords)
         ratio /= np.maximum(chords, 1e-300, out=chords)
     g = np.log(np.maximum(ratio, 1e-300, out=ratio), out=ratio)
@@ -427,7 +427,7 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096,
     """
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
-    if m_out & (m_out - 1):
+    if m_out < 1 or m_out & (m_out - 1):
         raise ValueError("m_out must be a power of two")
     fhat = log_fourier(sym, lam)
     n = LOG_FOURIER_N

@@ -396,6 +396,12 @@ def test_folded_xi_circle_matches_unfolded(m_out, regular, singular, fig2):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
+def test_xi_circle_rejects_bad_grids(regular):
+    for m_out in (0, -4, 96):
+        with pytest.raises(ValueError):
+            xi_circle(regular, 0.3, 0.9, m_out)
+
+
 def test_xi_circle_certifies_its_truncation(regular):
     # the dropped tail 2 max(n|f_n|) r^N/(N(1 - r)) is 6.7e-5 at 0.9995
     with pytest.raises(QuadratureError) as err:
