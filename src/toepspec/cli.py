@@ -1,6 +1,7 @@
 """Command-line front end: symbol parsing, subcommand dispatch, CSV/JSON
-emission.  Exit codes: 0 success, 1 usage error, 2 analysis error, 3
-validation failure.
+emission.  Exit codes: 0 success, 1 usage error, 2 analysis error or an
+input file that cannot be loaded or an output path that cannot be written,
+3 validation failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,23 @@ from .symbol import PiecewiseSymbol, load_symbol
 
 class UsageError(Exception):
     pass
+
+
+class LoadError(Exception):
+    pass
+
+
+# the ways an input file can be missing or not of the documented shape
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError)
+
+
+def _load(what: str, load, path: str):
+    """load(path), with any missing or malformed file raised as a LoadError."""
+    try:
+        return load(path)
+    except _MALFORMED as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise LoadError(f"cannot load {what} {path!r}: {detail}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,8 +89,11 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 def _emit(text: str, path: str | None):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -253,12 +274,15 @@ def _cmd_eigenfun(sym, args) -> int:
     return 0
 
 
-def _cmd_diagonalize(sym, args) -> int:
-    with open(args.vector, "r", encoding="utf-8") as fh:
+def _read_terms(path: str) -> list[tuple[complex, complex]]:
+    with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    terms = [(complex(t["c"][0], t["c"][1]), complex(t["z"][0], t["z"][1]))
-             for t in spec["terms"]]
-    f = HardyVector.of(*terms)
+    return [(complex(t["c"][0], t["c"][1]), complex(t["z"][0], t["z"][1]))
+            for t in spec["terms"]]
+
+
+def _cmd_diagonalize(sym, args) -> int:
+    f = HardyVector.of(*_load("vector", _read_terms, args.vector))
     family = FrameFamily(sym, _parse_interval(args.interval), n_grid=args.grid)
     names = [f"phi_{j + 1}" for j in range(family.m)]
     _emit_complex_csv(names, family.lams, phi_map_family(family, f), args.output)
@@ -306,18 +330,17 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        sym = load_symbol(args.symbol)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"cannot load symbol: {exc}\n")
-        return 2
     try:
-        return _COMMANDS[args.command](sym, args)
+        return _COMMANDS[args.command](_load("symbol", load_symbol, args.symbol), args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
+    except LoadError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
     except (ToepspecError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"analysis error: {exc}\n")
         return 2

@@ -40,11 +40,11 @@ class HardyVector:
         return complex(sum(c / (1.0 - np.conj(z) * w) for c, z in self.terms))
 
     def norm_squared(self) -> float:
-        """H^2 norm squared via the kernel Gram matrix."""
+        """H^2 norm squared via the kernel Gram matrix <K_zi, K_zk> = K_zi(zk)."""
         total = 0.0
         for ci, zi in self.terms:
             for ck, zk in self.terms:
-                total += (ci * np.conj(ck) / (1.0 - zi * np.conj(zk))).real
+                total += (ci * np.conj(ck) / (1.0 - np.conj(zi) * zk)).real
         return float(total)
 
 
@@ -74,12 +74,12 @@ class FrameFamily:
     def norm(self, F: np.ndarray) -> float:
         return math.sqrt(max(self.inner(F, F).real, 0.0))
 
-    def taylor(self, nmax: int, radius: float = 0.7, nfft: int = 256) -> np.ndarray:
-        """Eigenfunction Taylor coefficients on the grid, shape (n, m, nmax+1)."""
-        key = (nmax, radius, nfft)
+    def taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
+        """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), from 256 samples."""
+        key = (nmax, radius)
         if key not in self._taylor:
             self._taylor[key] = np.array(
-                [fr.eigen_taylor(nmax, radius=radius, nfft=nfft) for fr in self.frames]
+                [fr.eigen_taylor(nmax, radius=radius, nfft=256) for fr in self.frames]
             )
         return self._taylor[key]
 
@@ -167,7 +167,7 @@ def phi_adjoint_taylor(family: FrameFamily, values: np.ndarray, nmax: int,
 
 
 def stone_projection(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector,
-                     subintervals, eps: float = 1e-2, n_nodes: int = 64) -> complex:
+                     subintervals, n_nodes: int = 64) -> complex:
     """(E(X)f, g) for a finite union of intervals: the Stone density Gram of
     the kernel points, integrated over each interval."""
     cf, zf = np.array(f.terms, dtype=complex).reshape(-1, 2).T
@@ -176,7 +176,7 @@ def stone_projection(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector,
     total = 0.0 + 0.0j
     for a, b in subintervals:
         for wl, la in zip(0.5 * (b - a) * x_w, 0.5 * (a + b) + 0.5 * (b - a) * x_nodes):
-            gram = stone_density(sym, zf[:, None], zg[None, :], float(la), eps=eps)
+            gram = stone_density(sym, zf[:, None], zg[None, :], float(la))
             total += wl * (cf @ gram @ np.conj(cg))
     return complex(total)
 
@@ -191,8 +191,7 @@ class IntertwiningResult:
 
 
 def intertwining_check(family: FrameFamily, f: HardyVector, g: HardyVector,
-                       subintervals, section: FiniteSection | None = None,
-                       n_grid: int = 64) -> IntertwiningResult:
+                       subintervals, section: FiniteSection | None = None) -> IntertwiningResult:
     """Compare <1_X Phi f, Phi g> against (E(X)f, g) from the resolvent jump
     and, when a section is supplied, from the finite-section oracle.
 
@@ -209,7 +208,7 @@ def intertwining_check(family: FrameFamily, f: HardyVector, g: HardyVector,
         if (a, b) == family.interval:
             sub = family
         else:
-            sub = FrameFamily(family.sym, (a, b), n_grid=n_grid)
+            sub = FrameFamily(family.sym, (a, b), n_grid=64)
         F = phi_map_family(sub, f)
         G = phi_map_family(sub, g)
         value += sub.inner(F, G)

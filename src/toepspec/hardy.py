@@ -33,6 +33,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 GL_NODES, GL_WEIGHTS = gauss_legendre(16)
 
+# the relative accuracy every panel-rule integral is certified to
 DEFAULT_TOL = 1e-10
 DEFAULT_DEPTH = 36
 MAX_DEPTH = 40
@@ -88,14 +89,12 @@ class CircleRule:
     with a convergence estimate.
     """
 
-    def __init__(self, breakpoints=(), depth: int = DEFAULT_DEPTH,
-                 h_max: float = H_MAX, tol: float = DEFAULT_TOL):
+    def __init__(self, breakpoints=(), depth: int = DEFAULT_DEPTH):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.depth = depth
-        self.tol = tol
-        self.theta, self.w = _build_nodes(self.breakpoints, depth, h_max)
+        self.theta, self.w = _build_nodes(self.breakpoints, depth, H_MAX)
         coarse = max(depth - 4, 6)
-        self.theta_c, self.w_c = _build_nodes(self.breakpoints, coarse, h_max * 2.0)
+        self.theta_c, self.w_c = _build_nodes(self.breakpoints, coarse, 2.0 * H_MAX)
         if abs(self.w.sum() - 1.0) > 1e-14 or abs(self.w_c.sum() - 1.0) > 1e-14:
             raise QuadratureError("panel weights do not sum to the circle measure")
         self.panels = len(self.theta) // len(GL_NODES)
@@ -127,7 +126,7 @@ class LogRule:
         fine = np.dot(self.rule.w * self.logvals, smooth_f)
         coarse = np.dot(self.rule.w_c * self.logvals_c, smooth_c)
         ratio = np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine)), initial=0.0)
-        if ratio > self.rule.tol:
+        if ratio > DEFAULT_TOL:
             raise QuadratureError(
                 f"log quadrature stalled at relative estimate {ratio:.3e}", achieved_tol=ratio
             )
@@ -202,7 +201,7 @@ def _level(lam) -> float | complex:
 
 
 def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
-               tol: float = DEFAULT_TOL, depth: int = DEFAULT_DEPTH) -> CircleRule:
+               depth: int = DEFAULT_DEPTH) -> CircleRule:
     """Panel rule with breakpoints at every piece seam, jump or not (panels
     must not straddle a point where the symbol stops being analytic), at the
     angles where the symbol crosses ``x`` when ``x`` lies inside the
@@ -210,7 +209,7 @@ def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
     g1, g2 = sym.essential_range()
     crossings = level_angles_raw(sym, x) if x is not None and g1 < x < g2 else ()
     breaks = np.concatenate((sym._starts, crossings, extra), dtype=float)
-    return CircleRule(breaks, depth=depth, tol=tol)
+    return CircleRule(breaks, depth=depth)
 
 
 def _nearest_extremum(sym: PiecewiseSymbol, x: float) -> tuple[float, ...]:
@@ -222,7 +221,7 @@ def _nearest_extremum(sym: PiecewiseSymbol, x: float) -> tuple[float, ...]:
     return tuple(t for t, v in points if abs(v - x) == near)
 
 
-def log_rule(sym: PiecewiseSymbol, lam, extra=(), tol: float = DEFAULT_TOL) -> LogRule:
+def log_rule(sym: PiecewiseSymbol, lam, extra=()) -> LogRule:
     """Quadrature rule for integrals with the log weight of ``lam``, cached
     per real level.
 
@@ -238,12 +237,12 @@ def log_rule(sym: PiecewiseSymbol, lam, extra=(), tol: float = DEFAULT_TOL) -> L
     lam = _level(lam)
     g1, g2 = sym.essential_range()
     near = () if g1 < lam.real < g2 else _nearest_extremum(sym, lam.real)
-    key = (round(lam.real, 14), tuple(round(float(e), 12) for e in sorted(extra)), tol)
+    key = (round(lam.real, 14), tuple(round(float(e), 12) for e in sorted(extra)))
     cache = _cache_for(sym)
 
     def rules(depths):
         for depth in depths:
-            yield plain_rule(sym, lam.real, tuple(extra) + near, tol=tol, depth=depth)
+            yield plain_rule(sym, lam.real, tuple(extra) + near, depth=depth)
 
     def build(candidates):
         err = math.inf
@@ -252,7 +251,7 @@ def log_rule(sym: PiecewiseSymbol, lam, extra=(), tol: float = DEFAULT_TOL) -> L
             logvals_c = _log_weight(sym.values(rule.theta_c), lam)
             base = np.dot(rule.w, logvals)
             err = abs(base - np.dot(rule.w_c, logvals_c))
-            if err <= tol * max(1.0, abs(base)):
+            if err <= DEFAULT_TOL * max(1.0, abs(base)):
                 return LogRule(rule, lam, logvals, logvals_c, err)
         raise QuadratureError(
             f"log quadrature did not converge at depth {MAX_DEPTH}", achieved_tol=err
@@ -271,11 +270,11 @@ def _in_peak_band(az):
     return (PEAK_RADIUS < az) & (az < 1.0 / PEAK_RADIUS)
 
 
-def point_rule(sym: PiecewiseSymbol, z: complex, lam, tol: float = DEFAULT_TOL) -> LogRule:
+def point_rule(sym: PiecewiseSymbol, z: complex, lam) -> LogRule:
     """The rule ``q_function`` integrates with at z: the shared ``log_rule``,
     plus a breakpoint at arg z when z lies in the peak band around the circle."""
     extra = (float(np.angle(z)) % TWO_PI,) if _in_peak_band(abs(z)) else ()
-    return log_rule(sym, lam, extra=extra, tol=tol)
+    return log_rule(sym, lam, extra=extra)
 
 
 def _schwarz_factor(z, theta: np.ndarray) -> np.ndarray:
@@ -287,7 +286,7 @@ def _schwarz_factor(z, theta: np.ndarray) -> np.ndarray:
     return h
 
 
-def q_function(sym: PiecewiseSymbol, z, lam, tol: float = DEFAULT_TOL):
+def q_function(sym: PiecewiseSymbol, z, lam):
     """Schwarz-kernel average of the log weight of ``lam`` (see ``log_rule``)
     at z inside or outside the circle, for a point or an array of points.
 
@@ -304,8 +303,8 @@ def q_function(sym: PiecewiseSymbol, z, lam, tol: float = DEFAULT_TOL):
         raise ValueError("evaluation on the unit circle requires boundary_xi")
     out = np.empty(flat.shape, dtype=complex)
     peak = _in_peak_band(az)
-    groups = [(np.nonzero(~peak)[0], log_rule(sym, lam, tol=tol))] if not peak.all() else []
-    groups += [([i], point_rule(sym, flat[i], lam, tol)) for i in np.nonzero(peak)[0]]
+    groups = [(np.nonzero(~peak)[0], log_rule(sym, lam))] if not peak.all() else []
+    groups += [([i], point_rule(sym, flat[i], lam)) for i in np.nonzero(peak)[0]]
     for idx, lr in groups:
         col = flat[idx][:, None]
         out[idx] = lr.weighted(_schwarz_factor(col, lr.rule.theta).T,
@@ -313,14 +312,14 @@ def q_function(sym: PiecewiseSymbol, z, lam, tol: float = DEFAULT_TOL):
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def xi(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> complex:
+def xi(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
     """Modulus part of the inverse outer function: exp(-Q/2); never zero."""
-    return complex(np.exp(-0.5 * q_function(sym, complex(z), lam, tol=tol)))
+    return complex(np.exp(-0.5 * q_function(sym, complex(z), lam)))
 
 
-def xi_grid(sym: PiecewiseSymbol, zs, lam: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def xi_grid(sym: PiecewiseSymbol, zs, lam: float) -> np.ndarray:
     """xi over an array of points, in the shape of ``zs``."""
-    return np.exp(-0.5 * np.asarray(q_function(sym, zs, lam, tol=tol)))
+    return np.exp(-0.5 * np.asarray(q_function(sym, zs, lam)))
 
 
 LOG_FOURIER_N = 16384    # Fourier modes kept for the circle fast path
@@ -451,7 +450,7 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096,
     return np.exp(-0.5 * np.fft.ifft(c) * m_out)
 
 
-def outer_F(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_TOL) -> complex:
+def outer_F(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
     """Outer function with boundary modulus squared omega - lam; lam below
     the essential infimum so the logarithm is real."""
     g1, _ = sym.essential_range()
@@ -460,7 +459,7 @@ def outer_F(sym: PiecewiseSymbol, z: complex, lam: float, tol: float = DEFAULT_T
     if abs(z) >= 1.0:
         raise ValueError("outer function is defined inside the disk")
     # omega - lam > 0 here, so ln|omega - lam| is the honest logarithm
-    return complex(np.exp(0.5 * q_function(sym, z, lam, tol=tol)))
+    return complex(np.exp(0.5 * q_function(sym, z, lam)))
 
 
 # -- phase and arc coefficients -------------------------------------------------
@@ -574,9 +573,9 @@ def L_partial_fraction(arcs, z: complex, data: ArcData | None = None) -> complex
     return complex(total)
 
 
-def L_check(arcs, n_samples: int = 50, seed: int = 7) -> float:
+def L_check(arcs, n_samples: int = 50) -> float:
     """Largest discrepancy between the two L forms on random disk points."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     data = coefficients_c(arcs)
     worst = 0.0
     for _ in range(n_samples):
@@ -588,8 +587,7 @@ def L_check(arcs, n_samples: int = 50, seed: int = 7) -> float:
 # -- boundary values -------------------------------------------------------------
 
 
-def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float,
-                   tol: float = DEFAULT_TOL) -> complex:
+def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
     """Common unimodular factor of the two one-sided boundary values of xi.
 
     Computed from the principal-value integral after subtracting the
@@ -602,7 +600,7 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float,
     f0 = math.log(abs(sym.eval(theta) - lam)) if abs(sym.eval(theta) - lam) > 1e-13 else None
     if f0 is None:
         raise ValueError("boundary value undefined here: omega(zeta) = lambda")
-    lr = log_rule(sym, lam, extra=(theta,), tol=tol)
+    lr = log_rule(sym, lam, extra=(theta,))
 
     def corr(nodes, logvals):
         t = np.tan(0.5 * (nodes - theta))
@@ -616,19 +614,18 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float,
 
     fine = np.dot(lr.rule.w, corr(lr.rule.theta, lr.logvals))
     coarse = np.dot(lr.rule.w_c, corr(lr.rule.theta_c, lr.logvals_c))
-    if abs(fine - coarse) > 100.0 * tol * max(1.0, abs(fine)):
+    if abs(fine - coarse) > 100.0 * DEFAULT_TOL * max(1.0, abs(fine)):
         raise QuadratureError("principal value did not converge",
                               achieved_tol=abs(fine - coarse))
     return complex(np.exp(0.5j * fine))
 
 
-def boundary_xi(sym: PiecewiseSymbol, zeta: float, lam: float, side: str,
-                tol: float = DEFAULT_TOL) -> complex:
+def boundary_xi(sym: PiecewiseSymbol, zeta: float, lam: float, side: str) -> complex:
     """One-sided boundary value of xi: sigma times |omega - lam|^{-1/2} from
     inside ('+') and |omega - lam|^{+1/2} from outside ('-')."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    sigma = boundary_sigma(sym, zeta, lam, tol=tol)
+    sigma = boundary_sigma(sym, zeta, lam)
     mod = abs(sym.eval(float(zeta) % TWO_PI) - lam)
     power = -0.5 if side == "+" else 0.5
     return complex(sigma * mod**power)
@@ -667,13 +664,8 @@ class MuMeasure:
         level = sublevel_set(self.sym, t)
         if level.full:
             return 1.0
-        total = 0.0
-        for arc in level.arcs:
-            za = self.z * np.exp(-1j * arc.alpha)
-            zb = self.z * np.exp(-1j * arc.beta)
-            log_ratio = np.log((1.0 - za) / (1.0 - zb))
-            total += (arc.length - 2.0 * float(np.imag(log_ratio))) / TWO_PI
-        return total
+        # the Poisson mass of the arcs is the real part of the phase, over pi/2
+        return 2.0 / math.pi * phase_A_closed(level.arcs, self.z).real
 
     def log_integral(self, w: complex) -> float:
         """integral of ln|t - w| d mu(t), by parts against the exact evaluator.

@@ -247,7 +247,7 @@ def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
     return level
 
 
-def _validate_level(sym: PiecewiseSymbol, level: LevelSet, samples: int = 64):
+def _validate_level(sym: PiecewiseSymbol, level: LevelSet):
     """Sampled sign check: omega < lambda inside arcs, > lambda outside."""
     lam, arcs = level.lam, level.arcs
     for i, arc in enumerate(arcs):
@@ -257,7 +257,7 @@ def _validate_level(sym: PiecewiseSymbol, level: LevelSet, samples: int = 64):
         for lo, hi, sign, what in ((arc.alpha, arc.beta, 1.0, "arc"),
                                    (arc.beta, gap_end, -1.0, "complement gap")):
             pad = min(1e-7, 1e-3 * (hi - lo))
-            t = np.linspace(lo + pad, hi - pad, samples)
+            t = np.linspace(lo + pad, hi - pad, 64)
             # skip sample points that collide with a jump angle
             t = t[~np.isin(np.round(t % TWO_PI, 9), np.round(sym._jump_angles, 9))]
             if np.any(sign * (sym.values(t) - lam) >= 0.0):
@@ -282,9 +282,8 @@ def level_report(sym: PiecewiseSymbol, lam: float) -> CountReport:
 def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
     """Crossing and jump counts on an admissible interval, and their common sum.
 
-    The root counts are evaluated at the midpoint and checked for
-    constancy at four more interior samples; a mismatch between the two
-    orientation sums signals a root-finder defect.
+    The counts are constant on the admissible interval that holds [a, b],
+    so this is that interval's one report, shared with ``level_report``.
     """
     a, b = float(interval[0]), float(interval[1])
     g1, g2 = sym.essential_range()
@@ -292,14 +291,19 @@ def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
         raise InadmissibleIntervalError(
             f"interval ({a}, {b}) not strictly inside the spectrum ({g1}, {g2})"
         )
-    if _analysis(sym).index(a, b) is None:
+    an = _analysis(sym)
+    i = an.index(a, b)
+    if i is None:
         raise InadmissibleIntervalError(
             f"interval ({a}, {b}) comes within {GUARD} of an exceptional value"
         )
-    return _count(sym, a, b)
+    return an.report(sym, i)
 
 
 def _count(sym: PiecewiseSymbol, a: float, b: float) -> CountReport:
+    """Counts on [a, b]: the root counts at the midpoint, checked for
+    constancy at four more interior samples; a mismatch between the two
+    orientation sums signals a root-finder defect."""
     def root_counts(lam):
         roots = solve_level(sym, lam)
         nm = sum(1 for _, s in roots if s > 0)

@@ -224,8 +224,8 @@ class ValidationReport:
         self.monotone = ok
         self.max_final_error = float(np.max(e[-1]))
 
-    def passed(self, tol: float = 5e-3) -> bool:
-        return self.monotone and self.max_final_error <= tol
+    def passed(self) -> bool:
+        return self.monotone and self.max_final_error <= 5e-3
 
 
 def smooth_bump(a: float, b: float):

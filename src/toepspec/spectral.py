@@ -11,7 +11,6 @@ import numpy as np
 from .errors import FormMismatchError, QuadratureError
 from . import hardy
 from .hardy import (
-    DEFAULT_TOL,
     ArcData,
     coefficients_c,
     gauss_legendre,
@@ -37,7 +36,7 @@ FORM_TOL = 1e-8
 CIRCLE_TOL = 1e-3
 
 
-def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex, tol: float = DEFAULT_TOL):
+def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex):
     """Bilinear resolvent form on pairs of reproducing kernels, for points or
     arrays of points ``u`` and ``v`` that broadcast against each other.
 
@@ -56,7 +55,7 @@ def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex, tol: float = DEFAU
     ubar = np.conj(u)
     at_origin = ubar == 0.0
     mirror = np.divide(1.0, ubar, out=np.zeros_like(ubar), where=~at_origin)
-    q = q_function(sym, np.concatenate((v.ravel(), mirror.ravel())), zlam, tol=tol)
+    q = q_function(sym, np.concatenate((v.ravel(), mirror.ravel())), zlam)
     qv, qu = q[:v.size].reshape(v.shape), q[v.size:].reshape(u.shape)
     value = np.exp(-0.5 * (qv - np.where(at_origin, -qu, qu))) / (1.0 - ubar * v)
     # a real zlam above the cut has the weight ln|omega - zlam|, short of the
@@ -208,9 +207,9 @@ class SpectralFrame:
         scale = radius ** -np.arange(nmax + 1)
         return coeffs[:, : nmax + 1] * scale[None, :]
 
-    def density_taylor(self, nmax: int, radius: float = 0.7, nfft: int = 512) -> np.ndarray:
+    def density_taylor(self, nmax: int) -> np.ndarray:
         """Gram matrix of the density against monomials z^n, n <= nmax."""
-        coeffs = self.eigen_taylor(nmax, radius=radius, nfft=nfft)
+        coeffs = self.eigen_taylor(nmax)
         return coeffs.conj().T @ coeffs
 
     # -- complementary-arc variant -------------------------------------------------

@@ -1,0 +1,58 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "job_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _pairs(parent, change, name):
+    return [({"metrics": {name: {"value": p}}}, {"metrics": {name: {"value": c}}})
+            for p, c in zip(parent, change)]
+
+
+TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.02]
+WIDE = [0.6, 1.4, 0.8, 1.2, 0.7, 1.3, 1.0, 0.9, 1.1, 1.0]
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    (TIGHT, [1.5 * x for x in TIGHT], "gain"),
+    (TIGHT, [0.7 * x for x in TIGHT], "regressed"),
+    (TIGHT, [x + 0.005 for x in TIGHT], "same"),
+    # a modest gain on every pair is still too small against the parent's IQR
+    (TIGHT, [x + 0.01 for x in TIGHT], "same"),
+    (WIDE, [x + 0.1 for x in WIDE], "unresolved"),
+    # every change run above every parent run resolves even a wide parent
+    (WIDE, [x + 1.0 for x in WIDE], "gain"),
+    (WIDE, [0.5 * x for x in WIDE], "regressed"),
+])
+def test_verdict_higher_is_better(parent, change, want):
+    out = bench_pairs.summarize(METRICS[:1], _pairs(parent, change, "jobs_per_s"))
+    assert out["jobs_per_s"]["verdict"] == want
+
+
+@pytest.mark.parametrize("factor, want", [(0.6, "gain"), (1.3, "regressed"), (1.1, "same")])
+def test_verdict_lower_is_better(factor, want):
+    parent = [100.0 * x for x in TIGHT]
+    change = [factor * x for x in parent]
+    out = bench_pairs.summarize(METRICS[1:], _pairs(parent, change, "job_p50_ms"))
+    entry = out["job_p50_ms"]
+    assert entry["verdict"] == want
+    assert entry["parent"]["runs"] == parent and entry["change"]["runs"] == change
+
+
+def test_gain_needs_nine_pairs_in_ten():
+    parent = list(TIGHT)
+    change = [1.5 * x for x in TIGHT]
+    change[0], change[1] = 0.5, 0.5      # the change loses two pairs
+    out = bench_pairs.summarize(METRICS[:1], _pairs(parent, change, "jobs_per_s"))
+    assert out["jobs_per_s"]["change_won"] == 8
+    assert out["jobs_per_s"]["verdict"] == "same"

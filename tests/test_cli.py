@@ -193,6 +193,40 @@ def test_missing_symbol_file(capsys):
     assert code == 2
 
 
+_GOOD_PIECE = {"theta_start": 0.0, "theta_end": 2.0 * math.pi, "a": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"sym.json": {"pieces": [{"theta_start": 0.0, "theta_end": 2.0 * math.pi}]}},
+     ["spectrum", "--symbol", "sym.json"]),
+    ({"sym.json": {"pieces": 5}}, ["spectrum", "--symbol", "sym.json"]),
+    ({"sym.json": {"pieces": [dict(_GOOD_PIECE, theta_end=3.0)]}},
+     ["spectrum", "--symbol", "sym.json"]),
+    ({"sym.json": {"pieces": [dict(_GOOD_PIECE, a=[1.0])]}},
+     ["spectrum", "--symbol", "sym.json"]),
+    ({}, ["diagonalize", "--symbol", "regular", "--interval=-0.5,0.5",
+          "--vector", "vec.json"]),
+    ({"vec.json": {"terms": [{"c": [1.0, 0.0]}]}},
+     ["diagonalize", "--symbol", "regular", "--interval=-0.5,0.5", "--vector", "vec.json"]),
+    ({"vec.json": [{"c": [1.0, 0.0], "z": [0.1, 0.0]}]},
+     ["diagonalize", "--symbol", "regular", "--interval=-0.5,0.5", "--vector", "vec.json"]),
+    ({}, ["spectrum", "--symbol", "regular", "--output", "no_dir/out.json"]),
+    ({}, ["validate", "--symbol", "regular", "--interval=-0.5,0.5", "--n", "64,128",
+          "--csv", "no_dir/table.csv"]),
+], ids=["symbol-missing-key", "symbol-wrong-type", "symbol-not-tiling", "symbol-constant",
+        "vector-missing-file", "vector-term-without-z", "vector-top-level-list",
+        "output-no-dir", "csv-no-dir"])
+def test_bad_files_and_paths_exit_two(capsys, tmp_path, monkeypatch, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    code, _, err = run_capture(capsys, argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(("cannot load ", "analysis error: "))
+
+
 def test_validate_small(capsys, tmp_path):
     csvpath = tmp_path / "table.csv"
     code, out, _ = run_capture(capsys, ["validate", "--symbol", "regular", "--interval=-0.5,0.5",

@@ -198,6 +198,16 @@ def test_stone_projection_hermitian(regular):
     assert 0.0 < val.real < f.norm_squared() + 1e-9
 
 
+def test_norm_squared_is_the_taylor_coefficient_sum():
+    # f = sum_i c_i K_{z_i} has Taylor coefficients sum_i c_i conj(z_i)^n
+    f = HardyVector.of((1.0, 0.5), (1j, 0.3j), (0.2 - 0.4j, -0.6 + 0.1j))
+    c = np.array([ci for ci, _ in f.terms])
+    z = np.array([zi for _, zi in f.terms])
+    n = np.arange(200)[:, None]
+    ref = float(np.sum(np.abs(np.conj(z) ** n @ c) ** 2))
+    assert abs(f.norm_squared() - ref) <= 1e-12 * ref
+
+
 def test_stone_projection_is_the_integrated_stone_gram(fig2):
     # (E(X)f, g) = sum_ik c_i conj(d_k) (E(X)K_i, K_k), each term the Stone
     # density integrated over the nodes of each subinterval

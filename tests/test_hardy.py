@@ -114,7 +114,7 @@ def test_xi_grid_passes_build_each_rule_once(monkeypatch):
 
 def test_weighted_checks_each_integral_on_its_own():
     # a large first integral must not widen the tolerance of a small second one
-    rule = CircleRule(tol=1e-10)
+    rule = CircleRule()
     ones, ones_c = np.ones_like(rule.theta), np.ones_like(rule.theta_c)
     lr = LogRule(rule, 0.0, ones, ones_c, 0.0)
     smooth_f = np.stack((1e6 * ones, 0.5 * ones), axis=1)
@@ -160,7 +160,7 @@ def test_rule_cache_evicts_least_recently_used(monkeypatch):
     lr = hardy.log_rule(sym, 0.5)            # evicts as many bytes as it needs
     check_budget()
     assert list(cache.entries) == [("fourier", 0.4), ("fourier", 0.1),
-                                   (0.5, (), hardy.DEFAULT_TOL)]
+                                   (0.5, ())]
     assert hardy.log_rule(sym, 0.5) is lr
     # a value larger than the whole budget is returned but not kept
     monkeypatch.setattr(hardy, "RULE_CACHE_BYTES", size // 2)

@@ -156,6 +156,9 @@ def test_frames_on_one_interval_count_once(monkeypatch):
         return real(s, lam)
 
     monkeypatch.setattr(levelset, "solve_level", counted)
+    # reports asked for sub-intervals are the interval's one report
+    first = counting_report(sym, (-0.5, 0.2))
+    assert counting_report(sym, (0.1, 0.7)) is first
     lams = np.linspace(-0.9, 0.9, 300)
     for lam in lams:
         assert spectral_frame(sym, float(lam)).m == 1

@@ -10,8 +10,9 @@ committed files, the benchmark included, from a fresh directory.
 For every workload and seed, the command of ``BENCHMARK.json`` runs once on
 each side; the side that goes first alternates from pair to pair.  The file
 ``BENCH_<label>.json`` holds, per workload and end-to-end metric, each side's
-runs with their median and quartiles, and how many pairs each side won
-(ties count for neither).  Nothing under the benchmark's own directories is
+runs with their median and quartiles, how many pairs each side won
+(ties count for neither), and a verdict against the metric's bound (see
+``verdict``); the verdicts are also printed to stderr.  Nothing under the benchmark's own directories is
 read or written beyond running its command.
 """
 
@@ -67,19 +68,48 @@ def spread(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(sign: float, bound: float, p: dict, c: dict, change_won: int) -> str:
+    """One of four words for a metric from the two sides' ``spread``, with
+    ``sign`` +1 when higher is better and ``bound`` a fraction of the
+    parent's median:
+
+    - ``regressed``: the change's median is worse by more than the bound;
+    - ``unresolved``: the parent's interquartile range is wider than the
+      bound, and not every change run beats every parent run;
+    - ``gain``: the change won at least 9 in 10 pairs, and the medians
+      differ by more than the parent's interquartile range;
+    - ``same``: none of these.
+    """
+    scale = abs(p["median"]) or 1.0
+    better = sign * (c["median"] - p["median"])
+    iqr = p["q3"] - p["q1"]
+    if -better > bound * scale:
+        return "regressed"
+    beats_all = min(sign * x for x in c["runs"]) > max(sign * x for x in p["runs"])
+    if iqr > bound * scale and not beats_all:
+        return "unresolved"
+    if change_won >= 0.9 * len(p["runs"]) and better > iqr:
+        return "gain"
+    return "same"
+
+
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs won."""
+    """Per metric: each side's median and quartiles, the pairs won, and the
+    verdict."""
     out = {}
     for spec in metrics:
         name, sign = spec["name"], (1.0 if spec["better"] == "higher" else -1.0)
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         diffs = [sign * (c - p) for p, c in zip(parent, change)]
+        won = sum(d > 0 for d in diffs)
+        p, c = spread(parent), spread(change)
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-            "parent": spread(parent), "change": spread(change),
-            "change_won": sum(d > 0 for d in diffs),
+            "parent": p, "change": c,
+            "change_won": won,
             "parent_won": sum(d < 0 for d in diffs),
+            "verdict": verdict(sign, spec["bound"], p, c, won),
         }
     return out
 
@@ -131,12 +161,15 @@ def run_pairs(bench: dict, sides: dict, args) -> dict:
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} jobs_per_s {result[side]['metrics']['jobs_per_s']['value']:.4g}"
                 for side in order), file=sys.stderr)
+        metrics = summarize(bench["end_to_end"], pairs)
         record["workloads"][workload] = {
             "pairs": len(pairs),
             "failed": {"parent": [r["failed"] for r, _ in pairs],
                        "change": [r["failed"] for _, r in pairs]},
-            "metrics": summarize(bench["end_to_end"], pairs),
+            "metrics": metrics,
         }
+        print(f"{workload} verdicts: " + ", ".join(
+            f"{name} {m['verdict']}" for name, m in metrics.items()), file=sys.stderr)
     return record
 
 
