@@ -236,7 +236,7 @@ def _cmd_phase(sym, args) -> int:
     arcs = frame.level.arcs
     out = {
         "lambda": args.lam,
-        "measure": frame.arcdata.measure,
+        "measure": frame.level.measure,
         "integral": _cnum(hardy.phase_A_integral(arcs, z)),
     }
     if abs(z) < 1.0:
@@ -294,6 +294,8 @@ def _cmd_validate(sym, args) -> int:
     sizes = [_parse_count(t) for t in args.n.split(",")]
     points = [_parse_complex(t) for t in args.points.split(",")]
     g = oracle.smooth_bump(a, b)
+    if args.csv:
+        _emit("", args.csv)  # an unwritable path fails before the eigensolves
     report = oracle.validate(sym, (a, b), g, points, sizes)
     if args.csv:
         header = ["N"] + [f"err_{i}_{k}" for i in range(len(points)) for k in range(len(points))]

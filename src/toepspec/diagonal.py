@@ -221,10 +221,9 @@ def intertwining_check(family: FrameFamily, f: HardyVector, g: HardyVector,
         def gx(lam):
             return 1.0 if any(a <= lam <= b for a, b in subintervals) else 0.0
 
-        total = 0.0 + 0.0j
-        for ci, zi in f.terms:
-            for ck, zk in g.terms:
-                total += ci * np.conj(ck) * oracle_weak_measure(section, zi, zk, gx)
-        oracle_val = complex(total)
+        cf, zf = np.array(f.terms, dtype=complex).reshape(-1, 2).T
+        cg, zg = np.array(g.terms, dtype=complex).reshape(-1, 2).T
+        gram = oracle_weak_measure(section, zf[:, None], zg[None, :], gx)
+        oracle_val = complex(cf @ gram @ np.conj(cg))
         oracle_res = abs(value - oracle_val)
     return IntertwiningResult(value, stone, abs(value - stone), oracle_val, oracle_res)

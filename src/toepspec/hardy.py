@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import ExceptionalLevelError, QuadratureError
 from .kernels import schwarz_H
-from .levelset import GUARD, admissible_intervals, exceptional_set, level_angles_raw, sublevel_set
+from .levelset import (
+    GUARD,
+    _arc_pairs,
+    admissible_intervals,
+    arcs_measure,
+    exceptional_set,
+    level_angles_raw,
+    sublevel_set,
+)
 from .symbol import TWO_PI, PiecewiseSymbol
 
 
@@ -357,10 +365,13 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
 
     Log singularities at the level crossings and steps at the jumps carry
     exact closed-form coefficients; the continuous remainder is handled by
-    an FFT on a half-offset grid.  Cached per level.
+    an FFT on a half-offset grid.  Cached per level; a level that is not
+    finite and real raises ``ValueError``.
     """
-    return _cache_for(sym).get(("fourier", round(float(lam), 14)),
-                               lambda: _log_fourier(sym, lam))
+    lam = _level(lam)
+    if isinstance(lam, complex):
+        raise ValueError(f"level {lam} is not real")
+    return _cache_for(sym).get(("fourier", round(lam, 14)), lambda: _log_fourier(sym, lam))
 
 
 def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
@@ -465,12 +476,6 @@ def outer_F(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
 # -- phase and arc coefficients -------------------------------------------------
 
 
-def _arc_pairs(arcs):
-    a = np.array([arc.alpha for arc in arcs])
-    b = np.array([arc.beta for arc in arcs])
-    return a, b
-
-
 def phase_A_integral(arcs, z: complex) -> complex:
     """Phase A(z) as the per-arc Schwarz-kernel integral in closed form.
 
@@ -498,31 +503,11 @@ def phase_A_closed(arcs, z):
     a, b = _arc_pairs(arcs)
     col = zs[..., None]
     logs = np.log(1.0 - col * np.exp(-1j * a)) - np.log(1.0 - col * np.exp(-1j * b))
-    value = 0.5 * math.pi * (float(np.sum(b - a)) / TWO_PI) + 0.5j * np.sum(logs, axis=-1)
+    value = 0.5 * math.pi * arcs_measure(arcs) + 0.5j * np.sum(logs, axis=-1)
     return complex(value) if zs.ndim == 0 else value
 
 
-def arcs_measure(arcs) -> float:
-    a, b = _arc_pairs(arcs)
-    return float(np.sum(b - a)) / TWO_PI
-
-
-@dataclass(frozen=True)
-class ArcData:
-    """Per-level arc bundle: endpoints, partial-fraction coefficients, weights."""
-
-    lam: float
-    arcs: tuple
-    c: tuple[float, ...]
-    rho: tuple[float, ...]
-    measure: float
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
-
-
-def coefficients_c(arcs, lam: float = math.nan) -> ArcData:
+def coefficients_c(arcs) -> tuple[float, ...]:
     """Residue coefficients of the L-function at the arc end angles.
 
     c_j multiplies the distances from the j-th end point to every start
@@ -548,7 +533,7 @@ def coefficients_c(arcs, lam: float = math.nan) -> ArcData:
     c = tuple(cs)
     if any(x <= 0.0 for x in c):
         raise ValueError("nonpositive arc coefficient; arcs are inconsistent")
-    return ArcData(lam, tuple(arcs), c, tuple(math.sqrt(x) for x in c), arcs_measure(arcs))
+    return c
 
 
 def L_function(arcs, z: complex) -> complex:
@@ -562,13 +547,14 @@ def L_function(arcs, z: complex) -> complex:
     return complex(1j / math.pi * np.exp(-1j * math.pi * m) * prod)
 
 
-def L_partial_fraction(arcs, z: complex, data: ArcData | None = None) -> complex:
-    """L(z) as a pole sum with the residue coefficients plus its constant."""
-    data = data or coefficients_c(arcs)
+def L_partial_fraction(arcs, z: complex, c: tuple[float, ...] | None = None) -> complex:
+    """L(z) as a pole sum with the residue coefficients ``c`` (by default
+    ``coefficients_c(arcs)``) plus its constant."""
+    c = c or coefficients_c(arcs)
     a, b = _arc_pairs(arcs)
     beta = np.exp(1j * b)
-    total = 1j / math.pi * math.cos(math.pi * data.measure)
-    for cj, bj in zip(data.c, beta):
+    total = 1j / math.pi * math.cos(math.pi * arcs_measure(arcs))
+    for cj, bj in zip(c, beta):
         total += cj * schwarz_H(z * np.conj(bj))
     return complex(total)
 
@@ -576,11 +562,11 @@ def L_partial_fraction(arcs, z: complex, data: ArcData | None = None) -> complex
 def L_check(arcs, n_samples: int = 50) -> float:
     """Largest discrepancy between the two L forms on random disk points."""
     rng = np.random.default_rng(7)
-    data = coefficients_c(arcs)
+    c = coefficients_c(arcs)
     worst = 0.0
     for _ in range(n_samples):
         z = rng.uniform(0.05, 0.95) * np.exp(1j * rng.uniform(0.0, TWO_PI))
-        worst = max(worst, abs(L_function(arcs, z) - L_partial_fraction(arcs, z, data)))
+        worst = max(worst, abs(L_function(arcs, z) - L_partial_fraction(arcs, z, c)))
     return worst
 
 

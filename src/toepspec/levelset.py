@@ -31,12 +31,20 @@ class Arc:
     def length(self) -> float:
         return self.beta - self.alpha
 
-    @property
-    def measure(self) -> float:
-        return self.length / TWO_PI
-
     def contains(self, theta: float) -> bool:
         return 0.0 < (theta - self.alpha) % TWO_PI < self.length
+
+
+def _arc_pairs(arcs):
+    a = np.array([arc.alpha for arc in arcs])
+    b = np.array([arc.beta for arc in arcs])
+    return a, b
+
+
+def arcs_measure(arcs) -> float:
+    """Normalized measure of a union of arcs."""
+    a, b = _arc_pairs(arcs)
+    return float(np.sum(b - a)) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -49,9 +57,7 @@ class LevelSet:
 
     @property
     def measure(self) -> float:
-        if self.full:
-            return 1.0
-        return sum(a.measure for a in self.arcs)
+        return 1.0 if self.full else arcs_measure(self.arcs)
 
     @property
     def m(self) -> int:

@@ -182,16 +182,22 @@ def k_vector(u: complex, N: int) -> tuple[np.ndarray, float]:
     return vec, tail
 
 
-def _weights(section: FiniteSection, g) -> np.ndarray:
-    return np.array([g(lam) for lam in section.eigenvalues])
+def oracle_weak_measure(section: FiniteSection, u, v, g):
+    """(g(T_N) K_u^N, K_v^N) from the section's eigendata, for points ``u``
+    and ``v`` or arrays of them that broadcast as in ``weak_measure``.
 
-
-def oracle_weak_measure(section: FiniteSection, u: complex, v: complex, g) -> complex:
-    """(g(T_N) K_u^N, K_v^N) from the section's eigendata."""
-    ku, _ = k_vector(u, section.N)
-    kv, _ = k_vector(v, section.N)
-    a, b = section.project(np.stack((ku, kv), axis=1)).T
-    return complex(np.sum(_weights(section, g) * a * np.conj(b)))
+    The u and v kernels are projected in one call and their weighted Gram
+    is formed in one product; the broadcast entries are read off it.
+    """
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    kernels = [k_vector(p, section.N)[0] for p in np.concatenate((u.ravel(), v.ravel()))]
+    coef = section.project(np.stack(kernels, axis=1))
+    weights = np.array([g(lam) for lam in section.eigenvalues])
+    gram = (weights[:, None] * coef[:, :u.size]).T @ np.conj(coef[:, u.size:])
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    value = gram[np.broadcast_to(np.arange(u.size).reshape(u.shape), shape),
+                 np.broadcast_to(np.arange(v.size).reshape(v.shape), shape)]
+    return complex(value) if value.ndim == 0 else value
 
 
 @dataclass
@@ -250,7 +256,7 @@ def validate(sym: PiecewiseSymbol, interval, g, points, sizes) -> ValidationRepo
 
     ``points`` is a list of disk points; all ordered pairs are tested.  The
     analytic Gram matrix comes from one broadcast ``weak_measure`` call,
-    each section's from one projection of all kernel vectors.
+    each section's from one broadcast ``oracle_weak_measure`` call.
     """
     a, b = float(interval[0]), float(interval[1])
     pairs = tuple((u, v) for u in points for v in points)
@@ -260,11 +266,7 @@ def validate(sym: PiecewiseSymbol, interval, g, points, sizes) -> ValidationRepo
     sizes = tuple(int(n) for n in sizes)
 
     def one(N):
-        sec = build_section(sym, N)
-        coef = sec.project(np.stack([k_vector(p, N)[0] for p in points], axis=1))
-        # gram[i, k] = (g(T_N) K_{p_i}, K_{p_k}), row-major in the order of pairs
-        gram = (_weights(sec, g)[:, None] * coef).T @ np.conj(coef)
-        return gram.ravel()
+        return oracle_weak_measure(build_section(sym, N), pts[:, None], pts[None, :], g).ravel()
 
     rows = parallel_map(one, sizes)
     errors = np.abs(np.array(rows) - np.array(analytic))

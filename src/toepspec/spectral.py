@@ -11,7 +11,6 @@ import numpy as np
 from .errors import FormMismatchError, QuadratureError
 from . import hardy
 from .hardy import (
-    ArcData,
     coefficients_c,
     gauss_legendre,
     phase_A_closed,
@@ -66,28 +65,30 @@ def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex):
 
 
 class SpectralFrame:
-    """Per-level bundle: sublevel arcs, residue weights, and multiplicity.
+    """Per-level bundle built from the sublevel set ``level`` alone: the
+    level ``lam``, the multiplicity ``m``, the residue coefficients ``c``
+    of the arcs and the weights rho_j = sqrt(c_j).
 
     The arc count is checked against the counting report of the level's
     admissible interval.  Immutable; all evaluators are pure functions of
     the stored data.
     """
 
-    def __init__(self, sym: PiecewiseSymbol, lam: float, level: LevelSet, arcdata: ArcData):
+    def __init__(self, sym: PiecewiseSymbol, level: LevelSet):
         self.sym = sym
-        self.lam = float(lam)
+        self.lam = float(level.lam)
         self.level = level
-        self.arcdata = arcdata
         self.m = level.m
         report = level_report(sym, self.lam)
         if report.m != self.m:
             raise FormMismatchError(
                 f"level set has {self.m} arcs but the counting report says {report.m}"
             )
+        self.c = coefficients_c(level.arcs)
         self._beta = np.exp(1j * np.array([a.beta for a in level.arcs]))
         self._alpha = np.exp(1j * np.array([a.alpha for a in level.arcs]))
-        self._rho = np.array(arcdata.rho)
-        self._phase0 = np.exp(-0.5j * math.pi * arcdata.measure)
+        self._rho = np.sqrt(self.c)
+        self._phase0 = np.exp(-0.5j * math.pi * level.measure)
 
     # -- scalar building blocks ------------------------------------------------
 
@@ -135,7 +136,7 @@ class SpectralFrame:
         fac = 1.0 / (1.0 - z * np.conj(self._beta[j - 1]))
         for al, be in zip(self._alpha, self._beta):
             fac *= (1.0 - al / z) ** -0.5 * (1.0 - be / z) ** 0.5
-        pref = np.exp(-1j * math.pi * self.arcdata.measure)
+        pref = np.exp(-1j * math.pi * self.level.measure)
         return complex(self._rho[j - 1] * pref * xiv * fac)
 
     def eigen_matrix(self, zs) -> np.ndarray:
@@ -221,9 +222,7 @@ class SpectralFrame:
         for j, arc in enumerate(arcs):
             prev_beta = arcs[j - 1].beta - (TWO_PI if j == 0 else 0.0)
             tilde.append(Arc(prev_beta, arc.alpha, arcs[j - 1].beta_kind, arc.alpha_kind))
-        level = LevelSet(self.lam, tuple(tilde))
-        data = coefficients_c(tuple(tilde), self.lam)
-        return SpectralFrame(self.sym, self.lam, level, data)
+        return SpectralFrame(self.sym, LevelSet(self.lam, tuple(tilde)))
 
 
 def spectral_frame(sym: PiecewiseSymbol, lam: float) -> SpectralFrame:
@@ -231,8 +230,7 @@ def spectral_frame(sym: PiecewiseSymbol, lam: float) -> SpectralFrame:
     level = sublevel_set(sym, lam)
     if level.m == 0:
         raise ValueError(f"level {lam} lies outside the open spectral interval")
-    data = coefficients_c(level.arcs, lam)
-    return SpectralFrame(sym, lam, level, data)
+    return SpectralFrame(sym, level)
 
 
 def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> float:

@@ -422,10 +422,9 @@ def named_symbol(name: str) -> PiecewiseSymbol:
 
 
 def load_symbol(spec: str) -> PiecewiseSymbol:
-    """Load a symbol from a built-in name or a JSON file path."""
-    try:
+    """Load a symbol from a built-in name ('regular' or any 'singular:...',
+    whose errors are raised as they are) or else from a JSON file path."""
+    if spec == "regular" or spec.startswith("singular:"):
         return named_symbol(spec)
-    except ValueError:
-        pass
     with open(spec, "r", encoding="utf-8") as fh:
         return PiecewiseSymbol.from_dict(json.load(fh))

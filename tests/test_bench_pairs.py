@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -56,3 +57,20 @@ def test_gain_needs_nine_pairs_in_ten():
     out = bench_pairs.summarize(METRICS[:1], _pairs(parent, change, "jobs_per_s"))
     assert out["jobs_per_s"]["change_won"] == 8
     assert out["jobs_per_s"]["verdict"] == "same"
+
+
+def test_source_lines_counts_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "toepspec"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3")            # no final newline, as wc -l counts
+    (pkg / "notes.txt").write_text("1\n2\n")
+    (pkg / "sub").mkdir()
+    (pkg / "sub" / "c.py").write_text("w = 4\n")
+    (tmp_path / "tools.py").write_text("v = 5\n")
+    assert bench_pairs.source_lines(str(tmp_path)) == 3
+    assert bench_pairs.source_lines(str(tmp_path / "missing")) == 0
+    args = argparse.Namespace(label="t", seeds=[1, 2], workloads=[])
+    sides = {"parent": (str(tmp_path), "p"), "change": (str(tmp_path / "missing"), "c")}
+    record = bench_pairs.run_pairs({"command": ["true"], "run_seconds": 1}, sides, args)
+    assert record["source_lines"] == {"parent": 3, "change": 0}

@@ -9,7 +9,7 @@ import pytest
 
 import toepspec
 from toepspec import cli
-from toepspec.symbol import PiecewiseSymbol, preset_singular
+from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_singular
 
 
 def run_capture(capsys, argv):
@@ -191,6 +191,48 @@ def test_symbol_file_roundtrip(tmp_path, capsys):
 def test_missing_symbol_file(capsys):
     code, _, err = run_capture(capsys, ["spectrum", "--symbol", "no_such_file.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("name, cause", [
+    ("singular:0:0", "proper sub-arc"),
+    ("singular:a:1", "could not convert"),
+    ("singular:1", "'singular:theta1:theta2'"),
+])
+def test_preset_errors_keep_their_cause(capsys, tmp_path, monkeypatch, name, cause):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_capture(capsys, ["spectrum", "--symbol", name])
+    assert code == 2
+    assert err.startswith(f"cannot load symbol {name!r}: ")
+    assert cause in err and "Errno" not in err
+    path = tmp_path / "sym.json"
+    path.write_text(preset_singular(0.3, 2.1).serialize())
+    assert run_capture(capsys, ["spectrum", "--symbol", str(path)])[0] == 0
+
+
+def test_levelset_and_phase_print_one_measure(capsys, tmp_path):
+    # two arcs of cos 2 theta: the commands must agree to the last bit
+    path = tmp_path / "cos2.json"
+    path.write_text(PiecewiseSymbol([(0.0, 2.0 * math.pi, TrigPoly([0.0, 0.0, 1.0]))]).serialize())
+    lam = ["--symbol", str(path), "--lambda", "-0.95"]
+    code, out, _ = run_capture(capsys, ["levelset"] + lam)
+    assert code == 0
+    level = json.loads(out)
+    code, out, _ = run_capture(capsys, ["phase", "--z", "0.2"] + lam)
+    assert code == 0
+    assert len(level["arcs"]) == 2
+    assert json.loads(out)["measure"] == level["measure"]
+
+
+def test_unwritable_csv_fails_before_the_eigensolves(capsys, tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("validate ran before the csv path was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.oracle, "validate", never)
+    code, _, err = run_capture(capsys, ["validate", "--symbol", "regular", "--interval=-0.5,0.5",
+                                        "--n", "64,128", "--csv", "no_dir/table.csv"])
+    assert code == 2
+    assert err.startswith("analysis error: cannot write 'no_dir/table.csv': ")
 
 
 _GOOD_PIECE = {"theta_start": 0.0, "theta_end": 2.0 * math.pi, "a": [0.0, 1.0]}

@@ -169,6 +169,34 @@ def test_validate_matches_pairwise_oracle(singular_asym):
             assert report.errors[row, col] == pytest.approx(err, abs=1e-13)
 
 
+def test_broadcast_oracle_matches_pair_loop(singular_asym, fig2):
+    # both section routes: the reflection split (singular_asym) and the
+    # persymmetric reduction (fig2); the loop reads the eigenvectors directly
+    g = smooth_bump(0.2, 0.8)
+    pts = np.array([0.1, 0.3 + 0.2j, -0.5j])
+    for sym, axis_found in ((singular_asym, True), (fig2, False)):
+        sec = build_section(sym, 96)
+        assert (sec.axis is not None) == axis_found
+        coef = sec.eigenvectors.conj().T @ np.stack([k_vector(p, 96)[0] for p in pts], axis=1)
+        weights = np.array([g(lam) for lam in sec.eigenvalues])
+        loop = np.array([[np.sum(weights * coef[:, i] * np.conj(coef[:, k])) for k in range(3)]
+                         for i in range(3)])
+        gram = oracle_weak_measure(sec, pts[:, None], pts[None, :], g)
+        assert gram.shape == (3, 3)
+        assert np.allclose(gram, loop, rtol=1e-13, atol=1e-15)
+        for i in range(3):
+            for k in range(3):
+                one = oracle_weak_measure(sec, pts[i], pts[k], g)
+                assert isinstance(one, complex)
+                assert abs(one - loop[i, k]) <= 1e-13 * abs(loop[i, k]) + 1e-15
+        diag = oracle_weak_measure(sec, pts, pts[::-1], g)
+        assert np.allclose(diag, [loop[0, 2], loop[1, 1], loop[2, 0]], rtol=1e-13, atol=1e-15)
+        row = oracle_weak_measure(sec, pts[0], pts, g)
+        assert np.allclose(row, loop[0], rtol=1e-13, atol=1e-15)
+        report = validate(sym, (0.1, 0.9), g, list(pts), [96])
+        assert np.array_equal(report.errors[0], np.abs(gram.ravel() - np.array(report.analytic)))
+
+
 def test_validate_outside_spectrum_is_null(regular):
     g = smooth_bump(2.0, 3.0)  # supported above gamma2
     sec = build_section(regular, 512)

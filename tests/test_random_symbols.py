@@ -74,10 +74,10 @@ def test_random_symbols_full_pipeline(rng):
                 continue
             tested_levels += 1
             # coefficient sum rule
-            assert sum(frame.arcdata.c) == pytest.approx(
-                math.sin(math.pi * frame.arcdata.measure) / math.pi, abs=1e-10
+            assert sum(frame.c) == pytest.approx(
+                math.sin(math.pi * frame.level.measure) / math.pi, abs=1e-10
             )
-            assert 0.0 < frame.arcdata.measure < 1.0
+            assert 0.0 < frame.level.measure < 1.0
             # two-form density agreement and positivity
             u = rng.uniform(0, 0.8) * np.exp(1j * rng.uniform(0, TWO_PI))
             v = rng.uniform(0, 0.8) * np.exp(1j * rng.uniform(0, TWO_PI))

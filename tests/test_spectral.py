@@ -12,7 +12,6 @@ from conftest import (
     singular_phi_ext_closed,
 )
 from toepspec.errors import FormMismatchError, QuadratureError
-from toepspec.hardy import coefficients_c
 from toepspec.levelset import LevelSet, sublevel_set
 from toepspec.oracle import smooth_bump
 from toepspec.symbol import preset_singular
@@ -156,7 +155,7 @@ def test_resolvent_and_stone_broadcast(regular, singular_asym):
 def test_frame_regular(regular):
     fr = spectral_frame(regular, 0.0)
     assert fr.m == 1
-    assert fr.arcdata.c[0] == pytest.approx(1.0 / math.pi, abs=1e-13)
+    assert fr.c[0] == pytest.approx(1.0 / math.pi, abs=1e-13)
     assert fr.level.arcs[0].alpha == pytest.approx(math.pi / 2, abs=1e-12)
 
 
@@ -353,8 +352,8 @@ def test_frame_checks_its_multiplicity(fig2):
     assert level.m == 2
     short = LevelSet(lam, level.arcs[:1])
     with pytest.raises(FormMismatchError):
-        SpectralFrame(fig2, lam, short, coefficients_c(short.arcs, lam))
-    assert SpectralFrame(fig2, lam, level, coefficients_c(level.arcs, lam)).m == 2
+        SpectralFrame(fig2, short)
+    assert SpectralFrame(fig2, level).m == 2
 
 
 def test_eigenfunction_reads_eigen_matrix(fig2):
@@ -447,7 +446,7 @@ def test_alt_density_equality(regular, fig2, rng):
     for sym, lam in ((regular, 0.3), (fig2, 0.2)):
         fr = spectral_frame(sym, lam)
         alt = fr.alt_frame()
-        assert alt.arcdata.measure == pytest.approx(1.0 - fr.arcdata.measure, abs=1e-12)
+        assert alt.level.measure == pytest.approx(1.0 - fr.level.measure, abs=1e-12)
         for _ in range(50):
             u = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, TWO_PI))
             v = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, TWO_PI))

@@ -12,13 +12,16 @@ each side; the side that goes first alternates from pair to pair.  The file
 ``BENCH_<label>.json`` holds, per workload and end-to-end metric, each side's
 runs with their median and quartiles, how many pairs each side won
 (ties count for neither), and a verdict against the metric's bound (see
-``verdict``); the verdicts are also printed to stderr.  Nothing under the benchmark's own directories is
+``verdict``); the verdicts are also printed to stderr.  It also holds each
+side's line count of ``src/toepspec/*.py``, so a change's size sits next to
+its benchmark evidence.  Nothing under the benchmark's own directories is
 read or written beyond running its command.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -50,6 +53,16 @@ def export(rev: str, workdir: str, name: str) -> tuple[str, str]:
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed")
     return dest, commit
+
+
+def source_lines(checkout: str) -> int:
+    """Newline count of the package modules ``src/toepspec/*.py`` in a
+    checkout, the total ``wc -l`` prints."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "toepspec", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(checkout: str, command: list[str], workload: str, seed: int,
@@ -149,7 +162,9 @@ def run_pairs(bench: dict, sides: dict, args) -> dict:
     record = {
         "label": args.label, "command": command, "run_seconds": seconds,
         "parent": sides["parent"][1], "change": sides["change"][1],
-        "seeds": args.seeds, "workloads": {},
+        "seeds": args.seeds,
+        "source_lines": {side: source_lines(sides[side][0]) for side in ("parent", "change")},
+        "workloads": {},
     }
     for workload in args.workloads:
         pairs = []
