@@ -220,11 +220,11 @@ def _cmd_multiplicity(sym, args) -> int:
 
 def _cmd_xi(sym, args) -> int:
     z = _parse_complex(args.z)
-    lr = hardy.point_rule(sym, z, args.lam)
     value = hardy.xi(sym, z, args.lam)
+    factors = hardy._level_factors(sym, args.lam)
     _emit_json(
-        {"value": _cnum(value), "achieved_tol": lr.achieved_tol,
-         "panels": lr.rule.panels, "lambda": args.lam},
+        {"value": _cnum(value), "achieved_tol": factors.achieved_tol,
+         "roots": factors.roots, "lambda": args.lam},
         args.output,
     )
     return 0

@@ -1,6 +1,10 @@
-"""Circle quadrature with logarithmic singularities and the analytic blocks
-built on it: Q, xi, the outer function, the phase A, the L-function with its
+"""The Schwarz average Q of the log weight and the analytic blocks built on
+it: xi, the outer function, the phase A, the L-function with its
 partial-fraction coefficients, boundary values, and the mu measure.
+
+At a real level Q is a closed form in each piece's roots and the
+dilogarithm; non-real levels and boundary values use circle quadrature with
+logarithmic singularities.
 """
 
 from __future__ import annotations
@@ -141,14 +145,15 @@ class LogRule:
         return fine
 
 
-# Per-symbol bound on the cached rules and Fourier vectors: 256 of the
-# 256 KiB log_fourier vectors.
+# Per-symbol bound on the cached rules, root records and Fourier vectors:
+# 256 of the 256 KiB log_fourier vectors.
 RULE_CACHE_BYTES = 64 * 2**20
 _cache_lock = threading.Lock()
 
 
 class _SymbolCache:
-    """Least-recently-used store of one symbol's rules, bounded in bytes.
+    """Least-recently-used store of one symbol's rules, real-level root
+    records and Fourier vectors, bounded in bytes.
 
     Every value carries ``nbytes``; one larger than the whole budget is
     built and returned but not kept.
@@ -294,12 +299,179 @@ def _schwarz_factor(z, theta: np.ndarray) -> np.ndarray:
     return h
 
 
+# -- the closed form at real levels ------------------------------------------------
+
+# Li2(x) = u - u^2/4 + sum_n B_2n u^(2n+1)/(2n+1)! with u = -log(1 - x): the
+# u^2 coefficient, then B_2n/(2n+1)! for n = 1..9
+_LI2_SERIES = (-1.0 / 4.0, 1.0 / 36.0, -1.0 / 3600.0, 1.0 / 211680.0, -1.0 / 10886400.0,
+               1.0 / 526901760.0, -4.0647616451442255e-11, 8.9216910204564526e-13,
+               -1.9939295860721076e-14, 4.5189800296199182e-16)
+_ZETA2 = math.pi ** 2 / 6.0
+
+
+def _li2(x: np.ndarray) -> np.ndarray:
+    """Principal dilogarithm of a complex array.
+
+    The reflection Li2(x) = -Li2(1-x) + pi^2/6 - log x log(1-x), where
+    |1 - x| <= 1 and Re x > 1/2, and the inversion Li2(x) = -Li2(1/x) - pi^2/6
+    - log^2(-x)/2 everywhere else outside the unit disk map the argument into
+    |x| <= 1, Re x <= 1/2, where the Bernoulli series converges to double
+    precision (Maximon, Proc. R. Soc. A 459, 2003).
+    """
+    x = np.asarray(x, dtype=complex)
+    norm = x.real * x.real + x.imag * x.imag
+    reflect = (x.real > 0.5) & (norm <= 2.0 * x.real)
+    invert = ~reflect & (norm > 1.0)
+    direct = ~(reflect | invert)
+    u = np.empty_like(x)
+    rest = np.zeros_like(x)
+    u[direct] = -np.log(1.0 - x[direct])
+    xr = x[reflect]
+    u[reflect] = ur = -np.log(xr)
+    # at x = 1 the product u log(1 - x) is 0 * log 0, whose limit is 0
+    rest[reflect] = ur * np.log(1.0 - xr, out=np.zeros_like(xr), where=xr != 1.0) + _ZETA2
+    xv = x[invert]
+    log_neg = np.log(-xv)
+    u[invert] = -np.log(1.0 - 1.0 / xv)
+    rest[invert] = -0.5 * log_neg * log_neg - _ZETA2
+    u2 = u * u
+    odd = np.zeros_like(u)
+    for coeff in _LI2_SERIES[:0:-1]:
+        odd = odd * u2 + coeff
+    series = u + u2 * (_LI2_SERIES[0] + u * odd)
+    return np.where(direct, series, rest - series)
+
+
+@dataclass(frozen=True)
+class _LevelFactors:
+    """A real level's factorization ln|p - lam| = const + sum Re log(1 - beta w)
+    on each piece [a, b]: the tuples (a, b, const, betas), with |beta| <= 1,
+    and the worst backward error of the roots behind them."""
+
+    pieces: tuple
+    achieved_tol: float
+
+    @property
+    def roots(self) -> int:
+        return sum(len(beta) for *_, beta in self.pieces)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(24 + beta.nbytes for *_, beta in self.pieces)
+
+
+def _factor_level(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
+    """Each piece's p(theta) - lam = e^{-iK theta} P(e^{i theta}) split into
+    its roots zeta: ln|e^{i theta} - zeta| is ln|zeta| (when |zeta| > 1) plus
+    Re log(1 - beta e^{i theta}), beta = conj(zeta) or 1/zeta.
+
+    The roots of P come from ``np.roots`` and two Newton steps; one whose
+    backward error |P(zeta)| / sum |c_j| |zeta|^j exceeds ``DEFAULT_TOL``
+    raises ``QuadratureError``, and a level on a constant piece's value
+    raises ``ExceptionalLevelError``.
+    """
+    pieces, worst = [], 0.0
+    for piece in sym.pieces:
+        a, b, poly = piece.theta_start, piece.theta_end, piece.poly
+        if poly.is_constant():
+            if poly.a[0] == lam:
+                raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
+            pieces.append((a, b, math.log(abs(poly.a[0] - lam)), np.empty(0, dtype=complex)))
+            continue
+        c = poly._laurent(lam)[::-1]
+        dc = np.polyder(c)
+        zeta = np.roots(c)
+        for _ in range(2):
+            zeta = zeta - np.polyval(c, zeta) / np.polyval(dc, zeta)
+        backward = np.abs(np.polyval(c, zeta)) / np.polyval(np.abs(c), np.abs(zeta))
+        worst = max(worst, float(np.max(backward)))
+        far = np.abs(zeta) > 1.0
+        const = math.log(abs(c[0])) + float(np.sum(np.log(np.abs(zeta[far]))))
+        pieces.append((a, b, const, np.where(far, 1.0 / zeta, np.conj(zeta))))
+    if not worst <= DEFAULT_TOL:
+        raise QuadratureError(f"level {lam}: root backward error {worst:.3e}",
+                              achieved_tol=worst)
+    return _LevelFactors(tuple(pieces), worst)
+
+
+def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
+    """The stored factorization of a real level, solved once per level."""
+    return _cache_for(sym).get(("roots", round(lam, 14)), lambda: _factor_level(sym, lam))
+
+
+def _arc_q(z: np.ndarray, a: float, b: float, const: float, beta: np.ndarray) -> np.ndarray:
+    """Schwarz average over the arc [a, b] of const + sum Re log(1 - beta w),
+    at the points ``z`` (a column inside the disk).
+
+    Per root, 2 x (Cauchy integral) - (arc mean) of the two halves of
+    Re log(1 - beta w): the holomorphic half integrates to
+    [L l(theta) - Li2(beta (w - z)/(1 - beta z))], L = log(1 - beta z) and
+    l(theta) = i theta + log(1 - z e^{-i theta}).  The conjugate half, in
+    v = 1/w and gamma = conj(beta), is [Li2(gamma v)] plus the integral of
+    log(1 - gamma v) dx/x along the chord, x = gamma (z v - 1)/(z - gamma),
+    which picks up one monodromy term where x crosses the cut (1, inf).
+    """
+    ends = np.exp(1j * np.array([a, b]))
+    logs = np.log(1.0 - z * np.conj(ends))
+    dl = 1j * (b - a) + logs[:, 1:] - logs[:, :1]
+    q = const * (dl / (1j * math.pi) - (b - a) / TWO_PI)
+    if len(beta) == 0:
+        return q[:, 0]
+    n, r = len(z), len(beta)
+    gamma = np.conj(beta)
+    one_bz = 1.0 - beta * z
+    zg = z - gamma
+    t = [beta * (e - z) / one_bz for e in ends]
+    x = [gamma * (z * np.conj(e) - 1.0) / zg for e in ends]
+    li = _li2(np.concatenate([*(v.ravel() for v in t + x), beta * ends[0], beta * ends[1]]))
+    li_t0, li_t1, li_x0, li_x1 = li[:4 * n * r].reshape(4, n, r)
+    li_w0, li_w1 = li[4 * n * r:].reshape(2, r)
+    li_w = li_w1 - li_w0
+    holo = np.log(one_bz) * dl - (li_t1 - li_t0)
+    # A = log(1 - gamma v) - log(1 - x) at each end; it is constant on each
+    # side of the cut and undefined (and unused) at z = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = [np.log(1.0 - gamma * np.conj(e)) - np.log(z * (1.0 - gamma * np.conj(e)) / zg)
+             for e in ends]
+        chord = A[0] * np.log(x[1] / x[0]) - li_x1 + li_x0
+        side0, side1 = np.sign(x[0].imag), np.sign(x[1].imag)
+        cut = x[0].real - x[0].imag * (x[1].real - x[0].real) / (x[1].imag - x[0].imag)
+        cross = (side0 * side1 < 0) & (cut > 1.0)
+        if cross.any():
+            cut = np.where(cross, cut, 2.0)
+            chord += np.where(cross, (A[1] - A[0]) * np.log(x[1] / cut)
+                              + 1j * math.pi * np.log(cut) * (side1 - side0), 0.0)
+    chord = np.where(z == 0.0, 0.0, chord)
+    terms = (holo + np.conj(li_w) + chord) / (2j * math.pi) + li_w.imag / TWO_PI
+    return q[:, 0] + np.sum(terms, axis=1)
+
+
+def _closed_q(sym: PiecewiseSymbol, lam: float, z: np.ndarray) -> np.ndarray:
+    """Q at a real level for points inside the disk, summed over the pieces;
+    on a whole-circle piece the Li2 terms cancel, leaving the Wiener-Hopf
+    form const + sum log(1 - beta z).  A non-finite value raises
+    ``QuadratureError``."""
+    factors = _level_factors(sym, lam)
+    col = z[:, None]
+    if len(factors.pieces) == 1:
+        _, _, const, beta = factors.pieces[0]
+        q = const + np.sum(np.log(1.0 - beta * col), axis=1)
+    else:
+        q = sum(_arc_q(col, *piece) for piece in factors.pieces)
+    if not np.all(np.isfinite(q)):
+        raise QuadratureError(f"closed-form Q at level {lam} is not finite",
+                              achieved_tol=math.inf)
+    return q
+
+
 def q_function(sym: PiecewiseSymbol, z, lam):
     """Schwarz-kernel average of the log weight of ``lam`` (see ``log_rule``)
     at z inside or outside the circle, for a point or an array of points.
 
-    Points in the peak band around the circle get their own ``point_rule``;
-    all others share the level's ``log_rule`` in one batch.
+    A real level takes the closed form of its roots (``_closed_q``), with
+    Q(z) = -conj Q(1/conj z) outside the disk.  At a non-real level, points
+    in the peak band around the circle get their own ``point_rule``; all
+    others share the level's ``log_rule`` in one batch.
     """
     lam = _level(lam)
     zs = np.asarray(z, dtype=complex)
@@ -309,6 +481,11 @@ def q_function(sym: PiecewiseSymbol, z, lam):
     az = np.abs(flat)
     if np.any(np.abs(az - 1.0) < 1e-8):
         raise ValueError("evaluation on the unit circle requires boundary_xi")
+    if isinstance(lam, float):
+        inside = az < 1.0
+        q = _closed_q(sym, lam, np.divide(1.0, np.conj(flat), out=flat.copy(), where=~inside))
+        out = np.where(inside, q, -np.conj(q))
+        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
     out = np.empty(flat.shape, dtype=complex)
     peak = _in_peak_band(az)
     groups = [(np.nonzero(~peak)[0], log_rule(sym, lam))] if not peak.all() else []

@@ -74,3 +74,35 @@ def test_source_lines_counts_the_package_modules(tmp_path):
     sides = {"parent": (str(tmp_path), "p"), "change": (str(tmp_path / "missing"), "c")}
     record = bench_pairs.run_pairs({"command": ["true"], "run_seconds": 1}, sides, args)
     assert record["source_lines"] == {"parent": 3, "change": 0}
+
+
+def _layers(**values):
+    return {name.replace("__", "."): {"value": v, "unit": "s" if name.endswith("_s") else "count"}
+            for name, v in values.items()}
+
+
+def test_trace_moves_lists_changed_counts_and_moved_self_times():
+    parent = _layers(hardy__log_rule__calls=4536.0, hardy__log_rule__self_s=1.41,
+                     hardy__xi__calls=88.0, hardy__xi__self_s=0.30,
+                     hardy__xi_grid__self_s=2.66, hardy__rule_builds=1904.0)
+    change = _layers(hardy__log_rule__calls=48.0, hardy__log_rule__self_s=0.02,
+                     hardy__xi__calls=88.0, hardy__xi__self_s=0.34,
+                     hardy__xi_grid__self_s=0.61, hardy__rule_builds=48.0)
+    parent["hardy.rule_hit_ratio"] = {"value": 0.70, "unit": "fraction"}
+    change["hardy.rule_hit_ratio"] = {"value": 0.0, "unit": "fraction"}
+    assert bench_pairs.trace_moves(parent, change) == [
+        "hardy.log_rule.calls: 4536 -> 48",
+        "hardy.log_rule.self_s: 1.41 -> 0.02",
+        "hardy.xi_grid.self_s: 2.66 -> 0.61",
+        "hardy.rule_builds: 1904 -> 48",
+    ]
+    assert bench_pairs.trace_moves(parent, parent) == []
+
+
+def test_trace_moves_names_a_layer_only_one_side_has():
+    parent = _layers(hardy__plain_rule__calls=1904.0, hardy__xi__calls=1.0)
+    change = _layers(hardy__xi__calls=1.0000000000000002, hardy__roots__calls=7.0)
+    assert bench_pairs.trace_moves(parent, change) == [
+        "hardy.plain_rule.calls: 1904.0 -> None",
+        "hardy.roots.calls: None -> 7.0",
+    ]

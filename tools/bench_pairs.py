@@ -12,9 +12,12 @@ each side; the side that goes first alternates from pair to pair.  The file
 ``BENCH_<label>.json`` holds, per workload and end-to-end metric, each side's
 runs with their median and quartiles, how many pairs each side won
 (ties count for neither), and a verdict against the metric's bound (see
-``verdict``); the verdicts are also printed to stderr.  It also holds each
-side's line count of ``src/toepspec/*.py``, so a change's size sits next to
-its benchmark evidence.  Nothing under the benchmark's own directories is
+``verdict``); the verdicts are also printed to stderr.  Each workload also
+runs once per side with ``--trace 1`` on the first seed; both sides'
+per-layer metrics are kept under ``trace``, and the layers that moved (see
+``trace_moves``) are printed.  The file also holds each side's line count
+of ``src/toepspec/*.py``, so a change's size sits next to its benchmark
+evidence.  Nothing under the benchmark's own directories is
 read or written beyond running its command.
 """
 
@@ -66,9 +69,10 @@ def source_lines(checkout: str) -> int:
 
 
 def run_once(checkout: str, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict:
-    """One benchmark run; the parsed result line."""
-    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+             seconds: float, trace: bool = False) -> dict:
+    """One benchmark run, traced or not; the parsed result line."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+                      "--trace", str(int(trace))]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
@@ -104,6 +108,29 @@ def verdict(sign: float, bound: float, p: dict, c: dict, change_won: int) -> str
     if change_won >= 0.9 * len(p["runs"]) and better > iqr:
         return "gain"
     return "same"
+
+
+# a self time counts as moved beyond this many seconds per pass
+TRACE_SELF_S = 0.05
+
+
+def trace_moves(parent: dict, change: dict) -> list[str]:
+    """The per-layer metrics of two traced runs that moved, one line each:
+    every count that changed, and every time in seconds that moved by more
+    than ``TRACE_SELF_S``.  A metric only one side has is listed too."""
+    lines = []
+    for name in list(parent) + [n for n in change if n not in parent]:
+        p, c = parent.get(name), change.get(name)
+        unit = (p or c)["unit"]
+        if unit not in ("count", "s"):
+            continue
+        if p is None or c is None:
+            lines.append(f"{name}: {p and p['value']} -> {c and c['value']}")
+            continue
+        gap = abs(c["value"] - p["value"])
+        if gap > (TRACE_SELF_S if unit == "s" else 1e-9 * max(1.0, abs(p["value"]))):
+            lines.append(f"{name}: {p['value']:.6g} -> {c['value']:.6g}")
+    return lines
 
 
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
@@ -177,14 +204,21 @@ def run_pairs(bench: dict, sides: dict, args) -> dict:
                 f"{side} jobs_per_s {result[side]['metrics']['jobs_per_s']['value']:.4g}"
                 for side in order), file=sys.stderr)
         metrics = summarize(bench["end_to_end"], pairs)
+        traced = {side: run_once(sides[side][0], command, workload, args.seeds[0], seconds,
+                                 trace=True)["metrics"] for side in ("parent", "change")}
+        moves = trace_moves(traced["parent"], traced["change"])
         record["workloads"][workload] = {
             "pairs": len(pairs),
             "failed": {"parent": [r["failed"] for r, _ in pairs],
                        "change": [r["failed"] for _, r in pairs]},
             "metrics": metrics,
+            "trace": {"seed": args.seeds[0], **traced, "moved": moves},
         }
         print(f"{workload} verdicts: " + ", ".join(
             f"{name} {m['verdict']}" for name, m in metrics.items()), file=sys.stderr)
+        print(f"{workload} trace, seed {args.seeds[0]}, parent -> change:", file=sys.stderr)
+        for line in moves or ["(no layer moved)"]:
+            print(f"  {line}", file=sys.stderr)
     return record
 
 
