@@ -22,7 +22,6 @@ from .hardy import (
     outer_F,
     phase_A_closed,
     phase_A_integral,
-    point_rule,
     q_function,
     xi,
     xi_circle,

@@ -2,9 +2,9 @@
 it: xi, the outer function, the phase A, the L-function with its
 partial-fraction coefficients, boundary values, and the mu measure.
 
-At a real level Q is a closed form in each piece's roots and the
-dilogarithm; non-real levels and boundary values use circle quadrature with
-logarithmic singularities.
+Off the unit circle Q is a closed form in each piece's roots and the
+dilogarithm, at real and non-real levels alike; boundary values use circle
+quadrature with logarithmic singularities.
 """
 
 from __future__ import annotations
@@ -45,14 +45,12 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 GL_NODES, GL_WEIGHTS = gauss_legendre(16)
 
-# the relative accuracy every panel-rule integral is certified to
+# the relative accuracy every panel-rule integral is certified to, and the
+# largest backward error the closed form accepts of a root
 DEFAULT_TOL = 1e-10
 DEFAULT_DEPTH = 36
 MAX_DEPTH = 40
 H_MAX = TWO_PI / 48.0
-# |z| beyond which the Schwarz factor is too peaked for the shared panels and
-# the point gets its own breakpoint (at 0.92 the shared rule missed DEFAULT_TOL)
-PEAK_RADIUS = 0.9
 
 
 def _interval_edges(a: float, b: float, depth: int, h_max: float) -> np.ndarray:
@@ -111,49 +109,28 @@ class CircleRule:
             raise QuadratureError("panel weights do not sum to the circle measure")
         self.panels = len(self.theta) // len(GL_NODES)
 
-    @property
-    def nbytes(self) -> int:
-        return (self.breakpoints.nbytes + self.theta.nbytes + self.w.nbytes
-                + self.theta_c.nbytes + self.w_c.nbytes)
-
 
 @dataclass
 class LogRule:
-    """A CircleRule together with precomputed log node values: ln|omega - lam|
-    at a real level, the principal log(omega - lam) at a non-real one."""
+    """A CircleRule together with ln|omega - lam| at its fine and coarse
+    nodes, for a real level ``lam``."""
 
     rule: CircleRule
-    lam: float | complex
+    lam: float
     logvals: np.ndarray
     logvals_c: np.ndarray
     achieved_tol: float
 
-    @property
-    def nbytes(self) -> int:
-        return self.rule.nbytes + self.logvals.nbytes + self.logvals_c.nbytes
 
-    def weighted(self, smooth_f, smooth_c):
-        """Integrals of the log weight times smooth factors given at the nodes,
-        one column per integral; each must meet the tolerance on its own."""
-        fine = np.dot(self.rule.w * self.logvals, smooth_f)
-        coarse = np.dot(self.rule.w_c * self.logvals_c, smooth_c)
-        ratio = np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine)), initial=0.0)
-        if ratio > DEFAULT_TOL:
-            raise QuadratureError(
-                f"log quadrature stalled at relative estimate {ratio:.3e}", achieved_tol=ratio
-            )
-        return fine
-
-
-# Per-symbol bound on the cached rules, root records and Fourier vectors:
-# 256 of the 256 KiB log_fourier vectors.
+# Per-symbol bound on the stored root records and Fourier vectors: 256 of
+# the 256 KiB log_fourier vectors.
 RULE_CACHE_BYTES = 64 * 2**20
 _cache_lock = threading.Lock()
 
 
 class _SymbolCache:
-    """Least-recently-used store of one symbol's rules, real-level root
-    records and Fourier vectors, bounded in bytes.
+    """Least-recently-used store of one symbol's real-level root records and
+    Fourier vectors, bounded in bytes.
 
     Every value carries ``nbytes``; one larger than the whole budget is
     built and returned but not kept.
@@ -163,11 +140,6 @@ class _SymbolCache:
         self.entries: OrderedDict = OrderedDict()
         self.nbytes = 0
         self.tau_values: np.ndarray | None = None
-
-    def peek(self, key):
-        """The stored value, or None; leaves the recency order alone."""
-        with _cache_lock:
-            return self.entries.get(key)
 
     def get(self, key, build):
         with _cache_lock:
@@ -199,9 +171,7 @@ def _cache_for(sym: PiecewiseSymbol) -> _SymbolCache:
         return cache
 
 
-def _log_weight(vals: np.ndarray, lam: float | complex) -> np.ndarray:
-    if isinstance(lam, complex):
-        return np.log(vals - lam)
+def _log_weight(vals: np.ndarray, lam: float) -> np.ndarray:
     return np.log(np.maximum(np.abs(vals - lam), 1e-300))
 
 
@@ -234,72 +204,35 @@ def _nearest_extremum(sym: PiecewiseSymbol, x: float) -> tuple[float, ...]:
     return tuple(t for t, v in points if abs(v - x) == near)
 
 
-def log_rule(sym: PiecewiseSymbol, lam, extra=()) -> LogRule:
-    """Quadrature rule for integrals with the log weight of ``lam``, cached
-    per real level.
+def log_rule(sym: PiecewiseSymbol, lam: float, extra=()) -> LogRule:
+    """Quadrature rule for integrals with the log weight ln|omega - lam| of a
+    real level, built afresh on each call (``boundary_sigma`` is its one
+    caller): at ``DEFAULT_DEPTH``, and at ``MAX_DEPTH`` when the fine and
+    coarse panels disagree on the weight's circle average by more than
+    ``DEFAULT_TOL``; past that it raises ``QuadratureError``.
 
-    A real level has the weight ln|omega - lam|; a non-real one has the
-    principal log(omega - lam) and the breakpoints of its real part, on the
-    stored panels of that real level when there are some.  When Re lam lies
-    outside the essential range nothing crosses it, yet omega - lam comes
-    close to zero at the extremum nearest in value, so the rule also breaks
-    at that extremum's angles.  ``extra`` adds non-singular breakpoints
-    (used to resolve the Schwarz peak of evaluation points close to the
-    circle).
+    When lam lies outside the essential range nothing crosses it, yet
+    omega - lam comes close to zero at the extremum nearest in value, so the
+    rule also breaks at that extremum's angles.  ``extra`` adds non-singular
+    breakpoints.
     """
-    lam = _level(lam)
     g1, g2 = sym.essential_range()
-    near = () if g1 < lam.real < g2 else _nearest_extremum(sym, lam.real)
-    key = (round(lam.real, 14), tuple(round(float(e), 12) for e in sorted(extra)))
-    cache = _cache_for(sym)
-
-    def rules(depths):
-        for depth in depths:
-            yield plain_rule(sym, lam.real, tuple(extra) + near, depth=depth)
-
-    def build(candidates):
-        err = math.inf
-        for rule in candidates:
-            logvals = _log_weight(sym.values(rule.theta), lam)
-            logvals_c = _log_weight(sym.values(rule.theta_c), lam)
-            base = np.dot(rule.w, logvals)
-            err = abs(base - np.dot(rule.w_c, logvals_c))
-            if err <= DEFAULT_TOL * max(1.0, abs(base)):
-                return LogRule(rule, lam, logvals, logvals_c, err)
-        raise QuadratureError(
-            f"log quadrature did not converge at depth {MAX_DEPTH}", achieved_tol=err
-        )
-
-    if isinstance(lam, complex):  # seldom asked twice; keeping it would evict real levels
-        real = cache.peek(key)
-        if real is None:
-            return build(rules((DEFAULT_DEPTH, MAX_DEPTH)))
-        deeper = rules((MAX_DEPTH,) if real.rule.depth < MAX_DEPTH else ())
-        return build(itertools.chain((real.rule,), deeper))
-    return cache.get(key, lambda: build(rules((DEFAULT_DEPTH, MAX_DEPTH))))
+    near = () if g1 < lam < g2 else _nearest_extremum(sym, lam)
+    err = math.inf
+    for depth in (DEFAULT_DEPTH, MAX_DEPTH):
+        rule = plain_rule(sym, lam, tuple(extra) + near, depth=depth)
+        logvals = _log_weight(sym.values(rule.theta), lam)
+        logvals_c = _log_weight(sym.values(rule.theta_c), lam)
+        base = np.dot(rule.w, logvals)
+        err = abs(base - np.dot(rule.w_c, logvals_c))
+        if err <= DEFAULT_TOL * max(1.0, abs(base)):
+            return LogRule(rule, lam, logvals, logvals_c, err)
+    raise QuadratureError(
+        f"log quadrature did not converge at depth {MAX_DEPTH}", achieved_tol=err
+    )
 
 
-def _in_peak_band(az):
-    return (PEAK_RADIUS < az) & (az < 1.0 / PEAK_RADIUS)
-
-
-def point_rule(sym: PiecewiseSymbol, z: complex, lam) -> LogRule:
-    """The rule ``q_function`` integrates with at z: the shared ``log_rule``,
-    plus a breakpoint at arg z when z lies in the peak band around the circle."""
-    extra = (float(np.angle(z)) % TWO_PI,) if _in_peak_band(abs(z)) else ()
-    return log_rule(sym, lam, extra=extra)
-
-
-def _schwarz_factor(z, theta: np.ndarray) -> np.ndarray:
-    """(1 + s)/(1 - s) with s = z e^{-i theta}; ``z`` a column of points.
-    Holds two (points x nodes) arrays at most."""
-    s = z * np.exp(-1j * theta)
-    h = 1.0 + s
-    h /= np.subtract(1.0, s, out=s)
-    return h
-
-
-# -- the closed form at real levels ------------------------------------------------
+# -- the closed form ----------------------------------------------------------------
 
 # Li2(x) = u - u^2/4 + sum_n B_2n u^(2n+1)/(2n+1)! with u = -log(1 - x): the
 # u^2 coefficient, then B_2n/(2n+1)! for n = 1..9
@@ -344,39 +277,65 @@ def _li2(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _LevelFactors:
-    """A real level's factorization ln|p - lam| = const + sum Re log(1 - beta w)
-    on each piece [a, b]: the tuples (a, b, const, betas), with |beta| <= 1,
-    and the worst backward error of the roots behind them."""
+    """A level's log weight factored on each piece [a, b] of the symbol as
+    const + weight (sum log(1 - beta w) + sum log(1 - gamma/w)), w = e^{i theta}:
+    the tuples (a, b, const, beta, gamma), with |beta|, |gamma| <= 1, the
+    total count of roots behind them and their worst backward error.
+
+    At a real level the weight is ln|omega - lam|, the real part: const is
+    real, gamma = conj(beta) and weight 1/2.  At a non-real one it is the
+    principal log(omega - zeta), with weight 1.
+    """
 
     pieces: tuple
+    weight: float
+    roots: int
     achieved_tol: float
 
     @property
-    def roots(self) -> int:
-        return sum(len(beta) for *_, beta in self.pieces)
-
-    @property
     def nbytes(self) -> int:
-        return sum(24 + beta.nbytes for *_, beta in self.pieces)
+        return sum(40 + beta.nbytes + gamma.nbytes for *_, beta, gamma in self.pieces)
+
+    def conj(self) -> "_LevelFactors":
+        """The factorization at the conjugate level: a root zeta becomes
+        1/conj(zeta), on the other side of the circle."""
+        pieces = tuple((a, b, np.conj(const), np.conj(gamma), np.conj(beta))
+                       for a, b, const, beta, gamma in self.pieces)
+        return _LevelFactors(pieces, self.weight, self.roots, self.achieved_tol)
 
 
-def _factor_level(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
-    """Each piece's p(theta) - lam = e^{-iK theta} P(e^{i theta}) split into
-    its roots zeta: ln|e^{i theta} - zeta| is ln|zeta| (when |zeta| > 1) plus
-    Re log(1 - beta e^{i theta}), beta = conj(zeta) or 1/zeta.
+def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
+    """Each piece's p(theta) - lam = c e^{-iK theta} prod (e^{i theta} - zeta)
+    split into its roots zeta.
 
-    The roots of P come from ``np.roots`` and two Newton steps; one whose
-    backward error |P(zeta)| / sum |c_j| |zeta|^j exceeds ``DEFAULT_TOL``
-    raises ``QuadratureError``, and a level on a constant piece's value
-    raises ``ExceptionalLevelError``.
+    A root inside the circle contributes i theta + log(1 - zeta/w), one
+    outside log(-zeta) + log(1 - w/zeta).  At a real level only the real
+    part counts: ln|w - zeta| is ln|zeta| (when |zeta| > 1) plus
+    Re log(1 - beta w), beta = conj(zeta) or 1/zeta.  At a non-real level
+    p - lam stays on the line Im = -Im lam, so it does not wind around 0 and
+    exactly K roots lie inside: the i theta terms cancel e^{-iK theta}, and
+    another count raises ``QuadratureError``.  A root within 1e-8 of the
+    circle is a crossing of Re lam moved by i Im lam, to
+    |zeta| ~ exp(-Im lam / p'(arg zeta)), so it lies inside exactly when
+    Im lam p'(arg zeta) > 0; its modulus alone would place it by rounding.
+    The factors' logs are continuous on the circle, and so is the principal
+    log(p - lam), so they differ by one 2 pi i k, read off at the midpoint.
+
+    The roots of the Laurent polynomial come from ``np.roots`` and two
+    Newton steps; one whose backward error |P(zeta)| / sum |c_j| |zeta|^j
+    exceeds ``DEFAULT_TOL`` raises ``QuadratureError``, and a real level on a
+    constant piece's value raises ``ExceptionalLevelError``.
     """
-    pieces, worst = [], 0.0
+    real = isinstance(lam, float)
+    none = np.empty(0, dtype=complex)
+    pieces, roots, worst = [], 0, 0.0
     for piece in sym.pieces:
         a, b, poly = piece.theta_start, piece.theta_end, piece.poly
         if poly.is_constant():
             if poly.a[0] == lam:
                 raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
-            pieces.append((a, b, math.log(abs(poly.a[0] - lam)), np.empty(0, dtype=complex)))
+            const = math.log(abs(poly.a[0] - lam)) if real else cmath.log(poly.a[0] - lam)
+            pieces.append((a, b, const, none, none))
             continue
         c = poly._laurent(lam)[::-1]
         dc = np.polyder(c)
@@ -385,13 +344,30 @@ def _factor_level(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
             zeta = zeta - np.polyval(c, zeta) / np.polyval(dc, zeta)
         backward = np.abs(np.polyval(c, zeta)) / np.polyval(np.abs(c), np.abs(zeta))
         worst = max(worst, float(np.max(backward)))
-        far = np.abs(zeta) > 1.0
-        const = math.log(abs(c[0])) + float(np.sum(np.log(np.abs(zeta[far]))))
-        pieces.append((a, b, const, np.where(far, 1.0 / zeta, np.conj(zeta))))
+        roots += len(zeta)
+        modulus = np.abs(zeta)
+        if real:
+            far = modulus > 1.0
+            const = math.log(abs(c[0])) + float(np.sum(np.log(modulus[far])))
+            beta = np.where(far, 1.0 / zeta, np.conj(zeta))
+            pieces.append((a, b, const, beta, np.conj(beta)))
+            continue
+        inside = np.where(np.abs(modulus - 1.0) < 1e-8,
+                          lam.imag * poly.derivative()(np.angle(zeta)) > 0.0, modulus < 1.0)
+        if np.count_nonzero(inside) != poly.degree:
+            raise QuadratureError(f"level {lam}: {np.count_nonzero(inside)} of "
+                                  f"{len(zeta)} roots placed inside the circle",
+                                  achieved_tol=math.inf)
+        beta, gamma = 1.0 / zeta[~inside], zeta[inside]
+        const = cmath.log(c[0]) + complex(np.sum(np.log(-zeta[~inside])))
+        w = cmath.exp(0.5j * (a + b))
+        factored = const + np.sum(np.log(1.0 - beta * w)) + np.sum(np.log(1.0 - gamma / w))
+        k = round((cmath.log(poly(0.5 * (a + b)) - lam) - factored).imag / TWO_PI)
+        pieces.append((a, b, const + 2j * math.pi * k, beta, gamma))
     if not worst <= DEFAULT_TOL:
         raise QuadratureError(f"level {lam}: root backward error {worst:.3e}",
                               achieved_tol=worst)
-    return _LevelFactors(tuple(pieces), worst)
+    return _LevelFactors(tuple(pieces), 0.5 if real else 1.0, roots, worst)
 
 
 def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
@@ -399,35 +375,41 @@ def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
     return _cache_for(sym).get(("roots", round(lam, 14)), lambda: _factor_level(sym, lam))
 
 
-def _arc_q(z: np.ndarray, a: float, b: float, const: float, beta: np.ndarray) -> np.ndarray:
-    """Schwarz average over the arc [a, b] of const + sum Re log(1 - beta w),
-    at the points ``z`` (a column inside the disk).
+def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
+           beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Schwarz average over the arc [a, b] of
+    const + weight (sum log(1 - beta w) + sum log(1 - gamma/w)), at the
+    points ``z`` (a column inside the disk).
 
-    Per root, 2 x (Cauchy integral) - (arc mean) of the two halves of
-    Re log(1 - beta w): the holomorphic half integrates to
-    [L l(theta) - Li2(beta (w - z)/(1 - beta z))], L = log(1 - beta z) and
-    l(theta) = i theta + log(1 - z e^{-i theta}).  The conjugate half, in
-    v = 1/w and gamma = conj(beta), is [Li2(gamma v)] plus the integral of
-    log(1 - gamma v) dx/x along the chord, x = gamma (z v - 1)/(z - gamma),
-    which picks up one monodromy term where x crosses the cut (1, inf).
+    Each term is 2 x (Cauchy integral) - (arc mean), with
+    l(theta) = i theta + log(1 - z e^{-i theta}) = log(w - z):
+    - 1 integrates to l/(pi i) - theta/(2 pi) at the ends;
+    - log(1 - beta w) has the Cauchy integral
+      [L l(theta) - Li2(beta (w - z)/(1 - beta z))]/(2 pi i),
+      L = log(1 - beta z), and the mean -[Li2(beta w)]/(2 pi i);
+    - log(1 - gamma/w), in v = 1/w, has the mean [Li2(gamma v)]/(2 pi i) and
+      the Cauchy integral [Li2(gamma v)] plus the integral of
+      log(1 - gamma v) dx/x along the chord, x = gamma (z v - 1)/(z - gamma),
+      over 2 pi i; the chord integral picks up one monodromy term where x
+      crosses the cut (1, inf).
+    All Li2 values of the arc come from one call.
     """
     ends = np.exp(1j * np.array([a, b]))
     logs = np.log(1.0 - z * np.conj(ends))
     dl = 1j * (b - a) + logs[:, 1:] - logs[:, :1]
     q = const * (dl / (1j * math.pi) - (b - a) / TWO_PI)
-    if len(beta) == 0:
+    if len(beta) == 0 and len(gamma) == 0:
         return q[:, 0]
-    n, r = len(z), len(beta)
-    gamma = np.conj(beta)
     one_bz = 1.0 - beta * z
     zg = z - gamma
     t = [beta * (e - z) / one_bz for e in ends]
     x = [gamma * (z * np.conj(e) - 1.0) / zg for e in ends]
-    li = _li2(np.concatenate([*(v.ravel() for v in t + x), beta * ends[0], beta * ends[1]]))
-    li_t0, li_t1, li_x0, li_x1 = li[:4 * n * r].reshape(4, n, r)
-    li_w0, li_w1 = li[4 * n * r:].reshape(2, r)
-    li_w = li_w1 - li_w0
-    holo = np.log(one_bz) * dl - (li_t1 - li_t0)
+    args = t + x + [beta * e for e in ends] + [gamma * np.conj(e) for e in ends]
+    li = _li2(np.concatenate([v.ravel() for v in args]))
+    cuts = list(itertools.accumulate((v.size for v in args), initial=0))
+    li_t0, li_t1, li_x0, li_x1, li_b0, li_b1, li_g0, li_g1 = (
+        li[i:j].reshape(v.shape) for i, j, v in zip(cuts, cuts[1:], args))
+    holo = 2.0 * (np.log(one_bz) * dl - (li_t1 - li_t0)) + (li_b1 - li_b0)
     # A = log(1 - gamma v) - log(1 - x) at each end; it is constant on each
     # side of the cut and undefined (and unused) at z = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -442,36 +424,35 @@ def _arc_q(z: np.ndarray, a: float, b: float, const: float, beta: np.ndarray) ->
             chord += np.where(cross, (A[1] - A[0]) * np.log(x[1] / cut)
                               + 1j * math.pi * np.log(cut) * (side1 - side0), 0.0)
     chord = np.where(z == 0.0, 0.0, chord)
-    terms = (holo + np.conj(li_w) + chord) / (2j * math.pi) + li_w.imag / TWO_PI
-    return q[:, 0] + np.sum(terms, axis=1)
+    conj_half = 2.0 * chord + (li_g1 - li_g0)
+    return q[:, 0] + weight * (np.sum(holo, axis=1) + np.sum(conj_half, axis=1)) / (2j * math.pi)
 
 
-def _closed_q(sym: PiecewiseSymbol, lam: float, z: np.ndarray) -> np.ndarray:
-    """Q at a real level for points inside the disk, summed over the pieces;
-    on a whole-circle piece the Li2 terms cancel, leaving the Wiener-Hopf
-    form const + sum log(1 - beta z).  A non-finite value raises
+def _closed_q(factors: _LevelFactors, z: np.ndarray) -> np.ndarray:
+    """Q for points inside the disk, summed over the pieces; on a
+    whole-circle piece the Li2 terms cancel, leaving the Wiener-Hopf form
+    const + sum 2 weight log(1 - beta z).  A non-finite value raises
     ``QuadratureError``."""
-    factors = _level_factors(sym, lam)
     col = z[:, None]
     if len(factors.pieces) == 1:
-        _, _, const, beta = factors.pieces[0]
-        q = const + np.sum(np.log(1.0 - beta * col), axis=1)
+        _, _, const, beta, _ = factors.pieces[0]
+        q = const + 2.0 * factors.weight * np.sum(np.log(1.0 - beta * col), axis=1)
     else:
-        q = sum(_arc_q(col, *piece) for piece in factors.pieces)
+        q = sum(_arc_q(col, factors.weight, *piece) for piece in factors.pieces)
     if not np.all(np.isfinite(q)):
-        raise QuadratureError(f"closed-form Q at level {lam} is not finite",
-                              achieved_tol=math.inf)
+        raise QuadratureError("closed-form Q is not finite", achieved_tol=math.inf)
     return q
 
 
 def q_function(sym: PiecewiseSymbol, z, lam):
-    """Schwarz-kernel average of the log weight of ``lam`` (see ``log_rule``)
-    at z inside or outside the circle, for a point or an array of points.
+    """Schwarz-kernel average of the log weight of ``lam`` at z inside or
+    outside the circle, for a point or an array of points: of ln|omega - lam|
+    at a real level, of the principal log(omega - lam) at a non-real one.
 
-    A real level takes the closed form of its roots (``_closed_q``), with
-    Q(z) = -conj Q(1/conj z) outside the disk.  At a non-real level, points
-    in the peak band around the circle get their own ``point_rule``; all
-    others share the level's ``log_rule`` in one batch.
+    Both take the closed form of the level's roots (``_closed_q``), with
+    Q(z; lam) = -conj Q(1/conj z; conj lam) outside the disk.  A real
+    level's roots are stored per level; a non-real level's are solved on
+    each call.
     """
     lam = _level(lam)
     zs = np.asarray(z, dtype=complex)
@@ -481,19 +462,13 @@ def q_function(sym: PiecewiseSymbol, z, lam):
     az = np.abs(flat)
     if np.any(np.abs(az - 1.0) < 1e-8):
         raise ValueError("evaluation on the unit circle requires boundary_xi")
-    if isinstance(lam, float):
-        inside = az < 1.0
-        q = _closed_q(sym, lam, np.divide(1.0, np.conj(flat), out=flat.copy(), where=~inside))
-        out = np.where(inside, q, -np.conj(q))
-        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+    factors = _level_factors(sym, lam) if isinstance(lam, float) else _factor_level(sym, lam)
+    inside = az < 1.0
     out = np.empty(flat.shape, dtype=complex)
-    peak = _in_peak_band(az)
-    groups = [(np.nonzero(~peak)[0], log_rule(sym, lam))] if not peak.all() else []
-    groups += [([i], point_rule(sym, flat[i], lam)) for i in np.nonzero(peak)[0]]
-    for idx, lr in groups:
-        col = flat[idx][:, None]
-        out[idx] = lr.weighted(_schwarz_factor(col, lr.rule.theta).T,
-                               _schwarz_factor(col, lr.rule.theta_c).T)
+    if inside.any():
+        out[inside] = _closed_q(factors, flat[inside])
+    if not inside.all():
+        out[~inside] = -np.conj(_closed_q(factors.conj(), 1.0 / np.conj(flat[~inside])))
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
