@@ -13,9 +13,6 @@ import cmath
 import functools
 import itertools
 import math
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +20,16 @@ import numpy as np
 from .errors import ExceptionalLevelError, QuadratureError
 from .kernels import schwarz_H
 from .levelset import (
+    DEFAULT_TOL,
     GUARD,
     _arc_pairs,
+    _cache_for,
+    _factor_level,
+    _level_factors,
+    _LevelFactors,
     admissible_intervals,
     arcs_measure,
     exceptional_set,
-    level_angles_raw,
     sublevel_set,
 )
 from .symbol import TWO_PI, PiecewiseSymbol
@@ -45,9 +46,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 GL_NODES, GL_WEIGHTS = gauss_legendre(16)
 
-# the relative accuracy every panel-rule integral is certified to, and the
-# largest backward error the closed form accepts of a root
-DEFAULT_TOL = 1e-10
 DEFAULT_DEPTH = 36
 MAX_DEPTH = 40
 H_MAX = TWO_PI / 48.0
@@ -122,55 +120,6 @@ class LogRule:
     achieved_tol: float
 
 
-# Per-symbol bound on the stored root records and Fourier vectors: 256 of
-# the 256 KiB log_fourier vectors.
-RULE_CACHE_BYTES = 64 * 2**20
-_cache_lock = threading.Lock()
-
-
-class _SymbolCache:
-    """Least-recently-used store of one symbol's real-level root records and
-    Fourier vectors, bounded in bytes.
-
-    Every value carries ``nbytes``; one larger than the whole budget is
-    built and returned but not kept.
-    """
-
-    def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
-        self.nbytes = 0
-        self.tau_values: np.ndarray | None = None
-
-    def get(self, key, build):
-        with _cache_lock:
-            hit = self.entries.get(key)
-            if hit is not None:
-                self.entries.move_to_end(key)
-                return hit
-        value = build()
-        size = value.nbytes
-        if size > RULE_CACHE_BYTES:
-            return value
-        with _cache_lock:
-            if key not in self.entries:
-                while self.entries and self.nbytes + size > RULE_CACHE_BYTES:
-                    self.nbytes -= self.entries.popitem(last=False)[1].nbytes
-                self.entries[key] = value
-                self.nbytes += size
-        return value
-
-
-_rule_cache: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolCache]" = weakref.WeakKeyDictionary()
-
-
-def _cache_for(sym: PiecewiseSymbol) -> _SymbolCache:
-    with _cache_lock:
-        cache = _rule_cache.get(sym)
-        if cache is None:
-            cache = _rule_cache[sym] = _SymbolCache()
-        return cache
-
-
 def _log_weight(vals: np.ndarray, lam: float) -> np.ndarray:
     return np.log(np.maximum(np.abs(vals - lam), 1e-300))
 
@@ -190,7 +139,7 @@ def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
     angles where the symbol crosses ``x`` when ``x`` lies inside the
     essential range, and at ``extra``."""
     g1, g2 = sym.essential_range()
-    crossings = level_angles_raw(sym, x) if x is not None and g1 < x < g2 else ()
+    crossings = _level_factors(sym, x).crossings if x is not None and g1 < x < g2 else ()
     breaks = np.concatenate((sym._starts, crossings, extra), dtype=float)
     return CircleRule(breaks, depth=depth)
 
@@ -275,106 +224,6 @@ def _li2(x: np.ndarray) -> np.ndarray:
     return np.where(direct, series, rest - series)
 
 
-@dataclass(frozen=True)
-class _LevelFactors:
-    """A level's log weight factored on each piece [a, b] of the symbol as
-    const + weight (sum log(1 - beta w) + sum log(1 - gamma/w)), w = e^{i theta}:
-    the tuples (a, b, const, beta, gamma), with |beta|, |gamma| <= 1, the
-    total count of roots behind them and their worst backward error.
-
-    At a real level the weight is ln|omega - lam|, the real part: const is
-    real, gamma = conj(beta) and weight 1/2.  At a non-real one it is the
-    principal log(omega - zeta), with weight 1.
-    """
-
-    pieces: tuple
-    weight: float
-    roots: int
-    achieved_tol: float
-
-    @property
-    def nbytes(self) -> int:
-        return sum(40 + beta.nbytes + gamma.nbytes for *_, beta, gamma in self.pieces)
-
-    def conj(self) -> "_LevelFactors":
-        """The factorization at the conjugate level: a root zeta becomes
-        1/conj(zeta), on the other side of the circle."""
-        pieces = tuple((a, b, np.conj(const), np.conj(gamma), np.conj(beta))
-                       for a, b, const, beta, gamma in self.pieces)
-        return _LevelFactors(pieces, self.weight, self.roots, self.achieved_tol)
-
-
-def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
-    """Each piece's p(theta) - lam = c e^{-iK theta} prod (e^{i theta} - zeta)
-    split into its roots zeta.
-
-    A root inside the circle contributes i theta + log(1 - zeta/w), one
-    outside log(-zeta) + log(1 - w/zeta).  At a real level only the real
-    part counts: ln|w - zeta| is ln|zeta| (when |zeta| > 1) plus
-    Re log(1 - beta w), beta = conj(zeta) or 1/zeta.  At a non-real level
-    p - lam stays on the line Im = -Im lam, so it does not wind around 0 and
-    exactly K roots lie inside: the i theta terms cancel e^{-iK theta}, and
-    another count raises ``QuadratureError``.  A root within 1e-8 of the
-    circle is a crossing of Re lam moved by i Im lam, to
-    |zeta| ~ exp(-Im lam / p'(arg zeta)), so it lies inside exactly when
-    Im lam p'(arg zeta) > 0; its modulus alone would place it by rounding.
-    The factors' logs are continuous on the circle, and so is the principal
-    log(p - lam), so they differ by one 2 pi i k, read off at the midpoint.
-
-    The roots of the Laurent polynomial come from ``np.roots`` and two
-    Newton steps; one whose backward error |P(zeta)| / sum |c_j| |zeta|^j
-    exceeds ``DEFAULT_TOL`` raises ``QuadratureError``, and a real level on a
-    constant piece's value raises ``ExceptionalLevelError``.
-    """
-    real = isinstance(lam, float)
-    none = np.empty(0, dtype=complex)
-    pieces, roots, worst = [], 0, 0.0
-    for piece in sym.pieces:
-        a, b, poly = piece.theta_start, piece.theta_end, piece.poly
-        if poly.is_constant():
-            if poly.a[0] == lam:
-                raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
-            const = math.log(abs(poly.a[0] - lam)) if real else cmath.log(poly.a[0] - lam)
-            pieces.append((a, b, const, none, none))
-            continue
-        c = poly._laurent(lam)[::-1]
-        dc = np.polyder(c)
-        zeta = np.roots(c)
-        for _ in range(2):
-            zeta = zeta - np.polyval(c, zeta) / np.polyval(dc, zeta)
-        backward = np.abs(np.polyval(c, zeta)) / np.polyval(np.abs(c), np.abs(zeta))
-        worst = max(worst, float(np.max(backward)))
-        roots += len(zeta)
-        modulus = np.abs(zeta)
-        if real:
-            far = modulus > 1.0
-            const = math.log(abs(c[0])) + float(np.sum(np.log(modulus[far])))
-            beta = np.where(far, 1.0 / zeta, np.conj(zeta))
-            pieces.append((a, b, const, beta, np.conj(beta)))
-            continue
-        inside = np.where(np.abs(modulus - 1.0) < 1e-8,
-                          lam.imag * poly.derivative()(np.angle(zeta)) > 0.0, modulus < 1.0)
-        if np.count_nonzero(inside) != poly.degree:
-            raise QuadratureError(f"level {lam}: {np.count_nonzero(inside)} of "
-                                  f"{len(zeta)} roots placed inside the circle",
-                                  achieved_tol=math.inf)
-        beta, gamma = 1.0 / zeta[~inside], zeta[inside]
-        const = cmath.log(c[0]) + complex(np.sum(np.log(-zeta[~inside])))
-        w = cmath.exp(0.5j * (a + b))
-        factored = const + np.sum(np.log(1.0 - beta * w)) + np.sum(np.log(1.0 - gamma / w))
-        k = round((cmath.log(poly(0.5 * (a + b)) - lam) - factored).imag / TWO_PI)
-        pieces.append((a, b, const + 2j * math.pi * k, beta, gamma))
-    if not worst <= DEFAULT_TOL:
-        raise QuadratureError(f"level {lam}: root backward error {worst:.3e}",
-                              achieved_tol=worst)
-    return _LevelFactors(tuple(pieces), 0.5 if real else 1.0, roots, worst)
-
-
-def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
-    """The stored factorization of a real level, solved once per level."""
-    return _cache_for(sym).get(("roots", round(lam, 14)), lambda: _factor_level(sym, lam))
-
-
 def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
            beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Schwarz average over the arc [a, b] of
@@ -391,7 +240,8 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
       the Cauchy integral [Li2(gamma v)] plus the integral of
       log(1 - gamma v) dx/x along the chord, x = gamma (z v - 1)/(z - gamma),
       over 2 pi i; the chord integral picks up one monodromy term where x
-      crosses the cut (1, inf).
+      crosses the cut (1, inf).  At z = gamma, where x is infinite, it is
+      [log^2(1 - gamma v)]/2, whose argument stays in Re > 0.
     All Li2 values of the arc come from one call.
     """
     ends = np.exp(1j * np.array([a, b]))
@@ -401,9 +251,26 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     if len(beta) == 0 and len(gamma) == 0:
         return q[:, 0]
     one_bz = 1.0 - beta * z
-    zg = z - gamma
+    at_root = z == gamma
+    zg = np.where(at_root, 1.0, z - gamma)
     t = [beta * (e - z) / one_bz for e in ends]
     x = [gamma * (z * np.conj(e) - 1.0) / zg for e in ends]
+    # 1 - x, without the cancellation of x near 1
+    one_x = [z * (1.0 - gamma * np.conj(e)) / zg for e in ends]
+    # Near the cut (1, inf) an end's side is the sign of Im x, which is
+    # rounding where the chord runs along the cut (real z and real roots on
+    # a piece ending at angle 0 or pi).  Li2(x), log(1 - x) in A and the
+    # crossing test must all take one side: an end exactly on the cut takes
+    # the other end's side (the upper one when both are on it), and 1 - x
+    # takes the side opposite to x.
+    near_cut = [(v.real > 1.0) & (np.abs(v.imag) <= 1e-13 * np.abs(v)) for v in x]
+    if near_cut[0].any() or near_cut[1].any():
+        lower = [v.imag < 0.0 for v in x]
+        x = [np.where((v.imag == 0.0) & (v.real > 1.0),
+                      v.real * (1.0 + np.where(low, -1e-290j, 1e-290j)), v)
+             for v, low in zip(x, lower[::-1])]
+        one_x = [np.where(near, w.real - 1j * v.imag, w)
+                 for w, v, near in zip(one_x, x, near_cut)]
     args = t + x + [beta * e for e in ends] + [gamma * np.conj(e) for e in ends]
     li = _li2(np.concatenate([v.ravel() for v in args]))
     cuts = list(itertools.accumulate((v.size for v in args), initial=0))
@@ -413,8 +280,7 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     # A = log(1 - gamma v) - log(1 - x) at each end; it is constant on each
     # side of the cut and undefined (and unused) at z = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = [np.log(1.0 - gamma * np.conj(e)) - np.log(z * (1.0 - gamma * np.conj(e)) / zg)
-             for e in ends]
+        A = [np.log(1.0 - gamma * np.conj(e)) - np.log(w) for e, w in zip(ends, one_x)]
         chord = A[0] * np.log(x[1] / x[0]) - li_x1 + li_x0
         side0, side1 = np.sign(x[0].imag), np.sign(x[1].imag)
         cut = x[0].real - x[0].imag * (x[1].real - x[0].real) / (x[1].imag - x[0].imag)
@@ -424,6 +290,9 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
             chord += np.where(cross, (A[1] - A[0]) * np.log(x[1] / cut)
                               + 1j * math.pi * np.log(cut) * (side1 - side0), 0.0)
     chord = np.where(z == 0.0, 0.0, chord)
+    if at_root.any():
+        lg = [np.log(1.0 - gamma * np.conj(e)) for e in ends]
+        chord = np.where(at_root, 0.5 * (lg[1] * lg[1] - lg[0] * lg[0]), chord)
     conj_half = 2.0 * chord + (li_g1 - li_g0)
     return q[:, 0] + weight * (np.sum(holo, axis=1) + np.sum(conj_half, axis=1)) / (2j * math.pi)
 
@@ -520,19 +389,31 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     an FFT on a half-offset grid.  Cached per level; a level that is not
     finite and real raises ``ValueError``.
     """
-    lam = _level(lam)
-    if isinstance(lam, complex):
-        raise ValueError(f"level {lam} is not real")
+    lam = _real_level(lam)
     return _cache_for(sym).get(("fourier", round(lam, 14)), lambda: _log_fourier(sym, lam))
 
 
-def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
+def _real_level(lam) -> float:
+    lam = _level(lam)
+    if isinstance(lam, complex):
+        raise ValueError(f"level {lam} is not real")
+    return lam
+
+
+def _check_circle_level(sym: PiecewiseSymbol, lam: float):
+    """The circle routes' guard: a level within GUARD of an exceptional
+    value inside the range raises ``ExceptionalLevelError``."""
     g1, g2 = sym.essential_range()
     if g1 < lam < g2 and exceptional_set(sym).distance(lam) < GUARD:
         raise ExceptionalLevelError(
             f"level {lam} within {GUARD} of the exceptional set"
         )
-    crossings = level_angles_raw(sym, lam) if g1 < lam < g2 else np.empty(0)
+
+
+def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
+    _check_circle_level(sym, lam)
+    g1, g2 = sym.essential_range()
+    crossings = _level_factors(sym, lam).crossings if g1 < lam < g2 else np.empty(0)
     steps = [(j.theta % TWO_PI, math.log(abs(j.right - lam)) - math.log(abs(j.left - lam)))
              for j in sym.jumps if j.kind != "zero"]
     # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|) and a unit
@@ -587,10 +468,7 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096,
     for r <= 0.998 and grows to about 1e-4 at CIRCLE_R_MAX.  A bound above
     ``tol`` raises ``QuadratureError``.
     """
-    if not 0.0 < r <= CIRCLE_R_MAX:
-        raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
-    if m_out < 1 or m_out & (m_out - 1):
-        raise ValueError("m_out must be a power of two")
+    _check_circle_grid(r, m_out)
     fhat = log_fourier(sym, lam)
     n = LOG_FOURIER_N
     tail = r ** n
@@ -611,6 +489,33 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096,
     elif m_out > n:
         c = np.concatenate((c, np.zeros(m_out - n)))
     return np.exp(-0.5 * np.fft.ifft(c) * m_out)
+
+
+def _check_circle_grid(r: float, m_out: int):
+    if not 0.0 < r <= CIRCLE_R_MAX:
+        raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
+    if m_out < 1 or m_out & (m_out - 1):
+        raise ValueError("m_out must be a power of two")
+
+
+def _xi_on_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int,
+                  tol: float) -> np.ndarray:
+    """xi at the m_out points r e^{2 pi i k/m_out}, with the checks of
+    ``xi_circle``.
+
+    When the level's root record needs no Li2 (one piece, or constant
+    pieces only) its closed form gives the values exactly, with no Fourier
+    tail and no coefficient vector; otherwise ``xi_circle`` does, and its
+    tail above ``tol`` raises ``QuadratureError``.
+    """
+    _check_circle_grid(r, m_out)
+    lam = _real_level(lam)
+    factors = _level_factors(sym, lam)
+    if not factors.li2_free:
+        return xi_circle(sym, lam, r, m_out, tol)
+    _check_circle_level(sym, lam)
+    z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
+    return np.exp(-0.5 * _closed_q(factors, z))
 
 
 def outer_F(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:

@@ -1,16 +1,26 @@
-"""Sublevel sets, exceptional values, and the crossing-count multiplicity."""
+"""Sublevel sets, exceptional values, the crossing-count multiplicity, and
+each real level's one stored root record, which the level sets and the
+Schwarz average Q both read."""
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
+import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CountingError, ExceptionalLevelError, InadmissibleIntervalError
+from .errors import (
+    CountingError,
+    ExceptionalLevelError,
+    InadmissibleIntervalError,
+    QuadratureError,
+)
 from .symbol import ANGLE_TOL, TWO_PI, PiecewiseSymbol, angles_on
 
 # Levels closer than this to an exceptional value are rejected: crossings
@@ -88,26 +98,189 @@ class CountReport:
     m: int
 
 
-def level_angles_raw(sym: PiecewiseSymbol, x: float) -> np.ndarray:
-    """All angles where a piece polynomial equals ``x``, without validation.
+# the largest backward error a root record accepts of a root, and the
+# relative accuracy every panel-rule integral is certified to
+DEFAULT_TOL = 1e-10
+# a root this close to the unit circle is a crossing of its level
+UNIT_ROOT_TOL = 1e-7
 
-    Used for quadrature breakpoints; tangential roots are kept, plateau
-    pieces contribute nothing.
+# Per-symbol bound on the stored root records and Fourier vectors: 256 of
+# the 256 KiB log_fourier vectors.
+RULE_CACHE_BYTES = 64 * 2**20
+_cache_lock = threading.Lock()
+
+
+class _SymbolCache:
+    """Least-recently-used store of one symbol's real-level root records and
+    Fourier vectors, bounded in bytes.
+
+    Every value carries ``nbytes``; one larger than the whole budget is
+    built and returned but not kept.
     """
-    found = []
-    for piece in sym.pieces:
-        found += [t % TWO_PI for t in angles_on(piece.poly.roots(x), piece.theta_start - ANGLE_TOL,
-                                                piece.theta_end + ANGLE_TOL)]
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+        self.tau_values: np.ndarray | None = None
+
+    def get(self, key, build):
+        with _cache_lock:
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+                return hit
+        value = build()
+        size = value.nbytes
+        if size > RULE_CACHE_BYTES:
+            return value
+        with _cache_lock:
+            if key not in self.entries:
+                while self.entries and self.nbytes + size > RULE_CACHE_BYTES:
+                    self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+                self.entries[key] = value
+                self.nbytes += size
+        return value
+
+
+_rule_cache: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolCache]" = weakref.WeakKeyDictionary()
+
+
+def _cache_for(sym: PiecewiseSymbol) -> _SymbolCache:
+    with _cache_lock:
+        cache = _rule_cache.get(sym)
+        if cache is None:
+            cache = _rule_cache[sym] = _SymbolCache()
+        return cache
+
+
+@dataclass(frozen=True)
+class _LevelFactors:
+    """A level's log weight factored on each piece [a, b] of the symbol as
+    const + weight (sum log(1 - beta w) + sum log(1 - gamma/w)), w = e^{i theta}:
+    the tuples (a, b, const, beta, gamma), with |beta|, |gamma| <= 1, the
+    total count of roots behind them, their worst backward error and, at a
+    real level, the sorted angles where the symbol crosses it.
+
+    At a real level the weight is ln|omega - lam|, the real part: const is
+    real, gamma = conj(beta) and weight 1/2.  At a non-real one it is the
+    principal log(omega - zeta), with weight 1, and there are no crossings.
+    """
+
+    pieces: tuple
+    weight: float
+    roots: int
+    achieved_tol: float
+    crossings: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.crossings.nbytes + sum(40 + beta.nbytes + gamma.nbytes
+                                           for *_, beta, gamma in self.pieces)
+
+    @property
+    def li2_free(self) -> bool:
+        """Whether Q needs no dilogarithm: one piece (the Wiener-Hopf form),
+        or constant pieces only."""
+        return len(self.pieces) == 1 or all(len(beta) == 0 for *_, beta, _ in self.pieces)
+
+    def conj(self) -> "_LevelFactors":
+        """The factorization at the conjugate level: a root zeta becomes
+        1/conj(zeta), on the other side of the circle."""
+        pieces = tuple((a, b, np.conj(const), np.conj(gamma), np.conj(beta))
+                       for a, b, const, beta, gamma in self.pieces)
+        return _LevelFactors(pieces, self.weight, self.roots, self.achieved_tol, self.crossings)
+
+
+def _distinct_angles(found: list[float]) -> np.ndarray:
+    """Sorted angles in [0, 2pi), each one within 1e-9 of the last kept, or
+    of the first across 2pi, dropped: a crossing on a seam is found by both
+    pieces."""
     if not found:
         return np.empty(0)
-    found = np.sort(np.array(found))
-    keep = [found[0]]
-    for t in found[1:]:
-        if t - keep[-1] > 1e-9:
-            keep.append(t)
+    keep = []
+    for t in np.sort(np.mod(found, TWO_PI)):
+        if not keep or t - keep[-1] > 1e-9:
+            keep.append(float(t))
     if len(keep) > 1 and keep[0] + TWO_PI - keep[-1] < 1e-9:
         keep.pop()
     return np.array(keep)
+
+
+def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
+    """Each piece's p(theta) - lam = c e^{-iK theta} prod (e^{i theta} - zeta)
+    split into its roots zeta.
+
+    A root inside the circle contributes i theta + log(1 - zeta/w), one
+    outside log(-zeta) + log(1 - w/zeta).  At a real level only the real
+    part counts: ln|w - zeta| is ln|zeta| (when |zeta| > 1) plus
+    Re log(1 - beta w), beta = conj(zeta) or 1/zeta; and a root within
+    ``UNIT_ROOT_TOL`` of the circle whose angle lies on the piece (to
+    ``ANGLE_TOL``) is a crossing.  At a non-real level
+    p - lam stays on the line Im = -Im lam, so it does not wind around 0 and
+    exactly K roots lie inside: the i theta terms cancel e^{-iK theta}, and
+    another count raises ``QuadratureError``.  A root within 1e-8 of the
+    circle is a crossing of Re lam moved by i Im lam, to
+    |zeta| ~ exp(-Im lam / p'(arg zeta)), so it lies inside exactly when
+    Im lam p'(arg zeta) > 0; its modulus alone would place it by rounding.
+    The factors' logs are continuous on the circle, and so is the principal
+    log(p - lam), so they differ by one 2 pi i k, read off at the midpoint.
+
+    The roots of the Laurent polynomial come from ``np.roots`` and two
+    Newton steps; one whose backward error |P(zeta)| / sum |c_j| |zeta|^j
+    exceeds ``DEFAULT_TOL`` raises ``QuadratureError``, and a real level on a
+    constant piece's value raises ``ExceptionalLevelError``.
+    """
+    real = isinstance(lam, float)
+    none = np.empty(0, dtype=complex)
+    pieces, roots, worst, crossings = [], 0, 0.0, []
+    for piece in sym.pieces:
+        a, b, poly = piece.theta_start, piece.theta_end, piece.poly
+        if poly.is_constant():
+            if poly.a[0] == lam:
+                raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
+            const = math.log(abs(poly.a[0] - lam)) if real else cmath.log(poly.a[0] - lam)
+            pieces.append((a, b, const, none, none))
+            continue
+        c = poly._laurent(lam)[::-1]
+        dc = np.polyder(c)
+        zeta = np.roots(c)
+        for _ in range(2):
+            zeta = zeta - np.polyval(c, zeta) / np.polyval(dc, zeta)
+        backward = np.abs(np.polyval(c, zeta)) / np.polyval(np.abs(c), np.abs(zeta))
+        worst = max(worst, float(np.max(backward)))
+        roots += len(zeta)
+        modulus = np.abs(zeta)
+        if real:
+            on = np.mod(np.angle(zeta[np.abs(modulus - 1.0) < UNIT_ROOT_TOL]), TWO_PI)
+            crossings += angles_on(on, a - ANGLE_TOL, b + ANGLE_TOL)
+            far = modulus > 1.0
+            const = math.log(abs(c[0])) + float(np.sum(np.log(modulus[far])))
+            beta = np.where(far, 1.0 / zeta, np.conj(zeta))
+            pieces.append((a, b, const, beta, np.conj(beta)))
+            continue
+        inside = np.where(np.abs(modulus - 1.0) < 1e-8,
+                          lam.imag * poly.derivative()(np.angle(zeta)) > 0.0, modulus < 1.0)
+        if np.count_nonzero(inside) != poly.degree:
+            raise QuadratureError(f"level {lam}: {np.count_nonzero(inside)} of "
+                                  f"{len(zeta)} roots placed inside the circle",
+                                  achieved_tol=math.inf)
+        beta, gamma = 1.0 / zeta[~inside], zeta[inside]
+        const = cmath.log(c[0]) + complex(np.sum(np.log(-zeta[~inside])))
+        w = cmath.exp(0.5j * (a + b))
+        factored = const + np.sum(np.log(1.0 - beta * w)) + np.sum(np.log(1.0 - gamma / w))
+        k = round((cmath.log(poly(0.5 * (a + b)) - lam) - factored).imag / TWO_PI)
+        pieces.append((a, b, const + 2j * math.pi * k, beta, gamma))
+    if not worst <= DEFAULT_TOL:
+        raise QuadratureError(f"level {lam}: root backward error {worst:.3e}",
+                              achieved_tol=worst)
+    return _LevelFactors(tuple(pieces), 0.5 if real else 1.0, roots, worst,
+                         _distinct_angles(crossings))
+
+
+def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
+    """The stored root record of a real level, solved once per level."""
+    lam = float(lam)
+    return _cache_for(sym).get(("roots", round(lam, 14)), lambda: _factor_level(sym, lam))
 
 
 class _SymbolAnalysis:
@@ -194,21 +367,20 @@ def _check_level(sym: PiecewiseSymbol, lam: float):
 
 
 def solve_level(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, int]]:
-    """Simple roots of omega = lambda in piece interiors with the sign of omega'.
+    """Simple roots of omega = lambda in piece interiors with the sign of omega',
+    read from the level's stored root record.
 
     Requires lambda away from the exceptional set, which guarantees all
     crossings are transversal and avoid the jump angles.
     """
     _check_level(sym, lam)
-    out = []
-    for theta in level_angles_raw(sym, lam):
-        d = sym.derivative_values(theta)
-        if abs(d) < 1e-9:
-            raise ExceptionalLevelError(
-                f"tangential crossing at angle {theta}; level {lam} is effectively critical"
-            )
-        out.append((float(theta), 1 if d > 0 else -1))
-    return out
+    theta = _level_factors(sym, lam).crossings
+    slope = sym.derivative_values(theta)
+    flat = np.abs(slope) < 1e-9
+    if flat.any():
+        raise ExceptionalLevelError(f"tangential crossing at angle {theta[flat][0]}; "
+                                    f"level {lam} is effectively critical")
+    return [(float(t), 1 if d > 0 else -1) for t, d in zip(theta, slope)]
 
 
 def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:

@@ -150,10 +150,12 @@ class SpectralFrame:
     def eigen_circle(self, r: float, m_out: int = 4096) -> np.ndarray:
         """All eigenfunctions on the uniform grid r e^{2 pi i k/m_out}, (m, m_out).
 
-        Uses the convolution fast path for xi, so radii close to the circle
-        cost the same as small ones; its dropped Fourier tail is certified
-        below CIRCLE_TOL."""
-        xiv = hardy.xi_circle(self.sym, self.lam, r, m_out, tol=CIRCLE_TOL)
+        xi comes from the level's closed form when that needs no Li2 (one
+        piece, or constant pieces only), and otherwise from the convolution
+        fast path ``xi_circle``, whose dropped Fourier tail is certified
+        below CIRCLE_TOL; either way radii close to the circle cost the same
+        as small ones."""
+        xiv = hardy._xi_on_circle(self.sym, self.lam, r, m_out, tol=CIRCLE_TOL)
         return self._branches(r * np.exp(2j * math.pi * np.arange(m_out) / m_out), xiv)
 
     def _check_branch(self, j: int):

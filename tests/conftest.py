@@ -1,3 +1,4 @@
+import functools
 import math
 import shutil
 import tempfile
@@ -6,7 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import configuration
 
-from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular, preset_singular
+from toepspec import levelset
+from toepspec.errors import ExceptionalLevelError
+from toepspec.symbol import ANGLE_TOL, PiecewiseSymbol, TrigPoly, preset_regular, preset_singular
+
+TWO_PI = 2.0 * math.pi
 
 
 HYPOTHESIS_HOME = pytest.StashKey[str]()
@@ -100,3 +105,82 @@ def chebyshev_U(n, x):
     for _ in range(n - 1):
         u0, u1 = u1, 2.0 * x * u1 - u0
     return u1
+
+
+def random_symbol(rng) -> PiecewiseSymbol:
+    """1-6 pieces of degree up to 6 (at least 1 for a single piece)."""
+    n = int(rng.integers(1, 7))
+    cuts = np.sort(rng.uniform(0.0, TWO_PI, n))
+    pieces = []
+    for i in range(n):
+        end = cuts[i + 1] if i + 1 < n else cuts[0] + TWO_PI
+        deg = int(rng.integers(1 if n == 1 else 0, 7))
+        pieces.append((cuts[i], end, TrigPoly(rng.normal(size=deg + 1), rng.normal(size=deg))))
+    return PiecewiseSymbol(pieces)
+
+
+@functools.lru_cache(maxsize=None)
+def _critical_angles(a: tuple, b: tuple, lo: float, hi: float) -> tuple:
+    """Roots of p' in (lo, hi), for the polynomial with coefficients a, b."""
+    roots = TrigPoly(a, b).derivative().roots()
+    return tuple(sorted(t for r in roots for t in (r, r + TWO_PI) if lo < t < hi))
+
+
+def reference_crossings(sym, lam: float) -> np.ndarray:
+    """Sorted angles in [0, 2pi) where the symbol equals the real level lam,
+    found piece by piece in theta alone: p - lam is bracketed on each
+    monotone stretch between the piece's critical points (widened by
+    ANGLE_TOL at the piece's ends, as the library does), bisected 20 times
+    and polished by three theta-Newton steps kept inside the bracket.  A
+    crossing found by two pieces at a seam is kept once; constant pieces
+    have none."""
+    found = []
+    for piece in sym.pieces:
+        poly = piece.poly
+        if poly.is_constant():
+            continue
+        a, b = np.array(poly.a[1:]), np.array(poly.b)
+        k = np.arange(1, len(a) + 1)
+
+        def f(t):
+            kt = np.multiply.outer(t, k)
+            return poly.a[0] - lam + np.cos(kt) @ a + np.sin(kt) @ b
+
+        def df(t):
+            kt = np.multiply.outer(t, k)
+            return np.cos(kt) @ (k * b) - np.sin(kt) @ (k * a)
+
+        lo, hi = piece.theta_start - ANGLE_TOL, piece.theta_end + ANGLE_TOL
+        edges = np.array((lo,) + _critical_angles(poly.a, poly.b, lo, hi) + (hi,))
+        values = f(edges)
+        i = np.nonzero(values[:-1] * values[1:] <= 0.0)[0]
+        left, right, f_left = edges[i], edges[i + 1], values[i]
+        for _ in range(20):
+            mid = 0.5 * (left + right)
+            f_mid = f(mid)
+            same = np.sign(f_mid) == np.sign(f_left)
+            left, f_left = np.where(same, mid, left), np.where(same, f_mid, f_left)
+            right = np.where(same, right, mid)
+        t = 0.5 * (left + right)
+        for _ in range(3):
+            slope = df(t)
+            step = np.divide(f(t), slope, out=np.zeros_like(t), where=slope != 0.0)
+            t = np.clip(t - step, left, right)
+        found += list(t)
+    keep = []
+    for t in np.sort(np.mod(found, TWO_PI)):
+        if not keep or t - keep[-1] > 1e-9:
+            keep.append(float(t))
+    if len(keep) > 1 and keep[0] + TWO_PI - keep[-1] < 1e-9:
+        keep.pop()
+    return np.array(keep)
+
+
+def reference_solve_level(sym, lam: float):
+    """``levelset.solve_level`` with the crossings of ``reference_crossings``."""
+    levelset._check_level(sym, lam)
+    theta = reference_crossings(sym, lam)
+    slope = sym.derivative_values(theta)
+    if np.any(np.abs(slope) < 1e-9):
+        raise ExceptionalLevelError(f"tangential crossing at level {lam}")
+    return [(float(t), 1 if d > 0 else -1) for t, d in zip(theta, slope)]

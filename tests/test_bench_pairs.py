@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,31 @@ def test_trace_moves_names_a_layer_only_one_side_has():
         "hardy.plain_rule.calls: 1904.0 -> None",
         "hardy.roots.calls: None -> 7.0",
     ]
+
+
+def test_parse_run_reads_the_kinds_of_the_detail_line():
+    detail = {"detail": {"workload": "point-queries", "kinds": {
+        "xi/regular": {"jobs": 84, "failed": 0, "p50_ms": 2.5},
+        "levelset/singular": {"jobs": 84, "failed": 1, "p50_ms": 1.25}}}}
+    result = {"correct": True, "attempted": 168, "failed": 1,
+              "metrics": {"jobs_per_s": {"value": 300.0, "unit": "1/s"}}}
+    out = bench_pairs.parse_run(json.dumps(detail) + "\n" + json.dumps(result) + "\n")
+    assert out["metrics"] == result["metrics"]
+    assert out["kinds"] == {"xi/regular": 2.5, "levelset/singular": 1.25}
+
+
+def test_kind_moves_names_the_kinds_past_the_bound():
+    parent = [{"kinds": {"xi/regular": p, "eigenfun/singular": 10.0, "old": 1.0}}
+              for p in (2.0, 2.2, 1.9, 2.1, 2.0)]
+    change = [{"kinds": {"xi/regular": c, "eigenfun/singular": 12.0, "new": 1.0}}
+              for c in (2.7, 2.6, 2.8, 2.4, 2.6)]
+    medians = bench_pairs.kind_medians(parent), bench_pairs.kind_medians(change)
+    assert medians[0] == {"eigenfun/singular": 10.0, "old": 1.0, "xi/regular": 2.0}
+    assert medians[1]["xi/regular"] == 2.6
+    # +30% moves past a 0.25 bound, +20% does not
+    assert bench_pairs.kind_moves(*medians, 0.25) == [
+        "new: None -> 1.0",
+        "old: 1.0 -> None",
+        "xi/regular: p50 2 -> 2.6 ms (+30%)",
+    ]
+    assert bench_pairs.kind_moves(medians[0], medians[0], 0.25) == []

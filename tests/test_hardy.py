@@ -1,11 +1,12 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import regular_xi_closed
+from conftest import random_symbol, reference_crossings, regular_xi_closed
 from toepspec import hardy, levelset
 from toepspec.errors import ExceptionalLevelError, QuadratureError
 from toepspec.hardy import (
@@ -23,8 +24,8 @@ from toepspec.hardy import (
     xi_grid,
 )
 from toepspec.levelset import sublevel_set
-from toepspec.spectral import resolvent_form, stone_density
-from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular
+from toepspec.spectral import CIRCLE_TOL, resolvent_form, spectral_frame, stone_density
+from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular, preset_singular
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,7 +95,7 @@ def test_xi_grid_passes_build_each_rule_once(monkeypatch):
     # repeat passes are served from the stored root records
     sym = preset_regular()
     builds, solves = [], []
-    init, factor = CircleRule.__init__, hardy._factor_level
+    init, factor = CircleRule.__init__, levelset._factor_level
 
     def counted(self, *args, **kwargs):
         builds.append(1)
@@ -105,7 +106,7 @@ def test_xi_grid_passes_build_each_rule_once(monkeypatch):
         return factor(*args)
 
     monkeypatch.setattr(CircleRule, "__init__", counted)
-    monkeypatch.setattr(hardy, "_factor_level", counted_factor)
+    monkeypatch.setattr(levelset, "_factor_level", counted_factor)
     lams = np.linspace(-0.9, 0.9, 300)
     zs = np.array([0.3, -0.5j, 0.6 + 0.2j])
     first = [xi_grid(sym, zs, lam) for lam in lams]
@@ -128,7 +129,7 @@ def test_gauss_legendre_is_cached_and_read_only():
 
 def test_rule_cache_evicts_least_recently_used(monkeypatch):
     size = np.zeros(hardy.LOG_FOURIER_N, dtype=complex).nbytes   # one log_fourier vector
-    monkeypatch.setattr(hardy, "RULE_CACHE_BYTES", 3 * size)
+    monkeypatch.setattr(levelset, "RULE_CACHE_BYTES", 3 * size)
     sym = preset_regular()
     cache = hardy._cache_for(sym)
 
@@ -137,34 +138,35 @@ def test_rule_cache_evicts_least_recently_used(monkeypatch):
 
     def check_budget():
         assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
-        assert cache.nbytes <= hardy.RULE_CACHE_BYTES
+        assert cache.nbytes <= levelset.RULE_CACHE_BYTES
 
-    for lam in (0.1, 0.2, 0.3):
+    # levels above the range, whose log_fourier vectors read no root record
+    for lam in (1.1, 1.2, 1.3):
         hardy.log_fourier(sym, lam)
         check_budget()
-    assert keys() == [0.1, 0.2, 0.3]
-    first = hardy.log_fourier(sym, 0.1)      # a hit refreshes 0.1
-    assert keys() == [0.2, 0.3, 0.1]
-    hardy.log_fourier(sym, 0.4)              # evicts 0.2, the least recent
+    assert keys() == [1.1, 1.2, 1.3]
+    first = hardy.log_fourier(sym, 1.1)      # a hit refreshes 1.1
+    assert keys() == [1.2, 1.3, 1.1]
+    hardy.log_fourier(sym, 1.4)              # evicts 1.2, the least recent
     check_budget()
-    assert keys() == [0.3, 0.1, 0.4]
-    assert hardy.log_fourier(sym, 0.1) is first   # and refreshes it again
-    record = hardy._level_factors(sym, 0.5)  # evicts as many bytes as it needs
+    assert keys() == [1.3, 1.1, 1.4]
+    assert hardy.log_fourier(sym, 1.1) is first   # and refreshes it again
+    record = hardy._level_factors(sym, 1.5)  # evicts as many bytes as it needs
     check_budget()
-    assert list(cache.entries) == [("fourier", 0.4), ("fourier", 0.1),
-                                   ("roots", 0.5)]
-    assert hardy._level_factors(sym, 0.5) is record
+    assert list(cache.entries) == [("fourier", 1.4), ("fourier", 1.1),
+                                   ("roots", 1.5)]
+    assert hardy._level_factors(sym, 1.5) is record
     # a value larger than the whole budget is returned but not kept
-    monkeypatch.setattr(hardy, "RULE_CACHE_BYTES", size // 2)
+    monkeypatch.setattr(levelset, "RULE_CACHE_BYTES", size // 2)
     before = list(cache.entries)
-    hardy.log_fourier(sym, 0.6)
+    hardy.log_fourier(sym, 1.6)
     assert list(cache.entries) == before
 
 
 def test_rule_cache_budget_holds_under_threads(monkeypatch):
     # cheap values keep the threads inside the cache's bookkeeping, where a
     # lost update would break the byte count
-    monkeypatch.setattr(hardy, "RULE_CACHE_BYTES", 5 * 800)
+    monkeypatch.setattr(levelset, "RULE_CACHE_BYTES", 5 * 800)
     cache = hardy._cache_for(preset_regular())
     errors = []
 
@@ -190,7 +192,7 @@ def test_rule_cache_budget_holds_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
-    assert cache.nbytes <= hardy.RULE_CACHE_BYTES
+    assert cache.nbytes <= levelset.RULE_CACHE_BYTES
 
 
 # -- Q and xi --------------------------------------------------------------------
@@ -295,25 +297,31 @@ def test_xi_rejects_circle_points(regular):
         xi(regular, np.exp(0.3j), 0.2)
 
 
-def test_xi_circle_rejects_exceptional_level(singular):
-    from toepspec.errors import ExceptionalLevelError
-    with pytest.raises(ExceptionalLevelError):
-        xi_circle(singular, 1.0 - 1e-12, 0.5, 512)
+def closed_circle(sym, lam, r, m_out):
+    """The circle values ``SpectralFrame.eigen_circle`` reads: the closed form
+    on a level whose root record needs no Li2, else ``xi_circle``."""
+    return hardy._xi_on_circle(sym, lam, r, m_out, hardy.DEFAULT_TOL)
+
+
+def test_xi_circle_rejects_exceptional_level(regular, singular):
+    # on both circle routes; singular and regular records need no Li2
+    for route in (xi_circle, closed_circle):
+        for sym, lam in ((singular, 1.0 - 1e-12), (singular, 1e-12), (regular, 1.0 - 1e-10)):
+            with pytest.raises(ExceptionalLevelError):
+                route(sym, lam, 0.5, 512)
 
 
 def reference_log_fourier(sym, lam: float) -> np.ndarray:
     """Coefficients of ln|omega - lam| one closed-form term at a time, each
     crossing and jump with its own exponential over all modes and its own
     pass over the grid: the reference for the table-driven ``log_fourier``."""
-    from toepspec.levelset import level_angles_raw
-
     N, G = hardy.LOG_FOURIER_N, hardy.LOG_FOURIER_GRID
     tau = TWO_PI * (np.arange(G) + 0.5) / G
     n = np.arange(1, N)
     fhat = np.zeros(N, dtype=complex)
     ratio = np.abs(sym.values(tau) - lam)
     g1, g2 = sym.essential_range()
-    for t0 in (level_angles_raw(sym, lam) if g1 < lam < g2 else ()):
+    for t0 in (reference_crossings(sym, lam) if g1 < lam < g2 else ()):
         fhat[1:] -= np.exp(-1j * n * t0) / (2.0 * n)
         ratio = ratio / np.maximum(np.abs(2.0 * np.sin(0.5 * (tau - t0))), 1e-300)
     g = np.log(np.maximum(ratio, 1e-300))
@@ -361,19 +369,78 @@ def test_folded_xi_circle_matches_unfolded(m_out, regular, singular, fig2):
 
 
 def test_xi_circle_rejects_bad_grids(regular):
-    for m_out in (0, -4, 96):
-        with pytest.raises(ValueError):
-            xi_circle(regular, 0.3, 0.9, m_out)
+    for route in (xi_circle, closed_circle):
+        for m_out in (0, -4, 96):
+            with pytest.raises(ValueError, match="m_out"):
+                route(regular, 0.3, 0.9, m_out)
+        for r in (0.0, -0.1, hardy.CIRCLE_R_MAX + 1e-4, 1.0):
+            with pytest.raises(ValueError, match="radius"):
+                route(regular, 0.3, r, 64)
 
 
 def test_xi_circle_rejects_bad_levels(regular):
     # like xi and q_function; a rejected level leaves nothing in the store
     cache = hardy._cache_for(regular)
     before = list(cache.entries)
-    for lam in (math.nan, math.inf, 0.3 + 0.1j):
-        with pytest.raises(ValueError, match="level"):
-            xi_circle(regular, lam, 0.9, 64)
+    for route in (xi_circle, closed_circle):
+        for lam in (math.nan, math.inf, 0.3 + 0.1j):
+            with pytest.raises(ValueError, match="level"):
+                route(regular, lam, 0.9, 64)
     assert list(cache.entries) == before
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+def test_closed_circle_route_matches_xi_circle(r, regular, singular, singular_asym,
+                                               cos2_symbol):
+    for sym in (regular, singular, singular_asym, cos2_symbol):
+        g1, g2 = sym.essential_range()
+        for frac in (-0.2, 0.13, 0.52, 0.94, 1.3):
+            lam = g1 + frac * (g2 - g1)
+            assert hardy._level_factors(sym, lam).li2_free
+            got, want = closed_circle(sym, lam, r, 512), xi_circle(sym, lam, r, 512)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.99, 0.999, hardy.CIRCLE_R_MAX])
+def test_closed_circle_route_is_exact_near_the_circle(r, regular, cos2_symbol):
+    # to 1e-13 up to r = 0.99; beyond it the floor is the rounding of the
+    # sample points, which xi next to a crossing magnifies by about 1/(1 - r)
+    # (2.0e-13 at CIRCLE_R_MAX, where xi_circle drops a tail of 6.7e-5)
+    tol = max(1e-13, 2e-16 / (1.0 - r))
+    z = r * np.exp(2j * math.pi * np.arange(4096) / 4096)
+    for lam in (0.0, 0.37, -0.81, 0.99):
+        for sym, w in ((regular, z), (cos2_symbol, z * z)):
+            want = np.exp(-0.5 * _regular_q_exact(w, lam))
+            assert np.max(np.abs(closed_circle(sym, lam, r, 4096) / want - 1.0)) <= tol
+
+
+def test_li2_free_levels_store_no_fourier_vector():
+    # fresh symbols: their stores hold only the root records of the frame's
+    # level and of its interval's count
+    cos2 = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.0, 0.0, 1.0]))])
+    for sym, lam in ((preset_regular(), 0.3), (preset_singular(0.0, math.pi), 0.3), (cos2, -0.4)):
+        spectral_frame(sym, lam).eigen_circle(0.95, 1024)
+        keys = list(hardy._cache_for(sym).entries)
+        assert ("roots", lam) in keys and all(kind == "roots" for kind, _ in keys)
+
+
+def test_eigen_circle_takes_xi_circle_only_with_li2(monkeypatch, regular, fig2):
+    calls = []
+    real = hardy.xi_circle
+
+    def counted(sym, lam, *args, **kwargs):
+        calls.append((sym, lam))
+        return real(sym, lam, *args, **kwargs)
+
+    monkeypatch.setattr(hardy, "xi_circle", counted)
+    assert not hardy._level_factors(fig2, 0.3).li2_free
+    got = spectral_frame(fig2, 0.3).eigen_circle(0.9, 256)
+    spectral_frame(regular, 0.3).eigen_circle(0.9, 256)
+    assert calls == [(fig2, 0.3)]
+    xiv = real(fig2, 0.3, 0.9, 256, tol=CIRCLE_TOL)
+    frame = spectral_frame(fig2, 0.3)
+    assert np.array_equal(got, frame._branches(0.9 * np.exp(2j * math.pi * np.arange(256) / 256),
+                                               xiv))
 
 
 def test_xi_circle_certifies_its_truncation(regular):
@@ -501,18 +568,6 @@ def test_closed_form_matches_panels_on_test_symbols(regular, singular, singular_
         g1, g2 = sym.essential_range()
         for frac in (-0.3, 0.07, 0.31, 0.52, 0.77, 0.96, 1.4):
             _assert_closed_matches_panels(sym, g1 + frac * (g2 - g1), _band_points(rng))
-
-
-def random_symbol(rng) -> PiecewiseSymbol:
-    """1-6 pieces of degree up to 6 (at least 1 for a single piece)."""
-    n = int(rng.integers(1, 7))
-    cuts = np.sort(rng.uniform(0.0, TWO_PI, n))
-    pieces = []
-    for i in range(n):
-        end = cuts[i + 1] if i + 1 < n else cuts[0] + TWO_PI
-        deg = int(rng.integers(1 if n == 1 else 0, 7))
-        pieces.append((cuts[i], end, TrigPoly(rng.normal(size=deg + 1), rng.normal(size=deg))))
-    return PiecewiseSymbol(pieces)
 
 
 def test_closed_form_matches_panels_on_random_symbols():
@@ -708,6 +763,46 @@ def test_non_real_level_past_an_interior_extremum():
     zeta = complex(NEAR_PEAK_LAM, 1e-5)
     want = -0.4940058900888224 - 2.270556294849009j
     assert abs(q_function(NEAR_PEAK, 0.5, zeta) - want) <= 1e-12
+
+
+def test_q_at_a_root_of_the_level(fig2):
+    # at z equal to a root gamma inside the disk the chord's x is infinite;
+    # the chord term takes its z = gamma limit there
+    zeta = complex(-1.5, 0.3)
+    gamma = complex(hardy._factor_level(fig2, zeta).pieces[0][4][0])
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    assert golden in hardy._level_factors(fig2, -1.5).pieces[0][4]
+    for z, lam in ((golden, -1.5), (gamma, zeta)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q = q_function(fig2, z, lam)
+        assert np.isfinite(q)
+        # 1e-12 away, with Q's linear term averaged out over four neighbours
+        near = q_function(fig2, z + 1e-12 * np.array([1.0, -1.0, 1j, -1j]), lam)
+        assert abs(q - np.mean(near)) <= 1e-12
+        assert abs(q - refined_panel_q(fig2, np.array([z]), lam)[0]) <= 1e-12
+
+
+def test_closed_form_on_the_real_axis(fig2):
+    # real points and real roots on a piece ending at angles 0 and pi put the
+    # chord's x on the cut (1, inf), where its side was rounding: fig2 was
+    # off by up to 5.2 in Q at lam = -1.5, z = 0.6
+    rng = np.random.default_rng(73)
+    symbols = [fig2]
+    for split in (0.0, 0.0, 0.5 * math.pi, 1.5 * math.pi):
+        cuts = sorted({0.0, math.pi, split})
+        ends = cuts[1:] + [TWO_PI]
+        symbols.append(PiecewiseSymbol([
+            (a, b, TrigPoly(rng.normal(size=deg + 1)))
+            for a, b, deg in zip(cuts, ends, rng.integers(1, 4, len(cuts)))]))
+    for sym in symbols:
+        g1, g2 = sym.essential_range()
+        for frac in (-1.5, -0.2, 0.37, 1.2, 2.5):
+            lam = g1 + frac * (g2 - g1)
+            gammas = np.concatenate([gamma for *_, gamma in hardy._level_factors(sym, lam).pieces])
+            roots = gammas[(np.abs(gammas) < 0.97) & (gammas.imag == 0.0)]
+            zs = np.concatenate(([0.0, 0.3, -0.3, 0.6, 0.7, -0.9, 0.96, 1.5, -2.0], roots))
+            _assert_closed_matches_panels(sym, lam, zs.astype(complex))
 
 
 def test_outer_function(regular, singular, rng):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from toepspec import levelset
-from toepspec.errors import ExceptionalLevelError, InadmissibleIntervalError
+from conftest import random_symbol, reference_solve_level
+from toepspec import hardy, levelset
+from toepspec.errors import ExceptionalLevelError, InadmissibleIntervalError, ToepspecError
 from toepspec.levelset import (
     GUARD,
     admissible_intervals,
@@ -218,3 +219,88 @@ def test_endpoint_provenance(fig2):
             before = fig2.eval((arc.alpha - eps) % TWO_PI)
             after = fig2.eval((arc.alpha + eps) % TWO_PI)
             assert before > ls.lam > after
+
+
+# -- crossings read from the level's root record -----------------------------------
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the type of the library error it raised."""
+    try:
+        return fn(*args)
+    except ToepspecError as exc:
+        return type(exc)
+
+
+def _probe_levels(sym, rng, n_far):
+    """Levels drawn across the range, and on both sides of every exceptional
+    value at 2e-9 to 1e-4 from it, and at 0.5 GUARD from it."""
+    g1, g2 = sym.essential_range()
+    levels = list(rng.uniform(g1, g2, n_far))
+    for v in exceptional_set(sym).values:
+        for side in (-1.0, 1.0):
+            levels.append(v + side * 10.0 ** rng.uniform(math.log10(2e-9), -4.0))
+            levels.append(v + side * 0.5 * GUARD)
+    return levels
+
+
+def _assert_crossings_match(monkeypatch, sym, levels):
+    exc = exceptional_set(sym)
+    for lam in levels:
+        gap = exc.distance(lam)
+        if GUARD <= gap < 2e-9:
+            continue
+        tol = 1e-12 if gap >= 1e-4 else 1e-10
+        got = _outcome(solve_level, sym, lam)
+        want = _outcome(reference_solve_level, sym, lam)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, (lam, got, want)
+        else:
+            assert [s for _, s in got] == [s for _, s in want], lam
+            diff = np.abs(np.array([t for t, _ in got]) - [t for t, _ in want])
+            assert np.all(np.minimum(diff, TWO_PI - diff) <= tol), lam
+        with monkeypatch.context() as m:
+            m.setattr(levelset, "solve_level", reference_solve_level)
+            want = _outcome(sublevel_set, sym, lam)
+        got = _outcome(sublevel_set, sym, lam)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, (lam, got, want)
+            continue
+        assert got.full == want.full and got.m == want.m, lam
+        for x, y in zip(got.arcs, want.arcs):
+            assert (x.alpha_kind, x.beta_kind) == (y.alpha_kind, y.beta_kind)
+            assert abs(x.alpha - y.alpha) <= tol and abs(x.beta - y.beta) <= tol, lam
+
+
+def test_crossings_match_theta_newton_on_test_symbols(monkeypatch, regular, singular,
+                                                      singular_asym, fig2, cos2_symbol):
+    rng = np.random.default_rng(89)
+    for sym in (regular, singular, singular_asym, fig2, cos2_symbol):
+        _assert_crossings_match(monkeypatch, sym, _probe_levels(sym, rng, 12))
+
+
+def test_crossings_match_theta_newton_on_random_symbols(monkeypatch):
+    rng = np.random.default_rng(97)
+    for _ in range(16):
+        sym = random_symbol(rng)
+        _assert_crossings_match(monkeypatch, sym, _probe_levels(sym, rng, 6))
+
+
+def test_level_set_and_q_share_one_root_solve(monkeypatch, fig2):
+    # the frame's crossings, Q and log_fourier at a level all read the one
+    # record stored for it
+    sym = PiecewiseSymbol([(p.theta_start, p.theta_end, p.poly) for p in fig2.pieces])
+    level_report(sym, 0.3)   # the interval's count solves five levels of its own
+    solves = []
+    factor = levelset._factor_level
+
+    def counted(*args):
+        solves.append(args[1])
+        return factor(*args)
+
+    monkeypatch.setattr(levelset, "_factor_level", counted)
+    frame = spectral_frame(sym, 0.3)
+    frame.eigen_matrix([0.2, 0.5j])
+    frame.eigen_circle(0.9, 256)
+    hardy.log_fourier(sym, 0.3)
+    assert solves == [0.3]

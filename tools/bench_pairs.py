@@ -12,7 +12,11 @@ each side; the side that goes first alternates from pair to pair.  The file
 ``BENCH_<label>.json`` holds, per workload and end-to-end metric, each side's
 runs with their median and quartiles, how many pairs each side won
 (ties count for neither), and a verdict against the metric's bound (see
-``verdict``); the verdicts are also printed to stderr.  Each workload also
+``verdict``); the verdicts are also printed to stderr.  Per job kind, each
+side's median over its runs of the kind's p50 time is kept under ``kinds``,
+and the kinds that moved by more than the ``job_p50_ms`` bound (see
+``kind_moves``) are printed: a workload's one p50 can hide a kind that
+slowed down.  Each workload also
 runs once per side with ``--trace 1`` on the first seed; both sides'
 per-layer metrics are kept under ``trace``, and the layers that moved (see
 ``trace_moves``) are printed.  The file also holds each side's line count
@@ -77,7 +81,37 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """The result line of one run, with each job kind's p50 time in ms, from
+    the run's detail line, under ``kinds``."""
+    lines = [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
+    result = lines[-1]
+    detail = next(line["detail"] for line in lines if "detail" in line)
+    result["kinds"] = {kind: k["p50_ms"] for kind, k in detail["kinds"].items()}
+    return result
+
+
+def kind_medians(runs: list[dict]) -> dict:
+    """Per job kind, the median over the runs of the kind's p50 time."""
+    kinds = sorted({kind for run in runs for kind in run["kinds"]})
+    return {kind: statistics.median(run["kinds"][kind] for run in runs if kind in run["kinds"])
+            for kind in kinds}
+
+
+def kind_moves(parent: dict, change: dict, bound: float) -> list[str]:
+    """The job kinds whose median p50 moved by more than ``bound`` of the
+    parent's, one line each; a kind only one side ran is listed too."""
+    lines = []
+    for kind in sorted(set(parent) | set(change)):
+        p, c = parent.get(kind), change.get(kind)
+        if p is None or c is None:
+            lines.append(f"{kind}: {p} -> {c}")
+        elif abs(c - p) > bound * p:
+            lines.append(f"{kind}: p50 {p:.4g} -> {c:.4g} ms ({c / p - 1.0:+.0%})")
+    return lines
 
 
 def spread(values: list[float]) -> dict:
@@ -204,6 +238,10 @@ def run_pairs(bench: dict, sides: dict, args) -> dict:
                 f"{side} jobs_per_s {result[side]['metrics']['jobs_per_s']['value']:.4g}"
                 for side in order), file=sys.stderr)
         metrics = summarize(bench["end_to_end"], pairs)
+        kinds = {"parent": kind_medians([p for p, _ in pairs]),
+                 "change": kind_medians([c for _, c in pairs])}
+        p50_bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "job_p50_ms")
+        kinds["moved"] = kind_moves(kinds["parent"], kinds["change"], p50_bound)
         traced = {side: run_once(sides[side][0], command, workload, args.seeds[0], seconds,
                                  trace=True)["metrics"] for side in ("parent", "change")}
         moves = trace_moves(traced["parent"], traced["change"])
@@ -212,10 +250,15 @@ def run_pairs(bench: dict, sides: dict, args) -> dict:
             "failed": {"parent": [r["failed"] for r, _ in pairs],
                        "change": [r["failed"] for _, r in pairs]},
             "metrics": metrics,
+            "kinds": kinds,
             "trace": {"seed": args.seeds[0], **traced, "moved": moves},
         }
         print(f"{workload} verdicts: " + ", ".join(
             f"{name} {m['verdict']}" for name, m in metrics.items()), file=sys.stderr)
+        print(f"{workload} job kinds whose median p50 moved by more than {p50_bound:.0%}, "
+              "parent -> change:", file=sys.stderr)
+        for line in kinds["moved"] or ["(none)"]:
+            print(f"  {line}", file=sys.stderr)
         print(f"{workload} trace, seed {args.seeds[0]}, parent -> change:", file=sys.stderr)
         for line in moves or ["(no layer moved)"]:
             print(f"  {line}", file=sys.stderr)
