@@ -259,16 +259,13 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     one_x = [z * (1.0 - gamma * np.conj(e)) / zg for e in ends]
     # Near the cut (1, inf) an end's side is the sign of Im x, which is
     # rounding where the chord runs along the cut (real z and real roots on
-    # a piece ending at angle 0 or pi).  Li2(x), log(1 - x) in A and the
-    # crossing test must all take one side: an end exactly on the cut takes
-    # the other end's side (the upper one when both are on it), and 1 - x
-    # takes the side opposite to x.
+    # a piece ending at angle 0 or pi).  Any side serves if Li2(x),
+    # log(1 - x) in A and the crossing test all take the same one: an end
+    # exactly on the cut is moved just above it, where a signed zero would
+    # not survive the arithmetic, and 1 - x takes the side opposite to x.
     near_cut = [(v.real > 1.0) & (np.abs(v.imag) <= 1e-13 * np.abs(v)) for v in x]
     if near_cut[0].any() or near_cut[1].any():
-        lower = [v.imag < 0.0 for v in x]
-        x = [np.where((v.imag == 0.0) & (v.real > 1.0),
-                      v.real * (1.0 + np.where(low, -1e-290j, 1e-290j)), v)
-             for v, low in zip(x, lower[::-1])]
+        x = [np.where((v.imag == 0.0) & (v.real > 1.0), v.real * (1.0 + 1e-290j), v) for v in x]
         one_x = [np.where(near, w.real - 1j * v.imag, w)
                  for w, v, near in zip(one_x, x, near_cut)]
     args = t + x + [beta * e for e in ends] + [gamma * np.conj(e) for e in ends]

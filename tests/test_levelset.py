@@ -286,6 +286,20 @@ def test_crossings_match_theta_newton_on_random_symbols(monkeypatch):
         _assert_crossings_match(monkeypatch, sym, _probe_levels(sym, rng, 6))
 
 
+def test_crossing_on_a_smooth_seam_counts_once(regular):
+    # cos theta in two pieces that meet where it crosses the level: both
+    # pieces find that crossing, and the level set is regular's
+    cos = TrigPoly([0.0, 1.0])
+    split = PiecewiseSymbol([(math.pi / 3, 4.0, cos), (4.0, math.pi / 3 + TWO_PI, cos)])
+    assert split.jumps == ()
+    lam = math.cos(math.pi / 3)
+    assert [s for _, s in solve_level(split, lam)] == [-1, 1]
+    got, want = sublevel_set(split, lam), sublevel_set(regular, lam)
+    assert got.m == want.m == 1
+    assert abs(got.arcs[0].alpha - want.arcs[0].alpha) <= 1e-12
+    assert abs(got.arcs[0].beta - want.arcs[0].beta) <= 1e-12
+
+
 def test_level_set_and_q_share_one_root_solve(monkeypatch, fig2):
     # the frame's crossings, Q and log_fourier at a level all read the one
     # record stored for it
