@@ -20,19 +20,19 @@ import numpy as np
 from .errors import ExceptionalLevelError, QuadratureError
 from .kernels import schwarz_H
 from .levelset import (
-    DEFAULT_TOL,
     GUARD,
     _arc_pairs,
-    _cache_for,
+    _check_plateau,
     _factor_level,
     _level_factors,
     _LevelFactors,
+    _record,
     admissible_intervals,
     arcs_measure,
     exceptional_set,
     sublevel_set,
 )
-from .symbol import TWO_PI, PiecewiseSymbol
+from .symbol import DEFAULT_TOL, TWO_PI, PiecewiseSymbol
 
 
 @functools.lru_cache(maxsize=64)
@@ -121,7 +121,10 @@ class LogRule:
 
 
 def _log_weight(vals: np.ndarray, lam: float) -> np.ndarray:
-    return np.log(np.maximum(np.abs(vals - lam), 1e-300))
+    """ln|omega - lam| at the nodes, floored at eps times the largest: at a
+    node within rounding of a crossing the difference can round to 0."""
+    diff = np.abs(vals - lam)
+    return np.log(np.maximum(diff, np.finfo(float).eps * np.max(diff)))
 
 
 def _level(lam) -> float | complex:
@@ -158,13 +161,15 @@ def log_rule(sym: PiecewiseSymbol, lam: float, extra=()) -> LogRule:
     real level, built afresh on each call (``boundary_sigma`` is its one
     caller): at ``DEFAULT_DEPTH``, and at ``MAX_DEPTH`` when the fine and
     coarse panels disagree on the weight's circle average by more than
-    ``DEFAULT_TOL``; past that it raises ``QuadratureError``.
+    ``DEFAULT_TOL``; past that it raises ``QuadratureError``.  A level on a
+    constant piece's value raises ``ExceptionalLevelError``.
 
     When lam lies outside the essential range nothing crosses it, yet
     omega - lam comes close to zero at the extremum nearest in value, so the
     rule also breaks at that extremum's angles.  ``extra`` adds non-singular
     breakpoints.
     """
+    _check_plateau(sym, lam)
     g1, g2 = sym.essential_range()
     near = () if g1 < lam < g2 else _nearest_extremum(sym, lam)
     err = math.inf
@@ -370,26 +375,6 @@ _TAU_PHASE = (np.exp(-1j * math.pi * np.arange(LOG_FOURIER_N) / LOG_FOURIER_GRID
 _INV_MODES = 1.0 / np.arange(1, LOG_FOURIER_N)
 
 
-def _tau_values(sym: PiecewiseSymbol) -> np.ndarray:
-    """The symbol on the half-offset grid, computed once per symbol."""
-    cache = _cache_for(sym)
-    if cache.tau_values is None:
-        cache.tau_values = sym.values(_TAU)
-    return cache.tau_values
-
-
-def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
-    """Fourier coefficients of ln|omega - lam| for modes 0..N-1.
-
-    Log singularities at the level crossings and steps at the jumps carry
-    exact closed-form coefficients; the continuous remainder is handled by
-    an FFT on a half-offset grid.  Cached per level; a level that is not
-    finite and real raises ``ValueError``.
-    """
-    lam = _real_level(lam)
-    return _cache_for(sym).get(("fourier", round(lam, 14)), lambda: _log_fourier(sym, lam))
-
-
 def _real_level(lam) -> float:
     lam = _level(lam)
     if isinstance(lam, complex):
@@ -399,15 +384,24 @@ def _real_level(lam) -> float:
 
 def _check_circle_level(sym: PiecewiseSymbol, lam: float):
     """The circle routes' guard: a level within GUARD of an exceptional
-    value inside the range raises ``ExceptionalLevelError``."""
+    value in the closed range, such as a jump's one-sided value at its end,
+    raises ``ExceptionalLevelError``."""
     g1, g2 = sym.essential_range()
-    if g1 < lam < g2 and exceptional_set(sym).distance(lam) < GUARD:
+    if g1 <= lam <= g2 and exceptional_set(sym).distance(lam) < GUARD:
         raise ExceptionalLevelError(
             f"level {lam} within {GUARD} of the exceptional set"
         )
 
 
-def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
+def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
+    """Fourier coefficients of ln|omega - lam| for modes 0..N-1.
+
+    Log singularities at the level crossings and steps at the jumps carry
+    exact closed-form coefficients; the continuous remainder is handled by
+    an FFT on a half-offset grid.  A level that is not finite and real
+    raises ``ValueError``.
+    """
+    lam = _real_level(lam)
     _check_circle_level(sym, lam)
     g1, g2 = sym.essential_range()
     crossings = _level_factors(sym, lam).crossings if g1 < lam < g2 else np.empty(0)
@@ -426,7 +420,10 @@ def _log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
         np.matmul(rows, cols, out=fhat.reshape(_BLOCK, -1))
         fhat[0] = 0.0
         fhat[1:] *= _INV_MODES
-    ratio = np.subtract(_tau_values(sym), lam)
+    rec = _record(sym)   # the symbol on the grid serves all its levels
+    if rec.tau_values is None:
+        rec.tau_values = sym.values(_TAU)
+    ratio = np.subtract(rec.tau_values, lam)
     np.abs(ratio, out=ratio)
     if len(crossings):
         # the product of the 2 sin((tau - t0)/2), each by angle addition:

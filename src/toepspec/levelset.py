@@ -21,7 +21,15 @@ from .errors import (
     InadmissibleIntervalError,
     QuadratureError,
 )
-from .symbol import ANGLE_TOL, TWO_PI, PiecewiseSymbol, angles_on
+from .symbol import (
+    ANGLE_TOL,
+    TWO_PI,
+    UNIT_ROOT_TOL,
+    PiecewiseSymbol,
+    angles_on,
+    certified_roots,
+    distinct_angles,
+)
 
 # Levels closer than this to an exceptional value are rejected: crossings
 # there cannot be classified reliably.
@@ -98,59 +106,86 @@ class CountReport:
     m: int
 
 
-# the largest backward error a root record accepts of a root, and the
-# relative accuracy every panel-rule integral is certified to
-DEFAULT_TOL = 1e-10
-# a root this close to the unit circle is a crossing of its level
-UNIT_ROOT_TOL = 1e-7
-
-# Per-symbol bound on the stored root records and Fourier vectors: 256 of
-# the 256 KiB log_fourier vectors.
-RULE_CACHE_BYTES = 64 * 2**20
-_cache_lock = threading.Lock()
+# Per-symbol bound on the bytes of the stored root records' arrays; a
+# record holds 100-300 of them on the test and benchmark symbols.
+LEVEL_STORE_BYTES = 64 * 2**20
+_lock = threading.Lock()
 
 
-class _SymbolCache:
-    """Least-recently-used store of one symbol's real-level root records and
-    Fourier vectors, bounded in bytes.
-
-    Every value carries ``nbytes``; one larger than the whole budget is
-    built and returned but not kept.
+class _SymbolRecord:
+    """Everything kept of one symbol, each part made on first use: the
+    exceptional set and admissible intervals (``analysed``), one counting
+    report per interval, where the multiplicity is constant (``report``),
+    the symbol on ``log_fourier``'s grid (``tau_values``) and an LRU store
+    of real-level root records (``get``).  Stored values carry ``nbytes``;
+    one over ``LEVEL_STORE_BYTES`` is returned but not kept.  The record
+    holds no reference to the symbol, so the weak-keyed dict can drop it.
     """
 
     def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
-        self.nbytes = 0
+        self.exceptional: ExceptionalSet | None = None
+        self.reports: dict[int, CountReport] = {}
         self.tau_values: np.ndarray | None = None
+        self.levels: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def analysed(self, sym: PiecewiseSymbol) -> "_SymbolRecord":
+        """The record with its exceptional set, admissible intervals and
+        their bounds filled in."""
+        if self.exceptional is None:
+            exc = _exceptional_set(sym)
+            vals = exc.values
+            g1, g2 = sym.essential_range()
+            points = [g1] + [v for v in vals if g1 < v < g2] + [g2]
+            self.intervals = tuple(zip(points[:-1], points[1:]))
+            # the intervals shrunk to their points more than GUARD from every
+            # exceptional value
+            self.lo = [max([lo] + [v + GUARD for v in vals if v <= lo]) for lo, _ in self.intervals]
+            self.hi = [min([hi] + [v - GUARD for v in vals if v >= hi]) for _, hi in self.intervals]
+            self.exceptional = exc   # set last: the analysis is complete
+        return self
+
+    def index(self, a: float, b: float | None = None) -> int | None:
+        """Index of the admissible interval, shrunk by the guard, that holds
+        the level ``a`` or the interval [a, b]; None if there is none."""
+        b = a if b is None else b
+        i = bisect.bisect_left(self.lo, a) - 1
+        return i if i >= 0 and a <= b < self.hi[i] else None
+
+    def report(self, sym: PiecewiseSymbol, i: int) -> CountReport:
+        if i not in self.reports:
+            self.reports[i] = _count(sym, self.lo[i], self.hi[i])
+        return self.reports[i]
 
     def get(self, key, build):
-        with _cache_lock:
-            hit = self.entries.get(key)
+        with _lock:
+            hit = self.levels.get(key)
             if hit is not None:
-                self.entries.move_to_end(key)
+                self.levels.move_to_end(key)
                 return hit
         value = build()
         size = value.nbytes
-        if size > RULE_CACHE_BYTES:
+        if size > LEVEL_STORE_BYTES:
             return value
-        with _cache_lock:
-            if key not in self.entries:
-                while self.entries and self.nbytes + size > RULE_CACHE_BYTES:
-                    self.nbytes -= self.entries.popitem(last=False)[1].nbytes
-                self.entries[key] = value
+        with _lock:
+            if key not in self.levels:
+                while self.levels and self.nbytes + size > LEVEL_STORE_BYTES:
+                    self.nbytes -= self.levels.popitem(last=False)[1].nbytes
+                self.levels[key] = value
                 self.nbytes += size
         return value
 
 
-_rule_cache: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolCache]" = weakref.WeakKeyDictionary()
+_records: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolRecord]" = weakref.WeakKeyDictionary()
 
 
-def _cache_for(sym: PiecewiseSymbol) -> _SymbolCache:
-    with _cache_lock:
-        cache = _rule_cache.get(sym)
-        if cache is None:
-            cache = _rule_cache[sym] = _SymbolCache()
-        return cache
+def _record(sym: PiecewiseSymbol) -> _SymbolRecord:
+    """The symbol's one record; symbols are immutable, so it is made once."""
+    with _lock:
+        rec = _records.get(sym)
+        if rec is None:
+            rec = _records[sym] = _SymbolRecord()
+        return rec
 
 
 @dataclass(frozen=True)
@@ -191,19 +226,11 @@ class _LevelFactors:
         return _LevelFactors(pieces, self.weight, self.roots, self.achieved_tol, self.crossings)
 
 
-def _distinct_angles(found: list[float]) -> np.ndarray:
-    """Sorted angles in [0, 2pi), each one within 1e-9 of the last kept, or
-    of the first across 2pi, dropped: a crossing on a seam is found by both
-    pieces."""
-    if not found:
-        return np.empty(0)
-    keep = []
-    for t in np.sort(np.mod(found, TWO_PI)):
-        if not keep or t - keep[-1] > 1e-9:
-            keep.append(float(t))
-    if len(keep) > 1 and keep[0] + TWO_PI - keep[-1] < 1e-9:
-        keep.pop()
-    return np.array(keep)
+def _check_plateau(sym: PiecewiseSymbol, lam):
+    """A level equal to a constant piece's value, where the log weight is
+    -inf on a whole arc, raises ``ExceptionalLevelError``."""
+    if any(p.poly.is_constant() and p.poly.a[0] == lam for p in sym.pieces):
+        raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
 
 
 def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
@@ -225,29 +252,23 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
     The factors' logs are continuous on the circle, and so is the principal
     log(p - lam), so they differ by one 2 pi i k, read off at the midpoint.
 
-    The roots of the Laurent polynomial come from ``np.roots`` and two
-    Newton steps; one whose backward error |P(zeta)| / sum |c_j| |zeta|^j
-    exceeds ``DEFAULT_TOL`` raises ``QuadratureError``, and a real level on a
-    constant piece's value raises ``ExceptionalLevelError``.
+    The roots of the Laurent polynomial are ``certified_roots``', whose
+    certificate may raise ``QuadratureError``; a level on a constant piece's
+    value raises ``ExceptionalLevelError``.
     """
+    _check_plateau(sym, lam)
     real = isinstance(lam, float)
     none = np.empty(0, dtype=complex)
     pieces, roots, worst, crossings = [], 0, 0.0, []
     for piece in sym.pieces:
         a, b, poly = piece.theta_start, piece.theta_end, piece.poly
         if poly.is_constant():
-            if poly.a[0] == lam:
-                raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
             const = math.log(abs(poly.a[0] - lam)) if real else cmath.log(poly.a[0] - lam)
             pieces.append((a, b, const, none, none))
             continue
         c = poly._laurent(lam)[::-1]
-        dc = np.polyder(c)
-        zeta = np.roots(c)
-        for _ in range(2):
-            zeta = zeta - np.polyval(c, zeta) / np.polyval(dc, zeta)
-        backward = np.abs(np.polyval(c, zeta)) / np.polyval(np.abs(c), np.abs(zeta))
-        worst = max(worst, float(np.max(backward)))
+        zeta, backward = certified_roots(c)
+        worst = max(worst, backward)
         roots += len(zeta)
         modulus = np.abs(zeta)
         if real:
@@ -270,61 +291,14 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
         factored = const + np.sum(np.log(1.0 - beta * w)) + np.sum(np.log(1.0 - gamma / w))
         k = round((cmath.log(poly(0.5 * (a + b)) - lam) - factored).imag / TWO_PI)
         pieces.append((a, b, const + 2j * math.pi * k, beta, gamma))
-    if not worst <= DEFAULT_TOL:
-        raise QuadratureError(f"level {lam}: root backward error {worst:.3e}",
-                              achieved_tol=worst)
     return _LevelFactors(tuple(pieces), 0.5 if real else 1.0, roots, worst,
-                         _distinct_angles(crossings))
+                         distinct_angles(crossings))
 
 
 def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
     """The stored root record of a real level, solved once per level."""
     lam = float(lam)
-    return _cache_for(sym).get(("roots", round(lam, 14)), lambda: _factor_level(sym, lam))
-
-
-class _SymbolAnalysis:
-    """The exceptional set, the admissible intervals and, on first use, the
-    counting report of each interval: the multiplicity is constant on an
-    admissible interval, so one report serves all its levels.  Holds no
-    reference to the symbol, so the weak-keyed memo can drop it.
-    """
-
-    def __init__(self, sym: PiecewiseSymbol):
-        self.exceptional = _exceptional_set(sym)
-        vals = self.exceptional.values
-        g1, g2 = sym.essential_range()
-        points = [g1] + [v for v in vals if g1 < v < g2] + [g2]
-        self.intervals = tuple(zip(points[:-1], points[1:]))
-        # the intervals shrunk to their points more than GUARD from every
-        # exceptional value
-        self._lo = [max([lo] + [v + GUARD for v in vals if v <= lo]) for lo, _ in self.intervals]
-        self._hi = [min([hi] + [v - GUARD for v in vals if v >= hi]) for _, hi in self.intervals]
-        self._reports: dict[int, CountReport] = {}
-
-    def index(self, a: float, b: float | None = None) -> int | None:
-        """Index of the admissible interval, shrunk by the guard, that holds
-        the level ``a`` or the interval [a, b]; None if there is none."""
-        b = a if b is None else b
-        i = bisect.bisect_left(self._lo, a) - 1
-        return i if i >= 0 and a <= b < self._hi[i] else None
-
-    def report(self, sym: PiecewiseSymbol, i: int) -> CountReport:
-        if i not in self._reports:
-            self._reports[i] = _count(sym, self._lo[i], self._hi[i])
-        return self._reports[i]
-
-
-_analyses: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolAnalysis]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _analysis(sym: PiecewiseSymbol) -> _SymbolAnalysis:
-    """The symbol's analysis; symbols are immutable, so it is built once."""
-    an = _analyses.get(sym)
-    if an is None:
-        an = _analyses[sym] = _SymbolAnalysis(sym)
-    return an
+    return _record(sym).get(round(lam, 14), lambda: _factor_level(sym, lam))
 
 
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
@@ -333,30 +307,22 @@ def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
     Locally constant pieces contribute their value as critical: a level
     equal to a plateau breaks the finite-arc structure of the sublevel set.
     """
-    return _analysis(sym).exceptional
+    return _record(sym).analysed(sym).exceptional
 
 
 def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
-    thresholds = []
-    for j in sym.jumps:
-        thresholds.extend((j.left, j.right))
-    critical = []
-    points: list[tuple[float, float]] = []
-    for piece in sym.pieces:
+    thresholds = {v for j in sym.jumps for v in (j.left, j.right)}
+    plateaus, points = [], []
+    for piece, roots in zip(sym.pieces, sym._critical_angles):
         if piece.poly.is_constant():
-            critical.append(float(piece.poly.a[0]))
-            continue
-        for t in angles_on(piece.poly.derivative().roots(), piece.theta_start - ANGLE_TOL,
-                           piece.theta_end + ANGLE_TOL):
+            plateaus.append(float(piece.poly.a[0]))
+        for t in angles_on(roots, piece.theta_start - ANGLE_TOL, piece.theta_end + ANGLE_TOL):
             tw = t % TWO_PI
-            if any(abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s, _ in points):
-                continue
-            if sym._is_jump_angle(tw):
-                continue
-            points.append((tw, float(piece.poly(t))))
-            critical.append(points[-1][1])
-    return ExceptionalSet(tuple(sorted(set(thresholds))), tuple(sorted(set(critical))),
-                          tuple(points))
+            if not sym._is_jump_angle(tw) and not any(
+                    abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s, _ in points):
+                points.append((tw, float(piece.poly(t))))
+    critical = set(plateaus + [v for _, v in points])
+    return ExceptionalSet(tuple(sorted(thresholds)), tuple(sorted(critical)), tuple(points))
 
 
 def _check_level(sym: PiecewiseSymbol, lam: float):
@@ -444,13 +410,13 @@ def _validate_level(sym: PiecewiseSymbol, level: LevelSet):
 
 def admissible_intervals(sym: PiecewiseSymbol) -> list[tuple[float, float]]:
     """Maximal open subintervals of (gamma1, gamma2) avoiding the exceptional set."""
-    return list(_analysis(sym).intervals)
+    return list(_record(sym).analysed(sym).intervals)
 
 
 def level_report(sym: PiecewiseSymbol, lam: float) -> CountReport:
     """Counting report of the admissible interval that holds the level
     ``lam``, shared by every level of that interval."""
-    an = _analysis(sym)
+    an = _record(sym).analysed(sym)
     i = an.index(float(lam))
     if i is None:
         raise ValueError(f"level {lam} lies in no admissible interval")
@@ -469,7 +435,7 @@ def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
         raise InadmissibleIntervalError(
             f"interval ({a}, {b}) not strictly inside the spectrum ({g1}, {g2})"
         )
-    an = _analysis(sym)
+    an = _record(sym).analysed(sym)
     i = an.index(a, b)
     if i is None:
         raise InadmissibleIntervalError(

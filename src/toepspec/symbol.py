@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import QuadratureError
+
 TWO_PI = 2.0 * math.pi
 
 # Absolute tolerance for angle comparisons and one-sided value matching.
@@ -22,6 +24,11 @@ ANGLE_TOL = 1e-12
 VALUE_TOL = 1e-12
 # Relative mismatch of one-sided derivatives that flags an S0 point.
 DERIV_TOL = 1e-10
+# the largest backward error a root record accepts of a root, and the
+# relative accuracy every panel-rule integral is certified to
+DEFAULT_TOL = 1e-10
+# a root this close to the unit circle is a crossing of its level
+UNIT_ROOT_TOL = 1e-7
 
 
 def wrap_angle(theta: float) -> float:
@@ -38,6 +45,33 @@ def wrap_angle(theta: float) -> float:
 def angles_on(roots, t0: float, t1: float) -> list[float]:
     """The angles r and r + 2pi, for r in ``roots``, that lie in [t0, t1]."""
     return [t for r in roots for t in (r, r + TWO_PI) if t0 <= t <= t1]
+
+
+def distinct_angles(found) -> np.ndarray:
+    """Sorted angles in [0, 2pi), each one within 1e-9 of the last kept, or
+    of the first across 2pi, dropped: a crossing on a seam is found by both
+    pieces."""
+    keep = []
+    for t in np.sort(np.mod(found, TWO_PI)):
+        if not keep or t - keep[-1] > 1e-9:
+            keep.append(float(t))
+    if len(keep) > 1 and keep[0] + TWO_PI - keep[-1] < 1e-9:
+        keep.pop()
+    return np.array(keep)
+
+
+def certified_roots(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Roots of the polynomial with coefficients ``c``, highest degree first,
+    from ``np.roots`` and two Newton steps, and their worst backward error
+    |P(zeta)| / sum |c_j| |zeta|^j; above ``DEFAULT_TOL`` it raises
+    ``QuadratureError``."""
+    zeta = np.roots(c)
+    for _ in range(2):
+        zeta = zeta - np.polyval(c, zeta) / np.polyval(np.polyder(c), zeta)
+    worst = float(np.max(np.abs(np.polyval(c, zeta)) / np.polyval(np.abs(c), np.abs(zeta))))
+    if not worst <= DEFAULT_TOL:
+        raise QuadratureError(f"root backward error {worst:.3e}", achieved_tol=worst)
+    return zeta, worst
 
 
 class TrigPoly:
@@ -91,44 +125,14 @@ class TrigPoly:
         return c
 
     def roots(self, value: float = 0.0) -> np.ndarray:
-        """All angles in [0, 2pi) where the polynomial equals ``value``.
-
-        Found as unit-modulus roots of the associated algebraic polynomial,
-        then polished by Newton iteration.  A constant polynomial has no
-        isolated roots and returns an empty array.
-        """
+        """All angles in [0, 2pi) where the polynomial equals ``value``: those
+        of its Laurent polynomial's certified roots within ``UNIT_ROOT_TOL``
+        of the unit circle.  A constant polynomial has no isolated roots and
+        returns an empty array."""
         if self.is_constant():
             return np.empty(0)
-        c = self._laurent(value)
-        lead = np.max(np.abs(c))
-        # z^K * laurent gives an ordinary polynomial, highest degree first
-        coeffs = c[::-1]
-        nz = np.nonzero(np.abs(coeffs) > 1e-15 * lead)[0]
-        coeffs = coeffs[nz[0]:nz[-1] + 1]
-        if len(coeffs) < 2:
-            return np.empty(0)
-        z = np.roots(coeffs)
-        z = z[np.abs(np.abs(z) - 1.0) < 1e-7]
-        if len(z) == 0:
-            return np.empty(0)
-        theta = np.mod(np.angle(z), TWO_PI)
-        dp = self.derivative()
-        for _ in range(3):
-            f = np.asarray(self(theta)) - value
-            fp = np.asarray(dp(theta))
-            ok = np.abs(fp) > 1e-9
-            theta[ok] = theta[ok] - f[ok] / fp[ok]
-        theta = np.sort(np.mod(theta, TWO_PI))
-        # dedupe circularly
-        keep = np.concatenate(([True], np.diff(theta) >= 1e-9))
-        if len(theta) > 1 and (theta[-1] - theta[0]) > TWO_PI - 1e-9:
-            keep[-1] = False
-        return theta[keep]
-
-    def range_on(self, t0: float, t1: float) -> tuple[float, float]:
-        """Min and max of the polynomial over the closed arc [t0, t1]."""
-        cand = [float(self(t)) for t in [t0, t1] + angles_on(self.derivative().roots(), t0, t1)]
-        return min(cand), max(cand)
+        zeta, _ = certified_roots(self._laurent(value)[::-1])
+        return distinct_angles(np.angle(zeta[np.abs(np.abs(zeta) - 1.0) < UNIT_ROOT_TOL]))
 
     def __eq__(self, other):
         return isinstance(other, TrigPoly) and self.a == other.a and self.b == other.b
@@ -207,6 +211,9 @@ class PiecewiseSymbol:
         self._starts = np.array(starts)
         self._polys = [it[2] for it in items]
         self._dpolys = [poly.derivative() for poly in self._polys]
+        # each piece's critical angles, solved once; the essential range (on
+        # the closed arcs) and the exceptional set each take their own window
+        self._critical_angles = tuple(d.roots() for d in self._dpolys)
         self.pieces = tuple(SymbolPiece(*piece) for piece in zip(starts, ends, self._polys))
         self.name = name
         self.jumps = self._classify_jumps()
@@ -241,8 +248,9 @@ class PiecewiseSymbol:
         return tuple(jumps)
 
     def _essential_range(self):
-        ranges = [p.poly.range_on(p.theta_start, p.theta_end) for p in self.pieces]
-        return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+        values = [float(p.poly(t)) for p, crit in zip(self.pieces, self._critical_angles)
+                  for t in [p.theta_start, p.theta_end] + angles_on(crit, p.theta_start, p.theta_end)]
+        return min(values), max(values)
 
     # -- queries ---------------------------------------------------------------
 

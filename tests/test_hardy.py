@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symbol, reference_crossings, regular_xi_closed
-from toepspec import hardy, levelset
+from toepspec import cli, hardy, levelset
 from toepspec.errors import ExceptionalLevelError, QuadratureError
 from toepspec.hardy import (
     CircleRule,
@@ -118,6 +119,15 @@ def test_xi_grid_passes_build_each_rule_once(monkeypatch):
     assert not builds
 
 
+def test_log_weight_floors_a_rounded_zero():
+    # a node within rounding of a crossing, where omega - lam is exactly 0,
+    # is taken at eps times the largest difference, not at ln 1e-300; at
+    # one random level that node moved the panel reference by 1.2e-12
+    got = hardy._log_weight(np.array([0.37, 0.5, 2.37]), 0.37)
+    assert got[0] == math.log(np.finfo(float).eps * 2.0)
+    assert got[1] == math.log(0.5 - 0.37) and got[2] == math.log(2.0)
+
+
 def test_gauss_legendre_is_cached_and_read_only():
     x, w = hardy.gauss_legendre(40)
     again = hardy.gauss_legendre(40)
@@ -128,46 +138,48 @@ def test_gauss_legendre_is_cached_and_read_only():
 
 
 def test_rule_cache_evicts_least_recently_used(monkeypatch):
-    size = np.zeros(hardy.LOG_FOURIER_N, dtype=complex).nbytes   # one log_fourier vector
-    monkeypatch.setattr(levelset, "RULE_CACHE_BYTES", 3 * size)
+    # root records of levels above the range, all of one size
     sym = preset_regular()
-    cache = hardy._cache_for(sym)
+    size = hardy._level_factors(preset_regular(), 1.1).nbytes
+    monkeypatch.setattr(levelset, "LEVEL_STORE_BYTES", 3 * size)
+    rec = levelset._record(sym)
 
     def keys():
-        return [k[1] for k in cache.entries]
+        return list(rec.levels)
 
     def check_budget():
-        assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
-        assert cache.nbytes <= levelset.RULE_CACHE_BYTES
+        assert rec.nbytes == sum(v.nbytes for v in rec.levels.values())
+        assert rec.nbytes <= levelset.LEVEL_STORE_BYTES
 
-    # levels above the range, whose log_fourier vectors read no root record
     for lam in (1.1, 1.2, 1.3):
-        hardy.log_fourier(sym, lam)
+        hardy._level_factors(sym, lam)
         check_budget()
     assert keys() == [1.1, 1.2, 1.3]
-    first = hardy.log_fourier(sym, 1.1)      # a hit refreshes 1.1
+    first = hardy._level_factors(sym, 1.1)      # a hit refreshes 1.1
     assert keys() == [1.2, 1.3, 1.1]
-    hardy.log_fourier(sym, 1.4)              # evicts 1.2, the least recent
+    hardy._level_factors(sym, 1.4)              # evicts 1.2, the least recent
     check_budget()
     assert keys() == [1.3, 1.1, 1.4]
-    assert hardy.log_fourier(sym, 1.1) is first   # and refreshes it again
-    record = hardy._level_factors(sym, 1.5)  # evicts as many bytes as it needs
+    assert hardy._level_factors(sym, 1.1) is first   # and refreshes it again
+    # a level inside the range also keeps its two crossings, so its record
+    # is larger and evicts as many records as it needs
+    record = hardy._level_factors(sym, 0.5)
+    assert record.nbytes > size
     check_budget()
-    assert list(cache.entries) == [("fourier", 1.4), ("fourier", 1.1),
-                                   ("roots", 1.5)]
-    assert hardy._level_factors(sym, 1.5) is record
+    assert keys() == [1.1, 0.5]
+    assert hardy._level_factors(sym, 0.5) is record
     # a value larger than the whole budget is returned but not kept
-    monkeypatch.setattr(levelset, "RULE_CACHE_BYTES", size // 2)
-    before = list(cache.entries)
-    hardy.log_fourier(sym, 1.6)
-    assert list(cache.entries) == before
+    monkeypatch.setattr(levelset, "LEVEL_STORE_BYTES", size // 2)
+    before = keys()
+    hardy._level_factors(sym, 1.6)
+    assert keys() == before
 
 
 def test_rule_cache_budget_holds_under_threads(monkeypatch):
     # cheap values keep the threads inside the cache's bookkeeping, where a
     # lost update would break the byte count
-    monkeypatch.setattr(levelset, "RULE_CACHE_BYTES", 5 * 800)
-    cache = hardy._cache_for(preset_regular())
+    monkeypatch.setattr(levelset, "LEVEL_STORE_BYTES", 5 * 800)
+    cache = levelset._record(preset_regular())
     errors = []
 
     def work(k):
@@ -191,8 +203,8 @@ def test_rule_cache_budget_holds_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
-    assert cache.nbytes <= levelset.RULE_CACHE_BYTES
+    assert cache.nbytes == sum(v.nbytes for v in cache.levels.values())
+    assert cache.nbytes <= levelset.LEVEL_STORE_BYTES
 
 
 # -- Q and xi --------------------------------------------------------------------
@@ -380,13 +392,13 @@ def test_xi_circle_rejects_bad_grids(regular):
 
 def test_xi_circle_rejects_bad_levels(regular):
     # like xi and q_function; a rejected level leaves nothing in the store
-    cache = hardy._cache_for(regular)
-    before = list(cache.entries)
+    levels = levelset._record(regular).levels
+    before = list(levels)
     for route in (xi_circle, closed_circle):
         for lam in (math.nan, math.inf, 0.3 + 0.1j):
             with pytest.raises(ValueError, match="level"):
                 route(regular, lam, 0.9, 64)
-    assert list(cache.entries) == before
+    assert list(levels) == before
 
 
 @pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
@@ -416,12 +428,32 @@ def test_closed_circle_route_is_exact_near_the_circle(r, regular, cos2_symbol):
 
 def test_li2_free_levels_store_no_fourier_vector():
     # fresh symbols: their stores hold only the root records of the frame's
-    # level and of its interval's count
+    # level and of its interval's count, also on fig2, whose circle values
+    # take log_fourier's vector
     cos2 = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.0, 0.0, 1.0]))])
-    for sym, lam in ((preset_regular(), 0.3), (preset_singular(0.0, math.pi), 0.3), (cos2, -0.4)):
+    fig2 = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0, 0.0, -1.0])),
+                            (math.pi, 1.5 * math.pi, TrigPoly([1.0])),
+                            (1.5 * math.pi, TWO_PI, TrigPoly([-1.0]))])
+    for sym, lam in ((preset_regular(), 0.3), (preset_singular(0.0, math.pi), 0.3), (cos2, -0.4),
+                     (fig2, 0.3)):
         spectral_frame(sym, lam).eigen_circle(0.95, 1024)
-        keys = list(hardy._cache_for(sym).entries)
-        assert ("roots", lam) in keys and all(kind == "roots" for kind, _ in keys)
+        levels = levelset._record(sym).levels
+        assert lam in levels
+        assert all(isinstance(v, levelset._LevelFactors) for v in levels.values())
+
+
+def test_cold_xi_computes_no_exceptional_set(monkeypatch, capsys):
+    # a fresh symbol's xi solves its level's roots and nothing else
+    sym = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.1, 1.0, 0.3]))])
+    xi(sym, 0.3 + 0.2j, 0.25)
+    rec = levelset._record(sym)
+    assert rec.exceptional is None and not rec.reports and list(rec.levels) == [0.25]
+    # and so does the CLI's, which loads its symbol afresh
+    calls = []
+    monkeypatch.setattr(levelset, "_exceptional_set", lambda s: calls.append(s))
+    assert cli.run(["xi", "--symbol", "regular", "--z", "0.3+0.2i", "--lambda", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["roots"] == 2
+    assert not calls
 
 
 def test_eigen_circle_takes_xi_circle_only_with_li2(monkeypatch, regular, fig2):
@@ -711,6 +743,42 @@ def test_plateau_level_is_exceptional(singular, fig2):
             xi(sym, 1.5j, lam)
 
 
+def test_range_end_levels_raise_on_the_circle():
+    # a level equal to a jump's one-sided value at the range's end, where
+    # the jump's step size is the log of 0
+    sym = preset_singular(0.0, math.pi)
+    for lam in (1.0, 0.0):
+        with pytest.raises(ExceptionalLevelError):
+            hardy.log_fourier(sym, lam)
+        with pytest.raises(ExceptionalLevelError):
+            xi_circle(sym, lam, 0.9, 512)
+    # levels just outside the range are served as before
+    for lam in (1.0 + 1e-6, -1e-6):
+        ref = reference_log_fourier(sym, lam)
+        assert np.max(np.abs(hardy.log_fourier(sym, lam) - ref)) <= 1e-14
+
+
+def test_boundary_xi_at_a_plateau_level_is_exceptional():
+    # the level of the plateau omega = 1 on (0, pi), off the plateau and on
+    # the other one
+    sym = preset_singular(0.0, math.pi)
+    for theta, lam in ((4.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ExceptionalLevelError):
+            boundary_xi(sym, theta, lam, "+")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: log_fourier's FFT of the smooth "
+                   "remainder errs by O(h^2) at a seam where the slope jumps")
+@pytest.mark.parametrize("r", [0.9, 0.99])
+def test_xi_circle_at_a_slope_jump(r):
+    # |sin theta| as two pieces, with slope jumps at 0 and pi
+    sym = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0], [1.0])),
+                           (math.pi, TWO_PI, TrigPoly([0.0], [-1.0]))])
+    z = r * np.exp(2j * math.pi * np.arange(512) / 512)
+    got, want = xi_circle(sym, 0.37, r, 512), xi_grid(sym, z, 0.37)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+
+
 def test_perturbed_root_fails_its_certificate(monkeypatch):
     sym = preset_regular()
     roots = np.roots
@@ -719,7 +787,7 @@ def test_perturbed_root_fails_its_certificate(monkeypatch):
         with pytest.raises(QuadratureError) as info:
             q_function(sym, 0.3, lam)
         assert hardy.DEFAULT_TOL < info.value.achieved_tol < 1.0
-    assert not hardy._cache_for(sym).entries     # nothing is stored
+    assert not levelset._record(sym).levels     # nothing is stored
     monkeypatch.setattr(np, "roots", roots)
     record = hardy._level_factors(sym, 0.3)
     assert record.roots == 2 and record.achieved_tol <= 1e-15
