@@ -124,6 +124,7 @@ class _SymbolRecord:
 
     def __init__(self):
         self.exceptional: ExceptionalSet | None = None
+        self.intervals, self.lo, self.hi = (), [], []
         self.reports: dict[int, CountReport] = {}
         self.tau_values: np.ndarray | None = None
         self.levels: OrderedDict = OrderedDict()
