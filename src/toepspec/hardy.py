@@ -2,9 +2,8 @@
 it: xi, the outer function, the phase A, the L-function with its
 partial-fraction coefficients, boundary values, and the mu measure.
 
-Off the unit circle Q is a closed form in each piece's roots and the
-dilogarithm, at real and non-real levels alike; boundary values use circle
-quadrature with logarithmic singularities.
+Q is a closed form in each piece's roots and the dilogarithm at every level,
+on the circle too; no package code calls the panel rules, the tests' reference.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from .kernels import schwarz_H
 from .levelset import (
     GUARD,
     _arc_pairs,
+    EPS,
+    _check_level,
     _check_plateau,
     _factor_level,
     _level_factors,
@@ -158,8 +159,8 @@ def _nearest_extremum(sym: PiecewiseSymbol, x: float) -> tuple[float, ...]:
 
 def log_rule(sym: PiecewiseSymbol, lam: float, extra=()) -> LogRule:
     """Quadrature rule for integrals with the log weight ln|omega - lam| of a
-    real level, built afresh on each call (``boundary_sigma`` is its one
-    caller): at ``DEFAULT_DEPTH``, and at ``MAX_DEPTH`` when the fine and
+    real level, built afresh on each call (the tests' reference; no package
+    code calls it): at ``DEFAULT_DEPTH``, and at ``MAX_DEPTH`` when the fine and
     coarse panels disagree on the weight's circle average by more than
     ``DEFAULT_TOL``; past that it raises ``QuadratureError``.  A level on a
     constant piece's value raises ``ExceptionalLevelError``.
@@ -247,19 +248,24 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
       over 2 pi i; the chord integral picks up one monodromy term where x
       crosses the cut (1, inf).  At z = gamma, where x is infinite, it is
       [log^2(1 - gamma v)]/2, whose argument stays in Re > 0.
-    All Li2 values of the arc come from one call.
+    All Li2 values of the arc come from one call.  On the circle an end's
+    terms in log u, u = 1 - z conj e, cancel the next piece's at a continuous
+    seam, where both take bitwise one u; at u = 0 they are dropped.
     """
+    length = (b - a) % TWO_PI
     ends = np.exp(1j * np.array([a, b]))
-    logs = np.log(1.0 - z * np.conj(ends))
-    dl = 1j * (b - a) + logs[:, 1:] - logs[:, :1]
-    q = const * (dl / (1j * math.pi) - (b - a) / TWO_PI)
+    u = 1.0 - z * np.conj(ends)
+    # log(u1/u0), also log(x1/x0), as both arguments lie within pi/2 of 0
+    dlog = np.diff(np.log(np.where(u == 0.0, 1.0, u)), axis=1)
+    dl = 1j * length + dlog
+    q = const * (dl / (1j * math.pi) - length / TWO_PI)
     if len(beta) == 0 and len(gamma) == 0:
         return q[:, 0]
     one_bz = 1.0 - beta * z
     at_root = z == gamma
     zg = np.where(at_root, 1.0, z - gamma)
     t = [beta * (e - z) / one_bz for e in ends]
-    x = [gamma * (z * np.conj(e) - 1.0) / zg for e in ends]
+    x = [-gamma * u[:, k:k + 1] / zg for k in (0, 1)]
     # 1 - x, without the cancellation of x near 1
     one_x = [z * (1.0 - gamma * np.conj(e)) / zg for e in ends]
     # Near the cut (1, inf) an end's side is the sign of Im x, which is
@@ -283,7 +289,7 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     # side of the cut and undefined (and unused) at z = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         A = [np.log(1.0 - gamma * np.conj(e)) - np.log(w) for e, w in zip(ends, one_x)]
-        chord = A[0] * np.log(x[1] / x[0]) - li_x1 + li_x0
+        chord = A[0] * dlog - li_x1 + li_x0
         side0, side1 = np.sign(x[0].imag), np.sign(x[1].imag)
         cut = x[0].real - x[0].imag * (x[1].real - x[0].real) / (x[1].imag - x[0].imag)
         cross = (side0 * side1 < 0) & (cut > 1.0)
@@ -460,9 +466,13 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096,
     LOG_FOURIER_N modes; the dropped tail is at most
     2 max_{n >= N/2}(n |f_n|) r^N / (N (1 - r)), which stays below 1e-15
     for r <= 0.998 and grows to about 1e-4 at CIRCLE_R_MAX.  A bound above
-    ``tol`` raises ``QuadratureError``.
+    ``tol`` raises ``QuadratureError``.  A level outside (gamma1, gamma2) takes
+    the closed form: the FFT misses the near-double log just past an extremum.
     """
     _check_circle_grid(r, m_out)
+    g1, g2 = sym.essential_range()
+    if not g1 < _real_level(lam) < g2:
+        return _xi_on_circle(sym, lam, r, m_out, tol)
     fhat = log_fourier(sym, lam)
     n = LOG_FOURIER_N
     tail = r ** n
@@ -494,18 +504,12 @@ def _check_circle_grid(r: float, m_out: int):
 
 def _xi_on_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int,
                   tol: float) -> np.ndarray:
-    """xi at the m_out points r e^{2 pi i k/m_out}, with the checks of
-    ``xi_circle``.
-
-    When the level's root record needs no Li2 (one piece, or constant
-    pieces only) its closed form gives the values exactly, with no Fourier
-    tail and no coefficient vector; otherwise ``xi_circle`` does, and its
-    tail above ``tol`` raises ``QuadratureError``.
-    """
+    """``xi_circle``'s values, from the level's exact closed form also where
+    its root record needs no Li2 (one piece, or constant pieces only)."""
     _check_circle_grid(r, m_out)
     lam = _real_level(lam)
-    factors = _level_factors(sym, lam)
-    if not factors.li2_free:
+    factors, (g1, g2) = _level_factors(sym, lam), sym.essential_range()
+    if not factors.li2_free and g1 < lam < g2:
         return xi_circle(sym, lam, r, m_out, tol)
     _check_circle_level(sym, lam)
     z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
@@ -623,49 +627,44 @@ def L_check(arcs, n_samples: int = 50) -> float:
 
 # -- boundary values -------------------------------------------------------------
 
-
 def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
-    """Common unimodular factor of the two one-sided boundary values of xi.
-
-    Computed from the principal-value integral after subtracting the
-    singular part analytically, which leaves a bounded integrand handled
-    by the panel rule with an added breakpoint at zeta.
+    """Common unimodular factor of the two one-sided boundary values of xi:
+    exp(-i Im Q+/2), Q+ the closed form of the root record at z = e^{i zeta}.
+    Its error estimate, the sum of (eps + e)/|1 - beta z| over the roots beta
+    (e their ``beta_error``) and of eps (1 + |J|)/|1 - z/s| over the value
+    jumps s of the log weight by J, raises ``QuadratureError`` above
+    ``DEFAULT_TOL``; a jump angle or omega(zeta) = lambda ``ValueError``, and
+    a level within ``GUARD`` of an exceptional value ``ExceptionalLevelError``.
     """
     theta = float(zeta) % TWO_PI
+    lam = _real_level(lam)
     if sym._is_jump_angle(theta):
         raise ValueError("boundary value undefined here: jump angle")
-    f0 = math.log(abs(sym.eval(theta) - lam)) if abs(sym.eval(theta) - lam) > 1e-13 else None
-    if f0 is None:
+    if abs(sym.eval(theta) - lam) <= 1e-13:
         raise ValueError("boundary value undefined here: omega(zeta) = lambda")
-    lr = log_rule(sym, lam, extra=(theta,))
-
-    def corr(nodes, logvals):
-        t = np.tan(0.5 * (nodes - theta))
-        hit = t == 0.0
-        out = np.divide(logvals - f0, t, where=~hit, out=np.empty_like(t))
-        if hit.any():
-            # panels refined toward theta can put a node on it in floating
-            # point; the integrand's limit there is 2 omega'/(omega - lam)
-            out[hit] = 2.0 * sym.eval_derivative(theta) / (sym.eval(theta) - lam)
-        return out
-
-    fine = np.dot(lr.rule.w, corr(lr.rule.theta, lr.logvals))
-    coarse = np.dot(lr.rule.w_c, corr(lr.rule.theta_c, lr.logvals_c))
-    if abs(fine - coarse) > 100.0 * DEFAULT_TOL * max(1.0, abs(fine)):
-        raise QuadratureError("principal value did not converge",
-                              achieved_tol=abs(fine - coarse))
-    return complex(np.exp(0.5j * fine))
+    _check_level(sym, lam)
+    factors = _level_factors(sym, lam)
+    z = np.exp(1j * np.array([theta]))
+    betas = np.concatenate([np.empty(0)] + [beta for *_, beta, _ in factors.pieces])
+    s, J = np.array([(j.theta, math.log(abs(j.right - lam) / abs(j.left - lam)))
+                     for j in sym.jumps if j.kind != "zero"]).reshape(-1, 2).T
+    with np.errstate(divide="ignore"):
+        err = (np.sum((EPS + factors.beta_error) / np.abs(1.0 - betas * z))
+               + np.sum(EPS * (1.0 + np.abs(J)) / np.abs(1.0 - z * np.exp(-1j * s))))
+    if not err <= DEFAULT_TOL:
+        raise QuadratureError(f"boundary value at angle {theta} loses up to {err:.3e} "
+                              "to rounding next to a root or jump", achieved_tol=err)
+    return complex(np.exp(-0.5j * _closed_q(factors, z)[0].imag))
 
 
 def boundary_xi(sym: PiecewiseSymbol, zeta: float, lam: float, side: str) -> complex:
     """One-sided boundary value of xi: sigma times |omega - lam|^{-1/2} from
-    inside ('+') and |omega - lam|^{+1/2} from outside ('-')."""
+    inside ('+'), which is exp(-Q+/2), and |omega - lam|^{+1/2} from outside ('-')."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     sigma = boundary_sigma(sym, zeta, lam)
     mod = abs(sym.eval(float(zeta) % TWO_PI) - lam)
-    power = -0.5 if side == "+" else 0.5
-    return complex(sigma * mod**power)
+    return complex(sigma * mod ** (-0.5 if side == "+" else 0.5))
 
 
 # -- the mu measure ---------------------------------------------------------------

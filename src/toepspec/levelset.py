@@ -10,7 +10,7 @@ import math
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +34,7 @@ from .symbol import (
 # Levels closer than this to an exceptional value are rejected: crossings
 # there cannot be classified reliably.
 GUARD = 1e-9
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,9 @@ class _LevelFactors:
     const + weight (sum log(1 - beta w) + sum log(1 - gamma/w)), w = e^{i theta}:
     the tuples (a, b, const, beta, gamma), with |beta|, |gamma| <= 1, the
     total count of roots behind them, their worst backward error and, at a
-    real level, the sorted angles where the symbol crosses it.
+    real level, the sorted angles where the symbol crosses it and each beta's
+    first-order error eps sum|c_k||zeta|^k / |P'(zeta)| (over |zeta|^2 outside).
+    Each end b is the next piece's start: the two pieces at a seam share it.
 
     At a real level the weight is ln|omega - lam|, the real part: const is
     real, gamma = conj(beta) and weight 1/2.  At a non-real one it is the
@@ -207,11 +210,12 @@ class _LevelFactors:
     roots: int
     achieved_tol: float
     crossings: np.ndarray
+    beta_error: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return self.crossings.nbytes + sum(40 + beta.nbytes + gamma.nbytes
-                                           for *_, beta, gamma in self.pieces)
+        return self.crossings.nbytes + self.beta_error.nbytes + sum(
+            40 + beta.nbytes + gamma.nbytes for *_, beta, gamma in self.pieces)
 
     @property
     def li2_free(self) -> bool:
@@ -224,7 +228,7 @@ class _LevelFactors:
         1/conj(zeta), on the other side of the circle."""
         pieces = tuple((a, b, np.conj(const), np.conj(gamma), np.conj(beta))
                        for a, b, const, beta, gamma in self.pieces)
-        return _LevelFactors(pieces, self.weight, self.roots, self.achieved_tol, self.crossings)
+        return replace(self, pieces=pieces)
 
 
 def _check_plateau(sym: PiecewiseSymbol, lam):
@@ -260,12 +264,12 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
     _check_plateau(sym, lam)
     real = isinstance(lam, float)
     none = np.empty(0, dtype=complex)
-    pieces, roots, worst, crossings = [], 0, 0.0, []
-    for piece in sym.pieces:
-        a, b, poly = piece.theta_start, piece.theta_end, piece.poly
+    pieces, roots, worst, crossings, errors = [], 0, 0.0, [], []
+    for piece, end in zip(sym.pieces, np.roll(sym._starts, -1)):
+        a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, float(end)
         if poly.is_constant():
             const = math.log(abs(poly.a[0] - lam)) if real else cmath.log(poly.a[0] - lam)
-            pieces.append((a, b, const, none, none))
+            pieces.append((a, end, const, none, none))
             continue
         c = poly._laurent(lam)[::-1]
         zeta, backward = certified_roots(c)
@@ -278,7 +282,10 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
             far = modulus > 1.0
             const = math.log(abs(c[0])) + float(np.sum(np.log(modulus[far])))
             beta = np.where(far, 1.0 / zeta, np.conj(zeta))
-            pieces.append((a, b, const, beta, np.conj(beta)))
+            with np.errstate(divide="ignore"):
+                error = EPS * np.polyval(np.abs(c), modulus) / np.abs(np.polyval(np.polyder(c), zeta))
+            errors.append(np.where(far, error / modulus**2, error))
+            pieces.append((a, end, const, beta, np.conj(beta)))
             continue
         inside = np.where(np.abs(modulus - 1.0) < 1e-8,
                           lam.imag * poly.derivative()(np.angle(zeta)) > 0.0, modulus < 1.0)
@@ -291,15 +298,15 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
         w = cmath.exp(0.5j * (a + b))
         factored = const + np.sum(np.log(1.0 - beta * w)) + np.sum(np.log(1.0 - gamma / w))
         k = round((cmath.log(poly(0.5 * (a + b)) - lam) - factored).imag / TWO_PI)
-        pieces.append((a, b, const + 2j * math.pi * k, beta, gamma))
+        pieces.append((a, end, const + 2j * math.pi * k, beta, gamma))
     return _LevelFactors(tuple(pieces), 0.5 if real else 1.0, roots, worst,
-                         distinct_angles(crossings))
+                         distinct_angles(crossings), np.concatenate([np.empty(0)] + errors))
 
 
 def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
-    """The stored root record of a real level, solved once per level."""
+    """The stored root record of a real level, solved once per exact value."""
     lam = float(lam)
-    return _record(sym).get(round(lam, 14), lambda: _factor_level(sym, lam))
+    return _record(sym).get(lam, lambda: _factor_level(sym, lam))
 
 
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:

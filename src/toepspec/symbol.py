@@ -307,13 +307,6 @@ class PiecewiseSymbol:
         piece = self.pieces[(i - 1) % len(self.pieces)]
         return float(piece.poly(piece.theta_end))
 
-    def eval_derivative(self, theta: float) -> float:
-        """Angular derivative d omega(e^{i t})/dt at a non-jump angle."""
-        t = wrap_angle(theta)
-        if self._is_jump_angle(t):
-            raise ValueError("derivative undefined at a jump angle")
-        return float(self.derivative_values(t))
-
     def derivative_values(self, theta) -> np.ndarray:
         return self._piecewise(self._dpolys, theta)
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import configuration
 
-from toepspec import levelset
-from toepspec.errors import ExceptionalLevelError
+from toepspec import hardy, levelset
+from toepspec.errors import ExceptionalLevelError, QuadratureError
 from toepspec.symbol import ANGLE_TOL, PiecewiseSymbol, TrigPoly, preset_regular, preset_singular
 
 TWO_PI = 2.0 * math.pi
@@ -184,3 +184,34 @@ def reference_solve_level(sym, lam: float):
     if np.any(np.abs(slope) < 1e-9):
         raise ExceptionalLevelError(f"tangential crossing at level {lam}")
     return [(float(t), 1 if d > 0 else -1) for t, d in zip(theta, slope)]
+
+
+def reference_boundary_sigma(sym, zeta: float, lam: float) -> complex:
+    """The boundary factor sigma = exp(-i Im Q+/2) by the panel route: the
+    principal value (1/2pi) PV int ln|omega - lam| cot((t - theta)/2) dt,
+    which is -Im Q+, with f(theta) subtracted so that the integrand is
+    bounded, on ``hardy.log_rule`` with added breakpoints at theta and, as
+    in ``refined_panel_q``, at every interior extremum, next to which the
+    log weight can dip where no panel breaks.  Where its two depths disagree
+    by more than 100 DEFAULT_TOL it raises QuadratureError.  The reference
+    for ``hardy.boundary_sigma``."""
+    theta = float(zeta) % TWO_PI
+    f0 = math.log(abs(sym.eval(theta) - lam))
+    extrema = tuple(t for t, _ in levelset.exceptional_set(sym).critical_points)
+    lr = hardy.log_rule(sym, lam, extra=(theta,) + extrema)
+
+    def corr(nodes, logvals):
+        t = np.tan(0.5 * (nodes - theta))
+        hit = t == 0.0
+        out = np.divide(logvals - f0, t, where=~hit, out=np.empty_like(t))
+        # panels refined toward theta can put a node on it in floating
+        # point; the integrand's limit there is 2 omega'/(omega - lam)
+        out[hit] = 2.0 * float(sym.derivative_values(theta)) / (sym.eval(theta) - lam)
+        return out
+
+    fine = np.dot(lr.rule.w, corr(lr.rule.theta, lr.logvals))
+    coarse = np.dot(lr.rule.w_c, corr(lr.rule.theta_c, lr.logvals_c))
+    if abs(fine - coarse) > 100.0 * hardy.DEFAULT_TOL * max(1.0, abs(fine)):
+        raise QuadratureError("principal value did not converge",
+                              achieved_tol=abs(fine - coarse))
+    return complex(np.exp(0.5j * fine))

@@ -7,7 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_symbol, reference_crossings, regular_xi_closed
+from conftest import (
+    random_symbol,
+    reference_boundary_sigma,
+    reference_crossings,
+    regular_xi_closed,
+)
 from toepspec import cli, hardy, levelset
 from toepspec.errors import ExceptionalLevelError, QuadratureError
 from toepspec.hardy import (
@@ -135,6 +140,15 @@ def test_gauss_legendre_is_cached_and_read_only():
     assert not x.flags.writeable and not w.flags.writeable
     ref_x, ref_w = np.polynomial.legendre.leggauss(40)
     assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
+def test_root_store_keys_the_exact_level():
+    # 4e-15 and 1e-15 round to one key at 14 digits; on this symbol's scale
+    # they are far apart
+    sym, fresh = (PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.0, 1e-13]))]) for _ in range(2))
+    q_function(sym, 0.3, 4e-15)
+    assert q_function(sym, 0.3, 1e-15) == q_function(fresh, 0.3, 1e-15)
+    assert list(levelset._record(sym).levels) == [4e-15, 1e-15]
 
 
 def test_rule_cache_evicts_least_recently_used(monkeypatch):
@@ -388,6 +402,15 @@ def test_xi_circle_rejects_bad_grids(regular):
         for r in (0.0, -0.1, hardy.CIRCLE_R_MAX + 1e-4, 1.0):
             with pytest.raises(ValueError, match="radius"):
                 route(regular, 0.3, r, 64)
+
+
+def test_xi_circle_just_outside_the_range(regular, fig2):
+    # nothing crosses these levels, but each passes within 1e-12 or 1e-9 of an
+    # extremum's value, a near-double log singularity the FFT did not resolve
+    z = 0.9 * np.exp(2j * math.pi * np.arange(512) / 512)
+    for sym, lam in ((regular, 1.0 + 1e-12), (regular, -1.0 - 1e-9), (fig2, 1.0 + 1e-12)):
+        got = xi_circle(sym, lam, 0.9, 512)
+        assert np.max(np.abs(got / xi_grid(sym, z, lam) - 1.0)) <= 1e-12
 
 
 def test_xi_circle_rejects_bad_levels(regular):
@@ -1023,8 +1046,9 @@ def test_boundary_values_regular(regular):
     (4.851600214051264, 0.1404243225890638, "+"),
 ])
 def test_boundary_xi_node_on_theta(regular, theta, lam, side):
-    # theta close to a level crossing: the panels refined toward theta put
-    # a quadrature node on it in floating point
+    # the panels refined toward theta put a quadrature node on it in
+    # floating point, where the panel reference takes the integrand's limit;
+    # it and the closed form both match the exact value
     rule = hardy.log_rule(regular, lam, extra=(theta,)).rule
     assert np.any(rule.theta == theta)
     val = boundary_xi(regular, theta, lam, side)
@@ -1033,6 +1057,9 @@ def test_boundary_xi_node_on_theta(regular, theta, lam, side):
         want *= abs(math.cos(theta) - lam)
     assert np.isfinite(val)
     assert abs(val - want) < 1e-8 * abs(want)
+    sigma = want / abs(want)
+    assert abs(reference_boundary_sigma(regular, theta, lam) - sigma) < 1e-10
+    assert abs(boundary_sigma(regular, theta, lam) - sigma) < 1e-13
 
 
 def test_boundary_sigma_unimodular(regular, singular):
@@ -1054,6 +1081,155 @@ def test_boundary_rejects_bad_points(regular, singular):
         boundary_xi(singular, 0.0, 0.5, "+")
     with pytest.raises(ValueError, match="undefined"):
         boundary_xi(regular, math.acos(0.3), 0.3, "+")
+    with pytest.raises(ValueError, match="side"):
+        boundary_xi(regular, 1.0, 0.3, "0")
+    for lam in (math.nan, 0.3 + 0.1j):
+        with pytest.raises(ValueError, match="level"):
+            boundary_sigma(regular, 1.0, lam)
+
+
+def _trig_q_plus(theta, lam, k):
+    """Q+ of cos(k theta) inside its range: Log(w (cos k theta - lam)),
+    w = e^{ik theta}, since 1 - 2 lam w + w^2 = 2 w (cos k theta - lam) on
+    the circle and each of its two root factors has argument within pi/2."""
+    return np.log(np.exp(1j * k * theta) * (np.cos(k * theta) - lam))
+
+
+def _arc_q_plus(theta, lam, t1, t2):
+    """Q+ of the indicator of the arc (t1, t2): ln|omega - lam| plus i J/pi
+    ln|sin((theta - t1)/2) / sin((theta - t2)/2)|, J the jump of the log
+    weight at t1."""
+    inside = (theta - t1) % TWO_PI < (t2 - t1) % TWO_PI
+    jump = math.log(abs(1.0 - lam)) - math.log(abs(lam))
+    sines = np.abs(np.sin(0.5 * (theta - t1)) / np.sin(0.5 * (theta - t2)))
+    return np.where(inside, math.log(abs(1.0 - lam)), math.log(abs(lam))) + 1j * jump / math.pi * np.log(sines)
+
+
+def _exact_cases(regular, singular, singular_asym, cos2_symbol):
+    """(symbol, exact Q+, levels, singular angles at each level)."""
+    def bad(sym, lam):
+        g1, g2 = sym.essential_range()
+        found = reference_crossings(sym, lam) if g1 < lam < g2 else np.empty(0)
+        return np.concatenate((found, [j.theta for j in sym.jumps]))
+
+    cases = [(regular, lambda t, lam: _trig_q_plus(t, lam, 1), (-0.95, -0.4, 0.0, 0.37, 0.9)),
+             (cos2_symbol, lambda t, lam: _trig_q_plus(t, lam, 2), (-0.8, 0.1, 0.6)),
+             (singular, lambda t, lam: _arc_q_plus(t, lam, 0.0, math.pi), (-0.3, 0.2, 0.8, 1.4)),
+             # 1e-6 from a jump's one-sided value the log weight jumps by 13.8
+             (singular_asym, lambda t, lam: _arc_q_plus(t, lam, 0.7, 2.9),
+              (-0.3, 1e-6, 0.2, 0.8, 1.0 - 1e-6, 1.4))]
+    return [(sym, exact, lam, bad(sym, lam)) for sym, exact, lams in cases for lam in lams]
+
+
+def _angle_gap(theta, angles):
+    return np.min(np.abs((theta - np.asarray(angles) + math.pi) % TWO_PI - math.pi), initial=math.inf)
+
+
+def test_boundary_values_match_exact_forms(monkeypatch, regular, singular, singular_asym,
+                                          cos2_symbol):
+    # at least 1e-3 from every crossing and jump; the closed form builds no
+    # panel rule
+    builds = []
+    monkeypatch.setattr(CircleRule, "__init__", lambda *args: builds.append(args))
+    rng = np.random.default_rng(83)
+    for sym, exact, lam, bad in _exact_cases(regular, singular, singular_asym, cos2_symbol):
+        for theta in rng.uniform(0.0, TWO_PI, 40):
+            if _angle_gap(theta, bad) < 1e-3:
+                continue
+            q = exact(theta, lam)
+            assert abs(boundary_sigma(sym, theta, lam) - np.exp(-0.5j * q.imag)) <= 1e-13
+            xp, xm = boundary_xi(sym, theta, lam, "+"), boundary_xi(sym, theta, lam, "-")
+            assert abs(xp / np.exp(-0.5 * q) - 1.0) <= 1e-13
+            assert abs(xm / (np.exp(-0.5 * q) * abs(sym.eval(theta) - lam)) - 1.0) <= 1e-13
+    assert not builds
+
+
+def test_boundary_values_match_the_panel_reference(regular, singular, singular_asym, fig2,
+                                                   cos2_symbol):
+    rng = np.random.default_rng(89)
+    for sym in (regular, singular, singular_asym, fig2, cos2_symbol):
+        g1, g2 = sym.essential_range()
+        for frac in (-0.3, 0.07, 0.31, 0.52, 0.77, 0.96, 1.4):
+            lam = g1 + frac * (g2 - g1)
+            bad = np.concatenate((hardy._level_factors(sym, lam).crossings,
+                                  [j.theta for j in sym.jumps]))
+            for theta in rng.uniform(0.0, TWO_PI, 6):
+                if _angle_gap(theta, bad) >= 1e-3:
+                    ref = reference_boundary_sigma(sym, theta, lam)
+                    assert abs(boundary_sigma(sym, theta, lam) - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_boundary_values_next_to_crossings_and_jumps(side, regular, singular, singular_asym,
+                                                     cos2_symbol):
+    # 1e-3 to 1e-12 from a crossing or jump: within 1e-10 of the exact value,
+    # or a QuadratureError carrying an estimate above DEFAULT_TOL; the
+    # nearest points raise, and within ANGLE_TOL of a jump it is a jump angle
+    for sym, exact, lam, bad in _exact_cases(regular, singular, singular_asym, cos2_symbol):
+        for t0 in bad:
+            for d in 10.0 ** -np.arange(3.0, 12.5, 0.5):
+                theta = (t0 + side * d) % TWO_PI
+                if sym._is_jump_angle(theta):
+                    with pytest.raises(ValueError, match="jump angle"):
+                        boundary_sigma(sym, theta, lam)
+                    continue
+                try:
+                    sigma = boundary_sigma(sym, theta, lam)
+                except QuadratureError as err:
+                    assert hardy.DEFAULT_TOL < err.achieved_tol < math.inf
+                    continue
+                assert d > 1e-8
+                assert abs(sigma - np.exp(-0.5j * exact(theta, lam).imag)) <= 1e-10
+
+
+def test_boundary_values_just_past_the_range(regular):
+    # past an extremum two roots nearly meet off the circle, and their error,
+    # well above eps, is what the estimate must carry; the exact Q+ of
+    # cos theta at |lam| > 1 is -log(2b) + 2 Log(1 - s b z), b = 1/(|lam| +
+    # sqrt(lam^2 - 1)) with lam^2 - 1 taken as (|lam| - 1)(|lam| + 1)
+    for lam in (1.0 + 2e-9, 1.0 + 1e-8, -1.0 - 1e-7, 1.0 + 1e-5):
+        s = math.copysign(1.0, lam)
+        b = 1.0 / (abs(lam) + math.sqrt((abs(lam) - 1.0) * (abs(lam) + 1.0)))
+        raised = 0
+        for d in np.concatenate((10.0 ** -np.arange(1.0, 9.5, 0.5), [0.0])):
+            for theta in (0.0 if s > 0 else math.pi) + np.array([d, -d]):
+                z = np.exp(1j * theta)
+                want = np.exp(-0.5j * (2.0 * np.log(1.0 - s * b * z)).imag)
+                try:
+                    assert abs(boundary_sigma(regular, theta, lam) - want) <= 1e-10
+                except QuadratureError as err:
+                    assert hardy.DEFAULT_TOL < err.achieved_tol
+                    raised += 1
+        assert raised if lam < 1.0 + 1e-6 else not raised
+
+
+def test_boundary_values_across_a_continuous_seam(fig2):
+    # fig2's pieces meet at angle 0 with equal values and slopes, the last
+    # piece's end stored as the first piece's start; on the seam the two
+    # pieces' log(1 - z) terms are dropped
+    for lam in (-1.5, -0.5, 0.2, 0.7, 1.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            on = boundary_sigma(fig2, 0.0, lam)
+        for d in (1e-12, 1e-9):
+            plus, minus = boundary_sigma(fig2, d, lam), boundary_sigma(fig2, -d, lam)
+            assert abs(0.5 * (plus + minus) - on) <= 1e-12
+            if d == 1e-12:
+                assert max(abs(plus - on), abs(minus - on)) <= 1e-12
+            for theta, got in ((d, plus), (-d, minus)):
+                assert abs(got - reference_boundary_sigma(fig2, theta, lam)) <= 1e-10
+        assert abs(on - reference_boundary_sigma(fig2, 0.0, lam)) <= 1e-10
+
+
+def test_boundary_values_at_the_seams_of_a_split_symbol():
+    # cos theta as two pieces meeting at 1 and 4, against its exact form
+    split = PiecewiseSymbol([(1.0, 4.0, TrigPoly([0.0, 1.0])),
+                             (4.0, 1.0 + TWO_PI, TrigPoly([0.0, 1.0]))])
+    for lam in (-0.6, 0.1, 0.45):
+        for seam in (1.0, 4.0):
+            for theta in seam + np.array([0.0, 1e-12, -1e-12, 1e-9, -1e-9]):
+                q = _trig_q_plus(theta, lam, 1)
+                assert abs(boundary_sigma(split, theta, lam) - np.exp(-0.5j * q.imag)) <= 1e-13
 
 
 # -- mu measure ---------------------------------------------------------------------

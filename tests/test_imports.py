@@ -23,3 +23,25 @@ def test_no_undeclared_imports():
     found = [f"{path.relative_to(ROOT)}: {name}" for path in files
              for name in imported_modules(path) if name.split(".")[0] in UNDECLARED]
     assert not found
+
+
+# The panel rules: no package code outside their own definitions names them,
+# so that they stay the tests' independent reference.
+PANEL_ROUTE = {"CircleRule", "LogRule", "plain_rule", "log_rule"}
+PANEL_NAMES = {"CircleRule", "plain_rule", "log_rule"}
+
+
+def test_package_leaves_the_panel_rules_to_the_tests():
+    found = []
+    for path in sorted((ROOT / "src" / "toepspec").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in PANEL_ROUTE:
+                continue
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in PANEL_NAMES:
+                    found.append(f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', '?')}: {name}")
+    assert not found

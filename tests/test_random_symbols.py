@@ -1,14 +1,17 @@
 """End-to-end property net over randomly generated piecewise symbols:
 level-set assembly, counting consistency, coefficient sum rule, density
-two-form agreement, Stone recovery, and the boundary relation."""
+two-form agreement, Stone recovery, the boundary relation, and the boundary
+values of xi."""
 
 import math
 
 import numpy as np
 import pytest
 
+from conftest import random_symbol as wide_symbol
+from conftest import reference_boundary_sigma
 from toepspec import hardy, levelset, spectral
-from toepspec.errors import ExceptionalLevelError
+from toepspec.errors import ExceptionalLevelError, QuadratureError, ToepspecError
 from toepspec.symbol import PiecewiseSymbol, TrigPoly
 
 TWO_PI = 2.0 * math.pi
@@ -101,3 +104,77 @@ def test_random_symbols_full_pipeline(rng):
                 assert res[1] < res[0] * 0.75
                 break
     assert tested_levels >= 6
+
+
+def split_symbol(rng):
+    """A random symbol of 1-6 pieces of degree up to 6, whose last piece
+    wraps past 2 pi, and the same symbol with one piece split in two at a
+    random inner angle: a seam where the symbol is smooth.  Returns both and
+    the seam's angle."""
+    whole = wide_symbol(rng)
+    i = int(rng.integers(len(whole.pieces)))
+    pieces = [(p.theta_start, p.theta_end, p.poly) for p in whole.pieces]
+    a, b, poly = pieces.pop(i)
+    cut = a + (b - a) * rng.uniform(0.05, 0.95)
+    split = PiecewiseSymbol(pieces + [(a, cut, poly), (cut, b, poly)])
+    return whole, split, cut % TWO_PI
+
+
+def boundary_case(sym, theta, lam):
+    """sigma at (theta, lam), read off the two one-sided values after their
+    identities are checked, or None for a typed error; a ValueError only at
+    a jump angle or where omega = lam."""
+    try:
+        xp, xm = (hardy.boundary_xi(sym, theta, lam, side) for side in "+-")
+    except ToepspecError:
+        return None
+    except ValueError:
+        assert sym._is_jump_angle(theta % TWO_PI) or abs(sym.eval(theta) - lam) <= 1e-13
+        return None
+    mod = abs(sym.eval(theta) - lam)
+    assert np.isfinite(xp) and abs(abs(xp) ** 2 * mod - 1.0) <= 1e-12
+    assert abs(xm - mod * xp) <= 1e-12 * abs(xm)
+    return xp / abs(xp)
+
+
+def test_boundary_values_on_random_symbols():
+    # levels across and past the range, at its ends and next to exceptional
+    # values; angles at random, next to a crossing and on and next to a
+    # smooth seam.  Each case gives values that meet their identities, and
+    # the panel reference wherever it converges at least 1e-3 from every
+    # crossing and jump, or a typed error
+    rng = np.random.default_rng(1717)
+    compared = 0
+    for _ in range(14):
+        whole, sym, seam = split_symbol(rng)
+        g1, g2 = sym.essential_range()
+        values = levelset.exceptional_set(sym).values
+        near = float(rng.choice(values)) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.5, -4.0)
+        levels = [*rng.uniform(g1 - 0.3 * (g2 - g1), g2 + 0.3 * (g2 - g1), 3), g1, g2, near]
+        jumps = [j.theta for j in sym.jumps if j.kind != "zero"]
+        for lam in map(float, levels):
+            try:
+                crossings = hardy._level_factors(sym, lam).crossings
+            except ToepspecError:
+                continue
+            for theta in rng.uniform(0.0, TWO_PI, 4):
+                sigma = boundary_case(sym, theta, lam)
+                gap = np.abs((theta - np.concatenate((crossings, jumps)) + math.pi) % TWO_PI - math.pi)
+                if sigma is None or np.min(gap, initial=math.inf) < 1e-3:
+                    continue
+                try:
+                    ref = reference_boundary_sigma(sym, theta, lam)
+                except QuadratureError:
+                    continue
+                assert abs(sigma - ref) <= 1e-10
+                compared += 1
+            for d in (1e-3, 1e-6, 1e-9, 1e-12):
+                for t0 in crossings[:1]:
+                    boundary_case(sym, t0 + d, lam)
+                    boundary_case(sym, t0 - d, lam)
+            for theta in seam + np.array([0.0, 1e-12, -1e-12]):
+                got = boundary_case(sym, theta, lam)
+                want = boundary_case(whole, theta, lam)
+                if got is not None and want is not None:
+                    assert abs(got - want) <= 1e-12
+    assert compared >= 200

@@ -35,11 +35,11 @@ def test_one_sided_limits(regular, singular):
 
 
 def test_derivative(regular, singular):
-    assert regular.eval_derivative(0.0) == pytest.approx(0.0)
-    assert regular.eval_derivative(math.pi / 2) == pytest.approx(-1.0)
-    assert singular.eval_derivative(1.0) == 0.0
-    with pytest.raises(ValueError):
-        singular.eval_derivative(math.pi)
+    assert regular.derivative_values(0.0) == pytest.approx(0.0)
+    assert regular.derivative_values(math.pi / 2) == pytest.approx(-1.0)
+    assert singular.derivative_values(1.0) == 0.0
+    assert np.array_equal(regular.derivative_values(np.array([0.3, 2.0])),
+                          -np.sin(np.array([0.3, 2.0])))
 
 
 def test_essential_range(regular, singular):
