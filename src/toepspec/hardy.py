@@ -21,7 +21,6 @@ from .kernels import schwarz_H
 from .levelset import (
     GUARD,
     _arc_pairs,
-    EPS,
     _check_level,
     _check_plateau,
     _factor_level,
@@ -33,7 +32,7 @@ from .levelset import (
     exceptional_set,
     sublevel_set,
 )
-from .symbol import DEFAULT_TOL, TWO_PI, PiecewiseSymbol
+from .symbol import DEFAULT_TOL, EPS, TWO_PI, PiecewiseSymbol
 
 
 @functools.lru_cache(maxsize=64)
@@ -256,7 +255,8 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     ends = np.exp(1j * np.array([a, b]))
     u = 1.0 - z * np.conj(ends)
     # log(u1/u0), also log(x1/x0), as both arguments lie within pi/2 of 0
-    dlog = np.diff(np.log(np.where(u == 0.0, 1.0, u)), axis=1)
+    logs = np.log(np.where(u == 0.0, 1.0, u))
+    dlog = logs[:, 1:] - logs[:, :1]
     dl = 1j * length + dlog
     q = const * (dl / (1j * math.pi) - length / TWO_PI)
     if len(beta) == 0 and len(gamma) == 0:

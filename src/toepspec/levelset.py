@@ -34,7 +34,6 @@ from .symbol import (
 # Levels closer than this to an exceptional value are rejected: crossings
 # there cannot be classified reliably.
 GUARD = 1e-9
-EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ class _LevelFactors:
     the tuples (a, b, const, beta, gamma), with |beta|, |gamma| <= 1, the
     total count of roots behind them, their worst backward error and, at a
     real level, the sorted angles where the symbol crosses it and each beta's
-    first-order error eps sum|c_k||zeta|^k / |P'(zeta)| (over |zeta|^2 outside).
+    first-order error, its root's from ``certified_roots`` (over |zeta|^2 outside).
     Each end b is the next piece's start: the two pieces at a seam share it.
 
     At a real level the weight is ln|omega - lam|, the real part: const is
@@ -265,14 +264,14 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
     real = isinstance(lam, float)
     none = np.empty(0, dtype=complex)
     pieces, roots, worst, crossings, errors = [], 0, 0.0, [], []
-    for piece, end in zip(sym.pieces, np.roll(sym._starts, -1)):
-        a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, float(end)
+    for piece, nxt in zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1]):
+        a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, nxt.theta_start
         if poly.is_constant():
             const = math.log(abs(poly.a[0] - lam)) if real else cmath.log(poly.a[0] - lam)
             pieces.append((a, end, const, none, none))
             continue
         c = poly._laurent(lam)[::-1]
-        zeta, backward = certified_roots(c)
+        zeta, backward, error = certified_roots(c)
         worst = max(worst, backward)
         roots += len(zeta)
         modulus = np.abs(zeta)
@@ -282,8 +281,6 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
             far = modulus > 1.0
             const = math.log(abs(c[0])) + float(np.sum(np.log(modulus[far])))
             beta = np.where(far, 1.0 / zeta, np.conj(zeta))
-            with np.errstate(divide="ignore"):
-                error = EPS * np.polyval(np.abs(c), modulus) / np.abs(np.polyval(np.polyder(c), zeta))
             errors.append(np.where(far, error / modulus**2, error))
             pieces.append((a, end, const, beta, np.conj(beta)))
             continue

@@ -29,6 +29,7 @@ DERIV_TOL = 1e-10
 DEFAULT_TOL = 1e-10
 # a root this close to the unit circle is a crossing of its level
 UNIT_ROOT_TOL = 1e-7
+EPS = float(np.finfo(float).eps)
 
 
 def wrap_angle(theta: float) -> float:
@@ -60,18 +61,20 @@ def distinct_angles(found) -> np.ndarray:
     return np.array(keep)
 
 
-def certified_roots(c: np.ndarray) -> tuple[np.ndarray, float]:
+def certified_roots(c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Roots of the polynomial with coefficients ``c``, highest degree first,
-    from ``np.roots`` and two Newton steps, and their worst backward error
-    |P(zeta)| / sum |c_j| |zeta|^j; above ``DEFAULT_TOL`` it raises
-    ``QuadratureError``."""
-    zeta = np.roots(c)
+    from ``np.roots`` and two Newton steps, their worst backward error
+    |P(zeta)| / sum |c_j| |zeta|^j (above ``DEFAULT_TOL`` a ``QuadratureError``)
+    and each root's first-order error eps sum |c_j| |zeta|^j / |P'(zeta)|."""
+    zeta, dc = np.roots(c), np.polyder(c)
     for _ in range(2):
-        zeta = zeta - np.polyval(c, zeta) / np.polyval(np.polyder(c), zeta)
-    worst = float(np.max(np.abs(np.polyval(c, zeta)) / np.polyval(np.abs(c), np.abs(zeta))))
+        slope = np.polyval(dc, zeta)
+        zeta = zeta - np.polyval(c, zeta) / slope
+    scale = np.polyval(np.abs(c), np.abs(zeta))
+    worst = float(np.max(np.abs(np.polyval(c, zeta)) / scale))
     if not worst <= DEFAULT_TOL:
         raise QuadratureError(f"root backward error {worst:.3e}", achieved_tol=worst)
-    return zeta, worst
+    return zeta, worst, EPS * scale / np.abs(slope)
 
 
 class TrigPoly:
@@ -131,7 +134,7 @@ class TrigPoly:
         returns an empty array."""
         if self.is_constant():
             return np.empty(0)
-        zeta, _ = certified_roots(self._laurent(value)[::-1])
+        zeta = certified_roots(self._laurent(value)[::-1])[0]
         return distinct_angles(np.angle(zeta[np.abs(np.abs(zeta) - 1.0) < UNIT_ROOT_TOL]))
 
     def __eq__(self, other):
