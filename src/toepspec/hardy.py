@@ -254,8 +254,8 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     length = (b - a) % TWO_PI
     ends = np.exp(1j * np.array([a, b]))
     u = 1.0 - z * np.conj(ends)
-    # log(u1/u0), also log(x1/x0), as both arguments lie within pi/2 of 0
     logs = np.log(np.where(u == 0.0, 1.0, u))
+    # log(u1/u0), which is log(x1/x0): both arguments lie within pi/2 of 0
     dlog = logs[:, 1:] - logs[:, :1]
     dl = 1j * length + dlog
     q = const * (dl / (1j * math.pi) - length / TWO_PI)
@@ -645,7 +645,7 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
     _check_level(sym, lam)
     factors = _level_factors(sym, lam)
     z = np.exp(1j * np.array([theta]))
-    betas = np.concatenate([np.empty(0)] + [beta for *_, beta, _ in factors.pieces])
+    betas = np.concatenate([beta for *_, beta, _ in factors.pieces])
     s, J = np.array([(j.theta, math.log(abs(j.right - lam) / abs(j.left - lam)))
                      for j in sym.jumps if j.kind != "zero"]).reshape(-1, 2).T
     with np.errstate(divide="ignore"):
