@@ -32,7 +32,7 @@ from .levelset import (
     exceptional_set,
     sublevel_set,
 )
-from .symbol import DEFAULT_TOL, EPS, TWO_PI, PiecewiseSymbol
+from .symbol import ANGLE_TOL, DEFAULT_TOL, EPS, TWO_PI, UNIT_ROOT_TOL, PiecewiseSymbol
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,22 +138,14 @@ def _level(lam) -> float | complex:
 def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
                depth: int = DEFAULT_DEPTH) -> CircleRule:
     """Panel rule with breakpoints at every piece seam, jump or not (panels
-    must not straddle a point where the symbol stops being analytic), at the
-    angles where the symbol crosses ``x`` when ``x`` lies inside the
-    essential range, and at ``extra``."""
+    must not straddle a point where the symbol stops being analytic), at
+    every interior extremum, next to which ln|omega - x| can dip where no
+    panel breaks, at the angles where the symbol crosses ``x`` when ``x``
+    lies inside the essential range, and at ``extra``."""
     g1, g2 = sym.essential_range()
     crossings = _level_factors(sym, x).crossings if x is not None and g1 < x < g2 else ()
-    breaks = np.concatenate((sym._starts, crossings, extra), dtype=float)
-    return CircleRule(breaks, depth=depth)
-
-
-def _nearest_extremum(sym: PiecewiseSymbol, x: float) -> tuple[float, ...]:
-    """Angles of the critical points inside pieces whose value lies nearest x."""
-    points = exceptional_set(sym).critical_points
-    if not points:
-        return ()
-    near = min(abs(v - x) for _, v in points)
-    return tuple(t for t, v in points if abs(v - x) == near)
+    extrema = [t for t, _ in exceptional_set(sym).critical_points]
+    return CircleRule(np.concatenate((sym._starts, extrema, crossings, extra), dtype=float), depth)
 
 
 def log_rule(sym: PiecewiseSymbol, lam: float, extra=()) -> LogRule:
@@ -162,19 +154,13 @@ def log_rule(sym: PiecewiseSymbol, lam: float, extra=()) -> LogRule:
     code calls it): at ``DEFAULT_DEPTH``, and at ``MAX_DEPTH`` when the fine and
     coarse panels disagree on the weight's circle average by more than
     ``DEFAULT_TOL``; past that it raises ``QuadratureError``.  A level on a
-    constant piece's value raises ``ExceptionalLevelError``.
-
-    When lam lies outside the essential range nothing crosses it, yet
-    omega - lam comes close to zero at the extremum nearest in value, so the
-    rule also breaks at that extremum's angles.  ``extra`` adds non-singular
-    breakpoints.
+    constant piece's value raises ``ExceptionalLevelError``.  ``extra`` adds
+    non-singular breakpoints to ``plain_rule``'s.
     """
     _check_plateau(sym, lam)
-    g1, g2 = sym.essential_range()
-    near = () if g1 < lam < g2 else _nearest_extremum(sym, lam)
     err = math.inf
     for depth in (DEFAULT_DEPTH, MAX_DEPTH):
-        rule = plain_rule(sym, lam, tuple(extra) + near, depth=depth)
+        rule = plain_rule(sym, lam, extra, depth=depth)
         logvals = _log_weight(sym.values(rule.theta), lam)
         logvals_c = _log_weight(sym.values(rule.theta_c), lam)
         base = np.dot(rule.w, logvals)
@@ -362,6 +348,8 @@ def xi_grid(sym: PiecewiseSymbol, zs, lam: float) -> np.ndarray:
 LOG_FOURIER_N = 16384    # Fourier modes kept for the circle fast path
 LOG_FOURIER_GRID = 32768  # sample grid for the smooth remainder
 CIRCLE_R_MAX = 0.9995     # largest radius xi_circle accepts
+# a log singularity nearer than this to the circle costs more than eps on the grid
+FOURIER_REACH = math.log(1.0 / EPS) / LOG_FOURIER_GRID
 
 # Long exponential vectors are outer products of two short tables, entry
 # _BLOCK*q + p being row[q]*col[p]; that keeps the module's tables small.
@@ -394,9 +382,47 @@ def _check_circle_level(sym: PiecewiseSymbol, lam: float):
     raises ``ExceptionalLevelError``."""
     g1, g2 = sym.essential_range()
     if g1 <= lam <= g2 and exceptional_set(sym).distance(lam) < GUARD:
-        raise ExceptionalLevelError(
-            f"level {lam} within {GUARD} of the exceptional set"
-        )
+        raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
+
+
+def _fourier_resolves(sym: PiecewiseSymbol, lam: float, factors: _LevelFactors) -> bool:
+    """Whether ``log_fourier``'s grid resolves ln|omega - lam|.  Its periodic
+    trapezoid rule errs by O(h^2) at a slope jump (Lyness, Math. Comp. 28,
+    1974), so the slope must be continuous at every seam; and by about
+    e^{-d GRID} at a log singularity d from the circle (Trefethen & Weideman,
+    SIAM Rev. 56, 2014), so no root but a crossing, matched as the root
+    record matches it, may lie within ``FOURIER_REACH`` of the circle and of
+    its piece."""
+    if sym._c1_log_seams is None:
+        return False
+    g1, g2 = sym.essential_range()
+    tol = UNIT_ROOT_TOL if g1 < lam < g2 else 0.0
+    betas = [beta for *_, beta, _ in factors.pieces]
+    sizes = list(map(len, betas))
+    # each root's distance from the circle and angle arg zeta = -arg beta from its
+    # piece's start: within w of the piece where (off + w) mod 2pi <= span + 2w
+    beta = np.concatenate(betas)
+    d, off = -np.log(np.abs(beta)), -np.angle(beta) - np.repeat(sym._starts, sizes)
+    span = np.repeat([p.theta_end - p.theta_start for p in sym.pieces], sizes)
+    crossing = (d < tol) & ((off + ANGLE_TOL) % TWO_PI <= span + 2.0 * ANGLE_TOL)
+    near = (d < FOURIER_REACH) & ((off + FOURIER_REACH) % TWO_PI <= span + 2.0 * FOURIER_REACH)
+    return not np.any(near & ~crossing)
+
+
+def _fourier_error(sym: PiecewiseSymbol, lam: float, fhat: np.ndarray, r: float) -> float:
+    """A bound on Q's error at radius r from ``log_fourier``'s ``fhat``: the
+    tail dropped past N modes, 2 max_{n >= N/2}(n |f_n|) r^N / (N (1 - r)),
+    and the aliasing of each seam's jump J in the weight's second derivative
+    p''/(p - lam), |J| (16 |cos G t|/(G (1 - r)) + 10 |sin G t|) / (pi G^3 (1 - r)),
+    whose 1/G^3 term cancels half-way between grid points; NaN on a crossing."""
+    n, grid = LOG_FOURIER_N, LOG_FOURIER_GRID
+    t, left, right, curv_left, curv_right = sym._c1_log_seams.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump = np.abs(curv_right / (right - lam) - curv_left / (left - lam))
+    alias = np.sum(jump * (16.0 * np.abs(np.cos(grid * t)) / (grid * (1.0 - r))
+                           + 10.0 * np.abs(np.sin(grid * t)))) / (math.pi * grid**3)
+    decay = float(np.max(np.arange(n // 2, n) * np.abs(fhat[n // 2:])))
+    return (2.0 * decay * r**n / n + float(alias)) / (1.0 - r)
 
 
 def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
@@ -405,12 +431,16 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     Log singularities at the level crossings and steps at the jumps carry
     exact closed-form coefficients; the continuous remainder is handled by
     an FFT on a half-offset grid.  A level that is not finite and real
-    raises ``ValueError``.
+    raises ``ValueError``, and one whose weight the grid does not resolve
+    (``_fourier_resolves``) ``QuadratureError``.
     """
     lam = _real_level(lam)
     _check_circle_level(sym, lam)
-    g1, g2 = sym.essential_range()
-    crossings = _level_factors(sym, lam).crossings if g1 < lam < g2 else np.empty(0)
+    factors = _level_factors(sym, lam)
+    if not _fourier_resolves(sym, lam, factors):
+        raise QuadratureError(f"the grid does not resolve the level {lam}", achieved_tol=math.inf)
+    # the record's crossings, none outside the range once the grid resolves it
+    crossings = factors.crossings
     steps = [(j.theta % TWO_PI, math.log(abs(j.right - lam)) - math.log(abs(j.left - lam)))
              for j in sym.jumps if j.kind != "zero"]
     # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|) and a unit
@@ -457,61 +487,36 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     return fhat
 
 
-def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
+def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096) -> np.ndarray:
     """xi at the m_out points r e^{2 pi i k/m_out} in one sweep.
 
     The Schwarz average of ln|omega - lam| is a convolution on the circle,
-    so one coefficient vector serves every radius.  Q keeps the first
-    LOG_FOURIER_N modes; the dropped tail is at most
-    2 max_{n >= N/2}(n |f_n|) r^N / (N (1 - r)), which stays below 1e-15
-    for r <= 0.998 and grows to about 1e-4 at CIRCLE_R_MAX.  A bound above
-    ``tol`` raises ``QuadratureError``.  A level outside (gamma1, gamma2) takes
-    the closed form: the FFT misses the near-double log just past an extremum.
+    so one coefficient vector serves every radius.  That route is taken
+    where the record needs Li2, lam lies in (gamma1, gamma2), the grid
+    resolves the weight (``_fourier_resolves``) and ``_fourier_error`` is at
+    most ``DEFAULT_TOL`` (up to about r = 0.998); everywhere else xi is
+    exp(-Q/2) from the level's closed form at the m_out points.
     """
-    _check_circle_grid(r, m_out)
-    g1, g2 = sym.essential_range()
-    if not g1 < _real_level(lam) < g2:
-        return _xi_on_circle(sym, lam, r, m_out, tol)
-    fhat = log_fourier(sym, lam)
-    n = LOG_FOURIER_N
-    tail = r ** n
-    if tail > 0.0:
-        decay = float(np.max(np.arange(n // 2, n) * np.abs(fhat[n // 2:])))
-        bound = 2.0 * decay * tail / (n * (1.0 - r))
-        if bound > tol:
-            raise QuadratureError(
-                f"circle path drops a Fourier tail of up to {bound:.3e} at r={r}",
-                achieved_tol=bound,
-            )
-    # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
-    c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT), 2.0 * r ** _SHORT).ravel()
-    c[0] = fhat[0]
-    # mode n lands on sample index n mod m_out, so fold before transforming
-    if m_out < n:
-        c = c.reshape(-1, m_out).sum(axis=0)
-    elif m_out > n:
-        c = np.concatenate((c, np.zeros(m_out - n)))
-    return np.exp(-0.5 * np.fft.ifft(c) * m_out)
-
-
-def _check_circle_grid(r: float, m_out: int):
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
     if m_out < 1 or m_out & (m_out - 1):
         raise ValueError("m_out must be a power of two")
-
-
-def _xi_on_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int,
-                  tol: float) -> np.ndarray:
-    """``xi_circle``'s values, from the level's exact closed form also where
-    its root record needs no Li2 (one piece, or constant pieces only)."""
-    _check_circle_grid(r, m_out)
     lam = _real_level(lam)
-    factors, (g1, g2) = _level_factors(sym, lam), sym.essential_range()
-    if not factors.li2_free and g1 < lam < g2:
-        return xi_circle(sym, lam, r, m_out, tol)
     _check_circle_level(sym, lam)
+    factors = _level_factors(sym, lam)
+    g1, g2 = sym.essential_range()
+    if not factors.li2_free and g1 < lam < g2 and _fourier_resolves(sym, lam, factors):
+        fhat = log_fourier(sym, lam)
+        if _fourier_error(sym, lam, fhat, r) <= DEFAULT_TOL:
+            # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
+            c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT), 2.0 * r ** _SHORT).ravel()
+            c[0] = fhat[0]
+            # mode n lands on sample index n mod m_out, so fold before transforming
+            if m_out < LOG_FOURIER_N:
+                c = c.reshape(-1, m_out).sum(axis=0)
+            elif m_out > LOG_FOURIER_N:
+                c = np.concatenate((c, np.zeros(m_out - LOG_FOURIER_N)))
+            return np.exp(-0.5 * np.fft.ifft(c) * m_out)
     z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
     return np.exp(-0.5 * _closed_q(factors, z))
 

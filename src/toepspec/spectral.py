@@ -29,10 +29,6 @@ from .levelset import (
 from .symbol import TWO_PI, PiecewiseSymbol
 
 FORM_TOL = 1e-8
-# the tail bound eigen_circle accepts from the circle path: it is below 1e-15
-# up to r = 0.998, and at CIRCLE_R_MAX it is 6.7e-5 times max n|f_n|, the
-# half crossing count plus the jump log-sizes over 2 pi (1.4e-4 on cos 2theta)
-CIRCLE_TOL = 1e-3
 
 
 def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex):
@@ -150,12 +146,9 @@ class SpectralFrame:
     def eigen_circle(self, r: float, m_out: int = 4096) -> np.ndarray:
         """All eigenfunctions on the uniform grid r e^{2 pi i k/m_out}, (m, m_out).
 
-        xi comes from the level's closed form when that needs no Li2 (one
-        piece, or constant pieces only), and otherwise from the convolution
-        fast path ``xi_circle``, whose dropped Fourier tail is certified
-        below CIRCLE_TOL; either way radii close to the circle cost the same
-        as small ones."""
-        xiv = hardy._xi_on_circle(self.sym, self.lam, r, m_out, tol=CIRCLE_TOL)
+        xi comes from ``hardy.xi_circle``: the convolution fast path where
+        that is exact, the level's closed form everywhere else."""
+        xiv = hardy.xi_circle(self.sym, self.lam, r, m_out)
         return self._branches(r * np.exp(2j * math.pi * np.arange(m_out) / m_out), xiv)
 
     def _check_branch(self, j: int):

@@ -219,7 +219,7 @@ class PiecewiseSymbol:
         self._critical_angles = tuple(d.roots() for d in self._dpolys)
         self.pieces = tuple(SymbolPiece(*piece) for piece in zip(starts, ends, self._polys))
         self.name = name
-        self.jumps = self._classify_jumps()
+        self.jumps, self._c1_log_seams = self._classify_jumps()
         self._jump_angles = np.array([j.theta for j in self.jumps])
         g1, g2 = self._essential_range()
         if not g1 < g2:
@@ -229,26 +229,28 @@ class PiecewiseSymbol:
     # -- construction helpers -------------------------------------------------
 
     def _classify_jumps(self):
-        jumps = []
-        n = len(self.pieces)
-        scale_hint = 1.0
+        """The jump set S, and each seam's (angle, one-sided values and second
+        derivatives) where ln|omega - lam| has a continuous slope at every seam:
+        no slope jump, and one-sided slopes 0 at each value jump; else None."""
+        jets = [(p.poly, d, d.derivative()) for p, d in zip(self.pieces, self._dpolys)]
+        jumps, seams, smooth = [], [], True
         for i, piece in enumerate(self.pieces):
-            eta = piece.theta_start
-            prev = self.pieces[(i - 1) % n]
-            left = float(prev.poly(prev.theta_end))
-            right = float(piece.poly(piece.theta_start))
-            dleft = float(prev.poly.derivative()(prev.theta_end))
-            dright = float(piece.poly.derivative()(piece.theta_start))
-            vscale = max(scale_hint, abs(left), abs(right))
-            dscale = max(scale_hint, abs(dleft), abs(dright))
+            eta, prev = piece.theta_start, self.pieces[i - 1]
+            # one-sided values, slopes and second derivatives
+            left, dleft, ddleft = (float(f(prev.theta_end)) for f in jets[i - 1])
+            right, dright, ddright = (float(f(eta)) for f in jets[i])
+            seams.append((eta, left, right, ddleft, ddright))
+            vscale = max(1.0, abs(left), abs(right))
+            dscale = max(1.0, abs(dleft), abs(dright))
             if abs(left - right) > VALUE_TOL * vscale:
                 kind = "plus" if left > right else "minus"
+                smooth = smooth and max(abs(dleft), abs(dright)) <= DERIV_TOL * dscale
             elif abs(dleft - dright) > DERIV_TOL * dscale:
-                kind = "zero"
+                kind, smooth = "zero", False
             else:
                 continue  # C1 seam, not in S
             jumps.append(JumpPoint(eta, left, right, kind))
-        return tuple(jumps)
+        return tuple(jumps), np.array(seams) if smooth else None
 
     def _essential_range(self):
         values = [float(p.poly(t)) for p, crit in zip(self.pieces, self._critical_angles)

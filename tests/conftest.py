@@ -190,15 +190,12 @@ def reference_boundary_sigma(sym, zeta: float, lam: float) -> complex:
     """The boundary factor sigma = exp(-i Im Q+/2) by the panel route: the
     principal value (1/2pi) PV int ln|omega - lam| cot((t - theta)/2) dt,
     which is -Im Q+, with f(theta) subtracted so that the integrand is
-    bounded, on ``hardy.log_rule`` with added breakpoints at theta and, as
-    in ``refined_panel_q``, at every interior extremum, next to which the
-    log weight can dip where no panel breaks.  Where its two depths disagree
-    by more than 100 DEFAULT_TOL it raises QuadratureError.  The reference
-    for ``hardy.boundary_sigma``."""
+    bounded, on ``hardy.log_rule`` with an added breakpoint at theta.  Where
+    its two depths disagree by more than 100 DEFAULT_TOL it raises
+    QuadratureError.  The reference for ``hardy.boundary_sigma``."""
     theta = float(zeta) % TWO_PI
     f0 = math.log(abs(sym.eval(theta) - lam))
-    extrema = tuple(t for t, _ in levelset.exceptional_set(sym).critical_points)
-    lr = hardy.log_rule(sym, lam, extra=(theta,) + extrema)
+    lr = hardy.log_rule(sym, lam, extra=(theta,))
 
     def corr(nodes, logvals):
         t = np.tan(0.5 * (nodes - theta))

@@ -30,7 +30,7 @@ from toepspec.hardy import (
     xi_grid,
 )
 from toepspec.levelset import sublevel_set
-from toepspec.spectral import CIRCLE_TOL, resolvent_form, spectral_frame, stone_density
+from toepspec.spectral import resolvent_form, spectral_frame, stone_density
 from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular, preset_singular
 
 TWO_PI = 2.0 * math.pi
@@ -323,18 +323,12 @@ def test_xi_rejects_circle_points(regular):
         xi(regular, np.exp(0.3j), 0.2)
 
 
-def closed_circle(sym, lam, r, m_out):
-    """The circle values ``SpectralFrame.eigen_circle`` reads: the closed form
-    on a level whose root record needs no Li2, else ``xi_circle``."""
-    return hardy._xi_on_circle(sym, lam, r, m_out, hardy.DEFAULT_TOL)
-
-
-def test_xi_circle_rejects_exceptional_level(regular, singular):
-    # on both circle routes; singular and regular records need no Li2
-    for route in (xi_circle, closed_circle):
-        for sym, lam in ((singular, 1.0 - 1e-12), (singular, 1e-12), (regular, 1.0 - 1e-10)):
-            with pytest.raises(ExceptionalLevelError):
-                route(sym, lam, 0.5, 512)
+def test_xi_circle_rejects_exceptional_level(regular, singular, fig2):
+    # on both circle routes: fig2's record needs Li2, the others' do not
+    for sym, lam in ((singular, 1.0 - 1e-12), (singular, 1e-12), (regular, 1.0 - 1e-10),
+                     (fig2, 1.0 - 1e-10)):
+        with pytest.raises(ExceptionalLevelError):
+            xi_circle(sym, lam, 0.5, 512)
 
 
 def reference_log_fourier(sym, lam: float) -> np.ndarray:
@@ -382,26 +376,38 @@ def unfolded_xi_circle(sym, lam, r, m_out):
     return np.exp(-0.5 * np.fft.ifft(c) * n_eval)[:: n_eval // m_out]
 
 
+def counted_log_fourier(monkeypatch):
+    """A list that gets the (symbol, level) of every ``hardy.log_fourier``
+    call from here on."""
+    calls, real = [], hardy.log_fourier
+    monkeypatch.setattr(hardy, "log_fourier", lambda sym, lam: calls.append((sym, lam))
+                        or real(sym, lam))
+    return calls
+
+
 @pytest.mark.parametrize("m_out", [64, 512, 2048, 16384, 32768])
-def test_folded_xi_circle_matches_unfolded(m_out, regular, singular, fig2):
+def test_folded_xi_circle_matches_unfolded(m_out, monkeypatch, fig2):
     # below LOG_FOURIER_N the modes fold onto m_out bins, at it nothing
-    # changes, above it the coefficients are zero-padded
-    for sym, lam in ((regular, 0.3), (singular, 0.25), (fig2, 0.2)):
-        for r in (0.5, 0.95, 0.999):
-            got = xi_circle(sym, lam, r, m_out, tol=1e-7)
-            want = unfolded_xi_circle(sym, lam, r, m_out)
+    # changes, above it the coefficients are zero-padded; fig2 at these
+    # radii takes the Fourier route
+    calls = counted_log_fourier(monkeypatch)
+    for lam in (0.2, -0.6):
+        for r in (0.5, 0.95, 0.99):
+            got = xi_circle(fig2, lam, r, m_out)
+            want = unfolded_xi_circle(fig2, lam, r, m_out)
             assert got.shape == (m_out,)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    assert len(calls) == 12
 
 
-def test_xi_circle_rejects_bad_grids(regular):
-    for route in (xi_circle, closed_circle):
+def test_xi_circle_rejects_bad_grids(regular, fig2):
+    for sym in (regular, fig2):
         for m_out in (0, -4, 96):
             with pytest.raises(ValueError, match="m_out"):
-                route(regular, 0.3, 0.9, m_out)
+                xi_circle(sym, 0.3, 0.9, m_out)
         for r in (0.0, -0.1, hardy.CIRCLE_R_MAX + 1e-4, 1.0):
             with pytest.raises(ValueError, match="radius"):
-                route(regular, 0.3, r, 64)
+                xi_circle(sym, 0.3, r, 64)
 
 
 def test_xi_circle_just_outside_the_range(regular, fig2):
@@ -417,10 +423,9 @@ def test_xi_circle_rejects_bad_levels(regular):
     # like xi and q_function; a rejected level leaves nothing in the store
     levels = levelset._record(regular).levels
     before = list(levels)
-    for route in (xi_circle, closed_circle):
-        for lam in (math.nan, math.inf, 0.3 + 0.1j):
-            with pytest.raises(ValueError, match="level"):
-                route(regular, lam, 0.9, 64)
+    for lam in (math.nan, math.inf, 0.3 + 0.1j):
+        with pytest.raises(ValueError, match="level"):
+            xi_circle(regular, lam, 0.9, 64)
     assert list(levels) == before
 
 
@@ -431,8 +436,9 @@ def test_closed_circle_route_matches_xi_circle(r, regular, singular, singular_as
         g1, g2 = sym.essential_range()
         for frac in (-0.2, 0.13, 0.52, 0.94, 1.3):
             lam = g1 + frac * (g2 - g1)
+            # the closed form, against the Fourier route built from log_fourier
             assert hardy._level_factors(sym, lam).li2_free
-            got, want = closed_circle(sym, lam, r, 512), xi_circle(sym, lam, r, 512)
+            got, want = xi_circle(sym, lam, r, 512), unfolded_xi_circle(sym, lam, r, 512)
             assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
 
@@ -440,13 +446,13 @@ def test_closed_circle_route_matches_xi_circle(r, regular, singular, singular_as
 def test_closed_circle_route_is_exact_near_the_circle(r, regular, cos2_symbol):
     # to 1e-13 up to r = 0.99; beyond it the floor is the rounding of the
     # sample points, which xi next to a crossing magnifies by about 1/(1 - r)
-    # (2.0e-13 at CIRCLE_R_MAX, where xi_circle drops a tail of 6.7e-5)
+    # (2.0e-13 at CIRCLE_R_MAX, where the Fourier route drops a tail of 6.7e-5)
     tol = max(1e-13, 2e-16 / (1.0 - r))
     z = r * np.exp(2j * math.pi * np.arange(4096) / 4096)
     for lam in (0.0, 0.37, -0.81, 0.99):
         for sym, w in ((regular, z), (cos2_symbol, z * z)):
             want = np.exp(-0.5 * _regular_q_exact(w, lam))
-            assert np.max(np.abs(closed_circle(sym, lam, r, 4096) / want - 1.0)) <= tol
+            assert np.max(np.abs(xi_circle(sym, lam, r, 4096) / want - 1.0)) <= tol
 
 
 def test_li2_free_levels_store_no_fourier_vector():
@@ -479,38 +485,32 @@ def test_cold_xi_computes_no_exceptional_set(monkeypatch, capsys):
     assert not calls
 
 
-def test_eigen_circle_takes_xi_circle_only_with_li2(monkeypatch, regular, fig2):
-    calls = []
-    real = hardy.xi_circle
-
-    def counted(sym, lam, *args, **kwargs):
-        calls.append((sym, lam))
-        return real(sym, lam, *args, **kwargs)
-
-    monkeypatch.setattr(hardy, "xi_circle", counted)
+def test_eigen_circle_takes_log_fourier_only_with_li2(monkeypatch, regular, fig2):
+    # every frame reads its circle values from xi_circle, and only a record
+    # that needs Li2 takes its Fourier route
+    calls = counted_log_fourier(monkeypatch)
     assert not hardy._level_factors(fig2, 0.3).li2_free
     got = spectral_frame(fig2, 0.3).eigen_circle(0.9, 256)
     spectral_frame(regular, 0.3).eigen_circle(0.9, 256)
     assert calls == [(fig2, 0.3)]
-    xiv = real(fig2, 0.3, 0.9, 256, tol=CIRCLE_TOL)
     frame = spectral_frame(fig2, 0.3)
-    assert np.array_equal(got, frame._branches(0.9 * np.exp(2j * math.pi * np.arange(256) / 256),
-                                               xiv))
+    z = 0.9 * np.exp(2j * math.pi * np.arange(256) / 256)
+    assert np.array_equal(got, frame._branches(z, xi_circle(fig2, 0.3, 0.9, 256)))
 
 
-def test_xi_circle_certifies_its_truncation(regular):
-    # the dropped tail 2 max(n|f_n|) r^N/(N(1 - r)) is 6.7e-5 at 0.9995
-    with pytest.raises(QuadratureError) as err:
-        xi_circle(regular, 0.3, 0.9995, 512)
-    assert 1e-5 < err.value.achieved_tol < 1e-4
-    with pytest.raises(QuadratureError):
-        xi_circle(regular, 0.3, 0.999, 512)
-    vals = xi_circle(regular, 0.3, 0.999, 512, tol=1e-8)
-    z = 0.999 * np.exp(2j * math.pi * np.arange(512) / 512)
-    assert np.max(np.abs(vals / regular_xi_closed(z, 0.3) - 1.0)) < 1e-8
-    vals = xi_circle(regular, 0.3, 0.99, 512)
+def test_xi_circle_certifies_its_truncation(monkeypatch, fig2):
+    # the dropped tail 2 max(n|f_n|) r^N/(N(1 - r)) is above DEFAULT_TOL at
+    # r = 0.999 and CIRCLE_R_MAX, where the closed form serves; at r = 0.99
+    # the Fourier route still does
+    calls = counted_log_fourier(monkeypatch)
+    for r in (0.999, hardy.CIRCLE_R_MAX):
+        z = r * np.exp(2j * math.pi * np.arange(512) / 512)
+        assert np.array_equal(xi_circle(fig2, 0.3, r, 512), xi_grid(fig2, z, 0.3))
+    calls.clear()
     z = 0.99 * np.exp(2j * math.pi * np.arange(512) / 512)
-    assert np.max(np.abs(vals / regular_xi_closed(z, 0.3) - 1.0)) < 1e-12
+    vals = xi_circle(fig2, 0.3, 0.99, 512)
+    assert calls == [(fig2, 0.3)] and not np.array_equal(vals, xi_grid(fig2, z, 0.3))
+    assert np.max(np.abs(vals / xi_grid(fig2, z, 0.3) - 1.0)) < 1e-12
 
 
 def test_xi_radial_reflection(regular, fig2, rng):
@@ -575,16 +575,15 @@ PEAK_RADIUS = 0.9
 
 def refined_panel_q(sym, zs, lam):
     """Q by the panel quadrature on a rule at MAX_DEPTH that breaks at every
-    seam and every crossing of Re lam, at every interior extremum and, for a
+    seam, every interior extremum and every crossing of Re lam and, for a
     point in the peak band PEAK_RADIUS < |z| < 1/PEAK_RADIUS, at arg z: the
     panel route with the dips of the log weight next to an extremum and the
     Schwarz peak resolved.  The weight is ln|omega - lam| at a real level and
     the principal log(omega - lam) at a non-real one."""
     lam = complex(lam)
-    extrema = tuple(t % TWO_PI for t, _ in levelset.exceptional_set(sym).critical_points)
 
     def average(zs, extra):
-        rule = hardy.plain_rule(sym, lam.real, extrema + extra, depth=hardy.MAX_DEPTH)
+        rule = hardy.plain_rule(sym, lam.real, extra, depth=hardy.MAX_DEPTH)
         diff = sym.values(rule.theta) - lam
         logs = np.log(diff) if lam.imag else hardy._log_weight(diff, 0.0)
         s = np.asarray(zs)[:, None] * np.exp(-1j * rule.theta)
@@ -781,6 +780,27 @@ def test_range_end_levels_raise_on_the_circle():
         assert np.max(np.abs(hardy.log_fourier(sym, lam) - ref)) <= 1e-14
 
 
+def test_log_fourier_refuses_what_its_grid_cannot_resolve(regular):
+    # just past the range a near-double root lies 1.4e-6 and 4.5e-5 from
+    # the circle, where the grid's coefficients were up to 6.0e-5 and 2.9e-5
+    # off; and |sin theta| as two pieces has slope jumps at its seams
+    for lam in (1.0 + 1e-12, 1.0 + 1e-9):
+        with pytest.raises(QuadratureError):
+            hardy.log_fourier(regular, lam)
+    sym = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0], [1.0])),
+                           (math.pi, TWO_PI, TrigPoly([0.0], [-1.0]))])
+    with pytest.raises(QuadratureError):
+        hardy.log_fourier(sym, 0.37)
+    # at 1.2 the roots lie acosh(1.2) = 0.62 from the circle:
+    # ln|cos t - lam| = ln(1/(2b)) - 2 sum b^n cos(n t)/n, b = lam - sqrt(lam^2 - 1)
+    lam = 1.2
+    b = lam - math.sqrt(lam * lam - 1.0)
+    n = np.arange(1, hardy.LOG_FOURIER_N)
+    fhat = hardy.log_fourier(regular, lam)
+    assert abs(fhat[0] + math.log(2.0 * b)) <= 1e-14
+    assert np.max(np.abs(fhat[1:] + b ** n / n)) <= 1e-14
+
+
 def test_boundary_xi_at_a_plateau_level_is_exceptional():
     # the level of the plateau omega = 1 on (0, pi), off the plateau and on
     # the other one
@@ -790,11 +810,10 @@ def test_boundary_xi_at_a_plateau_level_is_exceptional():
             boundary_xi(sym, theta, lam, "+")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: log_fourier's FFT of the smooth "
-                   "remainder errs by O(h^2) at a seam where the slope jumps")
 @pytest.mark.parametrize("r", [0.9, 0.99])
 def test_xi_circle_at_a_slope_jump(r):
-    # |sin theta| as two pieces, with slope jumps at 0 and pi
+    # |sin theta| as two pieces, with slope jumps at 0 and pi, where the
+    # Fourier route's grid errs by O(h^2): the closed form serves
     sym = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0], [1.0])),
                            (math.pi, TWO_PI, TrigPoly([0.0], [-1.0]))])
     z = r * np.exp(2j * math.pi * np.arange(512) / 512)
@@ -1062,6 +1081,24 @@ def test_boundary_xi_node_on_theta(regular, theta, lam, side):
     assert abs(boundary_sigma(regular, theta, lam) - sigma) < 1e-13
 
 
+def test_log_rule_breaks_at_every_interior_extremum():
+    # a case of test_boundary_values_on_random_symbols (seed 1717): at an
+    # in-range level, ln|omega - lam| dips next to an interior extremum
+    # where no crossing or seam breaks a panel.  A rule without a
+    # breakpoint there agreed with itself at both depths, and the principal
+    # value built on it was 1.25e-2 off
+    poly = TrigPoly([0.262546558959241, 0.05170838880170987, 0.28336221648439786],
+                    [-0.3222578652558979, -0.9925329274977767])
+    sym = PiecewiseSymbol([(2.680447952580021, 5.068410688869001, poly),
+                           (5.068410688869001, 8.963633259759607, poly)])
+    lam = 1.0659361232675237
+    extrema = {t for t, _ in levelset.exceptional_set(sym).critical_points}
+    assert extrema <= set(hardy.log_rule(sym, lam).rule.breakpoints)
+    for theta in (2.7950038560131722, 2.8279280029890748, 3.3976850726028562, 5.82427221918621):
+        sigma = boundary_sigma(sym, theta, lam)
+        assert abs(reference_boundary_sigma(sym, theta, lam) - sigma) <= 1e-10
+
+
 def test_boundary_sigma_unimodular(regular, singular):
     for sym, lam, theta in ((regular, 0.3, 1.0), (singular, 0.4, 2.0)):
         sigma = boundary_sigma(sym, theta, lam)
@@ -1288,11 +1325,10 @@ def test_xi_hardy_norm_bounded(regular, singular):
     wts = 0.5 * (b - a) * wts
     for sym in (regular, singular):
         prev = None
-        # at r = 0.999 the circle path certifies its dropped tail at about 1e-8
-        for r, tol in ((0.9, hardy.DEFAULT_TOL), (0.99, hardy.DEFAULT_TOL), (0.999, 1e-8)):
+        for r in (0.9, 0.99, 0.999):
             means = []
             for lam in lams:
-                vals = xi_circle(sym, float(lam), r, 8192, tol=tol)
+                vals = xi_circle(sym, float(lam), r, 8192)
                 means.append(float(np.mean(np.abs(vals) ** 1.5)))
             total = float(np.dot(wts, means))
             assert total < bound

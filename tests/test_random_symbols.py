@@ -178,3 +178,76 @@ def test_boundary_values_on_random_symbols():
                 if got is not None and want is not None:
                     assert abs(got - want) <= 1e-12
     assert compared >= 200
+
+
+
+def circle_symbols(rng):
+    """Two seeded random symbols, whose seams have slope jumps, then fig2,
+    cos t + 0.6 cos 3t cut at 2, cos t cut at 1 and 4, and |sin t| as two
+    pieces, with slope jumps at 0 and pi."""
+    cos1, cos3 = TrigPoly([0.0, 1.0]), TrigPoly([0.0, 1.0, 0.0, 0.6])
+    named = [
+        PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0, 0.0, -1.0])),
+                         (math.pi, 1.5 * math.pi, TrigPoly([1.0])),
+                         (1.5 * math.pi, TWO_PI, TrigPoly([-1.0]))], name="fig2"),
+        PiecewiseSymbol([(0.0, 2.0, cos3), (2.0, TWO_PI, cos3)], name="cos3-cut"),
+        PiecewiseSymbol([(1.0, 4.0, cos1), (4.0, 1.0 + TWO_PI, cos1)], name="regular-cut"),
+        PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0], [1.0])),
+                         (math.pi, TWO_PI, TrigPoly([0.0], [-1.0]))], name="abs-sin"),
+    ]
+    return [wide_symbol(rng) for _ in range(2)] + named
+
+
+def test_circle_values_on_random_symbols(monkeypatch):
+    # xi_circle, and the xi inside eigen_circle, against xi_grid at levels
+    # across the range, 1e-2 to 1e-8 on both sides of every exceptional
+    # value and 1e-12 and 1e-9 past the range, at radii up to CIRCLE_R_MAX
+    # with 512 points: to 1e-10 where the closed form serves or the level
+    # lies at least 1e-3 from the exceptional set, to 5e-10 on the Fourier
+    # route closer in.  A typed error only within GUARD of an exceptional
+    # value.  For time, a random symbol takes 2 of its exceptional values
+    # and one radius per level, eigen_circle one radius per level, and
+    # xi_grid every 4th point
+    m_out, radii = 512, (0.5, 0.9, 0.99, 0.999, hardy.CIRCLE_R_MAX)
+    circle = np.exp(2j * math.pi * np.arange(m_out) / m_out)
+    fourier, closed = [], []
+    log_fourier, closed_q = hardy.log_fourier, hardy._closed_q
+    monkeypatch.setattr(hardy, "log_fourier", lambda sym, lam: fourier.append(lam)
+                        or log_fourier(sym, lam))
+    monkeypatch.setattr(hardy, "_closed_q", lambda *args: closed.append(1) or closed_q(*args))
+    rng = np.random.default_rng(1818)
+    fig2_fast = 0
+    for sym in circle_symbols(rng):
+        g1, g2 = sym.essential_range()
+        exc = levelset.exceptional_set(sym)
+        values = [v for i, v in enumerate(exc.values) if i == 0 or v - exc.values[i - 1] > 1e-12]
+        if sym.name is None:
+            values = rng.choice(values, 2, replace=False)
+        levels = list(np.linspace(g1, g2, 7)[1:-1]) + [g1 - 1e-12, g1 - 1e-9, g2 + 1e-9, g2 + 1e-12]
+        levels += [v + s * 10.0 ** -k for v in values for s in (-1.0, 1.0) for k in range(2, 9)]
+        for j, lam in enumerate(map(float, levels)):
+            dist = exc.distance(lam)
+            rs = radii if sym.name else radii[j % len(radii):][:1]
+            want = hardy.xi_grid(sym, np.multiply.outer(rs, circle[::4]), lam)
+            for r, ref in zip(rs, want):
+                fourier.clear()
+                closed.clear()
+                try:
+                    got = hardy.xi_circle(sym, lam, r, m_out)
+                except ToepspecError:
+                    assert dist < levelset.GUARD and g1 <= lam <= g2
+                    continue
+                fast = bool(fourier) and not closed
+                tol = 5e-10 if fast and dist < 1e-3 else 1e-10
+                assert np.max(np.abs(got[::4] / ref - 1.0)) <= tol
+                fig2_fast += sym.name == "fig2" and fast and dist >= 1e-3 and r <= 0.99
+            if not g1 < lam < g2 or dist < levelset.GUARD:
+                continue
+            r = radii[j % len(radii)]
+            frame = spectral.spectral_frame(sym, lam)
+            got = frame.eigen_circle(r, m_out)[:, ::4] / frame._branches(r * circle[::4], 1.0)
+            want = hardy.xi_grid(sym, r * circle[::4], lam)
+            assert np.max(np.abs(got / want - 1.0)) <= (5e-10 if dist < 1e-3 else 1e-10)
+    # the Fourier route still serves fig2 away from its exceptional values,
+    # at the interior levels and 1e-2 from them, up to r = 0.99
+    assert fig2_fast >= 20

@@ -63,3 +63,21 @@ def test_install_wraps_once_and_uninstall_restores():
     assert after.keys() == before.keys()
     changed = [key for key, val in before.items() if after[key] is not val]
     assert changed == []
+
+
+def test_tracer_sees_the_closed_circle_route():
+    # every frame's circle values pass through the traced xi_circle, also
+    # where the level's closed form serves them
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install(toepspec)
+    try:
+        tracer.active = True
+        tracer.job(1, lambda: toepspec.spectral_frame(toepspec.preset_regular(), 0.3)
+                   .eigen_circle(0.9, 256))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    (job,) = [sid for sid, _, _, name, _, _ in tracer.spans if name == tracing.JOB_SPAN]
+    circle = [parent for _, parent, _, name, _, _ in tracer.spans if name == "hardy.xi_circle"]
+    assert circle == [job]
