@@ -8,7 +8,6 @@ on the circle too; no package code calls the panel rules, the tests' reference.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExceptionalLevelError, QuadratureError
+from .errors import QuadratureError
 from .kernels import schwarz_H
 from .levelset import (
     GUARD,
@@ -24,6 +23,7 @@ from .levelset import (
     _check_level,
     _check_plateau,
     _factor_level,
+    _level,
     _level_factors,
     _LevelFactors,
     _record,
@@ -125,14 +125,6 @@ def _log_weight(vals: np.ndarray, lam: float) -> np.ndarray:
     node within rounding of a crossing the difference can round to 0."""
     diff = np.abs(vals - lam)
     return np.log(np.maximum(diff, np.finfo(float).eps * np.max(diff)))
-
-
-def _level(lam) -> float | complex:
-    """A real level as a float, a non-real one as a complex; finite or ValueError."""
-    zeta = complex(lam)
-    if not cmath.isfinite(zeta):
-        raise ValueError(f"level {lam} is not finite")
-    return zeta.real if zeta.imag == 0.0 else zeta
 
 
 def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
@@ -369,22 +361,6 @@ _TAU_PHASE = (np.exp(-1j * math.pi * np.arange(LOG_FOURIER_N) / LOG_FOURIER_GRID
 _INV_MODES = 1.0 / np.arange(1, LOG_FOURIER_N)
 
 
-def _real_level(lam) -> float:
-    lam = _level(lam)
-    if isinstance(lam, complex):
-        raise ValueError(f"level {lam} is not real")
-    return lam
-
-
-def _check_circle_level(sym: PiecewiseSymbol, lam: float):
-    """The circle routes' guard: a level within GUARD of an exceptional
-    value in the closed range, such as a jump's one-sided value at its end,
-    raises ``ExceptionalLevelError``."""
-    g1, g2 = sym.essential_range()
-    if g1 <= lam <= g2 and exceptional_set(sym).distance(lam) < GUARD:
-        raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
-
-
 def _fourier_resolves(sym: PiecewiseSymbol, lam: float, factors: _LevelFactors) -> bool:
     """Whether ``log_fourier``'s grid resolves ln|omega - lam|.  Its periodic
     trapezoid rule errs by O(h^2) at a slope jump (Lyness, Math. Comp. 28,
@@ -430,12 +406,11 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
 
     Log singularities at the level crossings and steps at the jumps carry
     exact closed-form coefficients; the continuous remainder is handled by
-    an FFT on a half-offset grid.  A level that is not finite and real
-    raises ``ValueError``, and one whose weight the grid does not resolve
-    (``_fourier_resolves``) ``QuadratureError``.
+    an FFT on a half-offset grid.  The level passes ``_check_level``, and
+    one whose weight the grid does not resolve (``_fourier_resolves``)
+    raises ``QuadratureError``.
     """
-    lam = _real_level(lam)
-    _check_circle_level(sym, lam)
+    lam = _check_level(sym, lam)
     factors = _level_factors(sym, lam)
     if not _fourier_resolves(sym, lam, factors):
         raise QuadratureError(f"the grid does not resolve the level {lam}", achieved_tol=math.inf)
@@ -492,20 +467,19 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096) -> 
 
     The Schwarz average of ln|omega - lam| is a convolution on the circle,
     so one coefficient vector serves every radius.  That route is taken
-    where the record needs Li2, lam lies in (gamma1, gamma2), the grid
-    resolves the weight (``_fourier_resolves``) and ``_fourier_error`` is at
-    most ``DEFAULT_TOL`` (up to about r = 0.998); everywhere else xi is
-    exp(-Q/2) from the level's closed form at the m_out points.
+    where the record needs Li2, the grid resolves the weight
+    (``_fourier_resolves``) and ``_fourier_error`` is at most
+    ``DEFAULT_TOL`` (up to about r = 0.998), inside the range or out;
+    everywhere else xi is exp(-Q/2) from the level's closed form at the
+    m_out points.  The level passes ``_check_level``.
     """
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
     if m_out < 1 or m_out & (m_out - 1):
         raise ValueError("m_out must be a power of two")
-    lam = _real_level(lam)
-    _check_circle_level(sym, lam)
+    lam = _check_level(sym, lam)
     factors = _level_factors(sym, lam)
-    g1, g2 = sym.essential_range()
-    if not factors.li2_free and g1 < lam < g2 and _fourier_resolves(sym, lam, factors):
+    if not factors.li2_free and _fourier_resolves(sym, lam, factors):
         fhat = log_fourier(sym, lam)
         if _fourier_error(sym, lam, fhat, r) <= DEFAULT_TOL:
             # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
@@ -638,16 +612,15 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
     Its error estimate, the sum of (eps + e)/|1 - beta z| over the roots beta
     (e their ``beta_error``) and of eps (1 + |J|)/|1 - z/s| over the value
     jumps s of the log weight by J, raises ``QuadratureError`` above
-    ``DEFAULT_TOL``; a jump angle or omega(zeta) = lambda ``ValueError``, and
-    a level within ``GUARD`` of an exceptional value ``ExceptionalLevelError``.
+    ``DEFAULT_TOL``; a jump angle or omega(zeta) = lambda ``ValueError``; and
+    the level passes ``_check_level``.
     """
     theta = float(zeta) % TWO_PI
-    lam = _real_level(lam)
+    lam = _check_level(sym, lam)
     if sym._is_jump_angle(theta):
         raise ValueError("boundary value undefined here: jump angle")
     if abs(sym.eval(theta) - lam) <= 1e-13:
         raise ValueError("boundary value undefined here: omega(zeta) = lambda")
-    _check_level(sym, lam)
     factors = _level_factors(sym, lam)
     z = np.exp(1j * np.array([theta]))
     betas = np.concatenate([beta for *_, beta, _ in factors.pieces])

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .levelset import Arc, arcs_measure
+
 TWO_PI = 2.0 * math.pi
 
 POLE_TOL = 1e-14
@@ -40,23 +42,16 @@ def reproducing_K(u, z):
     return out if out.shape else complex(out)
 
 
-def arc_measure(alpha: float, beta: float) -> float:
-    """Normalized measure of the counterclockwise arc from angle alpha to beta."""
-    length = math.fmod(beta - alpha, TWO_PI)
-    if length <= 0.0:
-        length += TWO_PI
-    return length / TWO_PI
-
-
 def arc_identities(alpha: float, beta: float, zeta: float) -> float:
     """Residual of the three chord/measure identities for one arc.
 
-    ``alpha``, ``beta`` bound the counterclockwise arc, ``zeta`` is an angle
-    outside it.  Returns the largest absolute deviation among:
-    endpoint-ratio vs measure, chord length vs rotated span, and the
-    exterior-point distance-ratio identity.
+    ``alpha`` < ``beta`` < ``alpha`` + 2 pi bound the counterclockwise arc,
+    whose measure is ``arcs_measure``'s, and ``zeta`` is an angle outside
+    it.  Returns the largest absolute deviation among: endpoint-ratio vs
+    measure, chord length vs rotated span, and the exterior-point
+    distance-ratio identity.
     """
-    m = arc_measure(alpha, beta)
+    m = arcs_measure([Arc(alpha, beta)])
     a = np.exp(1j * alpha)
     b = np.exp(1j * beta)
     z = np.exp(1j * zeta)

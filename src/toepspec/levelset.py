@@ -330,21 +330,37 @@ def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
     return ExceptionalSet(tuple(sorted(thresholds)), tuple(sorted(critical)), tuple(points))
 
 
-def _check_level(sym: PiecewiseSymbol, lam: float):
-    if not math.isfinite(lam):
+def _level(lam) -> float | complex:
+    """A real level as a float, a non-real one as a complex; finite or ValueError."""
+    zeta = complex(lam)
+    if not cmath.isfinite(zeta):
         raise ValueError(f"level {lam} is not finite")
-    if exceptional_set(sym).distance(lam) < GUARD:
+    return zeta.real if zeta.imag == 0.0 else zeta
+
+
+def _check_level(sym: PiecewiseSymbol, lam) -> float:
+    """The one gate for a real level, returned as a float.  A level that is
+    not finite and real raises ``ValueError``, and one in the closed range
+    [gamma1, gamma2] within ``GUARD`` of an exceptional value, such as a
+    jump's one-sided value at its end, ``ExceptionalLevelError``; just
+    outside the range there is no crossing to classify."""
+    lam = _level(lam)
+    if isinstance(lam, complex):
+        raise ValueError(f"level {lam} is not real")
+    g1, g2 = sym.essential_range()
+    if g1 <= lam <= g2 and exceptional_set(sym).distance(lam) < GUARD:
         raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
+    return lam
 
 
 def solve_level(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, int]]:
     """Simple roots of omega = lambda in piece interiors with the sign of omega',
     read from the level's stored root record.
 
-    Requires lambda away from the exceptional set, which guarantees all
-    crossings are transversal and avoid the jump angles.
+    The level passes ``_check_level``: inside the range, away from the
+    exceptional set, all crossings are transversal and avoid the jump angles.
     """
-    _check_level(sym, lam)
+    lam = _check_level(sym, lam)
     theta = _level_factors(sym, lam).crossings
     slope = sym.derivative_values(theta)
     flat = np.abs(slope) < 1e-9
@@ -361,13 +377,14 @@ def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
     close one (beta endpoints); arcs are returned in counterclockwise
     order starting from the smallest alpha.
     """
+    lam = _check_level(sym, lam)
     g1, g2 = sym.essential_range()
     if lam <= g1:
         return LevelSet(lam, ())
     if lam > g2:
         return LevelSet(lam, (), full=True)
 
-    # (theta, is_alpha, kind); solve_level rejects exceptional levels
+    # (theta, is_alpha, kind)
     crossings = [(theta, sign < 0, "root") for theta, sign in solve_level(sym, lam)]
     crossings += [(sym.jumps[j.k].theta, j.sign == "plus", "jump")
                   for j in sym.jump_intervals if j.low < lam < j.high]

@@ -222,10 +222,7 @@ class SpectralFrame:
 
 def spectral_frame(sym: PiecewiseSymbol, lam: float) -> SpectralFrame:
     """Assemble the level set, arc coefficients, and multiplicity at a level."""
-    level = sublevel_set(sym, lam)
-    if level.m == 0:
-        raise ValueError(f"level {lam} lies outside the open spectral interval")
-    return SpectralFrame(sym, level)
+    return SpectralFrame(sym, sublevel_set(sym, lam))
 
 
 def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> float:

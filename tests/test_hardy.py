@@ -419,6 +419,21 @@ def test_xi_circle_just_outside_the_range(regular, fig2):
         assert np.max(np.abs(got / xi_grid(sym, z, lam) - 1.0)) <= 1e-12
 
 
+def test_xi_circle_out_of_range_takes_the_fourier_route(monkeypatch, fig2):
+    # out of the range the grid decides the route, as inside it: levels away
+    # from fig2's range [-1, 1] are resolved and take log_fourier
+    served = []
+    log_fourier = hardy.log_fourier
+    monkeypatch.setattr(hardy, "log_fourier", lambda sym, lam: served.append(lam)
+                        or log_fourier(sym, lam))
+    circle = np.exp(2j * math.pi * np.arange(512) / 512)
+    for lam in (1.5, -1.5, 1.01, -1.001, 3.0):
+        for r in (0.5, 0.9, 0.99):
+            got = xi_circle(fig2, lam, r, 512)
+            assert np.max(np.abs(got / xi_grid(fig2, r * circle, lam) - 1.0)) <= 1e-12
+    assert served
+
+
 def test_xi_circle_rejects_bad_levels(regular):
     # like xi and q_function; a rejected level leaves nothing in the store
     levels = levelset._record(regular).levels
@@ -1224,7 +1239,7 @@ def test_boundary_values_just_past_the_range(regular):
     # well above eps, is what the estimate must carry; the exact Q+ of
     # cos theta at |lam| > 1 is -log(2b) + 2 Log(1 - s b z), b = 1/(|lam| +
     # sqrt(lam^2 - 1)) with lam^2 - 1 taken as (|lam| - 1)(|lam| + 1)
-    for lam in (1.0 + 2e-9, 1.0 + 1e-8, -1.0 - 1e-7, 1.0 + 1e-5):
+    for lam in (1.0 + 2e-9, 1.0 + 1e-8, -1.0 - 1e-7, 1.0 + 1e-5, 1.0 + 1e-12, -1.0 - 5e-10):
         s = math.copysign(1.0, lam)
         b = 1.0 / (abs(lam) + math.sqrt((abs(lam) - 1.0) * (abs(lam) + 1.0)))
         raised = 0

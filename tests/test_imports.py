@@ -45,3 +45,22 @@ def test_package_leaves_the_panel_rules_to_the_tests():
                 if name in PANEL_NAMES:
                     found.append(f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', '?')}: {name}")
     assert not found
+
+
+# The level gate: one function decides which real levels are refused for
+# their distance to the exceptional set.
+def test_one_function_refuses_levels_near_the_exceptional_set():
+    found = []
+    for path in sorted((ROOT / "src" / "toepspec").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute))}
+            raised = {node.id if isinstance(node, ast.Name) else node.attr
+                      for r in ast.walk(fn) if isinstance(r, ast.Raise) and r.exc is not None
+                      for node in ast.walk(r.exc) if isinstance(node, (ast.Name, ast.Attribute))}
+            if "GUARD" in names and "ExceptionalLevelError" in raised:
+                found.append(f"{path.relative_to(ROOT)}:{fn.name}")
+    assert found == ["src/toepspec/levelset.py:_check_level"]

@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_symbol, reference_solve_level
-from toepspec import hardy, levelset
-from toepspec.errors import ExceptionalLevelError, InadmissibleIntervalError, ToepspecError
+from conftest import random_symbol, reference_crossings, reference_solve_level
+from toepspec import cli, hardy, levelset
+from toepspec.errors import (
+    CountingError,
+    ExceptionalLevelError,
+    InadmissibleIntervalError,
+    ToepspecError,
+)
 from toepspec.levelset import (
     GUARD,
     admissible_intervals,
@@ -50,6 +56,96 @@ def test_solve_level_rejects_non_finite_level(regular, fig2, lam):
         sublevel_set(fig2, math.nan)
     with pytest.raises(ValueError):
         spectral_frame(fig2, math.nan)
+
+
+def test_non_real_levels_raise_value_error(regular, fig2):
+    for sym in (regular, fig2):
+        for call in (lambda lam: solve_level(sym, lam), lambda lam: sublevel_set(sym, lam),
+                     lambda lam: spectral_frame(sym, lam)):
+            with pytest.raises(ValueError, match="not real"):
+                call(0.3 + 0.1j)
+
+
+def _gap(x, y) -> float:
+    d = abs(x - y) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+def test_one_level_gate_refuses_the_closed_range_only(regular, singular_asym, fig2):
+    # every level route refuses a level within GUARD of an exceptional value
+    # in [g1, g2], g1 and g2 included, and serves, or raises another typed
+    # error, just outside the range
+    cos3 = TrigPoly([0.0, 1.0, 0.0, 0.6])
+    rng = np.random.default_rng(1919)
+    symbols = [regular, singular_asym, fig2,
+               PiecewiseSymbol([(0.0, 2.0, cos3), (2.0, TWO_PI, cos3)])]
+    symbols += [random_symbol(rng) for _ in range(2)]
+    outside = 0
+    for sym in symbols:
+        g1, g2 = sym.essential_range()
+        exc = exceptional_set(sym)
+        assert g1 in exc.values and g2 in exc.values
+        for v in exc.values:
+            for d in (0.0, 0.5, -0.5, 2.0, -2.0):
+                lam = v + d * GUARD
+                refused = g1 <= lam <= g2 and exc.distance(lam) < GUARD
+                avoid = np.concatenate((reference_crossings(sym, lam), sym._starts))
+                theta = next(t for t in np.linspace(0.0, TWO_PI, 128, endpoint=False)
+                             if all(_gap(t, a) >= 0.1 for a in avoid))
+                calls = (lambda: sublevel_set(sym, lam), lambda: solve_level(sym, lam),
+                         lambda: hardy.boundary_sigma(sym, theta, lam),
+                         lambda: hardy.xi_circle(sym, lam, 0.9, 512),
+                         lambda: hardy.log_fourier(sym, lam))
+                for call in calls:
+                    assert (_outcome(call) is ExceptionalLevelError) == refused, (sym, lam)
+                outside += not g1 <= lam <= g2
+    assert outside >= 4 * len(symbols)
+
+
+def _doctor(monkeypatch, pick):
+    """Replace each real level's root record by one whose crossings are
+    ``pick(lam, crossings)``."""
+    factors = levelset._level_factors
+
+    def doctored(sym, lam):
+        record = factors(sym, lam)
+        return replace(record, crossings=np.asarray(pick(lam, record.crossings), dtype=float))
+
+    monkeypatch.setattr(levelset, "_level_factors", doctored)
+
+
+@pytest.mark.parametrize("pick, match", [
+    # one of cos t's two crossings at 0: an odd count
+    (lambda lam, t: t[:1], "odd number"),
+    # two downward crossings, both in (0, pi)
+    (lambda lam, t: [1.0, 2.0], "do not alternate"),
+    # alternating crossings 0.3 from the true ones: cos t > 0 inside the arc
+    (lambda lam, t: [t[0] - 0.3, t[1] + 0.3], "sign check"),
+])
+def test_sublevel_set_counting_errors(monkeypatch, pick, match):
+    sym = preset_regular()
+    _doctor(monkeypatch, pick)
+    with pytest.raises(CountingError, match=match):
+        sublevel_set(sym, 0.0)
+
+
+@pytest.mark.parametrize("pick, match", [
+    # the sampled levels above 0.5 lose their crossings
+    (lambda lam, t: t if lam < 0.5 else t[:0], "vary"),
+    # every level keeps only its downward crossing
+    (lambda lam, t: t[:1], "inconsistency"),
+])
+def test_count_counting_errors(monkeypatch, pick, match):
+    sym = preset_regular()   # fresh: its interval has no stored report
+    _doctor(monkeypatch, pick)
+    with pytest.raises(CountingError, match=match):
+        counting_report(sym, (-0.9, 0.9))
+
+
+def test_cli_levelset_counting_error_exits_2(monkeypatch, capsys):
+    _doctor(monkeypatch, lambda lam, t: t[:1])
+    assert cli.run(["levelset", "--symbol", "regular", "--lambda=0.0"]) == 2
+    assert "odd number" in capsys.readouterr().err
 
 
 def test_exceptional_sets(regular, singular):
