@@ -32,7 +32,7 @@ from .levelset import (
     exceptional_set,
     sublevel_set,
 )
-from .symbol import ANGLE_TOL, DEFAULT_TOL, EPS, TWO_PI, UNIT_ROOT_TOL, PiecewiseSymbol
+from .symbol import DEFAULT_TOL, EPS, TWO_PI, PiecewiseSymbol
 
 
 @functools.lru_cache(maxsize=64)
@@ -132,10 +132,8 @@ def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
     """Panel rule with breakpoints at every piece seam, jump or not (panels
     must not straddle a point where the symbol stops being analytic), at
     every interior extremum, next to which ln|omega - x| can dip where no
-    panel breaks, at the angles where the symbol crosses ``x`` when ``x``
-    lies inside the essential range, and at ``extra``."""
-    g1, g2 = sym.essential_range()
-    crossings = _level_factors(sym, x).crossings if x is not None and g1 < x < g2 else ()
+    panel breaks, at the angles where the symbol crosses ``x``, and at ``extra``."""
+    crossings = _level_factors(sym, x).crossings if x is not None else ()
     extrema = [t for t, _ in exceptional_set(sym).critical_points]
     return CircleRule(np.concatenate((sym._starts, extrema, crossings, extra), dtype=float), depth)
 
@@ -361,28 +359,13 @@ _TAU_PHASE = (np.exp(-1j * math.pi * np.arange(LOG_FOURIER_N) / LOG_FOURIER_GRID
 _INV_MODES = 1.0 / np.arange(1, LOG_FOURIER_N)
 
 
-def _fourier_resolves(sym: PiecewiseSymbol, lam: float, factors: _LevelFactors) -> bool:
-    """Whether ``log_fourier``'s grid resolves ln|omega - lam|.  Its periodic
-    trapezoid rule errs by O(h^2) at a slope jump (Lyness, Math. Comp. 28,
-    1974), so the slope must be continuous at every seam; and by about
-    e^{-d GRID} at a log singularity d from the circle (Trefethen & Weideman,
-    SIAM Rev. 56, 2014), so no root but a crossing, matched as the root
-    record matches it, may lie within ``FOURIER_REACH`` of the circle and of
-    its piece."""
-    if sym._c1_log_seams is None:
-        return False
-    g1, g2 = sym.essential_range()
-    tol = UNIT_ROOT_TOL if g1 < lam < g2 else 0.0
-    betas = [beta for *_, beta, _ in factors.pieces]
-    sizes = list(map(len, betas))
-    # each root's distance from the circle and angle arg zeta = -arg beta from its
-    # piece's start: within w of the piece where (off + w) mod 2pi <= span + 2w
-    beta = np.concatenate(betas)
-    d, off = -np.log(np.abs(beta)), -np.angle(beta) - np.repeat(sym._starts, sizes)
-    span = np.repeat([p.theta_end - p.theta_start for p in sym.pieces], sizes)
-    crossing = (d < tol) & ((off + ANGLE_TOL) % TWO_PI <= span + 2.0 * ANGLE_TOL)
-    near = (d < FOURIER_REACH) & ((off + FOURIER_REACH) % TWO_PI <= span + 2.0 * FOURIER_REACH)
-    return not np.any(near & ~crossing)
+def _fourier_resolves(sym: PiecewiseSymbol, factors: _LevelFactors) -> bool:
+    """Whether ``log_fourier``'s grid resolves the level's log weight.  Its
+    periodic trapezoid rule errs by O(h^2) at a slope jump (Lyness, Math. Comp.
+    28, 1974), so every seam needs a continuous slope; and by about e^{-d GRID}
+    at a log singularity d from the circle (Trefethen & Weideman, SIAM Rev. 56,
+    2014), so the root record's ``reach`` must be at least ``FOURIER_REACH``."""
+    return sym._c1_log_seams is not None and factors.reach >= FOURIER_REACH
 
 
 def _fourier_error(sym: PiecewiseSymbol, lam: float, fhat: np.ndarray, r: float) -> float:
@@ -401,6 +384,12 @@ def _fourier_error(sym: PiecewiseSymbol, lam: float, fhat: np.ndarray, r: float)
     return (2.0 * decay * r**n / n + float(alias)) / (1.0 - r)
 
 
+def _value_jumps(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, float]]:
+    """(angle, ln|omega+ - lam| - ln|omega- - lam|) of each value jump."""
+    return [(j.theta % TWO_PI, math.log(abs(j.right - lam)) - math.log(abs(j.left - lam)))
+            for j in sym.jumps if j.kind != "zero"]
+
+
 def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     """Fourier coefficients of ln|omega - lam| for modes 0..N-1.
 
@@ -412,12 +401,10 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     """
     lam = _check_level(sym, lam)
     factors = _level_factors(sym, lam)
-    if not _fourier_resolves(sym, lam, factors):
+    if not _fourier_resolves(sym, factors):
         raise QuadratureError(f"the grid does not resolve the level {lam}", achieved_tol=math.inf)
-    # the record's crossings, none outside the range once the grid resolves it
     crossings = factors.crossings
-    steps = [(j.theta % TWO_PI, math.log(abs(j.right - lam)) - math.log(abs(j.left - lam)))
-             for j in sym.jumps if j.kind != "zero"]
+    steps = _value_jumps(sym, lam)
     # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|) and a unit
     # step rendered as the sawtooth (pi - x)/(2 pi) has e^{-i n t0}/(2 pi i n),
     # both with zero mean: one sum of exponentials, divided by n once
@@ -479,7 +466,7 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096) -> 
         raise ValueError("m_out must be a power of two")
     lam = _check_level(sym, lam)
     factors = _level_factors(sym, lam)
-    if not factors.li2_free and _fourier_resolves(sym, lam, factors):
+    if not factors.li2_free and _fourier_resolves(sym, factors):
         fhat = log_fourier(sym, lam)
         if _fourier_error(sym, lam, fhat, r) <= DEFAULT_TOL:
             # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
@@ -624,8 +611,7 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
     factors = _level_factors(sym, lam)
     z = np.exp(1j * np.array([theta]))
     betas = np.concatenate([beta for *_, beta, _ in factors.pieces])
-    s, J = np.array([(j.theta, math.log(abs(j.right - lam) / abs(j.left - lam)))
-                     for j in sym.jumps if j.kind != "zero"]).reshape(-1, 2).T
+    s, J = np.array(_value_jumps(sym, lam)).reshape(-1, 2).T
     with np.errstate(divide="ignore"):
         err = (np.sum((EPS + factors.beta_error) / np.abs(1.0 - betas * z))
                + np.sum(EPS * (1.0 + np.abs(J)) / np.abs(1.0 - z * np.exp(-1j * s))))

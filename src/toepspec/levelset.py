@@ -195,13 +195,14 @@ class _LevelFactors:
     const + weight (sum log(1 - beta w) + sum log(1 - gamma/w)), w = e^{i theta}:
     the tuples (a, b, const, beta, gamma), with |beta|, |gamma| <= 1, the
     total count of roots behind them, their worst backward error and, at a
-    real level, the sorted angles where the symbol crosses it and each beta's
-    first-order error, its root's from ``certified_roots`` (over |zeta|^2 outside).
+    real level, the sorted angles where it is crossed, only inside (gamma1,
+    gamma2), each beta's first-order error, its root's from ``certified_roots``
+    (over |zeta|^2 outside), and the other roots' ``reach`` (``_factor_level``).
     Each end b is the next piece's start: the two pieces at a seam share it.
 
     At a real level the weight is ln|omega - lam|, the real part: const is
     real, gamma = conj(beta) and weight 1/2.  At a non-real one it is the
-    principal log(omega - zeta), with weight 1, and there are no crossings.
+    principal log(omega - zeta), with weight 1, no crossings and ``reach`` inf.
     """
 
     pieces: tuple
@@ -210,6 +211,7 @@ class _LevelFactors:
     achieved_tol: float
     crossings: np.ndarray
     beta_error: np.ndarray
+    reach: float
 
     @property
     def nbytes(self) -> int:
@@ -244,9 +246,10 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
     A root inside the circle contributes i theta + log(1 - zeta/w), one
     outside log(-zeta) + log(1 - w/zeta).  At a real level only the real
     part counts: ln|w - zeta| is ln|zeta| (when |zeta| > 1) plus
-    Re log(1 - beta w), beta = conj(zeta) or 1/zeta; and a root within
-    ``UNIT_ROOT_TOL`` of the circle whose angle lies on the piece (to
-    ``ANGLE_TOL``) is a crossing.  At a non-real level
+    Re log(1 - beta w), beta = conj(zeta) or 1/zeta.  Only inside (gamma1,
+    gamma2) is a root within ``UNIT_ROOT_TOL`` of the circle, at an angle on
+    its piece (to ``ANGLE_TOL``), a crossing; ``reach`` is the least over the
+    other roots of max(|ln|zeta||, angle from the piece).  At a non-real level
     p - lam stays on the line Im = -Im lam, so it does not wind around 0 and
     exactly K roots lie inside: the i theta terms cancel e^{-iK theta}, and
     another count raises ``QuadratureError``.  A root within 1e-8 of the
@@ -262,8 +265,10 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
     """
     _check_plateau(sym, lam)
     real = isinstance(lam, float)
+    g1, g2 = sym.essential_range()
+    crossable = real and g1 < lam < g2
     none = np.empty(0, dtype=complex)
-    pieces, roots, worst, crossings, errors = [], 0, 0.0, [], []
+    pieces, roots, worst, crossings, errors, reach = [], 0, 0.0, [], [], math.inf
     for piece, nxt in zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1]):
         a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, nxt.theta_start
         if poly.is_constant():
@@ -276,8 +281,12 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
         roots += len(zeta)
         modulus = np.abs(zeta)
         if real:
-            on = np.mod(np.angle(zeta[np.abs(modulus - 1.0) < UNIT_ROOT_TOL]), TWO_PI)
-            crossings += angles_on(on, a - ANGLE_TOL, b + ANGLE_TOL)
+            theta = np.mod(np.angle(zeta), TWO_PI)
+            off = np.mod(theta - a, TWO_PI)
+            away = np.maximum(0.0, np.minimum(off - (b - a), TWO_PI - off))
+            cross = crossable & (np.abs(modulus - 1.0) < UNIT_ROOT_TOL) & (away <= ANGLE_TOL)
+            crossings += list(theta[cross])
+            reach = min([reach, *np.maximum(np.abs(np.log(modulus)), away)[~cross]])
             far = modulus > 1.0
             const = math.log(abs(c[0])) + float(np.sum(np.log(modulus[far])))
             beta = np.where(far, 1.0 / zeta, np.conj(zeta))
@@ -297,7 +306,7 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
         k = round((cmath.log(poly(0.5 * (a + b)) - lam) - factored).imag / TWO_PI)
         pieces.append((a, end, const + 2j * math.pi * k, beta, gamma))
     return _LevelFactors(tuple(pieces), 0.5 if real else 1.0, roots, worst,
-                         distinct_angles(crossings), np.concatenate([np.empty(0)] + errors))
+                         distinct_angles(crossings), np.concatenate([np.empty(0)] + errors), reach)
 
 
 def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:

@@ -64,3 +64,21 @@ def test_one_function_refuses_levels_near_the_exceptional_set():
             if "GUARD" in names and "ExceptionalLevelError" in raised:
                 found.append(f"{path.relative_to(ROOT)}:{fn.name}")
     assert found == ["src/toepspec/levelset.py:_check_level"]
+
+
+# The crossing classification: one function decides which of a level's roots
+# cross the circle, and one which of a piece's critical points lie on it.
+def test_one_function_classifies_roots_on_the_circle():
+    found = []
+    for path in sorted((ROOT / "src" / "toepspec").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = [(f"{top.name}.", fn) for top in tree.body if isinstance(top, ast.ClassDef)
+                     for fn in top.body]
+        functions += [("", top) for top in tree.body]
+        for prefix, fn in functions:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Name) and node.id == "UNIT_ROOT_TOL"
+                    for node in ast.walk(fn)):
+                found.append(f"{path.relative_to(ROOT)}:{prefix}{fn.name}")
+    assert sorted(found) == ["src/toepspec/levelset.py:_factor_level",
+                             "src/toepspec/symbol.py:TrigPoly.roots"]

@@ -193,6 +193,25 @@ def test_sublevel_outside_range(regular):
     assert full.full and full.measure == 1.0
 
 
+def test_no_crossings_just_outside_the_range(regular):
+    # a near-double root next to gamma1 or gamma2 is not a crossing of a level
+    # the symbol never reaches
+    rng = np.random.default_rng(5)
+    symbols = [regular, PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.0, 1.0, 0.0, 0.6]))])]
+    symbols += [random_symbol(rng) for _ in range(30)]
+    checked = 0
+    for sym in symbols:
+        g1, g2 = sym.essential_range()
+        for d in (1e-12, 1e-13, 1e-14, 1e-15):
+            for lam, end in ((g1 - d, g1), (g2 + d, g2)):
+                if lam == end:
+                    continue
+                assert solve_level(sym, lam) == [], (sym, lam)
+                assert len(levelset._level_factors(sym, lam).crossings) == 0, (sym, lam)
+                checked += 1
+    assert checked >= 200
+
+
 def test_counting_reports(regular, singular, fig2):
     rep = counting_report(regular, (-0.5, 0.5))
     assert (rep.n_plus, rep.n_minus, rep.s_plus, rep.s_minus, rep.m) == (1, 1, 0, 0, 1)
