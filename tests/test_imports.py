@@ -76,9 +76,11 @@ def test_one_function_classifies_roots_on_the_circle():
                      for fn in top.body]
         functions += [("", top) for top in tree.body]
         for prefix, fn in functions:
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                    isinstance(node, ast.Name) and node.id == "UNIT_ROOT_TOL"
-                    for node in ast.walk(fn)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute))}
+            if "UNIT_ROOT_TOL" in names:
                 found.append(f"{path.relative_to(ROOT)}:{prefix}{fn.name}")
     assert sorted(found) == ["src/toepspec/levelset.py:_factor_level",
                              "src/toepspec/symbol.py:TrigPoly.roots"]
