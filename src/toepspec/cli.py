@@ -266,8 +266,7 @@ def _cmd_eigenfun(sym, args) -> int:
     if not 0.0 < r < 1.0:
         raise UsageError("zgrid radius must lie in (0, 1)")
     zs = r * np.exp(2j * math.pi * np.arange(count) / count)
-    if not 1 <= args.branch <= frame.m:
-        raise ValueError(f"branch index {args.branch} outside 1..{frame.m}")
+    frame._check_branch(args.branch)
     vals = frame.eigen_matrix(zs)[args.branch - 1]
     rows = [[z.real, z.imag, v.real, v.imag] for z, v in zip(zs, vals)]
     _emit_csv(["re_z", "im_z", "re_phi", "im_phi"], rows, args.output)

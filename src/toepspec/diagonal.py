@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import gauss_legendre
+from .hardy import CIRCLE_R_MAX, gauss_legendre
 from .levelset import counting_report
 from .oracle import FiniteSection, oracle_weak_measure
 from .spectral import SpectralFrame, spectral_frame, stone_density
@@ -24,13 +24,10 @@ class HardyVector:
 
     def __post_init__(self):
         pts = [z for _, z in self.terms]
-        for z in pts:
-            if abs(z) >= 1.0:
-                raise ValueError("kernel points must lie inside the disk")
-        for i in range(len(pts)):
-            for k in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[k]) < 1e-14:
-                    raise ValueError("kernel points must be pairwise distinct")
+        if any(abs(z) >= 1.0 for z in pts):
+            raise ValueError("kernel points must lie inside the disk")
+        if any(abs(z - w) < 1e-14 for i, z in enumerate(pts) for w in pts[i + 1:]):
+            raise ValueError("kernel points must be pairwise distinct")
 
     @classmethod
     def of(cls, *terms) -> "HardyVector":
@@ -41,11 +38,8 @@ class HardyVector:
 
     def norm_squared(self) -> float:
         """H^2 norm squared via the kernel Gram matrix <K_zi, K_zk> = K_zi(zk)."""
-        total = 0.0
-        for ci, zi in self.terms:
-            for ck, zk in self.terms:
-                total += (ci * np.conj(ck) / (1.0 - np.conj(zi) * zk)).real
-        return float(total)
+        return float(sum((ci * np.conj(ck) / (1.0 - np.conj(zi) * zk)).real
+                         for ci, zi in self.terms for ck, zk in self.terms))
 
 
 class FrameFamily:
@@ -75,12 +69,10 @@ class FrameFamily:
         return math.sqrt(max(self.inner(F, F).real, 0.0))
 
     def taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
-        """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), from 256 samples."""
+        """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), by ``eigen_taylor``."""
         key = (nmax, radius)
         if key not in self._taylor:
-            self._taylor[key] = np.array(
-                [fr.eigen_taylor(nmax, radius=radius, nfft=256) for fr in self.frames]
-            )
+            self._taylor[key] = np.array([fr.eigen_taylor(nmax, radius=radius) for fr in self.frames])
         return self._taylor[key]
 
 
@@ -100,10 +92,8 @@ def phi_map_family(family: FrameFamily, f: HardyVector) -> np.ndarray:
 def phi_adjoint(family: FrameFamily, values: np.ndarray, z: complex) -> complex:
     """Adjoint map: sum_j integral of phi_j(z; lam) g_j(lam) over the grid."""
     values = np.asarray(values, dtype=complex)
-    total = 0.0 + 0.0j
-    for k, fr in enumerate(family.frames):
-        total += family.weights[k] * np.dot(fr.eigen_matrix([z]).ravel(), values[k])
-    return complex(total)
+    return complex(sum(w * np.dot(fr.eigen_matrix([z]).ravel(), g)
+                       for w, fr, g in zip(family.weights, family.frames, values)))
 
 
 def _trig_resample(vals: np.ndarray, m: int) -> np.ndarray:
@@ -122,12 +112,12 @@ def _trig_resample(vals: np.ndarray, m: int) -> np.ndarray:
 
 
 def phi_r(family: FrameFamily, boundary_values: np.ndarray, r: float) -> np.ndarray:
-    """Smoothed map from boundary samples by the uniform trapezoid rule.
-
-    ``boundary_values`` samples the function on e^{2 pi i k/M}, M >= 512 a
-    power of two.  The eigenfunction factor oscillates at scale 1-r, so the
-    samples are trig-interpolated onto a grid fine enough that the trapezoid
-    rule keeps its spectral accuracy for radii near the circle.
+    """Smoothed map from boundary samples by the uniform trapezoid rule, for
+    r in (0, ``CIRCLE_R_MAX``].  ``boundary_values`` samples the function on
+    e^{2 pi i k/M}, M >= 512 a power of two.  The eigenfunction factor is
+    analytic out to about 1/r, so m trapezoid points err by about
+    e^{-(1 - r) m}: the samples are trig-interpolated onto the first
+    doubling of M with (1 - r) m >= 16, an e^{-16} target.
     """
     boundary_values = np.asarray(boundary_values, dtype=complex)
     M = len(boundary_values)
@@ -135,10 +125,10 @@ def phi_r(family: FrameFamily, boundary_values: np.ndarray, r: float) -> np.ndar
         raise ValueError("boundary grid needs at least 512 samples")
     if M & (M - 1):
         raise ValueError("boundary grid size must be a power of two")
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
+    if not 0.0 < r <= CIRCLE_R_MAX:
+        raise ValueError(f"radius must lie in (0, {CIRCLE_R_MAX}]")
     m_quad = M
-    while (1.0 - r) * m_quad < 16.0 and m_quad < 16384:
+    while (1.0 - r) * m_quad < 16.0:
         m_quad *= 2
     bv = _trig_resample(boundary_values, m_quad)
     out = np.empty((len(family), family.m), dtype=complex)

@@ -18,7 +18,12 @@ class CountingError(ToepspecError):
 
 
 class QuadratureError(ToepspecError):
-    """Panel refinement hit its depth cap before reaching the tolerance."""
+    """A numerical route missed its tolerance or refused to try: the root
+    certificate (``certified_roots``, or a non-real level without K roots
+    inside), a non-finite closed-form Q, ``log_fourier`` at a level its grid
+    does not resolve, ``weak_measure`` or ``_adaptive_gl`` unsettled at their
+    caps, ``boundary_sigma`` above ``DEFAULT_TOL``, or the panel rules.
+    ``achieved_tol`` is the accuracy reached, where one is known."""
 
     def __init__(self, message, achieved_tol=None):
         super().__init__(message)

@@ -26,7 +26,7 @@ from .levelset import (
     level_report,
     sublevel_set,
 )
-from .symbol import TWO_PI, PiecewiseSymbol
+from .symbol import DEFAULT_TOL, TWO_PI, PiecewiseSymbol
 
 FORM_TOL = 1e-8
 
@@ -93,17 +93,19 @@ class SpectralFrame:
 
     # -- eigenfunctions ----------------------------------------------------------
 
-    def _branches(self, zs: np.ndarray, xiv: np.ndarray) -> np.ndarray:
-        """Every interior eigenfunction at the points ``zs``, whose xi values
-        are ``xiv``; shape (m,) + zs.shape.
-
-        Uses the single-phase representation rho_j xi K_beta_j e^{iA} times
-        the half-integer prefactor of the sublevel measure, which fixes all
-        branches at once.
+    def _branches(self, zs: np.ndarray, xiv=None) -> np.ndarray:
+        """Every eigenfunction at the points ``zs`` on either side of the
+        circle, whose xi values are ``xiv`` (by default ``xi_grid``'s); shape
+        (m,) + zs.shape.  The single phase rho_j xi K_beta_j e^{iA}, times the
+        half-integer prefactor of the sublevel measure, fixes all branches at
+        once; outside the disk A(z) = -conj A(1/conj z), as Q in ``q_function``.
         """
-        if np.any(np.abs(zs) >= 1.0):
-            raise ValueError("interior eigenfunction needs |z| < 1")
-        common = self._phase0 * xiv * np.exp(1j * phase_A_closed(self.level.arcs, zs))
+        if xiv is None:
+            xiv = xi_grid(self.sym, zs, self.lam)
+        outside = np.abs(zs) > 1.0
+        mirror = np.divide(1.0, np.conj(zs), out=zs.copy(), where=outside)
+        phase = phase_A_closed(self.level.arcs, mirror)
+        common = self._phase0 * xiv * np.exp(1j * np.where(outside, -np.conj(phase), phase))
         col = (-1,) + (1,) * zs.ndim
         k = 1.0 / (1.0 - zs * np.conj(self._beta).reshape(col))
         return self._rho.reshape(col) * k * common
@@ -117,23 +119,17 @@ class SpectralFrame:
         """Same eigenfunction in the explicit product form with principal
         half powers per factor; kept as a branch cross-check."""
         self._check_branch(j)
-        xiv = self.xi(z)
         fac = 1.0 / (1.0 - z * np.conj(self._beta[j - 1]))
         for al, be in zip(self._alpha, self._beta):
             fac *= (1.0 - z * np.conj(al)) ** -0.5 * (1.0 - z * np.conj(be)) ** 0.5
-        return complex(self._rho[j - 1] * xiv * fac)
+        return complex(self._rho[j - 1] * self.xi(z) * fac)
 
     def eigenfunction_ext(self, j: int, z: complex) -> complex:
         """Exterior partner, O(1/z) at infinity, solving the boundary relation."""
         self._check_branch(j)
         if abs(z) <= 1.0:
             raise ValueError("exterior eigenfunction needs |z| > 1")
-        xiv = self.xi(z)
-        fac = 1.0 / (1.0 - z * np.conj(self._beta[j - 1]))
-        for al, be in zip(self._alpha, self._beta):
-            fac *= (1.0 - al / z) ** -0.5 * (1.0 - be / z) ** 0.5
-        pref = np.exp(-1j * math.pi * self.level.measure)
-        return complex(self._rho[j - 1] * pref * xiv * fac)
+        return complex(self._branches(np.array([z], dtype=complex))[j - 1, 0])
 
     def eigen_matrix(self, zs) -> np.ndarray:
         """All interior eigenfunctions on an array of points, shape (m, nz).
@@ -141,7 +137,9 @@ class SpectralFrame:
         The xi and phase factors are shared across branches, so a whole
         z-row costs little more than one branch."""
         zs = np.asarray(zs, dtype=complex).ravel()
-        return self._branches(zs, xi_grid(self.sym, zs, self.lam))
+        if np.any(np.abs(zs) >= 1.0):
+            raise ValueError("interior eigenfunction needs |z| < 1")
+        return self._branches(zs)
 
     def eigen_circle(self, r: float, m_out: int = 4096) -> np.ndarray:
         """All eigenfunctions on the uniform grid r e^{2 pi i k/m_out}, (m, m_out).
@@ -188,20 +186,21 @@ class SpectralFrame:
             )
         return el_sum
 
-    def eigen_taylor(self, nmax: int, radius: float = 0.7, nfft: int = 512) -> np.ndarray:
-        """Taylor coefficients of every eigenfunction, shape (m, nmax+1).
-
-        Read off a circle of the given radius by FFT through the circle fast
-        path; the alias tail is far below the quadrature noise for the radii
-        used here.  Larger radii tame the r^{-n} noise amplification of the
-        higher coefficients.
+    def eigen_taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
+        """Taylor coefficients of every eigenfunction, shape (m, nmax+1), read
+        off ``eigen_circle`` at the given radius by FFT.  An m-point grid
+        aliases coefficient n + m onto n with weight radius^m, so m is the
+        smallest power of two >= 2(nmax + 1) with radius^m <= ``DEFAULT_TOL``.
+        Larger radii tame the r^{-n} noise amplification of the higher
+        coefficients and take more points.
         """
-        if nmax + 1 > nfft // 2:
-            raise ValueError("nfft must exceed twice the requested order")
-        vals = self.eigen_circle(radius, nfft)
-        coeffs = np.fft.fft(vals, axis=1) / nfft
-        scale = radius ** -np.arange(nmax + 1)
-        return coeffs[:, : nmax + 1] * scale[None, :]
+        if not 0.0 < radius <= hardy.CIRCLE_R_MAX:
+            raise ValueError(f"circle radius must lie in (0, {hardy.CIRCLE_R_MAX}]")
+        m = 2
+        while m < 2 * (nmax + 1) or radius**m > DEFAULT_TOL:
+            m *= 2
+        coeffs = np.fft.fft(self.eigen_circle(radius, m), axis=1) / m
+        return coeffs[:, : nmax + 1] * radius ** -np.arange(nmax + 1)
 
     def density_taylor(self, nmax: int) -> np.ndarray:
         """Gram matrix of the density against monomials z^n, n <= nmax."""
@@ -238,17 +237,14 @@ def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> floa
     sym = frame.sym
     if sym._is_jump_angle(theta):
         raise ValueError("boundary relation undefined at a jump angle")
-    for arc in frame.level.arcs:
-        for end in (arc.alpha % TWO_PI, arc.beta % TWO_PI):
-            if abs(theta - end) < 1e-9 or abs(abs(theta - end) - TWO_PI) < 1e-9:
-                raise ValueError("boundary relation undefined at an arc end")
+    ends = np.array([(arc.alpha, arc.beta) for arc in frame.level.arcs])
+    if np.any(np.abs(np.mod(ends - theta + math.pi, TWO_PI) - math.pi) < 1e-9):
+        raise ValueError("boundary relation undefined at an arc end")
     om = sym.eval(theta)
     if abs(om - frame.lam) < GUARD:
         raise ValueError("boundary relation undefined where omega equals the level")
-    zin = (1.0 - delta) * np.exp(1j * theta)
-    zout = (1.0 + delta) * np.exp(1j * theta)
-    inner = frame.eigenfunction(j, zin)
-    outer = frame.eigenfunction_ext(j, zout)
+    frame._check_branch(j)
+    inner, outer = frame._branches(np.array([1.0 - delta, 1.0 + delta]) * np.exp(1j * theta))[j - 1]
     return float(abs((om - frame.lam) * inner - outer))
 
 

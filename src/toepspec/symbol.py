@@ -83,6 +83,8 @@ class TrigPoly:
     def __init__(self, a, b=()):
         a = [float(x) for x in a]
         b = [float(x) for x in b]
+        if not all(map(math.isfinite, a + b)):
+            raise ValueError("trig polynomial coefficients must be finite")
         if not a:
             a = [0.0]
         if len(b) > len(a) - 1:
@@ -213,15 +215,19 @@ class PiecewiseSymbol:
                 raise ValueError("piece interiors overlap or leave a gap")
         self._starts = np.array(starts)
         self._polys = [it[2] for it in items]
-        self._dpolys = [poly.derivative() for poly in self._polys]
-        # each piece's critical angles, solved once; the essential range (on
-        # the closed arcs) and the exceptional set each take their own window
-        self._critical_angles = tuple(d.roots() for d in self._dpolys)
         self.pieces = tuple(SymbolPiece(*piece) for piece in zip(starts, ends, self._polys))
         self.name = name
-        self.jumps, self._c1_log_seams = self._classify_jumps()
+        try:  # refuse coefficients whose derivatives or critical angles overflow
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                self._dpolys = [poly.derivative() for poly in self._polys]
+                # each piece's critical angles, solved once; the essential range (on
+                # the closed arcs) and the exceptional set each take their own window
+                self._critical_angles = tuple(d.roots() for d in self._dpolys)
+                self.jumps, self._c1_log_seams = self._classify_jumps()
+                g1, g2 = self._essential_range()
+        except FloatingPointError as exc:
+            raise ValueError(f"symbol coefficients out of floating-point range: {exc}") from None
         self._jump_angles = np.array([j.theta for j in self.jumps])
-        g1, g2 = self._essential_range()
         if not g1 < g2:
             raise ValueError("constant symbol excluded")
         self._range = (g1, g2)
@@ -379,10 +385,13 @@ class PiecewiseSymbol:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewiseSymbol":
-        pieces = [
-            (p["theta_start"], p["theta_end"], TrigPoly(p["a"], p.get("b", ())))
-            for p in d["pieces"]
-        ]
+        """From the JSON form of ``to_dict``; ``a`` and ``b`` must be lists."""
+        pieces = []
+        for p in d["pieces"]:
+            a, b = p["a"], p.get("b", [])
+            if not (isinstance(a, list) and isinstance(b, list)):
+                raise TypeError("coefficients 'a' and 'b' must be lists")
+            pieces.append((p["theta_start"], p["theta_end"], TrigPoly(a, b)))
         return cls(pieces, name=d.get("name"))
 
     @classmethod

@@ -98,6 +98,18 @@ def singular_phi_ext_closed(z, lam, t1=0.0, t2=math.pi):
             * (1.0 - z1 / z) ** (-0.5 - 1j * sg) * (1.0 - z2 / z) ** (-0.5 + 1j * sg))
 
 
+def reference_phi_ext(frame, j: int, z: complex) -> complex:
+    """Branch j's exterior partner as the explicit product of principal half
+    powers per arc factor: rho_j e^{-i pi |Gamma|} xi(z) / (1 - z conj beta_j)
+    times prod (1 - alpha/z)^{-1/2} (1 - beta/z)^{1/2}."""
+    arcs = frame.level.arcs
+    fac = 1.0 / (1.0 - z * np.exp(-1j * arcs[j - 1].beta))
+    for arc in arcs:
+        fac *= (1.0 - np.exp(1j * arc.alpha) / z) ** -0.5 * (1.0 - np.exp(1j * arc.beta) / z) ** 0.5
+    pref = math.sqrt(frame.c[j - 1]) * np.exp(-1j * math.pi * frame.level.measure)
+    return complex(pref * frame.xi(z) * fac)
+
+
 def chebyshev_U(n, x):
     u0, u1 = 1.0, 2.0 * x
     if n == 0:

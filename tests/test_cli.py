@@ -246,6 +246,12 @@ _GOOD_PIECE = {"theta_start": 0.0, "theta_end": 2.0 * math.pi, "a": [0.0, 1.0]}
      ["spectrum", "--symbol", "sym.json"]),
     ({"sym.json": {"pieces": [dict(_GOOD_PIECE, a=[1.0])]}},
      ["spectrum", "--symbol", "sym.json"]),
+    ({"sym.json": {"pieces": [dict(_GOOD_PIECE, a=[0.0, 1e308, 1e308])]}},
+     ["spectrum", "--symbol", "sym.json"]),
+    ({"sym.json": {"pieces": [dict(_GOOD_PIECE, a=[0.0, 1e-320])]}},
+     ["spectrum", "--symbol", "sym.json"]),
+    ({"sym.json": {"pieces": [dict(_GOOD_PIECE, a="01")]}},
+     ["spectrum", "--symbol", "sym.json"]),
     ({}, ["diagonalize", "--symbol", "regular", "--interval=-0.5,0.5",
           "--vector", "vec.json"]),
     ({"vec.json": {"terms": [{"c": [1.0, 0.0]}]}},
@@ -256,6 +262,7 @@ _GOOD_PIECE = {"theta_start": 0.0, "theta_end": 2.0 * math.pi, "a": [0.0, 1.0]}
     ({}, ["validate", "--symbol", "regular", "--interval=-0.5,0.5", "--n", "64,128",
           "--csv", "no_dir/table.csv"]),
 ], ids=["symbol-missing-key", "symbol-wrong-type", "symbol-not-tiling", "symbol-constant",
+        "symbol-derivative-overflow", "symbol-subnormal", "symbol-string-coefficients",
         "vector-missing-file", "vector-term-without-z", "vector-top-level-list",
         "output-no-dir", "csv-no-dir"])
 def test_bad_files_and_paths_exit_two(capsys, tmp_path, monkeypatch, files, argv):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from toepspec import diagonal
 from toepspec.diagonal import (
     FrameFamily,
     HardyVector,
@@ -15,6 +16,7 @@ from toepspec.diagonal import (
     phi_r,
     stone_projection,
 )
+from toepspec.hardy import CIRCLE_R_MAX
 from toepspec.oracle import build_section
 from toepspec.spectral import spectral_frame, stone_density
 
@@ -116,6 +118,36 @@ def test_phi_r_input_validation(family):
         phi_r(family, np.ones(100), 0.9)
     with pytest.raises(ValueError):
         phi_r(family, np.ones(512), 1.0)
+
+
+@pytest.mark.parametrize("name, interval", [("regular", (-0.5, 0.5)), ("fig2", (-0.4, 0.4))])
+def test_phi_r_at_the_largest_radius(request, name, interval):
+    # the trapezoid grid grows with 1/(1 - r) with no cap: at r = 0.9995 it
+    # has 32768 points, where a 16384-point cap left 2.4e-4
+    fam = FrameFamily(request.getfixturevalue(name), interval, n_grid=3)
+    terms = ((1.0, 0.3 + 0.1j), (0.5j, -0.2 + 0.4j))
+    zeta = np.exp(2j * math.pi * np.arange(512) / 512)
+    boundary = sum(c / (1.0 - np.conj(z) * zeta) for c, z in terms)
+    r = 0.9995
+    want = phi_map_family(fam, HardyVector.of(*((c, r * z) for c, z in terms)))
+    assert np.max(np.abs(phi_r(fam, boundary, r) - want)) <= 1e-6
+
+
+def test_phi_r_refuses_radii_past_the_circle_limit(family, monkeypatch):
+    def no_grid(vals, m):
+        raise AssertionError(f"built a {m}-point grid")
+
+    monkeypatch.setattr(diagonal, "_trig_resample", no_grid)
+    for r in (CIRCLE_R_MAX + 1e-5, 0.9999, 1.0 - 1e-12):
+        with pytest.raises(ValueError):
+            phi_r(family, np.ones(512), r)
+
+
+def test_taylor_grid_follows_the_radius(regular):
+    # a fixed 256-point grid aliased 5.6e-3 at radius 0.98
+    fam = FrameFamily(regular, (-0.5, 0.5), n_grid=8)
+    near, far = fam.taylor(40, radius=0.7), fam.taylor(40, radius=0.98)
+    assert np.max(np.abs(far - near)) <= 1e-9 * np.max(np.abs(near))
 
 
 def test_intertwining_full_interval(family):

@@ -66,21 +66,37 @@ def test_one_function_refuses_levels_near_the_exceptional_set():
     assert found == ["src/toepspec/levelset.py:_check_level"]
 
 
-# The crossing classification: one function decides which of a level's roots
-# cross the circle, and one which of a piece's critical points lie on it.
-def test_one_function_classifies_roots_on_the_circle():
-    found = []
+def package_functions():
+    """(path:name, node) of every module-level function and method in src/toepspec."""
     for path in sorted((ROOT / "src" / "toepspec").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         functions = [(f"{top.name}.", fn) for top in tree.body if isinstance(top, ast.ClassDef)
                      for fn in top.body]
         functions += [("", top) for top in tree.body]
         for prefix, fn in functions:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            names = {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute))}
-            if "UNIT_ROOT_TOL" in names:
-                found.append(f"{path.relative_to(ROOT)}:{prefix}{fn.name}")
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.relative_to(ROOT)}:{prefix}{fn.name}", fn
+
+
+# The crossing classification: one function decides which of a level's roots
+# cross the circle, and one which of a piece's critical points lie on it.
+def test_one_function_classifies_roots_on_the_circle():
+    found = []
+    for name, fn in package_functions():
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute))}
+        if "UNIT_ROOT_TOL" in names:
+            found.append(name)
     assert sorted(found) == ["src/toepspec/levelset.py:_factor_level",
                              "src/toepspec/symbol.py:TrigPoly.roots"]
+
+
+# The eigenfunctions: one function assembles them on both sides of the circle
+# from the branch weights, and the explicit product stays its cross-check.
+def test_one_function_assembles_the_eigenfunctions():
+    found = [name for name, fn in package_functions()
+             if name != "src/toepspec/spectral.py:SpectralFrame.__init__"
+             and any(isinstance(node, ast.Attribute) and node.attr == "_rho"
+                     and isinstance(node.ctx, ast.Load) for node in ast.walk(fn))]
+    assert sorted(found) == ["src/toepspec/spectral.py:SpectralFrame._branches",
+                             "src/toepspec/spectral.py:SpectralFrame.eigenfunction_product"]

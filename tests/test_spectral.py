@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     chebyshev_U,
+    reference_phi_ext,
     regular_phi_closed,
     singular_phi_closed,
     singular_phi_ext_closed,
@@ -203,6 +204,19 @@ def test_eigenfunction_exterior(regular, singular, rng):
         for _ in range(10):
             z = rng.uniform(1.1, 4.0) * np.exp(1j * rng.uniform(0, TWO_PI))
             assert abs(frs.eigenfunction_ext(1, z) - singular_phi_ext_closed(z, lam)) < 1e-10
+
+
+def test_exterior_partners_match_the_factor_product(fig2, cos2_symbol, singular_asym, rng):
+    # every branch, m = 2 included, against the per-factor product outside the disk
+    z = rng.uniform(1.05, 20.0, 40) * np.exp(1j * rng.uniform(0.0, TWO_PI, 40))
+    for sym, lams in ((fig2, (-0.6, -0.2, 0.3, 0.7)), (cos2_symbol, (-0.7, -0.2, 0.3, 0.8)),
+                      (singular_asym, (0.1, 0.4, 0.8))):
+        for lam in lams:
+            fr = spectral_frame(sym, lam)
+            for j in range(1, fr.m + 1):
+                for w in z:
+                    want = reference_phi_ext(fr, j, w)
+                    assert abs(fr.eigenfunction_ext(j, w) - want) <= 1e-13 * abs(want)
 
 
 def test_eigenfunction_exterior_decay(regular):

@@ -182,3 +182,16 @@ def test_parse_from_json_dict():
     d = {"pieces": [{"theta_start": 0.0, "theta_end": TWO_PI, "a": [0.0, 1.0], "b": []}]}
     sym = PiecewiseSymbol.from_dict(json.loads(json.dumps(d)))
     assert sym.eval(0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("piece", [{"a": "01"}, {"a": [0.0, 1.0], "b": "1"}, {"a": (0.0, 1.0)}])
+def test_from_dict_takes_coefficient_lists_only(piece):
+    # a string would iterate as digits: "01" loaded as cos theta
+    with pytest.raises(TypeError):
+        PiecewiseSymbol.from_dict({"pieces": [dict(theta_start=0.0, theta_end=TWO_PI, **piece)]})
+
+
+@pytest.mark.parametrize("a", [[0.0, 1e308, 1e308], [0.0, 1e-320], [0.0, math.inf], [math.nan, 1.0]])
+def test_out_of_range_coefficients_are_refused(a):
+    with pytest.raises(ValueError, match="coefficients"):
+        PiecewiseSymbol([(0.0, TWO_PI, TrigPoly(a))])
