@@ -123,7 +123,7 @@ def test_phi_r_input_validation(family):
 @pytest.mark.parametrize("name, interval", [("regular", (-0.5, 0.5)), ("fig2", (-0.4, 0.4))])
 def test_phi_r_at_the_largest_radius(request, name, interval):
     # the trapezoid grid grows with 1/(1 - r) with no cap: at r = 0.9995 it
-    # has 32768 points, where a 16384-point cap left 2.4e-4
+    # has 32768 points, where a 16384-point cap left about 2e-4
     fam = FrameFamily(request.getfixturevalue(name), interval, n_grid=3)
     terms = ((1.0, 0.3 + 0.1j), (0.5j, -0.2 + 0.4j))
     zeta = np.exp(2j * math.pi * np.arange(512) / 512)
