@@ -250,8 +250,9 @@ def _cmd_density(sym, args) -> int:
     levelset.counting_report(sym, (a, b))
     pts = np.array([_parse_complex(t) for t in args.points.split(",")])
     lams = [a + (k + 0.5) * (b - a) / args.grid for k in range(args.grid)]
-    values = [spectral.spectral_frame(sym, lam).density(pts[:, None], pts[None, :]).ravel()
-              for lam in lams]
+    frame = spectral.spectral_frame(sym, np.array(lams))
+    values = [row.ravel() for _, part in frame._parts(frame.m * (len(pts) + 2) * len(pts))
+              for row in part.density(pts[:, None], pts[None, :])]
     names = [f"d_{i}_{k}" for i in range(len(pts)) for k in range(len(pts))]
     _emit_complex_csv(names, lams, values, args.output)
     return 0

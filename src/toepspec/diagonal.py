@@ -4,15 +4,13 @@ variant read off boundary samples, and the intertwining checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hardy import CIRCLE_R_MAX, gauss_legendre
-from .levelset import counting_report
 from .oracle import FiniteSection, oracle_weak_measure
-from .spectral import SpectralFrame, spectral_frame, stone_density
+from .spectral import FrameFamily, SpectralFrame, stone_density
 from .symbol import PiecewiseSymbol
 
 
@@ -42,40 +40,6 @@ class HardyVector:
                          for ci, zi in self.terms for ck, zk in self.terms))
 
 
-class FrameFamily:
-    """Spectral frames on a Gauss-Legendre lambda grid over one admissible
-    interval; every frame checks its multiplicity against the interval's."""
-
-    def __init__(self, sym: PiecewiseSymbol, interval, n_grid: int = 256):
-        self.sym = sym
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.report = counting_report(sym, self.interval)
-        self.m = self.report.m
-        x, w = gauss_legendre(n_grid)
-        a, b = self.interval
-        self.lams = 0.5 * (a + b) + 0.5 * (b - a) * x
-        self.weights = 0.5 * (b - a) * w
-        self.frames = [spectral_frame(sym, lam) for lam in self.lams]
-        self._taylor: dict[tuple, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self.lams)
-
-    def inner(self, F: np.ndarray, G: np.ndarray) -> complex:
-        """L^2(Lambda; C^m) inner product of two grid functions (n, m)."""
-        return complex(np.sum(self.weights[:, None] * F * np.conj(G)))
-
-    def norm(self, F: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(F, F).real, 0.0))
-
-    def taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
-        """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), by ``eigen_taylor``."""
-        key = (nmax, radius)
-        if key not in self._taylor:
-            self._taylor[key] = np.array([fr.eigen_taylor(nmax, radius=radius) for fr in self.frames])
-        return self._taylor[key]
-
-
 def phi_map(frame: SpectralFrame, f: HardyVector) -> np.ndarray:
     """Components of the diagonalizing map at one level: linear over the
     kernel terms, conjugating the eigenfunctions."""
@@ -86,14 +50,22 @@ def phi_map(frame: SpectralFrame, f: HardyVector) -> np.ndarray:
 
 def phi_map_family(family: FrameFamily, f: HardyVector) -> np.ndarray:
     """Grid function (n, m) of the diagonalizing map applied to f."""
-    return np.array([phi_map(fr, f) for fr in family.frames])
+    cs = np.array([c for c, _ in f.terms])
+    zs = np.array([z for _, z in f.terms])
+    out = np.empty((len(family), family.m), dtype=complex)
+    for part, frame in family.frame._parts(family.m * len(zs)):
+        out[part] = np.conj(frame.eigen_matrix(zs)) @ cs
+    return out
 
 
 def phi_adjoint(family: FrameFamily, values: np.ndarray, z: complex) -> complex:
     """Adjoint map: sum_j integral of phi_j(z; lam) g_j(lam) over the grid."""
     values = np.asarray(values, dtype=complex)
-    return complex(sum(w * np.dot(fr.eigen_matrix([z]).ravel(), g)
-                       for w, fr, g in zip(family.weights, family.frames, values)))
+    total = 0.0
+    for part, frame in family.frame._parts(family.m):
+        at_z = frame.eigen_matrix([z])[..., 0]
+        total += np.sum(family.weights[part] * np.sum(at_z * values[part], axis=-1))
+    return complex(total)
 
 
 def _trig_resample(vals: np.ndarray, m: int) -> np.ndarray:
@@ -132,9 +104,8 @@ def phi_r(family: FrameFamily, boundary_values: np.ndarray, r: float) -> np.ndar
         m_quad *= 2
     bv = _trig_resample(boundary_values, m_quad)
     out = np.empty((len(family), family.m), dtype=complex)
-    for k, fr in enumerate(family.frames):
-        phi_vals = fr.eigen_circle(r, m_quad)
-        out[k] = np.mean(bv[None, :] * np.conj(phi_vals), axis=1)
+    for part, frame in family.frame._parts(family.m * m_quad):
+        out[part] = np.mean(bv * np.conj(frame.eigen_circle(r, m_quad)), axis=-1)
     return out
 
 

@@ -11,21 +11,25 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import QuadratureError
 from .kernels import schwarz_H
 from .levelset import (
+    CHUNK,
     GUARD,
     _arc_pairs,
     _check_level,
     _check_plateau,
-    _factor_level,
+    _factor_nonreal,
     _level,
     _level_factors,
+    _level_records,
     _LevelFactors,
+    _raised,
     _record,
     admissible_intervals,
     arcs_measure,
@@ -209,7 +213,8 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
            beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Schwarz average over the arc [a, b] of
     const + weight (sum log(1 - beta w) + sum log(1 - gamma/w)), at the
-    points ``z`` (a column inside the disk).
+    points ``z`` (a column inside the disk); a leading level axis on const,
+    beta and gamma gives one row per level.
 
     Each term is 2 x (Cauchy integral) - (arc mean), with
     l(theta) = i theta + log(1 - z e^{-i theta}) = log(w - z):
@@ -227,6 +232,8 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     terms in log u, u = 1 - z conj e, cancel the next piece's at a continuous
     seam, where both take bitwise one u; at u = 0 they are dropped.
     """
+    const = np.asarray(const)[..., None, None]
+    beta, gamma = beta[..., None, :], gamma[..., None, :]
     length = (b - a) % TWO_PI
     ends = np.exp(1j * np.array([a, b]))
     u = 1.0 - z * np.conj(ends)
@@ -235,8 +242,8 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
     dlog = logs[:, 1:] - logs[:, :1]
     dl = 1j * length + dlog
     q = const * (dl / (1j * math.pi) - length / TWO_PI)
-    if len(beta) == 0 and len(gamma) == 0:
-        return q[:, 0]
+    if beta.shape[-1] == 0 and gamma.shape[-1] == 0:
+        return q[..., 0]
     one_bz = 1.0 - beta * z
     at_root = z == gamma
     zg = np.where(at_root, 1.0, z - gamma)
@@ -278,36 +285,73 @@ def _arc_q(z: np.ndarray, weight: float, a: float, b: float, const,
         lg = [np.log(1.0 - gamma * np.conj(e)) for e in ends]
         chord = np.where(at_root, 0.5 * (lg[1] * lg[1] - lg[0] * lg[0]), chord)
     conj_half = 2.0 * chord + (li_g1 - li_g0)
-    return q[:, 0] + weight * (np.sum(holo, axis=1) + np.sum(conj_half, axis=1)) / (2j * math.pi)
+    return q[..., 0] + weight * (np.sum(holo, axis=-1) + np.sum(conj_half, axis=-1)) / (2j * math.pi)
 
 
 def _closed_q(factors: _LevelFactors, z: np.ndarray) -> np.ndarray:
     """Q for points inside the disk, summed over the pieces; on a
     whole-circle piece the Li2 terms cancel, leaving the Wiener-Hopf form
-    const + sum 2 weight log(1 - beta z).  A non-finite value raises
+    const + sum 2 weight log(1 - beta z).  Stacked factors (``_stack``) give
+    one row per level, computed for as many levels at a time as keep each
+    temporary under ``CHUNK`` entries.  A non-finite value raises
     ``QuadratureError``."""
-    col = z[:, None]
-    if len(factors.pieces) == 1:
-        _, _, const, beta, _ = factors.pieces[0]
-        q = const + 2.0 * factors.weight * np.sum(np.log(1.0 - beta * col), axis=1)
+    levels = np.shape(factors.pieces[0][2])
+    if levels:
+        width = len(z) * max(1, max(beta.shape[-1] for *_, beta, _ in factors.pieces))
+        if len(factors.pieces) > 1:
+            width *= 8   # _arc_q's one Li2 call takes eight values per root
+        step = max(1, CHUNK // width)
+        q = np.empty(levels + z.shape, dtype=complex)
+        for s in range(0, levels[0], step):
+            part = slice(s, s + step)
+            q[part] = _piece_sum(tuple((a, b, const[part], beta[part], gamma[part])
+                                       for a, b, const, beta, gamma in factors.pieces),
+                                 factors.weight, z)
     else:
-        q = sum(_arc_q(col, factors.weight, *piece) for piece in factors.pieces)
+        q = _piece_sum(factors.pieces, factors.weight, z)
     if not np.all(np.isfinite(q)):
         raise QuadratureError("closed-form Q is not finite", achieved_tol=math.inf)
     return q
+
+
+def _piece_sum(pieces, weight: float, z: np.ndarray) -> np.ndarray:
+    """``_closed_q``'s sum over the pieces, unchecked."""
+    col = z[:, None]
+    if len(pieces) == 1:
+        _, _, const, beta, _ = pieces[0]
+        return (np.asarray(const)[..., None]
+                + 2.0 * weight * np.sum(np.log(1.0 - beta[..., None, :] * col), axis=-1))
+    return sum(_arc_q(col, weight, *piece) for piece in pieces)
+
+
+def _stack(records) -> _LevelFactors:
+    """Real levels' records as one whose pieces' const, beta and gamma carry
+    a leading level axis, for ``_closed_q``, which reads nothing else."""
+    pieces = tuple((a, b, *(np.array([r.pieces[i][k] for r in records]) for k in (2, 3, 4)))
+                   for i, (a, b, *_) in enumerate(records[0].pieces))
+    return replace(records[0], pieces=pieces)
+
+
+def _real_records(sym: PiecewiseSymbol, lams) -> list:
+    """The stored root records of an array of real levels (``_level_records``);
+    the first level that fails raises its error."""
+    for lam in lams:
+        if isinstance(_level(lam), complex):
+            raise ValueError(f"level {lam} is not real")
+    return [_raised(record) for record in _level_records(sym, lams)]
 
 
 def q_function(sym: PiecewiseSymbol, z, lam):
     """Schwarz-kernel average of the log weight of ``lam`` at z inside or
     outside the circle, for a point or an array of points: of ln|omega - lam|
     at a real level, of the principal log(omega - lam) at a non-real one.
+    A 1-D array of real levels gives a leading level axis.
 
     Both take the closed form of the level's roots (``_closed_q``), with
     Q(z; lam) = -conj Q(1/conj z; conj lam) outside the disk.  A real
     level's roots are stored per level; a non-real level's are solved on
     each call.
     """
-    lam = _level(lam)
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     if not np.all(np.isfinite(flat)):
@@ -315,14 +359,20 @@ def q_function(sym: PiecewiseSymbol, z, lam):
     az = np.abs(flat)
     if np.any(np.abs(az - 1.0) < 1e-8):
         raise ValueError("evaluation on the unit circle requires boundary_xi")
-    factors = _level_factors(sym, lam) if isinstance(lam, float) else _factor_level(sym, lam)
+    if np.ndim(lam):
+        factors = _stack(_real_records(sym, lam))
+    else:
+        lam = _level(lam)
+        factors = _level_factors(sym, lam) if isinstance(lam, float) else _factor_nonreal(sym, lam)
     inside = az < 1.0
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty(np.shape(lam) + flat.shape, dtype=complex)
     if inside.any():
-        out[inside] = _closed_q(factors, flat[inside])
+        out[..., inside] = _closed_q(factors, flat[inside])
     if not inside.all():
-        out[~inside] = -np.conj(_closed_q(factors.conj(), 1.0 / np.conj(flat[~inside])))
-    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+        out[..., ~inside] = -np.conj(_closed_q(factors.conj(), 1.0 / np.conj(flat[~inside])))
+    if out.ndim == 1 and zs.ndim == 0:
+        return complex(out[0])
+    return out.reshape(np.shape(lam) + zs.shape)
 
 
 def xi(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
@@ -330,8 +380,9 @@ def xi(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
     return complex(np.exp(-0.5 * q_function(sym, complex(z), lam)))
 
 
-def xi_grid(sym: PiecewiseSymbol, zs, lam: float) -> np.ndarray:
-    """xi over an array of points, in the shape of ``zs``."""
+def xi_grid(sym: PiecewiseSymbol, zs, lam) -> np.ndarray:
+    """xi over an array of points, in the shape of ``zs``, behind a leading
+    level axis for a 1-D array of real levels."""
     return np.exp(-0.5 * np.asarray(q_function(sym, zs, lam)))
 
 
@@ -390,14 +441,32 @@ def _value_jumps(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, float]]:
             for j in sym.jumps if j.kind != "zero"]
 
 
+# log_fourier's grid-sized work arrays, kept per thread (768 KiB each): fresh
+# ones on every call cost page faults that take a third of its time
+_grid_buffers = threading.local()
+
+
+def _grid_work() -> tuple[np.ndarray, ...]:
+    """This thread's work arrays of ``log_fourier``: two of the grid's size,
+    one for its real FFT, and a view of the grid's size into that one, which
+    serves until the transform writes it."""
+    work = getattr(_grid_buffers, "arrays", None)
+    if work is None:
+        spectrum = np.empty(LOG_FOURIER_GRID // 2 + 1, dtype=complex)
+        work = _grid_buffers.arrays = (np.empty(LOG_FOURIER_GRID), np.empty(LOG_FOURIER_GRID),
+                                       spectrum.view(float)[:LOG_FOURIER_GRID], spectrum)
+    return work
+
+
 def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     """Fourier coefficients of ln|omega - lam| for modes 0..N-1.
 
     Log singularities at the level crossings and steps at the jumps carry
     exact closed-form coefficients; the continuous remainder is handled by
-    an FFT on a half-offset grid.  The level passes ``_check_level``, and
-    one whose weight the grid does not resolve (``_fourier_resolves``)
-    raises ``QuadratureError``.
+    an FFT on a half-offset grid, in the calling thread's work arrays
+    (``_grid_work``).  The level passes ``_check_level``, and one whose
+    weight the grid does not resolve (``_fourier_resolves``) raises
+    ``QuadratureError``.
     """
     lam = _check_level(sym, lam)
     factors = _level_factors(sym, lam)
@@ -421,36 +490,37 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     rec = _record(sym)   # the symbol on the grid serves all its levels
     if rec.tau_values is None:
         rec.tau_values = sym.values(_TAU)
-    ratio = np.subtract(rec.tau_values, lam)
+    ratio, chords, work, spectrum = _grid_work()
+    np.subtract(rec.tau_values, lam, out=ratio)
     np.abs(ratio, out=ratio)
     if len(crossings):
         # the product of the 2 sin((tau - t0)/2), each by angle addition:
         # 2 sin(A_q - t0/2) cos B_p + 2 cos(A_q - t0/2) sin B_p
-        chords = np.ones(LOG_FOURIER_GRID)
+        chords.fill(1.0)
         for t0 in crossings:
             shifted = _HALF_A - 0.5 * t0
             sin_cos = 2.0 * np.stack((np.sin(shifted), np.cos(shifted)), axis=1)
-            chords *= (sin_cos @ _HALF_B).ravel()
+            chords *= np.matmul(sin_cos, _HALF_B, out=work.reshape(-1, _BLOCK)).ravel()
         np.abs(chords, out=chords)
         ratio /= np.maximum(chords, 1e-300, out=chords)
     g = np.log(np.maximum(ratio, 1e-300, out=ratio), out=ratio)
     # each step's sawtooth (pi - x)/(2 pi), x = tau - t0 mod 2 pi, comes off g
-    x = np.empty(LOG_FOURIER_GRID) if steps else None
     for t0, size in steps:
-        np.subtract(_TAU, t0, out=x)
-        np.add(x, TWO_PI, out=x, where=x < 0.0)
-        x *= size / TWO_PI
-        g += x
+        np.subtract(_TAU, t0, out=work)
+        np.add(work, TWO_PI, out=work, where=work < 0.0)
+        work *= size / TWO_PI
+        g += work
     g -= 0.5 * sum(size for _, size in steps)
     # g is real: the kept modes are the first half of its spectrum
-    spectrum = np.fft.rfft(g)[:LOG_FOURIER_N]
-    spectrum *= _TAU_PHASE
-    fhat += spectrum
+    kept = np.fft.rfft(g, out=spectrum)[:LOG_FOURIER_N]
+    kept *= _TAU_PHASE
+    fhat += kept
     return fhat
 
 
-def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096) -> np.ndarray:
-    """xi at the m_out points r e^{2 pi i k/m_out} in one sweep.
+def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndarray:
+    """xi at the m_out points r e^{2 pi i k/m_out} in one sweep, for a level,
+    or as one row per level for a 1-D array of levels.
 
     The Schwarz average of ln|omega - lam| is a convolution on the circle,
     so one coefficient vector serves every radius.  That route is taken
@@ -458,28 +528,36 @@ def xi_circle(sym: PiecewiseSymbol, lam: float, r: float, m_out: int = 4096) -> 
     (``_fourier_resolves``) and ``_fourier_error`` is at most
     ``DEFAULT_TOL`` (up to about r = 0.998), inside the range or out;
     everywhere else xi is exp(-Q/2) from the level's closed form at the
-    m_out points.  The level passes ``_check_level``.
+    m_out points, for all such levels at once.  Each level passes
+    ``_check_level``.
     """
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
     if m_out < 1 or m_out & (m_out - 1):
         raise ValueError("m_out must be a power of two")
-    lam = _check_level(sym, lam)
-    factors = _level_factors(sym, lam)
-    if not factors.li2_free and _fourier_resolves(sym, factors):
-        fhat = log_fourier(sym, lam)
-        if _fourier_error(sym, lam, fhat, r) <= DEFAULT_TOL:
-            # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
-            c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT), 2.0 * r ** _SHORT).ravel()
-            c[0] = fhat[0]
-            # mode n lands on sample index n mod m_out, so fold before transforming
-            if m_out < LOG_FOURIER_N:
-                c = c.reshape(-1, m_out).sum(axis=0)
-            elif m_out > LOG_FOURIER_N:
-                c = np.concatenate((c, np.zeros(m_out - LOG_FOURIER_N)))
-            return np.exp(-0.5 * np.fft.ifft(c) * m_out)
-    z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
-    return np.exp(-0.5 * _closed_q(factors, z))
+    lams = [_check_level(sym, x) for x in np.ravel(lam)]
+    records = _real_records(sym, lams)
+    out = np.empty((len(lams), m_out), dtype=complex)
+    closed = []
+    for k, (x, factors) in enumerate(zip(lams, records)):
+        if not factors.li2_free and _fourier_resolves(sym, factors):
+            fhat = log_fourier(sym, x)
+            if _fourier_error(sym, x, fhat, r) <= DEFAULT_TOL:
+                # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
+                c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT), 2.0 * r ** _SHORT).ravel()
+                c[0] = fhat[0]
+                # mode n lands on sample index n mod m_out, so fold before transforming
+                if m_out < LOG_FOURIER_N:
+                    c = c.reshape(-1, m_out).sum(axis=0)
+                elif m_out > LOG_FOURIER_N:
+                    c = np.concatenate((c, np.zeros(m_out - LOG_FOURIER_N)))
+                out[k] = np.exp(-0.5 * np.fft.ifft(c) * m_out)
+                continue
+        closed.append(k)
+    if closed:
+        z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
+        out[closed] = np.exp(-0.5 * _closed_q(_stack([records[k] for k in closed]), z))
+    return out if np.ndim(lam) else out[0]
 
 
 def outer_F(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
@@ -517,44 +595,50 @@ def phase_A_integral(arcs, z: complex) -> complex:
 def phase_A_closed(arcs, z):
     """Phase A(z) inside the disk, for a point or an array of points:
     half-pi times the sublevel measure plus the principal-branch log sum
-    over the arc endpoints."""
+    over the arc endpoints.  An array of many levels' arcs (``_arc_pairs``)
+    gives a leading level axis."""
     zs = np.asarray(z, dtype=complex)
     if np.any(np.abs(zs) >= 1.0):
         raise ValueError("closed phase form is the interior representation")
     a, b = _arc_pairs(arcs)
+    ea, eb, measure = np.exp(-1j * a), np.exp(-1j * b), arcs_measure(arcs)
+    if a.ndim > 1:   # each level's arcs against every point
+        ea, eb = (e.reshape(e.shape[:-1] + (1,) * zs.ndim + e.shape[-1:]) for e in (ea, eb))
+        measure = measure.reshape(measure.shape + (1,) * zs.ndim)
     col = zs[..., None]
-    logs = np.log(1.0 - col * np.exp(-1j * a)) - np.log(1.0 - col * np.exp(-1j * b))
-    value = 0.5 * math.pi * arcs_measure(arcs) + 0.5j * np.sum(logs, axis=-1)
-    return complex(value) if zs.ndim == 0 else value
+    logs = np.log(1.0 - col * ea) - np.log(1.0 - col * eb)
+    value = 0.5 * math.pi * measure + 0.5j * np.sum(logs, axis=-1)
+    return complex(value) if value.ndim == 0 else value
 
 
-def coefficients_c(arcs) -> tuple[float, ...]:
+def coefficients_c(arcs):
     """Residue coefficients of the L-function at the arc end angles.
 
     c_j multiplies the distances from the j-th end point to every start
     point and divides by its distances to the other end points; their sum
     is sin(pi m)/pi.  All positive; the formula degenerates when two end
-    angles collide, which is rejected.
+    angles collide, which is rejected.  A tuple for a sequence of arcs, and
+    an array with one row per level for an array of many levels' arcs
+    (``_arc_pairs``), whose first failing level raises.
     """
     a, b = _arc_pairs(arcs)
     alpha = np.exp(1j * a)
     beta = np.exp(1j * b)
-    cs = []
-    for j in range(len(arcs)):
-        num = float(np.prod(np.abs(beta[j] - alpha)))
-        denom = 1.0
-        for l in range(len(arcs)):
-            if l == j:
-                continue
-            gap = abs(beta[j] - beta[l])
-            if gap < 1e-8:
-                raise ValueError("merged singularities: coincident arc end angles")
-            denom *= gap
-        cs.append(num / (2.0 * math.pi * denom))
-    c = tuple(cs)
-    if any(x <= 0.0 for x in c):
+    num = np.prod(np.abs(beta[..., :, None] - alpha[..., None, :]), axis=-1)
+    # the scalar modulus hypot(re, im), which the array modulus can miss by an ulp
+    chords = beta[..., :, None] - beta[..., None, :]
+    gaps = np.hypot(chords.real, chords.imag)
+    own = np.eye(a.shape[-1], dtype=bool)
+    merged = np.any((gaps < 1e-8) & ~own, axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = num / (2.0 * math.pi * np.prod(np.where(own, 1.0, gaps), axis=-1))
+    bad = np.atleast_1d(merged | np.any(c <= 0.0, axis=-1))
+    if bad.any():
+        first = int(np.argmax(bad))
+        if np.atleast_1d(merged)[first]:
+            raise ValueError("merged singularities: coincident arc end angles")
         raise ValueError("nonpositive arc coefficient; arcs are inconsistent")
-    return c
+    return c if isinstance(arcs, np.ndarray) else tuple(c.tolist())
 
 
 def L_function(arcs, z: complex) -> complex:

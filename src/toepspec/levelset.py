@@ -20,20 +20,28 @@ from .errors import (
     ExceptionalLevelError,
     InadmissibleIntervalError,
     QuadratureError,
+    ToepspecError,
 )
 from .symbol import (
     ANGLE_TOL,
+    DEFAULT_TOL,
     TWO_PI,
     UNIT_ROOT_TOL,
     PiecewiseSymbol,
     angles_on,
     certified_roots,
     distinct_angles,
+    uncertified,
 )
 
 # Levels closer than this to an exceptional value are rejected: crossings
 # there cannot be classified reliably.
 GUARD = 1e-9
+# Elements in one temporary of the paths that take many levels at once; the
+# levels go through in chunks that keep each temporary under it.
+CHUNK = 2**12
+# Points of the sign check on each arc and each gap of a level set.
+SIGN_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -54,15 +62,21 @@ class Arc:
 
 
 def _arc_pairs(arcs):
+    """The start and end angles of a sequence of arcs, or the two rows of an
+    array of them, (2, ..., m), whose leading axes hold many levels' arcs."""
+    if isinstance(arcs, np.ndarray):
+        return arcs[0], arcs[1]
     a = np.array([arc.alpha for arc in arcs])
     b = np.array([arc.beta for arc in arcs])
     return a, b
 
 
-def arcs_measure(arcs) -> float:
-    """Normalized measure of a union of arcs."""
+def arcs_measure(arcs):
+    """Normalized measure of a union of arcs; one per level of an array of
+    arcs (``_arc_pairs``)."""
     a, b = _arc_pairs(arcs)
-    return float(np.sum(b - a)) / TWO_PI
+    total = np.sum(b - a, axis=-1)
+    return total / TWO_PI if total.ndim else float(total) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -159,22 +173,33 @@ class _SymbolRecord:
         return self.reports[i]
 
     def get(self, key, build):
-        with _lock:
-            hit = self.levels.get(key)
-            if hit is not None:
-                self.levels.move_to_end(key)
-                return hit
+        hit = self.stored([key])[0]
+        if hit is not None:
+            return hit
         value = build()
+        self.store(key, value)
+        return value
+
+    def stored(self, keys) -> list:
+        """The stored value of each key, None where there is none; a hit
+        becomes the most recently used."""
+        with _lock:
+            hits = [self.levels.get(key) for key in keys]
+            for key, hit in zip(keys, hits):
+                if hit is not None:
+                    self.levels.move_to_end(key)
+        return hits
+
+    def store(self, key, value):
         size = value.nbytes
         if size > LEVEL_STORE_BYTES:
-            return value
+            return
         with _lock:
             if key not in self.levels:
                 while self.levels and self.nbytes + size > LEVEL_STORE_BYTES:
                     self.nbytes -= self.levels.popitem(last=False)[1].nbytes
                 self.levels[key] = value
                 self.nbytes += size
-        return value
 
 
 _records: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolRecord]" = weakref.WeakKeyDictionary()
@@ -239,60 +264,115 @@ def _check_plateau(sym: PiecewiseSymbol, lam):
         raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
 
 
-def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
-    """Each piece's p(theta) - lam = c e^{-iK theta} prod (e^{i theta} - zeta)
-    split into its roots zeta.
+def _piece_roots(poly, lams: np.ndarray):
+    """The reversed Laurent coefficients of p - lam for each level (a row
+    each) and ``certified_roots``' roots, backward errors and root errors."""
+    c = np.repeat(poly._laurent()[None, ::-1], len(lams), axis=0)
+    c[:, poly.degree] = poly.a[0] - lams
+    return (c,) + certified_roots(c)
+
+
+def _factor_level(sym: PiecewiseSymbol, lams: np.ndarray) -> list:
+    """Each real level's p(theta) - lam = c e^{-iK theta} prod (e^{i theta} - zeta)
+    on each piece, split into its roots zeta: the levels' records, or for a
+    level that fails, the error its solve raises.  A piece's roots for every
+    level come from one ``certified_roots`` call, and the classification
+    below runs on all levels at once.
+
+    ln|w - zeta| is ln|zeta| (when |zeta| > 1) plus Re log(1 - beta w),
+    beta = conj(zeta) or 1/zeta.  Only inside (gamma1, gamma2) is a root
+    within ``UNIT_ROOT_TOL`` of the circle, at an angle on its piece (to
+    ``ANGLE_TOL``), a crossing; ``reach`` is the least over the other roots of
+    max(|ln|zeta||, angle from the piece).  A level on a constant piece's value
+    fails with ``ExceptionalLevelError``, and one whose roots on some piece
+    miss their certificate with the first such piece's ``QuadratureError``.
+    """
+    lams = np.asarray(lams, dtype=float)
+    out: list = [None] * len(lams)
+    for i, lam in enumerate(lams):
+        try:
+            _check_plateau(sym, lam)
+        except ExceptionalLevelError as exc:
+            out[i] = exc
+    ok = [i for i, lam in enumerate(out) if lam is None]
+    if not ok:
+        return out
+    lams = lams[ok]
+    g1, g2 = sym.essential_range()
+    crossable = (g1 < lams) & (lams < g2)
+    roots, worst, reach = 0, np.zeros(len(lams)), np.full(len(lams), math.inf)
+    # each level's first piece whose roots miss their certificate, and its error
+    failed, failure = np.full(len(lams), -1), np.zeros(len(lams))
+    parts = []   # per piece: (a, end, const, beta, crossing angles or NaN, beta errors)
+    for p, (piece, nxt) in enumerate(zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1])):
+        a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, nxt.theta_start
+        if poly.is_constant():
+            const = np.array([math.log(abs(poly.a[0] - lam)) for lam in lams])
+            none = np.empty((len(lams), 0))
+            parts.append((a, end, const, none.astype(complex), none, none))
+            continue
+        c, zeta, backward, error = _piece_roots(poly, lams)
+        first = (failed < 0) & ~(backward <= DEFAULT_TOL)
+        failed[first], failure[first] = p, backward[first]
+        worst = np.maximum(worst, backward)
+        roots += zeta.shape[1]
+        modulus = np.abs(zeta)
+        theta = np.mod(np.angle(zeta), TWO_PI)
+        off = np.mod(theta - a, TWO_PI)
+        away = np.maximum(0.0, np.minimum(off - (b - a), TWO_PI - off))
+        cross = crossable[:, None] & (np.abs(modulus - 1.0) < UNIT_ROOT_TOL) & (away <= ANGLE_TOL)
+        reach = np.minimum(reach, np.min(np.where(cross, math.inf, np.maximum(
+            np.abs(np.log(modulus)), away)), axis=1))
+        far = modulus > 1.0
+        const = math.log(abs(c[0, 0])) + np.sum(np.log(np.where(far, modulus, 1.0)), axis=1)
+        beta = np.where(far, 1.0 / zeta, np.conj(zeta))
+        parts.append((a, end, const, beta, np.where(cross, theta, np.nan),
+                      np.where(far, error / modulus**2, error)))
+    for j, i in enumerate(ok):
+        if failed[j] >= 0:
+            out[i] = uncertified(float(failure[j]))
+            continue
+        angles = np.concatenate([crossing[j] for *_, crossing, _ in parts])
+        out[i] = _LevelFactors(
+            tuple((a, end, float(const[j]), beta[j].copy(), np.conj(beta[j]))
+                  for a, end, const, beta, *_ in parts),
+            0.5, roots, float(worst[j]), distinct_angles(angles[~np.isnan(angles)]),
+            np.concatenate([np.empty(0)] + [error[j] for *_, error in parts]), float(reach[j]))
+    return out
+
+
+def _factor_nonreal(sym: PiecewiseSymbol, lam: complex) -> _LevelFactors:
+    """A non-real level's factors: p - lam = c e^{-iK theta} prod (e^{i theta} - zeta)
+    on each piece, with the weight the principal log(omega - zeta).
 
     A root inside the circle contributes i theta + log(1 - zeta/w), one
-    outside log(-zeta) + log(1 - w/zeta).  At a real level only the real
-    part counts: ln|w - zeta| is ln|zeta| (when |zeta| > 1) plus
-    Re log(1 - beta w), beta = conj(zeta) or 1/zeta.  Only inside (gamma1,
-    gamma2) is a root within ``UNIT_ROOT_TOL`` of the circle, at an angle on
-    its piece (to ``ANGLE_TOL``), a crossing; ``reach`` is the least over the
-    other roots of max(|ln|zeta||, angle from the piece).  At a non-real level
-    p - lam stays on the line Im = -Im lam, so it does not wind around 0 and
-    exactly K roots lie inside: the i theta terms cancel e^{-iK theta}, and
-    another count raises ``QuadratureError``.  A root within 1e-8 of the
-    circle is a crossing of Re lam moved by i Im lam, to
-    |zeta| ~ exp(-Im lam / p'(arg zeta)), so it lies inside exactly when
-    Im lam p'(arg zeta) > 0; its modulus alone would place it by rounding.
-    The factors' logs are continuous on the circle, and so is the principal
-    log(p - lam), so they differ by one 2 pi i k, read off at the midpoint.
-
-    The roots of the Laurent polynomial are ``certified_roots``', whose
-    certificate may raise ``QuadratureError``; a level on a constant piece's
-    value raises ``ExceptionalLevelError``.
+    outside log(-zeta) + log(1 - w/zeta).  p - lam stays on the line
+    Im = -Im lam, so it does not wind around 0 and exactly K roots lie
+    inside: the i theta terms cancel e^{-iK theta}, and another count raises
+    ``QuadratureError``.  A root within 1e-8 of the circle is a crossing of
+    Re lam moved by i Im lam, to |zeta| ~ exp(-Im lam / p'(arg zeta)), so it
+    lies inside exactly when Im lam p'(arg zeta) > 0; its modulus alone would
+    place it by rounding.  The factors' logs are continuous on the circle,
+    and so is the principal log(p - lam), so they differ by one 2 pi i k,
+    read off at the midpoint.  Roots that miss their certificate raise its
+    ``QuadratureError``, and a level on a constant piece's value
+    ``ExceptionalLevelError``.
     """
     _check_plateau(sym, lam)
-    real = isinstance(lam, float)
-    g1, g2 = sym.essential_range()
-    crossable = real and g1 < lam < g2
     none = np.empty(0, dtype=complex)
-    pieces, roots, worst, crossings, errors, reach = [], 0, 0.0, [], [], math.inf
+    pieces, roots, worst = [], 0, 0.0
     for piece, nxt in zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1]):
         a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, nxt.theta_start
         if poly.is_constant():
-            const = math.log(abs(poly.a[0] - lam)) if real else cmath.log(poly.a[0] - lam)
-            pieces.append((a, end, const, none, none))
+            pieces.append((a, end, cmath.log(poly.a[0] - lam), none, none))
             continue
-        c = poly._laurent(lam)[::-1]
-        zeta, backward, error = certified_roots(c)
-        worst = max(worst, backward)
+        c, zeta, backward, _ = _piece_roots(poly, np.array([lam]))
+        if not backward[0] <= DEFAULT_TOL:
+            raise uncertified(float(backward[0]))
+        c, zeta = c[0], zeta[0]
+        worst = max(worst, float(backward[0]))
         roots += len(zeta)
         modulus = np.abs(zeta)
-        if real:
-            theta = np.mod(np.angle(zeta), TWO_PI)
-            off = np.mod(theta - a, TWO_PI)
-            away = np.maximum(0.0, np.minimum(off - (b - a), TWO_PI - off))
-            cross = crossable & (np.abs(modulus - 1.0) < UNIT_ROOT_TOL) & (away <= ANGLE_TOL)
-            crossings += list(theta[cross])
-            reach = min([reach, *np.maximum(np.abs(np.log(modulus)), away)[~cross]])
-            far = modulus > 1.0
-            const = math.log(abs(c[0])) + float(np.sum(np.log(modulus[far])))
-            beta = np.where(far, 1.0 / zeta, np.conj(zeta))
-            errors.append(np.where(far, error / modulus**2, error))
-            pieces.append((a, end, const, beta, np.conj(beta)))
-            continue
         inside = np.where(np.abs(modulus - 1.0) < 1e-8,
                           lam.imag * poly.derivative()(np.angle(zeta)) > 0.0, modulus < 1.0)
         if np.count_nonzero(inside) != poly.degree:
@@ -305,14 +385,36 @@ def _factor_level(sym: PiecewiseSymbol, lam: float | complex) -> _LevelFactors:
         factored = const + np.sum(np.log(1.0 - beta * w)) + np.sum(np.log(1.0 - gamma / w))
         k = round((cmath.log(poly(0.5 * (a + b)) - lam) - factored).imag / TWO_PI)
         pieces.append((a, end, const + 2j * math.pi * k, beta, gamma))
-    return _LevelFactors(tuple(pieces), 0.5 if real else 1.0, roots, worst,
-                         distinct_angles(crossings), np.concatenate([np.empty(0)] + errors), reach)
+    return _LevelFactors(tuple(pieces), 1.0, roots, worst, np.empty(0), np.empty(0), math.inf)
+
+
+def _raised(value):
+    """``value``, unless it is an error, which is raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _level_records(sym: PiecewiseSymbol, lams) -> list:
+    """The stored root record of each real level, or the error its solve
+    raises.  The levels not in the store are solved together
+    (``_factor_level``), and each record is stored under its level's exact
+    value, so a later call at one of them reads it."""
+    keys = [float(lam) for lam in lams]
+    rec = _record(sym)
+    out = rec.stored(keys)
+    missing = [i for i, hit in enumerate(out) if hit is None]
+    if missing:
+        for i, value in zip(missing, _factor_level(sym, np.array([keys[i] for i in missing]))):
+            out[i] = value
+            if not isinstance(value, Exception):
+                rec.store(keys[i], value)
+    return out
 
 
 def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
     """The stored root record of a real level, solved once per exact value."""
-    lam = float(lam)
-    return _record(sym).get(lam, lambda: _factor_level(sym, lam))
+    return _raised(_level_records(sym, [lam])[0])
 
 
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
@@ -380,13 +482,45 @@ def solve_level(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, int]]:
 
 
 def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
-    """Assemble {omega < lambda} from root crossings and spanned jumps.
+    """Assemble {omega < lambda} from root crossings and spanned jumps: the
+    one-level case of ``sublevel_sets``, whose error it raises."""
+    return _raised(sublevel_sets(sym, [lam])[0])
 
-    Downward crossings open an arc (alpha endpoints), upward crossings
-    close one (beta endpoints); arcs are returned in counterclockwise
-    order starting from the smallest alpha.
+
+def sublevel_sets(sym: PiecewiseSymbol, lams) -> list:
+    """Each level's sublevel set, or the error that its assembly raises.
+
+    Each level passes ``_check_level``.  The records of the levels inside
+    the range are solved together first (``_level_records``), so each
+    level's ``solve_level`` reads its stored record.  Downward crossings
+    open an arc (alpha endpoints), upward crossings close one (beta
+    endpoints); arcs are returned in counterclockwise order starting from
+    the smallest alpha.  Last, one sampled sign check covers every level
+    (``_validate_levels``).
     """
-    lam = _check_level(sym, lam)
+    g1, g2 = sym.essential_range()
+    out = []
+    for lam in lams:
+        try:
+            out.append(_check_level(sym, lam))
+        except (ValueError, ToepspecError) as exc:
+            out.append(exc)
+    _level_records(sym, [lam for lam in out if isinstance(lam, float) and g1 < lam <= g2])
+    for i, lam in enumerate(out):
+        if isinstance(lam, float):
+            try:
+                out[i] = _assemble(sym, lam)
+            except ToepspecError as exc:
+                out[i] = exc
+    checked = [i for i, level in enumerate(out) if isinstance(level, LevelSet) and level.arcs]
+    for i, error in zip(checked, _validate_levels(sym, [out[i] for i in checked])):
+        out[i] = error or out[i]
+    return out
+
+
+def _assemble(sym: PiecewiseSymbol, lam: float) -> LevelSet:
+    """The arcs of {omega < lambda} at a level that passed ``_check_level``,
+    before the sign check."""
     g1, g2 = sym.essential_range()
     if lam <= g1:
         return LevelSet(lam, ())
@@ -417,26 +551,51 @@ def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
             t_b += TWO_PI
         arcs.append(Arc(t_a, t_b, k_a, k_b))
     arcs.sort(key=lambda a: a.alpha)
-    level = LevelSet(lam, tuple(arcs))
-    _validate_level(sym, level)
-    return level
+    return LevelSet(lam, tuple(arcs))
 
 
-def _validate_level(sym: PiecewiseSymbol, level: LevelSet):
-    """Sampled sign check: omega < lambda inside arcs, > lambda outside."""
-    lam, arcs = level.lam, level.arcs
-    for i, arc in enumerate(arcs):
-        gap_end = arcs[(i + 1) % len(arcs)].alpha
-        if gap_end <= arc.beta:
-            gap_end += TWO_PI
-        for lo, hi, sign, what in ((arc.alpha, arc.beta, 1.0, "arc"),
-                                   (arc.beta, gap_end, -1.0, "complement gap")):
-            pad = min(1e-7, 1e-3 * (hi - lo))
-            t = np.linspace(lo + pad, hi - pad, 64)
-            # skip sample points that collide with a jump angle
-            t = t[~np.isin(np.round(t % TWO_PI, 9), np.round(sym._jump_angles, 9))]
-            if np.any(sign * (sym.values(t) - lam) >= 0.0):
-                raise CountingError(f"{what} {i} fails the sign check at level {lam}")
+def _validate_levels(sym: PiecewiseSymbol, levels) -> list:
+    """Sampled sign check of each level set: omega < lambda at
+    ``SIGN_SAMPLES`` points inside each arc, > lambda in each complement gap,
+    except at sample points that collide with a jump angle.  Returns, per
+    level, the ``CountingError`` of its first failing stretch, or None.  The
+    stretches of all levels are sampled together, in chunks of ``CHUNK``
+    points."""
+    # the stretches come in pairs: arc i of a level, then the gap after it
+    lo, hi, owner, index = [], [], [], []
+    for k, level in enumerate(levels):
+        arcs = level.arcs
+        for i, arc in enumerate(arcs):
+            gap_end = arcs[(i + 1) % len(arcs)].alpha
+            if gap_end <= arc.beta:
+                gap_end += TWO_PI
+            lo += [arc.alpha, arc.beta]
+            hi += [arc.beta, gap_end]
+            owner += [k, k]
+            index += [i, i]
+    lo, hi, owner = np.array(lo), np.array(hi), np.array(owner, dtype=int)
+    sign = np.tile([1.0, -1.0], len(lo) // 2)
+    lams = np.array([level.lam for level in levels])[owner]
+    pad = np.minimum(1e-7, 1e-3 * (hi - lo))
+    start, stop = lo + pad, hi - pad
+    jumps = np.round(sym._jump_angles, 9)
+    fails = np.zeros(len(lo), dtype=bool)
+    steps = np.arange(SIGN_SAMPLES)
+    rows = max(1, CHUNK // SIGN_SAMPLES)
+    for s in range(0, len(lo), rows):
+        part = slice(s, s + rows)
+        # np.linspace's points, stretch by stretch
+        t = steps * ((stop[part] - start[part]) / (SIGN_SAMPLES - 1))[:, None] + start[part, None]
+        t[:, -1] = stop[part]
+        keep = ~np.isin(np.round(t % TWO_PI, 9), jumps)
+        wrong = sign[part, None] * (sym.values(t) - lams[part, None]) >= 0.0
+        fails[part] = np.any(keep & wrong, axis=1)
+    out = [None] * len(levels)
+    for j in np.flatnonzero(fails)[::-1]:
+        what = "arc" if j % 2 == 0 else "complement gap"
+        out[owner[j]] = CountingError(
+            f"{what} {index[j]} fails the sign check at level {levels[owner[j]].lam}")
+    return out
 
 
 def admissible_intervals(sym: PiecewiseSymbol) -> list[tuple[float, float]]:

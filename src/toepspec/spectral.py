@@ -4,6 +4,7 @@ with their exterior partners, and weak spectral integrals.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,12 +20,15 @@ from .hardy import (
     xi_grid,
 )
 from .levelset import (
+    CHUNK,
     Arc,
     GUARD,
     LevelSet,
+    arcs_measure,
     counting_report,
     level_report,
     sublevel_set,
+    sublevel_sets,
 )
 from .symbol import DEFAULT_TOL, TWO_PI, PiecewiseSymbol
 
@@ -60,31 +64,64 @@ def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex):
     return complex(value) if value.ndim == 0 else value
 
 
+def _ends(levels) -> np.ndarray:
+    """The start and end angles of the arcs of level sets with one arc
+    count, (2, levels, m)."""
+    m = levels[0].m if levels else 0
+    ends = np.array([[(arc.alpha, arc.beta) for arc in one.arcs] for one in levels],
+                    dtype=float).reshape(len(levels), m, 2)
+    return np.ascontiguousarray(np.moveaxis(ends, -1, 0))
+
+
 class SpectralFrame:
     """Per-level bundle built from the sublevel set ``level`` alone: the
     level ``lam``, the multiplicity ``m``, the residue coefficients ``c``
     of the arcs and the weights rho_j = sqrt(c_j).
 
-    The arc count is checked against the counting report of the level's
+    Built from a sequence of level sets of one admissible interval, one frame
+    holds them all: ``lam``, ``c`` and every evaluator's result carry a
+    leading level axis, and a frame of one level is the one-level case.  The
+    arc count is checked against the counting report of each level's
     admissible interval.  Immutable; all evaluators are pure functions of
     the stored data.
     """
 
-    def __init__(self, sym: PiecewiseSymbol, level: LevelSet):
+    def __init__(self, sym: PiecewiseSymbol, level):
         self.sym = sym
-        self.lam = float(level.lam)
         self.level = level
-        self.m = level.m
-        report = level_report(sym, self.lam)
-        if report.m != self.m:
-            raise FormMismatchError(
-                f"level set has {self.m} arcs but the counting report says {report.m}"
-            )
-        self.c = coefficients_c(level.arcs)
-        self._beta = np.exp(1j * np.array([a.beta for a in level.arcs]))
-        self._alpha = np.exp(1j * np.array([a.alpha for a in level.arcs]))
+        levels = (level,) if isinstance(level, LevelSet) else tuple(level)
+        reports = [level_report(sym, float(one.lam)) for one in levels]
+        bad = next((k for k, (one, report) in enumerate(zip(levels, reports))
+                    if report.m != one.m), None)
+        if bad is not None:
+            coefficients_c(_ends(levels[:bad]))   # an earlier level's arcs fail first
+            raise FormMismatchError(f"level set has {levels[bad].m} arcs but the counting "
+                                    f"report says {reports[bad].m}")
+        self.m = levels[0].m
+        ends, full = _ends(levels), np.array([one.full for one in levels])
+        if isinstance(level, LevelSet):
+            self.lam = float(level.lam)
+            ends, full = ends[:, 0], full[0]
+            self.c = coefficients_c(level.arcs)
+        else:
+            self.lam = np.array([float(one.lam) for one in levels])
+            self.c = coefficients_c(ends)
+        self._ends = ends
+        self._beta = np.exp(1j * ends[1])
+        self._alpha = np.exp(1j * ends[0])
         self._rho = np.sqrt(self.c)
-        self._phase0 = np.exp(-0.5j * math.pi * level.measure)
+        self._phase0 = np.exp(-0.5j * math.pi * np.where(full, 1.0, arcs_measure(ends)))
+
+    def _parts(self, width: int):
+        """(slice, frame) pairs over the levels of a many-level frame, each
+        frame holding as many levels as keep ``width`` entries per level under
+        ``CHUNK``, and one at least."""
+        step, n = max(1, CHUNK // max(1, width)), len(self.lam)
+        if step >= n:
+            yield slice(0, n), self
+            return
+        for s in range(0, n, step):
+            yield slice(s, s + step), SpectralFrame(self.sym, self.level[s:s + step])
 
     # -- scalar building blocks ------------------------------------------------
 
@@ -96,17 +133,22 @@ class SpectralFrame:
     def _branches(self, zs: np.ndarray, xiv=None) -> np.ndarray:
         """Every eigenfunction at the points ``zs`` on either side of the
         circle, whose xi values are ``xiv`` (by default ``xi_grid``'s); shape
-        (m,) + zs.shape.  The single phase rho_j xi K_beta_j e^{iA}, times the
-        half-integer prefactor of the sublevel measure, fixes all branches at
-        once; outside the disk A(z) = -conj A(1/conj z), as Q in ``q_function``.
+        (m,) + zs.shape, behind the level axis of a many-level frame.  The
+        single phase rho_j xi K_beta_j e^{iA}, times the half-integer
+        prefactor of the sublevel measure, fixes all branches at once;
+        outside the disk A(z) = -conj A(1/conj z), as Q in ``q_function``.
         """
         if xiv is None:
             xiv = xi_grid(self.sym, zs, self.lam)
         outside = np.abs(zs) > 1.0
         mirror = np.divide(1.0, np.conj(zs), out=zs.copy(), where=outside)
-        phase = phase_A_closed(self.level.arcs, mirror)
-        common = self._phase0 * xiv * np.exp(1j * np.where(outside, -np.conj(phase), phase))
-        col = (-1,) + (1,) * zs.ndim
+        phase = phase_A_closed(self._ends, mirror)
+        phase0 = self._phase0
+        if np.ndim(self.lam):   # each level's factors on its own branch axis
+            phase0, xiv = phase0.reshape((-1,) + (1,) * (zs.ndim + 1)), xiv[:, None]
+            phase = phase[:, None]
+        common = phase0 * xiv * np.exp(1j * np.where(outside, -np.conj(phase), phase))
+        col = self._rho.shape + (1,) * zs.ndim
         k = 1.0 / (1.0 - zs * np.conj(self._beta).reshape(col))
         return self._rho.reshape(col) * k * common
 
@@ -162,12 +204,15 @@ class SpectralFrame:
         each other; xi is evaluated once per entry of each, in one batch.
         """
         u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        nd = max(u.ndim, v.ndim)
+        u, v = u.reshape((1,) * (nd - u.ndim) + u.shape), v.reshape((1,) * (nd - v.ndim) + v.shape)
+        levels = np.shape(self.lam)
         xis = xi_grid(self.sym, np.concatenate((u.ravel(), v.ravel())), self.lam)
-        xiu, xiv = xis[:u.size].reshape(u.shape), xis[u.size:].reshape(v.shape)
-        el_sum = np.sum(np.conj(self._branches(u, xiu)) * self._branches(v, xiv), axis=0)
-        arcs = self.level.arcs
+        xiu = xis[..., :u.size].reshape(levels + u.shape)
+        xiv = xis[..., u.size:].reshape(levels + v.shape)
+        el_sum = np.sum(np.conj(self._branches(u, xiu)) * self._branches(v, xiv), axis=len(levels))
         sine = (np.conj(xiu) * xiv / (math.pi * (1.0 - np.conj(u) * v))
-                * np.sin(np.conj(phase_A_closed(arcs, u)) + phase_A_closed(arcs, v)))
+                * np.sin(np.conj(phase_A_closed(self._ends, u)) + phase_A_closed(self._ends, v)))
         return el_sum, sine
 
     def density(self, u, v):
@@ -176,31 +221,26 @@ class SpectralFrame:
 
         Returns the eigenfunction-sum value after checking every entry
         against the sine form; a mismatch beyond FORM_TOL flags a branch
-        defect.
+        defect, reported at the first level that has one.
         """
         el_sum, sine = self.density_pair(u, v)
-        gap = np.abs(el_sum - sine)
-        if np.any(gap > FORM_TOL * np.maximum(1.0, np.abs(el_sum))):
+        lams = np.ravel(self.lam)
+        gap = np.abs(el_sum - sine).reshape(len(lams), -1)
+        bad = gap > FORM_TOL * np.maximum(1.0, np.abs(el_sum)).reshape(gap.shape)
+        if np.any(bad):
+            k = int(np.argmax(np.any(bad, axis=1)))
             raise FormMismatchError(
-                f"density forms disagree by {np.max(gap):.3e} at lam={self.lam}"
+                f"density forms disagree by {np.max(gap[k]):.3e} at lam={float(lams[k])}"
             )
         return el_sum
 
     def eigen_taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
         """Taylor coefficients of every eigenfunction, shape (m, nmax+1), read
-        off ``eigen_circle`` at the given radius by FFT.  An m-point grid
-        aliases coefficient n + m onto n with weight radius^m, so m is the
-        smallest power of two >= 2(nmax + 1) with radius^m <= ``DEFAULT_TOL``.
-        Larger radii tame the r^{-n} noise amplification of the higher
-        coefficients and take more points.
+        off ``eigen_circle`` at ``_taylor_points(nmax, radius)`` points by FFT.
         """
-        if not 0.0 < radius <= hardy.CIRCLE_R_MAX:
-            raise ValueError(f"circle radius must lie in (0, {hardy.CIRCLE_R_MAX}]")
-        m = 2
-        while m < 2 * (nmax + 1) or radius**m > DEFAULT_TOL:
-            m *= 2
-        coeffs = np.fft.fft(self.eigen_circle(radius, m), axis=1) / m
-        return coeffs[:, : nmax + 1] * radius ** -np.arange(nmax + 1)
+        m = _taylor_points(nmax, radius)
+        coeffs = np.fft.fft(self.eigen_circle(radius, m), axis=-1) / m
+        return coeffs[..., : nmax + 1] * radius ** -np.arange(nmax + 1)
 
     def density_taylor(self, nmax: int) -> np.ndarray:
         """Gram matrix of the density against monomials z^n, n <= nmax."""
@@ -219,9 +259,82 @@ class SpectralFrame:
         return SpectralFrame(self.sym, LevelSet(self.lam, tuple(tilde)))
 
 
-def spectral_frame(sym: PiecewiseSymbol, lam: float) -> SpectralFrame:
-    """Assemble the level set, arc coefficients, and multiplicity at a level."""
-    return SpectralFrame(sym, sublevel_set(sym, lam))
+def _taylor_points(nmax: int, radius: float) -> int:
+    """Circle points for Taylor coefficients up to z^nmax at a radius in
+    (0, ``CIRCLE_R_MAX``].  An m-point grid aliases coefficient n + m onto n
+    with weight radius^m, so m is the smallest power of two >= 2(nmax + 1)
+    with radius^m <= ``DEFAULT_TOL``.  Larger radii tame the r^{-n} noise
+    amplification of the higher coefficients and take more points."""
+    if not 0.0 < radius <= hardy.CIRCLE_R_MAX:
+        raise ValueError(f"circle radius must lie in (0, {hardy.CIRCLE_R_MAX}]")
+    m = 2
+    while m < 2 * (nmax + 1) or radius**m > DEFAULT_TOL:
+        m *= 2
+    return m
+
+
+def spectral_frame(sym: PiecewiseSymbol, lam) -> SpectralFrame:
+    """Assemble the level set, arc coefficients, and multiplicity at a level.
+
+    A 1-D array of levels of one admissible interval gives one frame that
+    holds them all, from one ``sublevel_sets`` call.  Where a level fails, it
+    raises the error that a loop over the levels would raise first.
+    """
+    if not np.ndim(lam):
+        return SpectralFrame(sym, sublevel_set(sym, lam))
+    sets = sublevel_sets(sym, lam)
+    first = next((k for k, level in enumerate(sets) if isinstance(level, Exception)), None)
+    if first is None:
+        return SpectralFrame(sym, sets)
+    if first:
+        SpectralFrame(sym, sets[:first])   # a count or arc error of an earlier level
+    raise sets[first]
+
+
+class FrameFamily:
+    """Spectral frames on a Gauss-Legendre lambda grid over one admissible
+    interval, held as one many-level ``frame`` (``spectral_frame`` of the
+    grid).  Its levels' root records are solved together and written into
+    the symbol's store, and every level passes its sign check and its count
+    against the interval's.  The family's evaluators take that frame's
+    levels in chunks (``SpectralFrame._parts``); ``frames`` holds the
+    per-level frames, built on first use from the same level sets."""
+
+    def __init__(self, sym: PiecewiseSymbol, interval, n_grid: int = 256):
+        self.sym = sym
+        self.interval = (float(interval[0]), float(interval[1]))
+        self.report = counting_report(sym, self.interval)
+        self.m = self.report.m
+        x, w = gauss_legendre(n_grid)
+        a, b = self.interval
+        self.lams = 0.5 * (a + b) + 0.5 * (b - a) * x
+        self.weights = 0.5 * (b - a) * w
+        self.frame = spectral_frame(sym, self.lams)
+        self._taylor: dict[tuple, np.ndarray] = {}
+
+    @functools.cached_property
+    def frames(self) -> list[SpectralFrame]:
+        return [SpectralFrame(self.sym, level) for level in self.frame.level]
+
+    def __len__(self) -> int:
+        return len(self.lams)
+
+    def inner(self, F: np.ndarray, G: np.ndarray) -> complex:
+        """L^2(Lambda; C^m) inner product of two grid functions (n, m)."""
+        return complex(np.sum(self.weights[:, None] * F * np.conj(G)))
+
+    def norm(self, F: np.ndarray) -> float:
+        return math.sqrt(max(self.inner(F, F).real, 0.0))
+
+    def taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
+        """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), by ``eigen_taylor``."""
+        key = (nmax, radius)
+        if key not in self._taylor:
+            out = np.empty((len(self), self.m, nmax + 1), dtype=complex)
+            for part, frame in self.frame._parts(self.m * _taylor_points(nmax, radius)):
+                out[part] = frame.eigen_taylor(nmax, radius=radius)
+            self._taylor[key] = out
+        return self._taylor[key]
 
 
 def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> float:
@@ -254,8 +367,9 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     for points ``u`` and ``v`` or arrays of them that broadcast as in
     ``SpectralFrame.density``.
 
-    Gauss-Legendre in lambda with doubling until every entry settles; the
-    density is smooth there, so convergence is fast for smooth weights.
+    Gauss-Legendre in lambda with doubling until every entry settles, one
+    ``FrameFamily`` per doubling; the density is smooth there, so
+    convergence is fast for smooth weights.
     Raises ``QuadratureError`` with the worst change between doublings when
     ``max_nodes`` is reached before ``rtol``.
     """
@@ -269,14 +383,15 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     shape = np.broadcast_shapes(u.shape, v.shape)
 
     def sample(n):
-        x, w = gauss_legendre(n)
-        lam = 0.5 * (a + b) + 0.5 * (b - a) * x
+        _, w = gauss_legendre(n)
+        family = FrameFamily(sym, (a, b), n)
+        gv = [g(la) for la in family.lams]
+        width = family.m * (u.size + v.size + math.prod(shape))
         total = np.zeros(shape, dtype=complex)
-        for wl, la in zip(w, lam):
-            gv = g(la)
-            if gv == 0.0:
-                continue
-            total += wl * gv * spectral_frame(sym, la).density(u, v)
+        for part, frame in family.frame._parts(width):
+            for wl, gl, dens in zip(w[part], gv[part], frame.density(u, v)):
+                if gl != 0.0:
+                    total += wl * gl * dens
         return total * 0.5 * (b - a)
 
     n = 32

@@ -61,20 +61,40 @@ def distinct_angles(found) -> np.ndarray:
     return np.array(keep)
 
 
-def certified_roots(c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Roots of the polynomial with coefficients ``c``, highest degree first,
-    from ``np.roots`` and two Newton steps, their worst backward error
-    |P(zeta)| / sum |c_j| |zeta|^j (above ``DEFAULT_TOL`` a ``QuadratureError``)
-    and each root's first-order error eps sum |c_j| |zeta|^j / |P'(zeta)|."""
-    zeta, dc = np.roots(c), np.polyder(c)
+def certified_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of the polynomials whose coefficients, highest degree first and
+    with nonzero ends, are the rows of ``c`` (L, n + 1): the eigenvalues of
+    the stacked companion matrices from one ``np.linalg.eigvals`` call
+    (Edelman & Murakami, Math. Comp. 64, 1995), then two Newton steps.
+    Returns them (L, n), each row's worst backward error
+    |P(zeta)| / sum |c_j| |zeta|^j, which certifies the row when at most
+    ``DEFAULT_TOL`` (``uncertified`` is the error of a row that is not), and
+    each root's first-order error eps sum |c_j| |zeta|^j / |P'(zeta)|."""
+    n = c.shape[1] - 1
+    companion = np.zeros((len(c), n, n), dtype=c.dtype)
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+    zeta, dc = np.linalg.eigvals(companion), c[:, :-1] * np.arange(n, 0, -1)
     for _ in range(2):
-        slope = np.polyval(dc, zeta)
-        zeta = zeta - np.polyval(c, zeta) / slope
-    scale = np.polyval(np.abs(c), np.abs(zeta))
-    worst = float(np.max(np.abs(np.polyval(c, zeta)) / scale))
-    if not worst <= DEFAULT_TOL:
-        raise QuadratureError(f"root backward error {worst:.3e}", achieved_tol=worst)
+        slope = _horner(dc, zeta)
+        zeta = zeta - _horner(c, zeta) / slope
+    scale = _horner(np.abs(c), np.abs(zeta))
+    worst = np.max(np.abs(_horner(c, zeta)) / scale, axis=1)
     return zeta, worst, EPS * scale / np.abs(slope)
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of ``c`` as a polynomial at the points of the same row of
+    ``x``, in ``np.polyval``'s order of operations."""
+    y = np.zeros_like(x)
+    for j in range(c.shape[1]):
+        y = y * x + c[:, j:j + 1]
+    return y
+
+
+def uncertified(worst: float) -> QuadratureError:
+    """The error of roots whose worst backward error is above ``DEFAULT_TOL``."""
+    return QuadratureError(f"root backward error {worst:.3e}", achieved_tol=worst)
 
 
 class TrigPoly:
@@ -136,7 +156,10 @@ class TrigPoly:
         returns an empty array."""
         if self.is_constant():
             return np.empty(0)
-        zeta = certified_roots(self._laurent(value)[::-1])[0]
+        zeta, worst, _ = certified_roots(self._laurent(value)[None, ::-1])
+        if not worst[0] <= DEFAULT_TOL:
+            raise uncertified(float(worst[0]))
+        zeta = zeta[0]
         return distinct_angles(np.angle(zeta[np.abs(np.abs(zeta) - 1.0) < UNIT_ROOT_TOL]))
 
     def __eq__(self, other):

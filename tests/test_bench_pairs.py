@@ -60,6 +60,18 @@ def test_gain_needs_nine_pairs_in_ten():
     assert out["jobs_per_s"]["verdict"] == "same"
 
 
+def test_unresolved_verdict_says_why():
+    out = bench_pairs.summarize(METRICS[:1], _pairs(WIDE, [x + 0.1 for x in WIDE], "jobs_per_s"))
+    m = out["jobs_per_s"]
+    assert m["verdict"] == "unresolved"
+    # the parent's quartiles are 0.825 and 1.175 about a median of 1.0
+    assert bench_pairs.verdict_text("jobs_per_s", m) == (
+        "jobs_per_s unresolved (parent IQR 35.0% of its median, bound 25%; "
+        "pairs won: change 10, parent 0)")
+    out = bench_pairs.summarize(METRICS[:1], _pairs(TIGHT, [1.5 * x for x in TIGHT], "jobs_per_s"))
+    assert bench_pairs.verdict_text("jobs_per_s", out["jobs_per_s"]) == "jobs_per_s gain"
+
+
 def test_source_lines_counts_the_package_modules(tmp_path):
     pkg = tmp_path / "src" / "toepspec"
     pkg.mkdir(parents=True)

@@ -423,9 +423,9 @@ def test_level_set_and_q_share_one_root_solve(monkeypatch, fig2):
     solves = []
     factor = levelset._factor_level
 
-    def counted(*args):
-        solves.append(args[1])
-        return factor(*args)
+    def counted(sym, lams):
+        solves.extend(lams)
+        return factor(sym, lams)
 
     monkeypatch.setattr(levelset, "_factor_level", counted)
     frame = spectral_frame(sym, 0.3)

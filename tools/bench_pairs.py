@@ -144,6 +144,19 @@ def verdict(sign: float, bound: float, p: dict, c: dict, change_won: int) -> str
     return "same"
 
 
+def verdict_text(name: str, m: dict) -> str:
+    """A metric's verdict from ``summarize``; an ``unresolved`` one with why:
+    the parent's interquartile range as a share of its median, beside the
+    metric's bound, and the pairs each side won."""
+    text = f"{name} {m['verdict']}"
+    if m["verdict"] != "unresolved":
+        return text
+    p = m["parent"]
+    share = (p["q3"] - p["q1"]) / (abs(p["median"]) or 1.0)
+    return (f"{text} (parent IQR {share:.1%} of its median, bound {m['bound']:.0%}; "
+            f"pairs won: change {m['change_won']}, parent {m['parent_won']})")
+
+
 # a self time counts as moved beyond this many seconds per pass
 TRACE_SELF_S = 0.05
 
@@ -254,7 +267,7 @@ def run_pairs(bench: dict, sides: dict, args) -> dict:
             "trace": {"seed": args.seeds[0], **traced, "moved": moves},
         }
         print(f"{workload} verdicts: " + ", ".join(
-            f"{name} {m['verdict']}" for name, m in metrics.items()), file=sys.stderr)
+            verdict_text(name, m) for name, m in metrics.items()), file=sys.stderr)
         print(f"{workload} job kinds whose median p50 moved by more than {p50_bound:.0%}, "
               "parent -> change:", file=sys.stderr)
         for line in kinds["moved"] or ["(none)"]:
