@@ -29,6 +29,7 @@ from .levelset import (
     _level_factors,
     _level_records,
     _LevelFactors,
+    _levels,
     _raised,
     _record,
     admissible_intervals,
@@ -295,7 +296,7 @@ def _closed_q(factors: _LevelFactors, z: np.ndarray) -> np.ndarray:
     one row per level, computed for as many levels at a time as keep each
     temporary under ``CHUNK`` entries.  A non-finite value raises
     ``QuadratureError``."""
-    levels = np.shape(factors.pieces[0][2])
+    levels = _levels(factors.pieces[0][2])
     if levels:
         width = len(z) * max(1, max(beta.shape[-1] for *_, beta, _ in factors.pieces))
         if len(factors.pieces) > 1:
@@ -359,20 +360,21 @@ def q_function(sym: PiecewiseSymbol, z, lam):
     az = np.abs(flat)
     if np.any(np.abs(az - 1.0) < 1e-8):
         raise ValueError("evaluation on the unit circle requires boundary_xi")
-    if np.ndim(lam):
+    levels = _levels(lam)
+    if levels:
         factors = _stack(_real_records(sym, lam))
     else:
         lam = _level(lam)
         factors = _level_factors(sym, lam) if isinstance(lam, float) else _factor_nonreal(sym, lam)
     inside = az < 1.0
-    out = np.empty(np.shape(lam) + flat.shape, dtype=complex)
+    out = np.empty(levels + flat.shape, dtype=complex)
     if inside.any():
         out[..., inside] = _closed_q(factors, flat[inside])
     if not inside.all():
         out[..., ~inside] = -np.conj(_closed_q(factors.conj(), 1.0 / np.conj(flat[~inside])))
     if out.ndim == 1 and zs.ndim == 0:
         return complex(out[0])
-    return out.reshape(np.shape(lam) + zs.shape)
+    return out.reshape(levels + zs.shape)
 
 
 def xi(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
@@ -535,7 +537,7 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndar
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
     if m_out < 1 or m_out & (m_out - 1):
         raise ValueError("m_out must be a power of two")
-    lams = [_check_level(sym, x) for x in np.ravel(lam)]
+    lams = [_check_level(sym, x) for x in (lam if _levels(lam) else [lam])]
     records = _real_records(sym, lams)
     out = np.empty((len(lams), m_out), dtype=complex)
     closed = []
@@ -557,7 +559,7 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndar
     if closed:
         z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
         out[closed] = np.exp(-0.5 * _closed_q(_stack([records[k] for k in closed]), z))
-    return out if np.ndim(lam) else out[0]
+    return out if _levels(lam) else out[0]
 
 
 def outer_F(sym: PiecewiseSymbol, z: complex, lam: float) -> complex:
@@ -622,20 +624,19 @@ def coefficients_c(arcs):
     (``_arc_pairs``), whose first failing level raises.
     """
     a, b = _arc_pairs(arcs)
-    alpha = np.exp(1j * a)
-    beta = np.exp(1j * b)
-    num = np.prod(np.abs(beta[..., :, None] - alpha[..., None, :]), axis=-1)
+    alpha, beta = np.exp(1j * a), np.exp(1j * b)
     # the scalar modulus hypot(re, im), which the array modulus can miss by an ulp
     chords = beta[..., :, None] - beta[..., None, :]
     gaps = np.hypot(chords.real, chords.imag)
     own = np.eye(a.shape[-1], dtype=bool)
-    merged = np.any((gaps < 1e-8) & ~own, axis=(-2, -1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = num / (2.0 * math.pi * np.prod(np.where(own, 1.0, gaps), axis=-1))
-    bad = np.atleast_1d(merged | np.any(c <= 0.0, axis=-1))
+    merged = ((gaps < 1e-8) & ~own).any(axis=(-2, -1))
+    # gaps under 1e-8 belong to merged levels, refused below
+    denom = np.prod(np.where(own, 1.0, np.maximum(gaps, 1e-8)), axis=-1)
+    c = np.prod(np.abs(beta[..., :, None] - alpha[..., None, :]), axis=-1) / (2.0 * math.pi * denom)
+    bad = merged | (c <= 0.0).any(axis=-1)
     if bad.any():
-        first = int(np.argmax(bad))
-        if np.atleast_1d(merged)[first]:
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        if merged[first]:
             raise ValueError("merged singularities: coincident arc end angles")
         raise ValueError("nonpositive arc coefficient; arcs are inconsistent")
     return c if isinstance(arcs, np.ndarray) else tuple(c.tolist())

@@ -173,9 +173,11 @@ class _SymbolRecord:
         return self.reports[i]
 
     def get(self, key, build):
-        hit = self.stored([key])[0]
-        if hit is not None:
-            return hit
+        with _lock:
+            hit = self.levels.get(key)
+            if hit is not None:
+                self.levels.move_to_end(key)
+                return hit
         value = build()
         self.store(key, value)
         return value
@@ -267,7 +269,8 @@ def _check_plateau(sym: PiecewiseSymbol, lam):
 def _piece_roots(poly, lams: np.ndarray):
     """The reversed Laurent coefficients of p - lam for each level (a row
     each) and ``certified_roots``' roots, backward errors and root errors."""
-    c = np.repeat(poly._laurent()[None, ::-1], len(lams), axis=0)
+    c = np.empty((len(lams), 2 * poly.degree + 1), dtype=complex)
+    c[:] = poly._laurent()[::-1]
     c[:, poly.degree] = poly.a[0] - lams
     return (c,) + certified_roots(c)
 
@@ -300,43 +303,43 @@ def _factor_level(sym: PiecewiseSymbol, lams: np.ndarray) -> list:
     lams = lams[ok]
     g1, g2 = sym.essential_range()
     crossable = (g1 < lams) & (lams < g2)
-    roots, worst, reach = 0, np.zeros(len(lams)), np.full(len(lams), math.inf)
-    # each level's first piece whose roots miss their certificate, and its error
-    failed, failure = np.full(len(lams), -1), np.zeros(len(lams))
-    parts = []   # per piece: (a, end, const, beta, crossing angles or NaN, beta errors)
-    for p, (piece, nxt) in enumerate(zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1])):
+    roots, reach, backward = 0, np.full(len(lams), math.inf), [np.zeros(len(lams))]
+    parts = []   # per piece: (a, end, const, beta, root angles, crossing mask, beta errors)
+    for piece, nxt in zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1]):
         a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, nxt.theta_start
         if poly.is_constant():
             const = np.array([math.log(abs(poly.a[0] - lam)) for lam in lams])
             none = np.empty((len(lams), 0))
-            parts.append((a, end, const, none.astype(complex), none, none))
+            parts.append((a, end, const, none.astype(complex), none, none.astype(bool), none))
             continue
-        c, zeta, backward, error = _piece_roots(poly, lams)
-        first = (failed < 0) & ~(backward <= DEFAULT_TOL)
-        failed[first], failure[first] = p, backward[first]
-        worst = np.maximum(worst, backward)
+        c, zeta, worst, error = _piece_roots(poly, lams)
+        backward.append(worst)
         roots += zeta.shape[1]
         modulus = np.abs(zeta)
         theta = np.mod(np.angle(zeta), TWO_PI)
         off = np.mod(theta - a, TWO_PI)
         away = np.maximum(0.0, np.minimum(off - (b - a), TWO_PI - off))
         cross = crossable[:, None] & (np.abs(modulus - 1.0) < UNIT_ROOT_TOL) & (away <= ANGLE_TOL)
+        logm = np.log(modulus)
         reach = np.minimum(reach, np.min(np.where(cross, math.inf, np.maximum(
-            np.abs(np.log(modulus)), away)), axis=1))
+            np.abs(logm), away)), axis=1))
         far = modulus > 1.0
-        const = math.log(abs(c[0, 0])) + np.sum(np.log(np.where(far, modulus, 1.0)), axis=1)
+        const = math.log(abs(c[0, 0])) + np.sum(np.where(far, logm, 0.0), axis=1)
         beta = np.where(far, 1.0 / zeta, np.conj(zeta))
-        parts.append((a, end, const, beta, np.where(cross, theta, np.nan),
-                      np.where(far, error / modulus**2, error)))
+        parts.append((a, end, const, beta, theta, cross, np.where(far, error / modulus**2, error)))
+    # a level's error is that of its first piece whose roots miss their certificate
+    backward = np.array(backward)
+    uncertain = ~(backward <= DEFAULT_TOL)
+    worst = np.max(backward, axis=0)
     for j, i in enumerate(ok):
-        if failed[j] >= 0:
-            out[i] = uncertified(float(failure[j]))
+        if uncertain[:, j].any():
+            out[i] = uncertified(float(backward[np.argmax(uncertain[:, j]), j]))
             continue
-        angles = np.concatenate([crossing[j] for *_, crossing, _ in parts])
         out[i] = _LevelFactors(
             tuple((a, end, float(const[j]), beta[j].copy(), np.conj(beta[j]))
                   for a, end, const, beta, *_ in parts),
-            0.5, roots, float(worst[j]), distinct_angles(angles[~np.isnan(angles)]),
+            0.5, roots, float(worst[j]),
+            distinct_angles(np.concatenate([theta[j][cross[j]] for *_, theta, cross, _ in parts])),
             np.concatenate([np.empty(0)] + [error[j] for *_, error in parts]), float(reach[j]))
     return out
 
@@ -388,6 +391,11 @@ def _factor_nonreal(sym: PiecewiseSymbol, lam: complex) -> _LevelFactors:
     return _LevelFactors(tuple(pieces), 1.0, roots, worst, np.empty(0), np.empty(0), math.inf)
 
 
+def _levels(lam) -> tuple:
+    """The level axis of an array of levels; () for one level."""
+    return lam.shape if isinstance(lam, np.ndarray) else ()
+
+
 def _raised(value):
     """``value``, unless it is an error, which is raised."""
     if isinstance(value, Exception):
@@ -414,7 +422,8 @@ def _level_records(sym: PiecewiseSymbol, lams) -> list:
 
 def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
     """The stored root record of a real level, solved once per exact value."""
-    return _raised(_level_records(sym, [lam])[0])
+    lam = float(lam)
+    return _record(sym).get(lam, lambda: _raised(_factor_level(sym, np.array([lam]))[0]))
 
 
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
@@ -643,9 +652,11 @@ def _count(sym: PiecewiseSymbol, a: float, b: float) -> CountReport:
         nm = sum(1 for _, s in roots if s > 0)
         return len(roots) - nm, nm  # (n_plus: omega' < 0, n_minus: omega' > 0)
 
+    samples = [a + frac * (b - a) for frac in (0.125, 0.3125, 0.6875, 0.875)]
+    _level_records(sym, [0.5 * (a + b)] + samples)   # solved together
     n_plus, n_minus = root_counts(0.5 * (a + b))
-    for frac in (0.125, 0.3125, 0.6875, 0.875):
-        if root_counts(a + frac * (b - a)) != (n_plus, n_minus):
+    for lam in samples:
+        if root_counts(lam) != (n_plus, n_minus):
             raise CountingError("root counts vary across the interval")
 
     signs = [j.sign for j in sym.jump_intervals if j.contains_interval(a, b)]

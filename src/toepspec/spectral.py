@@ -24,6 +24,7 @@ from .levelset import (
     Arc,
     GUARD,
     LevelSet,
+    _levels,
     arcs_measure,
     counting_report,
     level_report,
@@ -70,7 +71,7 @@ def _ends(levels) -> np.ndarray:
     m = levels[0].m if levels else 0
     ends = np.array([[(arc.alpha, arc.beta) for arc in one.arcs] for one in levels],
                     dtype=float).reshape(len(levels), m, 2)
-    return np.ascontiguousarray(np.moveaxis(ends, -1, 0))
+    return np.ascontiguousarray(ends.transpose(2, 0, 1))
 
 
 class SpectralFrame:
@@ -144,7 +145,7 @@ class SpectralFrame:
         mirror = np.divide(1.0, np.conj(zs), out=zs.copy(), where=outside)
         phase = phase_A_closed(self._ends, mirror)
         phase0 = self._phase0
-        if np.ndim(self.lam):   # each level's factors on its own branch axis
+        if _levels(self.lam):   # each level's factors on its own branch axis
             phase0, xiv = phase0.reshape((-1,) + (1,) * (zs.ndim + 1)), xiv[:, None]
             phase = phase[:, None]
         common = phase0 * xiv * np.exp(1j * np.where(outside, -np.conj(phase), phase))
@@ -206,7 +207,7 @@ class SpectralFrame:
         u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
         nd = max(u.ndim, v.ndim)
         u, v = u.reshape((1,) * (nd - u.ndim) + u.shape), v.reshape((1,) * (nd - v.ndim) + v.shape)
-        levels = np.shape(self.lam)
+        levels = _levels(self.lam)
         xis = xi_grid(self.sym, np.concatenate((u.ravel(), v.ravel())), self.lam)
         xiu = xis[..., :u.size].reshape(levels + u.shape)
         xiv = xis[..., u.size:].reshape(levels + v.shape)
@@ -280,7 +281,7 @@ def spectral_frame(sym: PiecewiseSymbol, lam) -> SpectralFrame:
     holds them all, from one ``sublevel_sets`` call.  Where a level fails, it
     raises the error that a loop over the levels would raise first.
     """
-    if not np.ndim(lam):
+    if not _levels(lam):
         return SpectralFrame(sym, sublevel_set(sym, lam))
     sets = sublevel_sets(sym, lam)
     first = next((k for k, level in enumerate(sets) if isinstance(level, Exception)), None)

@@ -72,7 +72,7 @@ def certified_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     each root's first-order error eps sum |c_j| |zeta|^j / |P'(zeta)|."""
     n = c.shape[1] - 1
     companion = np.zeros((len(c), n, n), dtype=c.dtype)
-    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion.reshape(len(c), -1)[:, n::n + 1] = 1.0   # the subdiagonal
     companion[:, 0, :] = -c[:, 1:] / c[:, :1]
     zeta, dc = np.linalg.eigvals(companion), c[:, :-1] * np.arange(n, 0, -1)
     for _ in range(2):
