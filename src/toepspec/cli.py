@@ -87,6 +87,24 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return _parse_float(parts[0]), _parse_float(parts[1])
 
 
+def _parse_points(text: str) -> list[complex]:
+    return [_parse_complex(t) for t in text.split(",")]
+
+
+def _parse_sizes(text: str) -> list[int]:
+    return [_parse_count(t) for t in text.split(",")]
+
+
+def _parse_zgrid(text: str) -> tuple[float, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise UsageError("zgrid must be 'radius,count'")
+    r, count = _parse_float(parts[0]), _parse_count(parts[1])
+    if not 0.0 < r < 1.0:
+        raise UsageError("zgrid radius must lie in (0, 1)")
+    return r, count
+
+
 def _emit(text: str, path: str | None):
     if path:
         try:
@@ -117,7 +135,11 @@ def _emit_complex_csv(names, lams, values, path: str | None):
     _emit_csv(header, rows, path)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first ``run``.  Every
+    option's value is parsed here (``type=``), so a usage error is raised
+    before the symbol is loaded and before any analysis."""
     p = _Parser(prog="toepspec", description="Spectral data of self-adjoint Toeplitz operators")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -134,42 +156,45 @@ def _build_parser() -> _Parser:
     s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
 
     s = add("multiplicity", "crossing counts and multiplicity on an interval")
-    s.add_argument("--interval", required=True, help="a,b")
+    s.add_argument("--interval", type=_parse_interval, required=True, help="a,b")
 
     s = add("xi", "outer-modulus function at a point")
-    s.add_argument("--z", required=True, help="complex point, e.g. 0.3+0.2i")
+    s.add_argument("--z", type=_parse_complex, required=True, help="complex point, e.g. 0.3+0.2i")
     s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
 
     s = add("phase", "phase function at a point")
-    s.add_argument("--z", required=True)
+    s.add_argument("--z", type=_parse_complex, required=True)
     s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
 
     s = add("density", "spectral density kernel on a lambda grid")
     s.epilog = ("CSV columns: lambda, then d_{i}_{k}_re and d_{i}_{k}_im for every "
                 "ordered pair (point i, point k); one row per grid level.")
-    s.add_argument("--interval", required=True)
+    s.add_argument("--interval", type=_parse_interval, required=True)
     s.add_argument("--grid", type=_parse_count, default=64)
-    s.add_argument("--points", required=True, help="comma-separated disk points")
+    s.add_argument("--points", type=_parse_points, required=True,
+                   help="comma-separated disk points")
 
     s = add("eigenfun", "generalized eigenfunction on a z grid")
     s.epilog = "CSV columns: re_z, im_z, re_phi, im_phi; one row per grid point."
     s.add_argument("--lambda", dest="lam", type=_parse_float, required=True)
     s.add_argument("--branch", type=_parse_int, default=1)
-    s.add_argument("--zgrid", default="0.5,64", help="radius,count of a circle grid")
+    s.add_argument("--zgrid", type=_parse_zgrid, default="0.5,64",
+                   help="radius,count of a circle grid")
 
     s = add("diagonalize", "diagonalizing-map components on a lambda grid")
     s.epilog = ("CSV columns: lambda, then phi_{j}_re and phi_{j}_im for each of "
                 "the m branches; one row per Gauss-Legendre node.")
-    s.add_argument("--interval", required=True)
+    s.add_argument("--interval", type=_parse_interval, required=True)
     s.add_argument("--vector", required=True, help="JSON file listing kernel terms")
     s.add_argument("--grid", type=_parse_count, default=64)
 
     s = add("validate", "finite-section comparison against the analytic measure")
     s.epilog = ("--csv table columns: N, then err_{i}_{k} (absolute weak-measure "
                 "error) for every ordered point pair; one row per section size.")
-    s.add_argument("--interval", required=True)
-    s.add_argument("--n", default="512,1024,2048,4096", help="section sizes")
-    s.add_argument("--points", default="0", help="comma-separated disk points")
+    s.add_argument("--interval", type=_parse_interval, required=True)
+    s.add_argument("--n", type=_parse_sizes, default="512,1024,2048,4096", help="section sizes")
+    s.add_argument("--points", type=_parse_points, default="0",
+                   help="comma-separated disk points")
     s.add_argument("--csv", default=None, help="also write the error table here")
     return p
 
@@ -209,7 +234,7 @@ def _cmd_levelset(sym, args) -> int:
 
 
 def _cmd_multiplicity(sym, args) -> int:
-    rep = levelset.counting_report(sym, _parse_interval(args.interval))
+    rep = levelset.counting_report(sym, args.interval)
     _emit_json(
         {"n_plus": rep.n_plus, "n_minus": rep.n_minus,
          "s_plus": rep.s_plus, "s_minus": rep.s_minus, "m": rep.m},
@@ -219,8 +244,7 @@ def _cmd_multiplicity(sym, args) -> int:
 
 
 def _cmd_xi(sym, args) -> int:
-    z = _parse_complex(args.z)
-    value = hardy.xi(sym, z, args.lam)
+    value = hardy.xi(sym, args.z, args.lam)
     factors = hardy._level_factors(sym, args.lam)
     _emit_json(
         {"value": _cnum(value), "achieved_tol": factors.achieved_tol,
@@ -231,24 +255,23 @@ def _cmd_xi(sym, args) -> int:
 
 
 def _cmd_phase(sym, args) -> int:
-    z = _parse_complex(args.z)
     frame = spectral.spectral_frame(sym, args.lam)
     arcs = frame.level.arcs
     out = {
         "lambda": args.lam,
         "measure": frame.level.measure,
-        "integral": _cnum(hardy.phase_A_integral(arcs, z)),
+        "integral": _cnum(hardy.phase_A_integral(arcs, args.z)),
     }
-    if abs(z) < 1.0:
-        out["closed"] = _cnum(hardy.phase_A_closed(arcs, z))
+    if abs(args.z) < 1.0:
+        out["closed"] = _cnum(hardy.phase_A_closed(arcs, args.z))
     _emit_json(out, args.output)
     return 0
 
 
 def _cmd_density(sym, args) -> int:
-    a, b = _parse_interval(args.interval)
+    a, b = args.interval
     levelset.counting_report(sym, (a, b))
-    pts = np.array([_parse_complex(t) for t in args.points.split(",")])
+    pts = np.array(args.points)
     lams = [a + (k + 0.5) * (b - a) / args.grid for k in range(args.grid)]
     frame = spectral.spectral_frame(sym, np.array(lams))
     values = [row.ravel() for _, part in frame._parts(frame.m * (len(pts) + 2) * len(pts))
@@ -260,12 +283,7 @@ def _cmd_density(sym, args) -> int:
 
 def _cmd_eigenfun(sym, args) -> int:
     frame = spectral.spectral_frame(sym, args.lam)
-    parts = args.zgrid.split(",")
-    if len(parts) != 2:
-        raise UsageError("zgrid must be 'radius,count'")
-    r, count = _parse_float(parts[0]), _parse_count(parts[1])
-    if not 0.0 < r < 1.0:
-        raise UsageError("zgrid radius must lie in (0, 1)")
+    r, count = args.zgrid
     zs = r * np.exp(2j * math.pi * np.arange(count) / count)
     frame._check_branch(args.branch)
     vals = frame.eigen_matrix(zs)[args.branch - 1]
@@ -283,20 +301,19 @@ def _read_terms(path: str) -> list[tuple[complex, complex]]:
 
 def _cmd_diagonalize(sym, args) -> int:
     f = HardyVector.of(*_load("vector", _read_terms, args.vector))
-    family = FrameFamily(sym, _parse_interval(args.interval), n_grid=args.grid)
+    family = FrameFamily(sym, args.interval, n_grid=args.grid)
     names = [f"phi_{j + 1}" for j in range(family.m)]
     _emit_complex_csv(names, family.lams, phi_map_family(family, f), args.output)
     return 0
 
 
 def _cmd_validate(sym, args) -> int:
-    a, b = _parse_interval(args.interval)
-    sizes = [_parse_count(t) for t in args.n.split(",")]
-    points = [_parse_complex(t) for t in args.points.split(",")]
+    a, b = args.interval
+    points = args.points
     g = oracle.smooth_bump(a, b)
     if args.csv:
         _emit("", args.csv)  # an unwritable path fails before the eigensolves
-    report = oracle.validate(sym, (a, b), g, points, sizes)
+    report = oracle.validate(sym, (a, b), g, points, args.n)
     if args.csv:
         header = ["N"] + [f"err_{i}_{k}" for i in range(len(points)) for k in range(len(points))]
         rows = [[n] + list(report.errors[row]) for row, n in enumerate(report.sizes)]

@@ -132,6 +132,32 @@ def test_parse_run_reads_the_kinds_of_the_detail_line():
     assert out["kinds"] == {"xi/regular": 2.5, "levelset/singular": 1.25}
 
 
+def test_setup_samples_are_pooled_beside_the_verdict():
+    def run(samples):
+        detail = {"detail": {"kinds": {}, "setup_samples_s": samples}}
+        result = {"metrics": {"setup_s": {"value": sorted(samples)[2], "unit": "s"}}}
+        return bench_pairs.parse_run(json.dumps(detail) + "\n" + json.dumps(result) + "\n")
+
+    traced = bench_pairs.parse_run(json.dumps({"detail": {"kinds": {}}}) + "\n{}\n")
+    assert traced["setup_samples_s"] == []
+    pairs = [(run([0.20, 0.21, 0.22, 0.35, 0.36]), run([0.24, 0.25, 0.26, 0.27, 0.28])),
+             (run([0.23, 0.24, 0.40, 0.20, 0.22]), run([0.29, 0.30, 0.31, 0.25, 0.26]))]
+    assert pairs[0][0]["setup_samples_s"] == [0.20, 0.21, 0.22, 0.35, 0.36]
+    pooled = bench_pairs.pool_setup(pairs)
+    assert pooled["parent"]["runs"] == [0.20, 0.21, 0.22, 0.35, 0.36, 0.23, 0.24, 0.40, 0.20, 0.22]
+    # ten samples a side: the quartiles fall at ranks 3.25 and 7.75 of the sorted samples
+    assert pooled["parent"]["median"] == pytest.approx(0.225)
+    assert pooled["parent"]["q1"] == pytest.approx(0.2125)
+    assert pooled["parent"]["q3"] == pytest.approx(0.3225)
+    assert pooled["change"]["median"] == pytest.approx(0.265)
+    m = bench_pairs.summarize([{"name": "setup_s", "unit": "s", "better": "lower",
+                                "bound": 0.25}], pairs)["setup_s"]
+    m["pooled"] = pooled
+    assert bench_pairs.verdict_text("setup_s", m) == (
+        f"setup_s {m['verdict']} [pooled samples: parent 0.225 (0.2125-0.3225, n=10), "
+        "change 0.265 (0.2525-0.2875, n=10)]")
+
+
 def test_kind_moves_names_the_kinds_past_the_bound():
     parent = [{"kinds": {"xi/regular": p, "eigenfun/singular": 10.0, "old": 1.0}}
               for p in (2.0, 2.2, 1.9, 2.1, 2.0)]

@@ -41,6 +41,9 @@ def test_unknown_flag_is_usage_error(capsys):
     ["xi", "--symbol", "regular", "--z", "abc", "--lambda", "0.1"],
     ["density", "--symbol", "regular", "--interval=-0.5,0.5", "--points", "0,zz"],
     ["multiplicity", "--symbol", "regular", "--interval=a,0.5"],
+    # each beside an argument that the analysis would refuse: the usage error comes first
+    ["eigenfun", "--symbol", "regular", "--lambda=5", "--zgrid=bad"],
+    ["density", "--symbol", "regular", "--interval=-2,0.5", "--points=zz"],
 ])
 def test_malformed_number_is_usage_error(capsys, argv):
     code, _, err = run_capture(capsys, argv)
@@ -70,6 +73,61 @@ def test_non_finite_or_empty_input_is_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "usage error" in err
+
+
+def run_outcome(capsys, argv):
+    """run_capture, with the exit of ``--help`` as the code."""
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_per_process_answers_as_a_fresh_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "vec.json").write_text(json.dumps({"terms": [{"c": [1.0, 0.0], "z": [0.0, 0.0]}]}))
+    calls = [
+        ["levelset", "--symbol", "regular"],                              # missing option
+        ["spectrum", "--symbol", "regular"],
+        ["xi", "--symbol", "regular", "--z", "abc", "--lambda", "0.1"],   # malformed number
+        ["levelset", "--symbol", "regular", "--lambda", "0.25"],
+        ["bogus", "--symbol", "regular"],                                 # unknown subcommand
+        ["multiplicity", "--symbol", "regular", "--interval=-0.5,0.5"],
+        ["spectrum", "--symbol", "regular", "--output", "no_dir/out.json"],
+        ["xi", "--symbol", "regular", "--z", "0.3+0.2i", "--lambda", "0.1"],
+        ["eigenfun", "--symbol", "regular", "--lambda", "0", "--zgrid", "0.5,0"],
+        ["phase", "--symbol", "regular", "--z", "0.2", "--lambda", "0"],
+        ["density", "--symbol", "regular", "--interval=-0.5,0.5", "--grid", "4",
+         "--points", "0,0.3+0.2i"],
+        ["eigenfun", "--symbol", "regular", "--lambda", "0", "--zgrid", "0.5,4"],
+        ["diagonalize", "--symbol", "regular", "--interval=-0.5,0.5", "--vector", "vec.json",
+         "--grid", "8"],
+        ["validate", "--symbol", "regular", "--interval=-0.5,0.5", "--n", "64,128"],
+        ["multiplicity", "--symbol", "regular"],
+        ["eigenfun", "--help"],
+        ["spectrum", "--symbol", "regular"],
+    ]
+    assert {argv[0] for argv in calls} >= set(cli._COMMANDS)
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    reused = [run_outcome(capsys, argv) for argv in calls]
+    # one parser and its subcommands' parsers, however many calls
+    assert built.count("toepspec") == 1
+    assert len(built) == 1 + len(cli._COMMANDS)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    for argv, outcome in zip(calls, reused):
+        assert run_outcome(capsys, argv) == outcome, argv
+    assert [code for code, _, _ in reused] == [1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 0, 0, 0, 0, 1,
+                                               ("exit", 0), 0]
 
 
 def test_complex_parser_keeps_inf_and_reads_the_unit():

@@ -16,7 +16,10 @@ runs with their median and quartiles, how many pairs each side won
 side's median over its runs of the kind's p50 time is kept under ``kinds``,
 and the kinds that moved by more than the ``job_p50_ms`` bound (see
 ``kind_moves``) are printed: a workload's one p50 can hide a kind that
-slowed down.  Each workload also
+slowed down.  Each run's ``setup_s`` is the median of its set-up samples
+(``setup_samples_s`` in the detail line); each side's samples are also
+pooled over its runs, and their median and quartiles are kept and printed
+beside the ``setup_s`` verdict (see ``pool_setup``).  Each workload also
 runs once per side with ``--trace 1`` on the first seed; both sides'
 per-layer metrics are kept under ``trace``, and the layers that moved (see
 ``trace_moves``) are printed.  The file also holds each side's line count
@@ -86,12 +89,20 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
 
 def parse_run(stdout: str) -> dict:
     """The result line of one run, with each job kind's p50 time in ms, from
-    the run's detail line, under ``kinds``."""
+    the run's detail line, under ``kinds``, and the detail line's set-up
+    samples in s under ``setup_samples_s`` (none in a traced run)."""
     lines = [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
     result = lines[-1]
     detail = next(line["detail"] for line in lines if "detail" in line)
     result["kinds"] = {kind: k["p50_ms"] for kind, k in detail["kinds"].items()}
+    result["setup_samples_s"] = detail.get("setup_samples_s", [])
     return result
+
+
+def pool_setup(pairs: list[tuple[dict, dict]]) -> dict:
+    """Each side's set-up samples pooled over its runs, as a ``spread``."""
+    return {side: spread([x for pair in pairs for x in pair[i]["setup_samples_s"]])
+            for i, side in enumerate(("parent", "change"))}
 
 
 def kind_medians(runs: list[dict]) -> dict:
@@ -147,14 +158,20 @@ def verdict(sign: float, bound: float, p: dict, c: dict, change_won: int) -> str
 def verdict_text(name: str, m: dict) -> str:
     """A metric's verdict from ``summarize``; an ``unresolved`` one with why:
     the parent's interquartile range as a share of its median, beside the
-    metric's bound, and the pairs each side won."""
+    metric's bound, and the pairs each side won.  Where the metric keeps
+    ``pooled`` samples (``setup_s``), each side's median, quartiles and
+    sample count follow."""
     text = f"{name} {m['verdict']}"
-    if m["verdict"] != "unresolved":
-        return text
-    p = m["parent"]
-    share = (p["q3"] - p["q1"]) / (abs(p["median"]) or 1.0)
-    return (f"{text} (parent IQR {share:.1%} of its median, bound {m['bound']:.0%}; "
-            f"pairs won: change {m['change_won']}, parent {m['parent_won']})")
+    if m["verdict"] == "unresolved":
+        p = m["parent"]
+        share = (p["q3"] - p["q1"]) / (abs(p["median"]) or 1.0)
+        text += (f" (parent IQR {share:.1%} of its median, bound {m['bound']:.0%}; "
+                 f"pairs won: change {m['change_won']}, parent {m['parent_won']})")
+    if "pooled" in m:
+        text += " [pooled samples: " + ", ".join(
+            f"{side} {s['median']:.4g} ({s['q1']:.4g}-{s['q3']:.4g}, n={len(s['runs'])})"
+            for side, s in m["pooled"].items()) + "]"
+    return text
 
 
 # a self time counts as moved beyond this many seconds per pass
@@ -251,6 +268,8 @@ def run_pairs(bench: dict, sides: dict, args) -> dict:
                 f"{side} jobs_per_s {result[side]['metrics']['jobs_per_s']['value']:.4g}"
                 for side in order), file=sys.stderr)
         metrics = summarize(bench["end_to_end"], pairs)
+        if "setup_s" in metrics:
+            metrics["setup_s"]["pooled"] = pool_setup(pairs)
         kinds = {"parent": kind_medians([p for p, _ in pairs]),
                  "change": kind_medians([c for _, c in pairs])}
         p50_bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "job_p50_ms")
