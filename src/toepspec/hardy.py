@@ -23,13 +23,13 @@ from .levelset import (
     GUARD,
     _arc_pairs,
     _check_level,
-    _check_plateau,
     _factor_nonreal,
     _level,
     _level_factors,
     _level_records,
     _LevelFactors,
     _levels,
+    _plateau_error,
     _raised,
     _record,
     admissible_intervals,
@@ -152,7 +152,7 @@ def log_rule(sym: PiecewiseSymbol, lam: float, extra=()) -> LogRule:
     constant piece's value raises ``ExceptionalLevelError``.  ``extra`` adds
     non-singular breakpoints to ``plain_rule``'s.
     """
-    _check_plateau(sym, lam)
+    _raised(_plateau_error(sym, lam))
     err = math.inf
     for depth in (DEFAULT_DEPTH, MAX_DEPTH):
         rule = plain_rule(sym, lam, extra, depth=depth)
@@ -333,15 +333,6 @@ def _stack(records) -> _LevelFactors:
     return replace(records[0], pieces=pieces)
 
 
-def _real_records(sym: PiecewiseSymbol, lams) -> list:
-    """The stored root records of an array of real levels (``_level_records``);
-    the first level that fails raises its error."""
-    for lam in lams:
-        if isinstance(_level(lam), complex):
-            raise ValueError(f"level {lam} is not real")
-    return [_raised(record) for record in _level_records(sym, lams)]
-
-
 def q_function(sym: PiecewiseSymbol, z, lam):
     """Schwarz-kernel average of the log weight of ``lam`` at z inside or
     outside the circle, for a point or an array of points: of ln|omega - lam|
@@ -362,7 +353,7 @@ def q_function(sym: PiecewiseSymbol, z, lam):
         raise ValueError("evaluation on the unit circle requires boundary_xi")
     levels = _levels(lam)
     if levels:
-        factors = _stack(_real_records(sym, lam))
+        factors = _stack([_raised(record) for record in _level_records(sym, lam)])
     else:
         lam = _level(lam)
         factors = _level_factors(sym, lam) if isinstance(lam, float) else _factor_nonreal(sym, lam)
@@ -538,7 +529,7 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndar
     if m_out < 1 or m_out & (m_out - 1):
         raise ValueError("m_out must be a power of two")
     lams = [_check_level(sym, x) for x in (lam if _levels(lam) else [lam])]
-    records = _real_records(sym, lams)
+    records = [_raised(record) for record in _level_records(sym, lams)]
     out = np.empty((len(lams), m_out), dtype=complex)
     closed = []
     for k, (x, factors) in enumerate(zip(lams, records)):

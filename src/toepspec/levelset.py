@@ -27,6 +27,7 @@ from .symbol import (
     DEFAULT_TOL,
     TWO_PI,
     UNIT_ROOT_TOL,
+    VALUE_TOL,
     PiecewiseSymbol,
     angles_on,
     certified_roots,
@@ -105,7 +106,7 @@ class ExceptionalSet:
 
     @cached_property
     def values(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.thresholds) | set(self.critical)))
+        return _distinct(self.thresholds + self.critical)
 
     def distance(self, lam: float) -> float:
         return min((abs(lam - v) for v in self.values), default=math.inf)
@@ -131,8 +132,8 @@ class _SymbolRecord:
     exceptional set and admissible intervals (``analysed``), one counting
     report per interval, where the multiplicity is constant (``report``),
     the symbol on ``log_fourier``'s grid (``tau_values``) and an LRU store
-    of real-level root records (``get``).  Stored values carry ``nbytes``;
-    one over ``LEVEL_STORE_BYTES`` is returned but not kept.  The record
+    of real-level root records (``stored``, ``store``).  Stored values carry
+    ``nbytes``; one over ``LEVEL_STORE_BYTES`` is not kept.  The record
     holds no reference to the symbol, so the weak-keyed dict can drop it.
     """
 
@@ -171,16 +172,6 @@ class _SymbolRecord:
         if i not in self.reports:
             self.reports[i] = _count(sym, self.lo[i], self.hi[i])
         return self.reports[i]
-
-    def get(self, key, build):
-        with _lock:
-            hit = self.levels.get(key)
-            if hit is not None:
-                self.levels.move_to_end(key)
-                return hit
-        value = build()
-        self.store(key, value)
-        return value
 
     def stored(self, keys) -> list:
         """The stored value of each key, None where there is none; a hit
@@ -259,11 +250,12 @@ class _LevelFactors:
         return replace(self, pieces=pieces)
 
 
-def _check_plateau(sym: PiecewiseSymbol, lam):
-    """A level equal to a constant piece's value, where the log weight is
-    -inf on a whole arc, raises ``ExceptionalLevelError``."""
+def _plateau_error(sym: PiecewiseSymbol, lam) -> ExceptionalLevelError | None:
+    """The ``ExceptionalLevelError`` of a level equal to a constant piece's
+    value, where the log weight is -inf on a whole arc; else None."""
     if any(p.poly.is_constant() and p.poly.a[0] == lam for p in sym.pieces):
-        raise ExceptionalLevelError(f"level {lam} is the value of a constant piece")
+        return ExceptionalLevelError(f"level {lam} is the value of a constant piece")
+    return None
 
 
 def _piece_roots(poly, lams: np.ndarray):
@@ -291,13 +283,8 @@ def _factor_level(sym: PiecewiseSymbol, lams: np.ndarray) -> list:
     miss their certificate with the first such piece's ``QuadratureError``.
     """
     lams = np.asarray(lams, dtype=float)
-    out: list = [None] * len(lams)
-    for i, lam in enumerate(lams):
-        try:
-            _check_plateau(sym, lam)
-        except ExceptionalLevelError as exc:
-            out[i] = exc
-    ok = [i for i, lam in enumerate(out) if lam is None]
+    out: list = [_plateau_error(sym, lam) for lam in lams]
+    ok = [i for i, error in enumerate(out) if error is None]
     if not ok:
         return out
     lams = lams[ok]
@@ -361,7 +348,7 @@ def _factor_nonreal(sym: PiecewiseSymbol, lam: complex) -> _LevelFactors:
     ``QuadratureError``, and a level on a constant piece's value
     ``ExceptionalLevelError``.
     """
-    _check_plateau(sym, lam)
+    _raised(_plateau_error(sym, lam))
     none = np.empty(0, dtype=complex)
     pieces, roots, worst = [], 0, 0.0
     for piece, nxt in zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1]):
@@ -392,7 +379,10 @@ def _factor_nonreal(sym: PiecewiseSymbol, lam: complex) -> _LevelFactors:
 
 
 def _levels(lam) -> tuple:
-    """The level axis of an array of levels; () for one level."""
+    """The level axis of an array of levels, which must hold one at least;
+    () for one level."""
+    if isinstance(lam, np.ndarray) and not lam.size:
+        raise ValueError("the array of levels is empty")
     return lam.shape if isinstance(lam, np.ndarray) else ()
 
 
@@ -407,23 +397,22 @@ def _level_records(sym: PiecewiseSymbol, lams) -> list:
     """The stored root record of each real level, or the error its solve
     raises.  The levels not in the store are solved together
     (``_factor_level``), and each record is stored under its level's exact
-    value, so a later call at one of them reads it."""
-    keys = [float(lam) for lam in lams]
+    value (``_level``, which refuses one that is not finite and real)."""
+    keys = [_level(lam, real=True) for lam in lams]
     rec = _record(sym)
     out = rec.stored(keys)
     missing = [i for i, hit in enumerate(out) if hit is None]
-    if missing:
-        for i, value in zip(missing, _factor_level(sym, np.array([keys[i] for i in missing]))):
-            out[i] = value
-            if not isinstance(value, Exception):
-                rec.store(keys[i], value)
+    for i, value in zip(missing, _factor_level(sym, np.array([keys[i] for i in missing]))):
+        out[i] = value
+        if not isinstance(value, Exception):
+            rec.store(keys[i], value)
     return out
 
 
 def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
-    """The stored root record of a real level, solved once per exact value."""
-    lam = float(lam)
-    return _record(sym).get(lam, lambda: _raised(_factor_level(sym, np.array([lam]))[0]))
+    """The stored root record of a real level: the one-level case of
+    ``_level_records``, whose error it raises."""
+    return _raised(_level_records(sym, [lam])[0])
 
 
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
@@ -446,15 +435,26 @@ def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
             if not sym._is_jump_angle(tw) and not any(
                     abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s, _ in points):
                 points.append((tw, float(piece.poly(t))))
-    critical = set(plateaus + [v for _, v in points])
-    return ExceptionalSet(tuple(sorted(thresholds)), tuple(sorted(critical)), tuple(points))
+    return ExceptionalSet(tuple(sorted(thresholds)), _distinct(plateaus + [v for _, v in points]),
+                          tuple(points))
 
 
-def _level(lam) -> float | complex:
-    """A real level as a float, a non-real one as a complex; finite or ValueError."""
+def _distinct(values) -> tuple:
+    """The sorted values, less each one within ``VALUE_TOL`` max(1, |v|) of
+    the one before: two values that differ only by rounding are one."""
+    values = sorted(values)
+    return tuple(v for u, v in zip([-math.inf] + values, values)
+                 if v - u > VALUE_TOL * max(1.0, abs(v)))
+
+
+def _level(lam, real: bool = False) -> float | complex:
+    """A real level as a float, a non-real one as a complex; ValueError if
+    it is not finite, or where ``real``, not real."""
     zeta = complex(lam)
     if not cmath.isfinite(zeta):
         raise ValueError(f"level {lam} is not finite")
+    if real and zeta.imag != 0.0:
+        raise ValueError(f"level {zeta} is not real")
     return zeta.real if zeta.imag == 0.0 else zeta
 
 
@@ -464,9 +464,7 @@ def _check_level(sym: PiecewiseSymbol, lam) -> float:
     [gamma1, gamma2] within ``GUARD`` of an exceptional value, such as a
     jump's one-sided value at its end, ``ExceptionalLevelError``; just
     outside the range there is no crossing to classify."""
-    lam = _level(lam)
-    if isinstance(lam, complex):
-        raise ValueError(f"level {lam} is not real")
+    lam = _level(lam, real=True)
     g1, g2 = sym.essential_range()
     if g1 <= lam <= g2 and exceptional_set(sym).distance(lam) < GUARD:
         raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
@@ -474,20 +472,34 @@ def _check_level(sym: PiecewiseSymbol, lam) -> float:
 
 
 def solve_level(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, int]]:
-    """Simple roots of omega = lambda in piece interiors with the sign of omega',
-    read from the level's stored root record.
+    """Simple roots of omega = lambda in piece interiors with the sign of
+    omega': the one-level case of ``_signed_crossings``, whose error it
+    raises, at a level that passes ``_check_level``."""
+    return _raised(_signed_crossings(sym, [_check_level(sym, lam)])[0])
 
-    The level passes ``_check_level``: inside the range, away from the
-    exceptional set, all crossings are transversal and avoid the jump angles.
-    """
-    lam = _check_level(sym, lam)
-    theta = _level_factors(sym, lam).crossings
-    slope = sym.derivative_values(theta)
-    flat = np.abs(slope) < 1e-9
-    if flat.any():
-        raise ExceptionalLevelError(f"tangential crossing at angle {theta[flat][0]}; "
-                                    f"level {lam} is effectively critical")
-    return [(float(t), 1 if d > 0 else -1) for t, d in zip(theta, slope)]
+
+def _signed_crossings(sym: PiecewiseSymbol, lams) -> list:
+    """Each real level's crossings with the sign of omega' there, from its
+    root record (``_level_records``), or the error of its record or of a
+    tangential crossing.  The levels have passed ``_check_level``, so their
+    crossings are transversal and avoid the jump angles; the slopes at all
+    of them come from one ``derivative_values`` call."""
+    records = _level_records(sym, lams)
+    found = [r.crossings for r in records if not isinstance(r, Exception)]
+    slopes = sym.derivative_values(np.concatenate([np.empty(0)] + found))
+    out, end = [], 0
+    for lam, record in zip(lams, records):
+        if not isinstance(record, Exception):
+            theta, start, end = record.crossings, end, end + len(record.crossings)
+            slope = slopes[start:end]
+            flat = np.abs(slope) < 1e-9
+            if flat.any():
+                record = ExceptionalLevelError(f"tangential crossing at angle {theta[flat][0]}; "
+                                               f"level {lam} is effectively critical")
+            else:
+                record = [(float(t), 1 if d > 0 else -1) for t, d in zip(theta, slope)]
+        out.append(record)
+    return out
 
 
 def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
@@ -499,57 +511,49 @@ def sublevel_set(sym: PiecewiseSymbol, lam: float) -> LevelSet:
 def sublevel_sets(sym: PiecewiseSymbol, lams) -> list:
     """Each level's sublevel set, or the error that its assembly raises.
 
-    Each level passes ``_check_level``.  The records of the levels inside
-    the range are solved together first (``_level_records``), so each
-    level's ``solve_level`` reads its stored record.  Downward crossings
-    open an arc (alpha endpoints), upward crossings close one (beta
-    endpoints); arcs are returned in counterclockwise order starting from
-    the smallest alpha.  Last, one sampled sign check covers every level
-    (``_validate_levels``).
+    Each level passes ``_check_level`` once.  Below the range the set is
+    empty and above it full; the levels inside the range take their signed
+    crossings from one ``_signed_crossings`` call, and each is assembled
+    from them (``_assemble``).  Last, one sampled sign check covers every
+    level (``_validate_levels``).
     """
     g1, g2 = sym.essential_range()
     out = []
     for lam in lams:
         try:
-            out.append(_check_level(sym, lam))
+            lam = _check_level(sym, lam)
+            out.append(lam if g1 < lam <= g2 else LevelSet(lam, (), full=lam > g2))
         except (ValueError, ToepspecError) as exc:
             out.append(exc)
-    _level_records(sym, [lam for lam in out if isinstance(lam, float) and g1 < lam <= g2])
-    for i, lam in enumerate(out):
-        if isinstance(lam, float):
-            try:
-                out[i] = _assemble(sym, lam)
-            except ToepspecError as exc:
-                out[i] = exc
+    inside = [i for i, lam in enumerate(out) if isinstance(lam, float)]
+    for i, signed in zip(inside, _signed_crossings(sym, [out[i] for i in inside])):
+        out[i] = signed if isinstance(signed, Exception) else _assemble(sym, out[i], signed)
     checked = [i for i, level in enumerate(out) if isinstance(level, LevelSet) and level.arcs]
     for i, error in zip(checked, _validate_levels(sym, [out[i] for i in checked])):
         out[i] = error or out[i]
     return out
 
 
-def _assemble(sym: PiecewiseSymbol, lam: float) -> LevelSet:
-    """The arcs of {omega < lambda} at a level that passed ``_check_level``,
-    before the sign check."""
-    g1, g2 = sym.essential_range()
-    if lam <= g1:
-        return LevelSet(lam, ())
-    if lam > g2:
-        return LevelSet(lam, (), full=True)
-
+def _assemble(sym: PiecewiseSymbol, lam: float, signed) -> LevelSet | ToepspecError:
+    """The arcs of {omega < lambda} at a level inside the range, from its
+    signed crossings, before the sign check, or the error of crossings that
+    make no level set.  Downward crossings open an arc (alpha endpoints),
+    upward crossings close one (beta endpoints); arcs are returned in
+    counterclockwise order starting from the smallest alpha."""
     # (theta, is_alpha, kind)
-    crossings = [(theta, sign < 0, "root") for theta, sign in solve_level(sym, lam)]
+    crossings = [(theta, sign < 0, "root") for theta, sign in signed]
     crossings += [(sym.jumps[j.k].theta, j.sign == "plus", "jump")
                   for j in sym.jump_intervals if j.low < lam < j.high]
     if not crossings:
         # lambda in (g1, g2) always has crossings for a non-constant symbol
-        raise ExceptionalLevelError(f"no crossings found at level {lam}")
+        return ExceptionalLevelError(f"no crossings found at level {lam}")
     crossings.sort()
     n = len(crossings)
     if n % 2 != 0:
-        raise CountingError(f"odd number of crossings ({n}) at level {lam}")
+        return CountingError(f"odd number of crossings ({n}) at level {lam}")
     flags = [c[1] for c in crossings]
     if any(flags[i] == flags[(i + 1) % n] for i in range(n)):
-        raise CountingError(f"crossing directions do not alternate at level {lam}")
+        return CountingError(f"crossing directions do not alternate at level {lam}")
 
     start = 0 if flags[0] else 1
     arcs = []
@@ -632,14 +636,12 @@ def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
     g1, g2 = sym.essential_range()
     if not (g1 < a < b < g2):
         raise InadmissibleIntervalError(
-            f"interval ({a}, {b}) not strictly inside the spectrum ({g1}, {g2})"
-        )
+            f"interval ({a}, {b}) not strictly inside the spectrum ({g1}, {g2})")
     an = _record(sym).analysed(sym)
     i = an.index(a, b)
     if i is None:
         raise InadmissibleIntervalError(
-            f"interval ({a}, {b}) comes within {GUARD} of an exceptional value"
-        )
+            f"interval ({a}, {b}) comes within {GUARD} of an exceptional value")
     return an.report(sym, i)
 
 
@@ -647,17 +649,14 @@ def _count(sym: PiecewiseSymbol, a: float, b: float) -> CountReport:
     """Counts on [a, b]: the root counts at the midpoint, checked for
     constancy at four more interior samples; a mismatch between the two
     orientation sums signals a root-finder defect."""
-    def root_counts(lam):
-        roots = solve_level(sym, lam)
-        nm = sum(1 for _, s in roots if s > 0)
-        return len(roots) - nm, nm  # (n_plus: omega' < 0, n_minus: omega' > 0)
-
-    samples = [a + frac * (b - a) for frac in (0.125, 0.3125, 0.6875, 0.875)]
-    _level_records(sym, [0.5 * (a + b)] + samples)   # solved together
-    n_plus, n_minus = root_counts(0.5 * (a + b))
-    for lam in samples:
-        if root_counts(lam) != (n_plus, n_minus):
+    lams = [0.5 * (a + b)] + [a + frac * (b - a) for frac in (0.125, 0.3125, 0.6875, 0.875)]
+    counts = []
+    for signed in map(_raised, _signed_crossings(sym, [_check_level(sym, lam) for lam in lams])):
+        nm = sum(1 for _, s in signed if s > 0)
+        counts.append((len(signed) - nm, nm))  # (n_plus: omega' < 0, n_minus: omega' > 0)
+        if counts[-1] != counts[0]:
             raise CountingError("root counts vary across the interval")
+    n_plus, n_minus = counts[0]
 
     signs = [j.sign for j in sym.jump_intervals if j.contains_interval(a, b)]
     s_plus, s_minus = signs.count("plus"), signs.count("minus")

@@ -68,9 +68,8 @@ def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex):
 def _ends(levels) -> np.ndarray:
     """The start and end angles of the arcs of level sets with one arc
     count, (2, levels, m)."""
-    m = levels[0].m if levels else 0
     ends = np.array([[(arc.alpha, arc.beta) for arc in one.arcs] for one in levels],
-                    dtype=float).reshape(len(levels), m, 2)
+                    dtype=float).reshape(len(levels), levels[0].m, 2)
     return np.ascontiguousarray(ends.transpose(2, 0, 1))
 
 
@@ -95,10 +94,15 @@ class SpectralFrame:
         bad = next((k for k, (one, report) in enumerate(zip(levels, reports))
                     if report.m != one.m), None)
         if bad is not None:
-            coefficients_c(_ends(levels[:bad]))   # an earlier level's arcs fail first
+            for one in levels[:bad]:   # an earlier level's arcs fail first
+                coefficients_c(one.arcs)
             raise FormMismatchError(f"level set has {levels[bad].m} arcs but the counting "
                                     f"report says {reports[bad].m}")
         self.m = levels[0].m
+        mixed = next((one for one in levels if one.m != self.m), None)
+        if mixed is not None:
+            raise ValueError(f"the levels of one frame need one arc count: level {levels[0].lam} "
+                             f"has {self.m} arcs and level {mixed.lam} has {mixed.m}")
         ends, full = _ends(levels), np.array([one.full for one in levels])
         if isinstance(level, LevelSet):
             self.lam = float(level.lam)

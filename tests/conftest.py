@@ -2,6 +2,7 @@ import functools
 import math
 import shutil
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,14 +189,41 @@ def reference_crossings(sym, lam: float) -> np.ndarray:
     return np.array(keep)
 
 
+def reference_signed_crossings(sym, lams) -> list:
+    """``levelset._signed_crossings`` with the crossings of
+    ``reference_crossings``: each level's crossings with the sign of omega'
+    there, or the error of a tangential crossing."""
+    out = []
+    for lam in lams:
+        theta = reference_crossings(sym, lam)
+        slope = sym.derivative_values(theta)
+        if np.any(np.abs(slope) < 1e-9):
+            out.append(ExceptionalLevelError(f"tangential crossing at level {lam}"))
+        else:
+            out.append([(float(t), 1 if d > 0 else -1) for t, d in zip(theta, slope)])
+    return out
+
+
 def reference_solve_level(sym, lam: float):
     """``levelset.solve_level`` with the crossings of ``reference_crossings``."""
-    levelset._check_level(sym, lam)
-    theta = reference_crossings(sym, lam)
-    slope = sym.derivative_values(theta)
-    if np.any(np.abs(slope) < 1e-9):
-        raise ExceptionalLevelError(f"tangential crossing at level {lam}")
-    return [(float(t), 1 if d > 0 else -1) for t, d in zip(theta, slope)]
+    signed = reference_signed_crossings(sym, [levelset._check_level(sym, lam)])[0]
+    if isinstance(signed, Exception):
+        raise signed
+    return signed
+
+
+def doctor_crossings(monkeypatch, pick):
+    """Replace the crossings of each real level's root record, as
+    ``levelset._level_records`` returns it, by ``pick(lam, crossings)``; the
+    store keeps the true records."""
+    records = levelset._level_records
+
+    def doctored(sym, lams):
+        return [value if isinstance(value, Exception) else replace(
+                    value, crossings=np.asarray(pick(float(lam), value.crossings), dtype=float))
+                for lam, value in zip(lams, records(sym, lams))]
+
+    monkeypatch.setattr(levelset, "_level_records", doctored)
 
 
 def reference_boundary_sigma(sym, zeta: float, lam: float) -> complex:

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import random_symbol
+from conftest import doctor_crossings, random_symbol
 from toepspec import hardy, levelset, spectral
 from toepspec.diagonal import FrameFamily, HardyVector, phi_adjoint, phi_map_family, phi_r
 from toepspec.errors import CountingError, FormMismatchError, QuadratureError
@@ -16,7 +16,7 @@ from toepspec.hardy import gauss_legendre, q_function, xi_grid
 from toepspec.levelset import admissible_intervals
 from toepspec.oracle import smooth_bump
 from toepspec.spectral import spectral_frame, weak_measure
-from toepspec.symbol import PiecewiseSymbol, preset_regular
+from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular
 
 
 def fresh(sym) -> PiecewiseSymbol:
@@ -191,21 +191,16 @@ def test_family_raises_the_first_failing_levels_error(monkeypatch):
 
     # a doctored record fails its sign check at k1, before the certificate
     # that fails at k2 in the array solve
-    real = levelset._level_factors
     doctored = {float(lams[k1]): lambda t: [t[0] - 0.3, t[1] + 0.3],
                 float(lams[k2]): lambda t: t[:1]}
-    monkeypatch.setattr(levelset, "_level_factors", lambda s, lam: replace(
-        real(s, lam), crossings=np.asarray(doctored[lam](real(s, lam).crossings)))
-        if lam in doctored else real(s, lam))
+    doctor_crossings(monkeypatch, lambda lam, t: doctored[lam](t) if lam in doctored else t)
     doctor_eigvals(monkeypatch, {lams[k2 + 1]: 0.05})
     want = assert_family_fails_like_the_loop(sym, interval, n_grid, k1)
     assert isinstance(want, CountingError) and "sign check" in str(want)
     monkeypatch.undo()
 
     # the odd crossing count of k2 alone
-    monkeypatch.setattr(levelset, "_level_factors", lambda s, lam: replace(
-        real(s, lam), crossings=real(s, lam).crossings[:1]) if lam == float(lams[k2])
-        else real(s, lam))
+    doctor_crossings(monkeypatch, lambda lam, t: t[:1] if lam == float(lams[k2]) else t)
     want = assert_family_fails_like_the_loop(sym, interval, n_grid, k2)
     assert isinstance(want, CountingError) and "odd number" in str(want)
     monkeypatch.undo()
@@ -222,11 +217,28 @@ def test_family_raises_the_first_failing_levels_error(monkeypatch):
     want = assert_family_fails_like_the_loop(sym, interval, n_grid, k1)
     assert isinstance(want, FormMismatchError) and "report says 2" in str(want)
     # the frame's count check at k1 comes before the level set that fails at k2
-    monkeypatch.setattr(levelset, "_level_factors", lambda s, lam: replace(
-        real(s, lam), crossings=real(s, lam).crossings[:1]) if lam == float(lams[k2])
-        else real(s, lam))
+    doctor_crossings(monkeypatch, lambda lam, t: t[:1] if lam == float(lams[k2]) else t)
     want = assert_family_fails_like_the_loop(sym, interval, n_grid, k1)
     assert isinstance(want, FormMismatchError)
+
+
+def test_many_level_input_errors_name_the_problem(monkeypatch):
+    cos3 = PiecewiseSymbol([(0.0, 2.0 * math.pi, TrigPoly([0.0, 1.0, 0.0, 0.6]))])
+    # levels of the intervals with m = 1 and m = 3 cannot share one frame
+    with pytest.raises(ValueError, match="one arc count: level -0.889 has 1 arcs and "
+                                         "level 0.0 has 3"):
+        spectral_frame(cos3, np.array([-0.889, 0.0]))
+    with pytest.raises(ValueError, match="array of levels is empty"):
+        spectral_frame(cos3, np.array([]))
+    with pytest.raises(ValueError, match="array of levels is empty"):
+        xi_grid(cos3, [0.1], np.array([]))
+    # a level whose count its report does not share still fails first
+    report = levelset.level_report
+    monkeypatch.setattr(spectral, "level_report", lambda s, lam: replace(
+        report(s, lam), m=report(s, lam).m + (lam == 0.5)))
+    with pytest.raises(FormMismatchError, match="level set has 1 arcs but the counting "
+                                                "report says 2"):
+        spectral_frame(cos3, np.array([-0.889, 0.0, 0.5]))
 
 
 # -- log_fourier's work arrays ------------------------------------------------------------

@@ -151,6 +151,16 @@ def test_root_store_keys_the_exact_level():
     assert list(levelset._record(sym).levels) == [4e-15, 1e-15]
 
 
+def test_complex_dtype_real_levels(regular):
+    # a real level held in a complex array is that real level, keyed by it
+    z = np.array([0.3, -0.5j, 0.6 + 0.2j])
+    sym = preset_regular()
+    assert np.array_equal(xi_grid(sym, z, np.array([0.1 + 0j])), xi_grid(regular, z, np.array([0.1])))
+    assert list(levelset._record(sym).levels) == [0.1]
+    with pytest.raises(ValueError, match="not real"):
+        xi_grid(sym, z, np.array([0.1, 0.2 + 1e-3j]))
+
+
 def test_rule_cache_evicts_least_recently_used(monkeypatch):
     # root records of levels above the range, all of one size
     sym = preset_regular()
@@ -200,7 +210,10 @@ def test_rule_cache_budget_holds_under_threads(monkeypatch):
         rng = np.random.default_rng(k)
         try:
             for key in rng.integers(0, 20, size=10000):
-                value = cache.get(int(key), lambda: np.zeros(100))
+                value = cache.stored([int(key)])[0]
+                if value is None:
+                    value = np.zeros(100)
+                    cache.store(int(key), value)
                 assert value.nbytes == 800
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)

@@ -1,10 +1,16 @@
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_symbol, reference_crossings, reference_solve_level
+from conftest import (
+    doctor_crossings,
+    random_symbol,
+    reference_crossings,
+    reference_signed_crossings,
+    reference_solve_level,
+)
 from toepspec import cli, hardy, levelset
 from toepspec.errors import (
     CountingError,
@@ -14,6 +20,7 @@ from toepspec.errors import (
 )
 from toepspec.levelset import (
     GUARD,
+    LevelSet,
     admissible_intervals,
     counting_report,
     exceptional_set,
@@ -102,18 +109,6 @@ def test_one_level_gate_refuses_the_closed_range_only(regular, singular_asym, fi
     assert outside >= 4 * len(symbols)
 
 
-def _doctor(monkeypatch, pick):
-    """Replace each real level's root record by one whose crossings are
-    ``pick(lam, crossings)``."""
-    factors = levelset._level_factors
-
-    def doctored(sym, lam):
-        record = factors(sym, lam)
-        return replace(record, crossings=np.asarray(pick(lam, record.crossings), dtype=float))
-
-    monkeypatch.setattr(levelset, "_level_factors", doctored)
-
-
 @pytest.mark.parametrize("pick, match", [
     # one of cos t's two crossings at 0: an odd count
     (lambda lam, t: t[:1], "odd number"),
@@ -124,7 +119,7 @@ def _doctor(monkeypatch, pick):
 ])
 def test_sublevel_set_counting_errors(monkeypatch, pick, match):
     sym = preset_regular()
-    _doctor(monkeypatch, pick)
+    doctor_crossings(monkeypatch, pick)
     with pytest.raises(CountingError, match=match):
         sublevel_set(sym, 0.0)
 
@@ -137,13 +132,13 @@ def test_sublevel_set_counting_errors(monkeypatch, pick, match):
 ])
 def test_count_counting_errors(monkeypatch, pick, match):
     sym = preset_regular()   # fresh: its interval has no stored report
-    _doctor(monkeypatch, pick)
+    doctor_crossings(monkeypatch, pick)
     with pytest.raises(CountingError, match=match):
         counting_report(sym, (-0.9, 0.9))
 
 
 def test_cli_levelset_counting_error_exits_2(monkeypatch, capsys):
-    _doctor(monkeypatch, lambda lam, t: t[:1])
+    doctor_crossings(monkeypatch, lambda lam, t: t[:1])
     assert cli.run(["levelset", "--symbol", "regular", "--lambda=0.0"]) == 2
     assert "odd number" in capsys.readouterr().err
 
@@ -156,6 +151,25 @@ def test_exceptional_sets(regular, singular):
     assert exc.thresholds == (0.0, 1.0)
     assert exc.critical == (0.0, 1.0)
     assert len(exc.values) < math.inf
+
+
+def test_rounding_twins_are_one_exceptional_value(capsys, tmp_path):
+    # cos t + 0.6 cos 3t reaches each of -8/45 and 8/45 at two critical
+    # angles, whose values differ by rounding only: one value each, so three
+    # admissible intervals and no interval 3e-16 wide without a level in it
+    cos3 = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.0, 1.0, 0.0, 0.6]))])
+    exc = exceptional_set(cos3)
+    assert len(exc.critical_points) == 6
+    assert len(exc.critical) == len(exc.values) == 4
+    assert np.all(np.diff(exc.values) > 1e-12)
+    intervals = admissible_intervals(cos3)
+    assert [level_report(cos3, 0.5 * (a + b)).m for a, b in intervals] == [1, 3, 1]
+    path = tmp_path / "cos3.json"
+    path.write_text(cos3.serialize())
+    assert cli.run(["spectrum", "--symbol", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["admissible_intervals"] == [list(iv) for iv in intervals]
+    assert data["critical"] == list(exc.critical)
 
 
 def test_exceptional_set_computed_once_per_symbol(fig2):
@@ -264,22 +278,53 @@ def test_interval_guard_at_an_interior_exceptional_value():
 
 def test_frames_on_one_interval_count_once(monkeypatch):
     sym = preset_regular()  # a fresh symbol: nothing counted for it yet
-    calls = []
-    real = levelset.solve_level
+    solves, gates = [], []
+    factor, gate = levelset._factor_level, levelset._check_level
 
-    def counted(s, lam):
-        calls.append(lam)
-        return real(s, lam)
+    def counted_factor(s, lams):
+        solves.extend(lams)
+        return factor(s, lams)
 
-    monkeypatch.setattr(levelset, "solve_level", counted)
+    def counted_gate(s, lam):
+        gates.append(lam)
+        return gate(s, lam)
+
+    monkeypatch.setattr(levelset, "_factor_level", counted_factor)
+    monkeypatch.setattr(levelset, "_check_level", counted_gate)
     # reports asked for sub-intervals are the interval's one report
     first = counting_report(sym, (-0.5, 0.2))
     assert counting_report(sym, (0.1, 0.7)) is first
     lams = np.linspace(-0.9, 0.9, 300)
     for lam in lams:
         assert spectral_frame(sym, float(lam)).m == 1
-    # one solve per level set, plus the five samples of the interval's report
-    assert len(calls) == len(lams) + 5
+    # one solve and one gate per level set, plus the five samples of the
+    # interval's one report
+    assert len(solves) == len(gates) == len(lams) + 5
+
+
+def test_sublevel_sets_gate_each_level_once_and_take_slopes_once(monkeypatch, fig2):
+    # levels below, inside and above the range, and one refused at gamma2
+    def outcome(x):
+        return (type(x), str(x)) if isinstance(x, Exception) else x
+
+    lams = list(np.linspace(-1.2, 1.2, 40)) + [1.0]
+    alone = PiecewiseSymbol([(p.theta_start, p.theta_end, p.poly) for p in fig2.pieces])
+    want = [outcome(levelset.sublevel_sets(alone, [lam])[0]) for lam in lams]
+    sym = PiecewiseSymbol([(p.theta_start, p.theta_end, p.poly) for p in fig2.pieces])
+    exceptional_set(sym)
+    gates, slopes = [], []
+    gate, slope = levelset._check_level, PiecewiseSymbol.derivative_values
+    monkeypatch.setattr(levelset, "_check_level", lambda s, lam: gates.append(lam) or gate(s, lam))
+    monkeypatch.setattr(PiecewiseSymbol, "derivative_values",
+                        lambda s, theta: slopes.append(len(theta)) or slope(s, theta))
+    got = [outcome(x) for x in levelset.sublevel_sets(sym, lams)]
+    assert got == want
+    assert gates == lams
+    # one call, at every root crossing of every level
+    roots = sum([a.alpha_kind, a.beta_kind].count("root")
+                for x in want if isinstance(x, LevelSet) for a in x.arcs)
+    assert slopes == [roots] and roots > len(lams)
+    assert [x[0] for x in want if isinstance(x, tuple)] == [ExceptionalLevelError]
 
 
 def test_arc_count_matches_multiplicity(regular, singular, fig2):
@@ -375,7 +420,7 @@ def _assert_crossings_match(monkeypatch, sym, levels):
             diff = np.abs(np.array([t for t, _ in got]) - [t for t, _ in want])
             assert np.all(np.minimum(diff, TWO_PI - diff) <= tol), lam
         with monkeypatch.context() as m:
-            m.setattr(levelset, "solve_level", reference_solve_level)
+            m.setattr(levelset, "_signed_crossings", reference_signed_crossings)
             want = _outcome(sublevel_set, sym, lam)
         got = _outcome(sublevel_set, sym, lam)
         if isinstance(want, type) or isinstance(got, type):
