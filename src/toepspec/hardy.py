@@ -296,23 +296,60 @@ def _closed_q(factors: _LevelFactors, z: np.ndarray) -> np.ndarray:
     one row per level, computed for as many levels at a time as keep each
     temporary under ``CHUNK`` entries.  A non-finite value raises
     ``QuadratureError``."""
+    per_root = 8 if len(factors.pieces) > 1 else 1   # _arc_q's one Li2 call takes eight
+    return _finite(_by_levels(_piece_sum, factors, z, per_root), "Q")
+
+
+def _closed_xi(factors: _LevelFactors, z: np.ndarray) -> np.ndarray:
+    """xi = exp(-Q/2) for points inside the disk from a real level's record,
+    stacked or not, as ``_closed_q`` takes it.  On one piece Q is
+    const + sum log(1 - beta z) over its 2K roots, so xi is
+    e^{-const/2} / prod_i sqrt((1 - beta_2i z)(1 - beta_2i+1 z)), with no
+    log or exp per point: each factor has a positive real part, so a pair's
+    argument lies in (-pi, pi) and the principal root of the pair is the
+    product of the factors' principal roots.  A root of a longer product
+    could wrap.  Every other record takes exp(-Q/2) of ``_closed_q``."""
+    if len(factors.pieces) > 1:
+        return np.exp(-0.5 * _closed_q(factors, z))
+    return _finite(_by_levels(_one_piece_xi, factors, z, 1), "xi")
+
+
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    """``values``, unless one is not finite, which raises ``QuadratureError``."""
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError(f"closed-form {name} is not finite", achieved_tol=math.inf)
+    return values
+
+
+def _by_levels(evaluate, factors: _LevelFactors, z: np.ndarray, per_root: int) -> np.ndarray:
+    """``evaluate(pieces, weight, z)`` over the factors; for stacked factors
+    (``_stack``), one row per level, computed for as many levels at a time
+    as keep ``per_root`` entries per point and root under ``CHUNK``."""
     levels = _levels(factors.pieces[0][2])
-    if levels:
-        width = len(z) * max(1, max(beta.shape[-1] for *_, beta, _ in factors.pieces))
-        if len(factors.pieces) > 1:
-            width *= 8   # _arc_q's one Li2 call takes eight values per root
-        step = max(1, CHUNK // width)
-        q = np.empty(levels + z.shape, dtype=complex)
-        for s in range(0, levels[0], step):
-            part = slice(s, s + step)
-            q[part] = _piece_sum(tuple((a, b, const[part], beta[part], gamma[part])
-                                       for a, b, const, beta, gamma in factors.pieces),
-                                 factors.weight, z)
-    else:
-        q = _piece_sum(factors.pieces, factors.weight, z)
-    if not np.all(np.isfinite(q)):
-        raise QuadratureError("closed-form Q is not finite", achieved_tol=math.inf)
-    return q
+    if not levels:
+        return evaluate(factors.pieces, factors.weight, z)
+    width = len(z) * max(1, max(beta.shape[-1] for *_, beta, _ in factors.pieces)) * per_root
+    step = max(1, CHUNK // width)
+    out = np.empty(levels + z.shape, dtype=complex)
+    for s in range(0, levels[0], step):
+        part = slice(s, s + step)
+        out[part] = evaluate(tuple((a, b, const[part], beta[part], gamma[part])
+                                   for a, b, const, beta, gamma in factors.pieces),
+                             factors.weight, z)
+    return out
+
+
+def _one_piece_xi(pieces, weight: float, z: np.ndarray) -> np.ndarray:
+    """``_closed_xi``'s product over one piece's root pairs, unchecked; the
+    weight is a real level's, 1/2."""
+    _, _, const, beta, _ = pieces[0]
+    out = np.empty(beta.shape[:-1] + z.shape, dtype=complex)
+    out[...] = np.exp(-0.5 * np.asarray(const))[..., None]
+    for i in range(0, beta.shape[-1], 2):
+        pair = 1.0 - beta[..., i, None] * z
+        pair *= 1.0 - beta[..., i + 1, None] * z
+        out /= np.sqrt(pair, out=pair)
+    return out
 
 
 def _piece_sum(pieces, weight: float, z: np.ndarray) -> np.ndarray:
@@ -520,8 +557,9 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndar
     where the record needs Li2, the grid resolves the weight
     (``_fourier_resolves``) and ``_fourier_error`` is at most
     ``DEFAULT_TOL`` (up to about r = 0.998), inside the range or out;
-    everywhere else xi is exp(-Q/2) from the level's closed form at the
-    m_out points, for all such levels at once.  Each level passes
+    everywhere else xi is the level's closed form at the m_out points
+    (``_closed_xi``: a product of square roots on one piece, exp(-Q/2)
+    otherwise), for all such levels at once.  Each level passes
     ``_check_level``.
     """
     if not 0.0 < r <= CIRCLE_R_MAX:
@@ -549,7 +587,7 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndar
         closed.append(k)
     if closed:
         z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
-        out[closed] = np.exp(-0.5 * _closed_q(_stack([records[k] for k in closed]), z))
+        out[closed] = _closed_xi(_stack([records[k] for k in closed]), z)
     return out if _levels(lam) else out[0]
 
 
@@ -602,6 +640,29 @@ def phase_A_closed(arcs, z):
     logs = np.log(1.0 - col * ea) - np.log(1.0 - col * eb)
     value = 0.5 * math.pi * measure + 0.5j * np.sum(logs, axis=-1)
     return complex(value) if value.ndim == 0 else value
+
+
+def _phase_factor(arcs, z: np.ndarray) -> np.ndarray:
+    """e^{iA} at points inside the disk, broadcast like ``phase_A_closed``:
+    e^{i pi mu/2} prod_j sqrt((1 - z conj e^{i b_j})/(1 - z conj e^{i a_j})),
+    mu the sublevel measure.  Both factors of a ratio have a positive real
+    part, so its argument lies in (-pi, pi) and the principal root of each
+    ratio is exp of half the difference of the principal logs."""
+    if (np.abs(z) >= 1.0).any():
+        raise ValueError("closed phase form is the interior representation")
+    a, b = _arc_pairs(arcs)
+    levels, flat = a.shape[:-1], z.ravel()
+    col = levels + (1,)   # each level's arcs against every point
+    ea, eb = np.exp(-1j * a), np.exp(-1j * b)
+    out = np.empty(levels + flat.shape, dtype=complex)
+    out[...] = np.exp(0.5j * math.pi * np.asarray(arcs_measure(arcs)).reshape(col))
+    for j in range(a.shape[-1]):
+        # z times e in phase_A_closed's order: with fused multiply-adds the
+        # complex product need not commute, and 1 - z e cancels
+        ratio = 1.0 - flat * eb[..., j].reshape(col)
+        ratio /= 1.0 - flat * ea[..., j].reshape(col)
+        out *= np.sqrt(ratio, out=ratio)
+    return out.reshape(levels + z.shape)
 
 
 def coefficients_c(arcs):

@@ -379,11 +379,15 @@ def _factor_nonreal(sym: PiecewiseSymbol, lam: complex) -> _LevelFactors:
 
 
 def _levels(lam) -> tuple:
-    """The level axis of an array of levels, which must hold one at least;
-    () for one level."""
-    if isinstance(lam, np.ndarray) and not lam.size:
+    """The level axis of an array of levels, which must be 1-D and hold one
+    at least; () for one level, a 0-d array included."""
+    if not isinstance(lam, np.ndarray) or lam.ndim == 0:
+        return ()
+    if lam.ndim > 1:
+        raise ValueError(f"an array of levels must be 1-D, not of shape {lam.shape}")
+    if not lam.size:
         raise ValueError("the array of levels is empty")
-    return lam.shape if isinstance(lam, np.ndarray) else ()
+    return lam.shape
 
 
 def _raised(value):

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import FormMismatchError, QuadratureError
 from . import hardy
 from .hardy import (
+    _phase_factor,
     coefficients_c,
     gauss_legendre,
     phase_A_closed,
@@ -90,6 +91,8 @@ class SpectralFrame:
         self.sym = sym
         self.level = level
         levels = (level,) if isinstance(level, LevelSet) else tuple(level)
+        if not levels:
+            raise ValueError("a frame needs one level set at least")
         reports = [level_report(sym, float(one.lam)) for one in levels]
         bad = next((k for k, (one, report) in enumerate(zip(levels, reports))
                     if report.m != one.m), None)
@@ -140,19 +143,23 @@ class SpectralFrame:
         circle, whose xi values are ``xiv`` (by default ``xi_grid``'s); shape
         (m,) + zs.shape, behind the level axis of a many-level frame.  The
         single phase rho_j xi K_beta_j e^{iA}, times the half-integer
-        prefactor of the sublevel measure, fixes all branches at once;
-        outside the disk A(z) = -conj A(1/conj z), as Q in ``q_function``.
+        prefactor of the sublevel measure, fixes all branches at once.
+        e^{iA} is ``hardy._phase_factor``'s product of square roots; outside
+        the disk A(z) = -conj A(1/conj z), as Q in ``q_function``, so there
+        e^{iA} is the conjugate of its value at 1/conj z.
         """
         if xiv is None:
             xiv = xi_grid(self.sym, zs, self.lam)
         outside = np.abs(zs) > 1.0
         mirror = np.divide(1.0, np.conj(zs), out=zs.copy(), where=outside)
-        phase = phase_A_closed(self._ends, mirror)
+        factor = _phase_factor(self._ends, mirror)
+        if outside.any():
+            factor = np.where(outside, np.conj(factor), factor)
         phase0 = self._phase0
         if _levels(self.lam):   # each level's factors on its own branch axis
             phase0, xiv = phase0.reshape((-1,) + (1,) * (zs.ndim + 1)), xiv[:, None]
-            phase = phase[:, None]
-        common = phase0 * xiv * np.exp(1j * np.where(outside, -np.conj(phase), phase))
+            factor = factor[:, None]
+        common = phase0 * xiv * factor
         col = self._rho.shape + (1,) * zs.ndim
         k = 1.0 / (1.0 - zs * np.conj(self._beta).reshape(col))
         return self._rho.reshape(col) * k * common

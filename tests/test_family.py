@@ -241,6 +241,22 @@ def test_many_level_input_errors_name_the_problem(monkeypatch):
         spectral_frame(cos3, np.array([-0.889, 0.0, 0.5]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda sym, lams: spectral_frame(sym, lams),
+    lambda sym, lams: xi_grid(sym, [0.1], lams),
+    lambda sym, lams: hardy.xi_circle(sym, lams, 0.9, 512),
+], ids=["spectral_frame", "xi_grid", "xi_circle"])
+def test_many_level_input_of_another_shape_is_refused(call, regular):
+    # one level axis only: a 2-D array names its shape
+    with pytest.raises(ValueError, match=r"must be 1-D, not of shape \(1, 2\)"):
+        call(regular, np.array([[0.1, 0.2]]))
+
+
+def test_frame_of_no_level_sets_is_refused(regular):
+    with pytest.raises(ValueError, match="one level set at least"):
+        spectral.SpectralFrame(regular, [])
+
+
 # -- log_fourier's work arrays ------------------------------------------------------------
 
 

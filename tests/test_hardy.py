@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from toepspec.hardy import (
     xi_circle,
     xi_grid,
 )
-from toepspec.levelset import sublevel_set
+from toepspec.levelset import Arc, sublevel_set
 from toepspec.spectral import resolvent_form, spectral_frame, stone_density
 from toepspec.symbol import PiecewiseSymbol, TrigPoly, preset_regular, preset_singular
 
@@ -1025,6 +1026,82 @@ def test_phase_closed_on_arrays(fig2):
         assert abs(v - phase_A_integral(arcs, complex(z))) < 1e-12
     with pytest.raises(ValueError):
         phase_A_closed(arcs, np.array([0.2, 1.1j]))
+
+
+def random_arcs(rng):
+    """1-4 disjoint arcs in order from a random start, so that the last can
+    wrap past 2 pi; about a third of them 1e-6 wide."""
+    n = int(rng.integers(1, 5))
+    ends = rng.uniform(0.0, TWO_PI) + np.sort(rng.uniform(0.0, TWO_PI, 2 * n)).reshape(n, 2)
+    ends[:, 1] = np.where(rng.uniform(size=n) < 1 / 3, ends[:, 0] + 1e-6, ends[:, 1])
+    return [Arc(a % TWO_PI, a % TWO_PI + (b - a)) for a, b in ends]
+
+
+def test_phase_factor_is_exp_i_phase(rng):
+    # the product of principal square roots of the end-point ratios against
+    # exp(i A) of the closed log form, at points up to CIRCLE_R_MAX and 1e-6
+    # in angle from the arc ends
+    wraps = narrow = 0
+    for _ in range(200):
+        arcs = random_arcs(rng)
+        wraps += any(arc.beta > TWO_PI for arc in arcs)
+        narrow += any(arc.length < 1e-5 for arc in arcs)
+        ends = np.array([t for arc in arcs for t in (arc.alpha, arc.beta)])
+        near = np.add.outer(ends, [-1e-6, 1e-6]).ravel()
+        zs = np.concatenate((hardy.CIRCLE_R_MAX * np.sqrt(rng.uniform(size=40))
+                             * np.exp(1j * rng.uniform(0.0, TWO_PI, 40)),
+                             np.multiply.outer([0.9, 0.99, hardy.CIRCLE_R_MAX],
+                                               np.exp(1j * near)).ravel()))
+        want = np.exp(1j * phase_A_closed(arcs, zs))
+        assert np.max(np.abs(hardy._phase_factor(arcs, zs) / want - 1.0)) <= 1e-13
+    assert wraps >= 20 and narrow >= 20
+    # a leading level axis, as phase_A_closed takes it, and the same refusal
+    levels = [random_arcs(np.random.default_rng(k)) for k in range(40)]
+    levels = [arcs for arcs in levels if len(arcs) == 2]
+    ends = np.array([[(arc.alpha, arc.beta) for arc in arcs] for arcs in levels]).transpose(2, 0, 1)
+    zs = np.array([[0.3 - 0.2j, -0.9], [0.99j, 0.0]])
+    got = hardy._phase_factor(ends, zs)
+    assert got.shape == (len(levels),) + zs.shape
+    for arcs, row in zip(levels, got):
+        assert np.max(np.abs(row / hardy._phase_factor(arcs, zs) - 1.0)) <= 1e-15
+    with pytest.raises(ValueError, match="interior"):
+        hardy._phase_factor(levels[0], np.array([0.2, 1.0]))
+
+
+def test_one_piece_circle_xi_is_the_product_of_paired_roots(monkeypatch):
+    # on one piece xi_circle takes e^{-const/2} over the principal roots of
+    # root pairs, with no _closed_q; against xi_grid's exp(-Q/2), at levels
+    # inside and just outside the range, one level at a time and all at once
+    rng = np.random.default_rng(2802)
+    radii = (0.5, 0.9, 0.99, hardy.CIRCLE_R_MAX)
+    circle = np.exp(2j * math.pi * np.arange(512) / 512)
+    cases = []
+    for degree in (1, 2, 3, 4, 5, 6) * 2:
+        sym = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly(rng.normal(size=degree + 1),
+                                                      rng.normal(size=degree)))])
+        g1, g2 = sym.essential_range()
+        exc = levelset.exceptional_set(sym)
+        lams = [lam for lam in np.linspace(g1, g2, 9)[1:-1] if exc.distance(lam) > 1e-6]
+        lams = np.array(lams + [g1 - 1e-6, g2 + 1e-9])
+        cases += [(sym, lams, r, xi_grid(sym, r * circle, lams)) for r in radii]
+    monkeypatch.setattr(hardy, "_closed_q", lambda *args: pytest.fail("exp(-Q/2) served"))
+    for sym, lams, r, want in cases:
+        assert np.max(np.abs(xi_circle(sym, lams, r, 512) / want - 1.0)) <= 1e-13
+        for lam, row in zip(lams, want):
+            assert np.max(np.abs(xi_circle(sym, lam, r, 512) / row - 1.0)) <= 1e-13
+
+
+def test_closed_forms_refuse_a_value_that_is_not_finite(regular):
+    # a doctored one-piece record with 1 - beta z = 0 at z = 0.5: the
+    # product of roots raises the QuadratureError that exp(-Q/2) raises
+    factors = hardy._level_factors(regular, 0.3)
+    a, b, const, _, _ = factors.pieces[0]
+    beta = np.array([2.0, 0.1 + 0j])
+    bad = dataclasses.replace(factors, pieces=((a, b, const, beta, np.conj(beta)),))
+    with np.errstate(all="ignore"):
+        for evaluate, name in ((hardy._closed_xi, "xi"), (hardy._closed_q, "Q")):
+            with pytest.raises(QuadratureError, match=f"closed-form {name} is not finite"):
+                evaluate(bad, np.array([0.2, 0.5 + 0j]))
 
 
 def test_phase_integral_vs_quadrature(regular, fig2):

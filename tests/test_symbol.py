@@ -7,6 +7,7 @@ import pytest
 from toepspec.symbol import (
     PiecewiseSymbol,
     TrigPoly,
+    certified_roots,
     named_symbol,
     preset_singular,
 )
@@ -176,6 +177,26 @@ def test_trigpoly_roots_polished():
     assert len(r) == 2
     assert np.max(np.abs(np.cos(r) - 0.3)) < 1e-13
     assert abs(r[0] - math.acos(0.3)) < 1e-13
+
+
+def test_certified_roots_against_polyval_and_np_roots():
+    # 300 seeded complex rows of degree 1-10, one stacked call per degree:
+    # each row's worst backward error is the one np.polyval gives at its
+    # roots, and at most 1e-15; the roots are np.roots' to 1e-13 relative
+    rng = np.random.default_rng(2803)
+    degrees = rng.integers(1, 11, 300)
+    assert set(degrees) == set(range(1, 11))
+    for n in range(1, 11):
+        c = rng.normal(size=(np.sum(degrees == n), n + 1, 2)) @ np.array([1.0, 1j])
+        zeta, worst, error = certified_roots(c)
+        assert zeta.shape == error.shape == (len(c), n) and worst.shape == (len(c),)
+        for row, roots, w in zip(c, zeta, worst):
+            backward = np.abs(np.polyval(row, roots)) / np.polyval(np.abs(row), np.abs(roots))
+            assert w == np.max(backward) and w <= 1e-15
+            want = np.roots(row)
+            nearest = np.argmin(np.abs(roots[:, None] - want[None, :]), axis=1)
+            assert sorted(nearest) == list(range(n))
+            assert np.max(np.abs(roots - want[nearest]) / np.abs(want[nearest])) <= 1e-13
 
 
 def test_parse_from_json_dict():
