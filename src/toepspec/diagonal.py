@@ -50,22 +50,16 @@ def phi_map(frame: SpectralFrame, f: HardyVector) -> np.ndarray:
 
 def phi_map_family(family: FrameFamily, f: HardyVector) -> np.ndarray:
     """Grid function (n, m) of the diagonalizing map applied to f."""
-    cs = np.array([c for c, _ in f.terms])
-    zs = np.array([z for _, z in f.terms])
     out = np.empty((len(family), family.m), dtype=complex)
-    for part, frame in family.frame._parts(family.m * len(zs)):
-        out[part] = np.conj(frame.eigen_matrix(zs)) @ cs
+    for part, frame in family.frame._parts(family.m * len(f.terms)):
+        out[part] = phi_map(frame, f)
     return out
 
 
 def phi_adjoint(family: FrameFamily, values: np.ndarray, z: complex) -> complex:
-    """Adjoint map: sum_j integral of phi_j(z; lam) g_j(lam) over the grid."""
-    values = np.asarray(values, dtype=complex)
-    total = 0.0
-    for part, frame in family.frame._parts(family.m):
-        at_z = frame.eigen_matrix([z])[..., 0]
-        total += np.sum(family.weights[part] * np.sum(at_z * values[part], axis=-1))
-    return complex(total)
+    """Adjoint map at z: <g, Phi K_z>, the integral over the grid of
+    sum_j g_j(lam) phi_j(z; lam)."""
+    return family.inner(values, phi_map_family(family, HardyVector.of((1.0, z))))
 
 
 def _trig_resample(vals: np.ndarray, m: int) -> np.ndarray:
@@ -92,6 +86,8 @@ def phi_r(family: FrameFamily, boundary_values: np.ndarray, r: float) -> np.ndar
     doubling of M with (1 - r) m >= 16, an e^{-16} target.
     """
     boundary_values = np.asarray(boundary_values, dtype=complex)
+    if boundary_values.ndim != 1 or not np.all(np.isfinite(boundary_values)):
+        raise ValueError("boundary samples must be a finite 1-D array")
     M = len(boundary_values)
     if M < 512:
         raise ValueError("boundary grid needs at least 512 samples")

@@ -258,12 +258,14 @@ def validate(sym: PiecewiseSymbol, interval, g, points, sizes) -> ValidationRepo
     analytic Gram matrix comes from one broadcast ``weak_measure`` call,
     each section's from one broadcast ``oracle_weak_measure`` call.
     """
+    sizes = tuple(int(n) for n in sizes)
+    if not sizes:
+        raise ValueError("sizes is an empty list: validation needs one section size at least")
     a, b = float(interval[0]), float(interval[1])
     pairs = tuple((u, v) for u in points for v in points)
     pts = np.asarray(points, dtype=complex)
     # analytic[i, k] = weak measure of (K_{p_i}, K_{p_k}), row-major like pairs
     analytic = tuple(weak_measure(sym, (a, b), pts[:, None], pts[None, :], g).ravel().tolist())
-    sizes = tuple(int(n) for n in sizes)
 
     def one(N):
         return oracle_weak_measure(build_section(sym, N), pts[:, None], pts[None, :], g).ravel()

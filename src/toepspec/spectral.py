@@ -4,6 +4,7 @@ with their exterior partners, and weak spectral integrals.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 
@@ -54,7 +55,7 @@ def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex):
     if abs(zlam - min(max(zlam.real, g1), g2)) < 1e-8:  # distance to the cut [g1, g2]
         raise ValueError("resolvent requested on the spectral cut")
     ubar = np.conj(u)
-    at_origin = ubar == 0.0
+    at_origin = np.abs(ubar) < np.finfo(float).tiny  # 1/ubar overflows; u is 0 to rounding
     mirror = np.divide(1.0, ubar, out=np.zeros_like(ubar), where=~at_origin)
     q = q_function(sym, np.concatenate((v.ravel(), mirror.ravel())), zlam)
     qv, qu = q[:v.size].reshape(v.shape), q[v.size:].reshape(u.shape)
@@ -89,7 +90,6 @@ class SpectralFrame:
 
     def __init__(self, sym: PiecewiseSymbol, level):
         self.sym = sym
-        self.level = level
         levels = (level,) if isinstance(level, LevelSet) else tuple(level)
         if not levels:
             raise ValueError("a frame needs one level set at least")
@@ -108,28 +108,34 @@ class SpectralFrame:
                              f"has {self.m} arcs and level {mixed.lam} has {mixed.m}")
         ends, full = _ends(levels), np.array([one.full for one in levels])
         if isinstance(level, LevelSet):
-            self.lam = float(level.lam)
-            ends, full = ends[:, 0], full[0]
-            self.c = coefficients_c(level.arcs)
+            lam, ends, full = float(level.lam), ends[:, 0], full[0]
+            c = coefficients_c(level.arcs)
         else:
-            self.lam = np.array([float(one.lam) for one in levels])
-            self.c = coefficients_c(ends)
-        self._ends = ends
-        self._beta = np.exp(1j * ends[1])
-        self._alpha = np.exp(1j * ends[0])
-        self._rho = np.sqrt(self.c)
-        self._phase0 = np.exp(-0.5j * math.pi * np.where(full, 1.0, arcs_measure(ends)))
+            lam = np.array([float(one.lam) for one in levels])
+            c = coefficients_c(ends)
+        self._hold(level, lam, c, ends,
+                   np.exp(-0.5j * math.pi * np.where(full, 1.0, arcs_measure(ends))))
+
+    def _hold(self, level, lam, c, ends, phase0):
+        """Store checked level data and derive the end points and weights."""
+        self.level, self.lam, self.c, self._ends, self._phase0 = level, lam, c, ends, phase0
+        self._alpha, self._beta = np.exp(1j * ends)
+        self._rho = np.sqrt(c)
 
     def _parts(self, width: int):
         """(slice, frame) pairs over the levels of a many-level frame, each
         frame holding as many levels as keep ``width`` entries per level under
-        ``CHUNK``, and one at least."""
+        ``CHUNK``, and one at least.  Each part is a view of this frame's
+        checked data; no level is checked again."""
         step, n = max(1, CHUNK // max(1, width)), len(self.lam)
         if step >= n:
             yield slice(0, n), self
             return
         for s in range(0, n, step):
-            yield slice(s, s + step), SpectralFrame(self.sym, self.level[s:s + step])
+            part, view = slice(s, s + step), copy.copy(self)
+            view._hold(self.level[part], self.lam[part], self.c[part], self._ends[:, part],
+                       self._phase0[part])
+            yield part, view
 
     # -- scalar building blocks ------------------------------------------------
 
@@ -309,20 +315,18 @@ class FrameFamily:
     grid).  Its levels' root records are solved together and written into
     the symbol's store, and every level passes its sign check and its count
     against the interval's.  The family's evaluators take that frame's
-    levels in chunks (``SpectralFrame._parts``); ``frames`` holds the
-    per-level frames, built on first use from the same level sets."""
+    levels in chunks, views of it (``SpectralFrame._parts``); ``frames``
+    holds the per-level frames, built on first use from the same level sets."""
 
     def __init__(self, sym: PiecewiseSymbol, interval, n_grid: int = 256):
         self.sym = sym
         self.interval = (float(interval[0]), float(interval[1]))
-        self.report = counting_report(sym, self.interval)
-        self.m = self.report.m
+        self.m = counting_report(sym, self.interval).m
         x, w = gauss_legendre(n_grid)
         a, b = self.interval
         self.lams = 0.5 * (a + b) + 0.5 * (b - a) * x
         self.weights = 0.5 * (b - a) * w
         self.frame = spectral_frame(sym, self.lams)
-        self._taylor: dict[tuple, np.ndarray] = {}
 
     @functools.cached_property
     def frames(self) -> list[SpectralFrame]:
@@ -340,13 +344,10 @@ class FrameFamily:
 
     def taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
         """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), by ``eigen_taylor``."""
-        key = (nmax, radius)
-        if key not in self._taylor:
-            out = np.empty((len(self), self.m, nmax + 1), dtype=complex)
-            for part, frame in self.frame._parts(self.m * _taylor_points(nmax, radius)):
-                out[part] = frame.eigen_taylor(nmax, radius=radius)
-            self._taylor[key] = out
-        return self._taylor[key]
+        out = np.empty((len(self), self.m, nmax + 1), dtype=complex)
+        for part, frame in self.frame._parts(self.m * _taylor_points(nmax, radius)):
+            out[part] = frame.eigen_taylor(nmax, radius=radius)
+        return out
 
 
 def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> float:
@@ -395,16 +396,13 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     shape = np.broadcast_shapes(u.shape, v.shape)
 
     def sample(n):
-        _, w = gauss_legendre(n)
         family = FrameFamily(sym, (a, b), n)
-        gv = [g(la) for la in family.lams]
+        gw = family.weights * np.array([g(la) for la in family.lams])
         width = family.m * (u.size + v.size + math.prod(shape))
         total = np.zeros(shape, dtype=complex)
         for part, frame in family.frame._parts(width):
-            for wl, gl, dens in zip(w[part], gv[part], frame.density(u, v)):
-                if gl != 0.0:
-                    total += wl * gl * dens
-        return total * 0.5 * (b - a)
+            total += np.tensordot(gw[part], frame.density(u, v), axes=1)
+        return total
 
     n = 32
     prev = sample(n)
@@ -427,6 +425,8 @@ def stone_density(sym: PiecewiseSymbol, u, v, lam: float, eps: float = 1e-2):
     """Density recovered from the resolvent jump across the cut, with
     second-order extrapolation in the offsets eps, eps/2, eps/4; broadcast
     over point arrays like ``resolvent_form``."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
     def jump(e):
         up = resolvent_form(sym, u, v, lam + 1j * e)

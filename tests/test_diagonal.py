@@ -120,6 +120,14 @@ def test_phi_r_input_validation(family):
         phi_r(family, np.ones(512), 1.0)
 
 
+def test_phi_r_refuses_samples_that_are_not_a_finite_vector(family):
+    nan = np.ones(512, dtype=complex)
+    nan[7] = complex(math.nan, 0.0)
+    for samples in (nan, np.ones((512, 2))):
+        with pytest.raises(ValueError, match="boundary samples must be a finite 1-D array"):
+            phi_r(family, samples, 0.9)
+
+
 @pytest.mark.parametrize("name, interval", [("regular", (-0.5, 0.5)), ("fig2", (-0.4, 0.4))])
 def test_phi_r_at_the_largest_radius(request, name, interval):
     # the trapezoid grid grows with 1/(1 - r) with no cap: at r = 0.9995 it

@@ -133,6 +133,31 @@ def test_family_evaluators_match_the_frames(symbols):
         assert close(weak_measure(sym, iv, u[:, None], u[None, :], g), want)
 
 
+def test_chunks_are_views_of_the_checked_frame(regular, singular, singular_asym, fig2,
+                                              cos2_symbol, monkeypatch):
+    for sym in (regular, singular, singular_asym, fig2, cos2_symbol):
+        frame = FrameFamily(sym, inner_interval(sym), n_grid=12).frame
+        for width in (4096 // 5, 4096 // 2):
+            parts = list(frame._parts(width))
+            assert len(parts) > 1
+            for part, view in parts:
+                want = spectral.SpectralFrame(sym, frame.level[part])
+                assert view.sym is sym and view.m == want.m
+                assert list(view.level) == list(want.level)
+                for name in ("lam", "c", "_ends", "_alpha", "_beta", "_rho", "_phase0"):
+                    got, ref = getattr(view, name), getattr(want, name)
+                    assert got.shape == ref.shape and np.array_equal(got, ref), name
+    # the family's evaluators read those views: no level is counted again
+    fam = FrameFamily(regular, (-0.5, 0.5), n_grid=300)
+    boundary = 1.0 / (1.0 - 0.3 * np.exp(2j * math.pi * np.arange(512) / 512))
+    calls = []
+    report = spectral.level_report
+    monkeypatch.setattr(spectral, "level_report", lambda s, lam: calls.append(lam) or report(s, lam))
+    phi_r(fam, boundary, 0.99)
+    fam.taylor(40)
+    assert not calls
+
+
 # -- errors: the family raises what the per-level loop raises first ----------------------
 
 

@@ -100,3 +100,15 @@ def test_one_function_assembles_the_eigenfunctions():
                      and isinstance(node.ctx, ast.Load) for node in ast.walk(fn))]
     assert sorted(found) == ["src/toepspec/spectral.py:SpectralFrame._branches",
                              "src/toepspec/spectral.py:SpectralFrame.eigenfunction_product"]
+
+
+# The frames: a frame is built, and its levels checked, only from level sets;
+# the chunks that the evaluators read are views of a checked frame.
+def test_frames_are_built_in_three_places():
+    found = {name for name, fn in package_functions() for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and (node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)) == "SpectralFrame"}
+    assert sorted(found) == ["src/toepspec/spectral.py:FrameFamily.frames",
+                             "src/toepspec/spectral.py:SpectralFrame.alt_frame",
+                             "src/toepspec/spectral.py:spectral_frame"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from toepspec import oracle
 from toepspec.oracle import (
     build_section,
     k_vector,
@@ -195,6 +196,15 @@ def test_broadcast_oracle_matches_pair_loop(singular_asym, fig2):
         assert np.allclose(row, loop[0], rtol=1e-13, atol=1e-15)
         report = validate(sym, (0.1, 0.9), g, list(pts), [96])
         assert np.array_equal(report.errors[0], np.abs(gram.ravel() - np.array(report.analytic)))
+
+
+def test_validate_refuses_an_empty_list_of_sizes(regular, monkeypatch):
+    def no_weak_measure(*args):
+        raise AssertionError("weak measure computed")
+
+    monkeypatch.setattr(oracle, "weak_measure", no_weak_measure)
+    with pytest.raises(ValueError, match="sizes is an empty list"):
+        validate(regular, (-0.6, 0.6), smooth_bump(-0.5, 0.5), [0.0, 0.3 + 0.2j], [])
 
 
 def test_validate_outside_spectrum_is_null(regular):

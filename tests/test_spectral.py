@@ -12,6 +12,7 @@ from conftest import (
     singular_phi_closed,
     singular_phi_ext_closed,
 )
+from toepspec import spectral
 from toepspec.errors import FormMismatchError, QuadratureError
 from toepspec.levelset import LevelSet, sublevel_set
 from toepspec.oracle import smooth_bump
@@ -122,6 +123,15 @@ def test_resolvent_singular_closed_form(u, v, zeta, t1, length):
     big_v = 2.0 * lo + (l1 - lo) * (arc_schwarz(v, t1, t2) + arc_schwarz(u, t1, t2).conjugate())
     ref = cmath.exp(-0.5 * big_v) / (1.0 - u.conjugate() * v)
     assert abs(resolvent_form(sym, u, v, zeta) - ref) <= 1e-12 * abs(ref)
+
+
+def test_resolvent_at_a_subnormal_point_is_its_value_at_the_origin(regular):
+    # the mirror point 1/conj u of a subnormal u overflows
+    zeta = 3.0 + 0.5j
+    assert resolvent_form(regular, 5e-324, 0.3j, zeta) == resolvent_form(regular, 0.0, 0.3j, zeta)
+    want = resolvent_form(regular, np.array([0.2, 0.0, 0.0]), 0.3j, zeta)
+    assert np.array_equal(resolvent_form(regular, np.array([0.2, 5e-324, 1e-310j]), 0.3j, zeta),
+                          want)
 
 
 def test_resolvent_just_beyond_an_extremum(regular, cos2_symbol):
@@ -394,6 +404,18 @@ def test_stone_consistency(regular, singular):
             d = fr.density(0.2 + 0.1j, 0.2 + 0.1j)
             s = stone_density(sym, 0.2 + 0.1j, 0.2 + 0.1j, float(lam))
             assert abs(s - d) / abs(d) < 1e-4
+
+
+def test_stone_density_refuses_an_offset_that_is_not_positive_and_finite(regular, monkeypatch):
+    # a negative offset would return the negated density, and zero would
+    # ask for the resolvent on the cut: both are refused before any call
+    def no_resolvent(*args):
+        raise AssertionError("resolvent called")
+
+    monkeypatch.setattr(spectral, "resolvent_form", no_resolvent)
+    for eps in (-1e-2, 0.0, -0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            stone_density(regular, 0.1, 0.1, 0.2, eps=eps)
 
 
 # -- weak measure -------------------------------------------------------------------------
