@@ -10,7 +10,6 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import re
 import sys
 
@@ -88,11 +87,17 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _parse_points(text: str) -> list[complex]:
-    return [_parse_complex(t) for t in text.split(",")]
+    """Comma-separated points of the open unit disk."""
+    points = []
+    for t in text.split(","):
+        points.append(_parse_complex(t))
+        if abs(points[-1]) >= 1.0:
+            raise UsageError(f"point {t.strip()!r} does not lie inside the unit disk")
+    return points
 
 
 def _parse_sizes(text: str) -> list[int]:
-    return [_parse_count(t) for t in text.split(",")]
+    return [_parse_number(int, t, least=2) for t in text.split(",")]
 
 
 def _parse_zgrid(text: str) -> tuple[float, int]:
@@ -284,7 +289,7 @@ def _cmd_density(sym, args) -> int:
 def _cmd_eigenfun(sym, args) -> int:
     frame = spectral.spectral_frame(sym, args.lam)
     r, count = args.zgrid
-    zs = r * np.exp(2j * math.pi * np.arange(count) / count)
+    zs = hardy._circle_grid(r, count)
     frame._check_branch(args.branch)
     vals = frame.eigen_matrix(zs)[args.branch - 1]
     rows = [[z.real, z.imag, v.real, v.imag] for z, v in zip(zs, vals)]

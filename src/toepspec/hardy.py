@@ -548,6 +548,15 @@ def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
     return fhat
 
 
+@functools.lru_cache(maxsize=4)
+def _circle_grid(r: float, m: int) -> np.ndarray:
+    """The grid r e^{2 pi i k/m}, k < m, computed once per (r, m) and
+    returned read-only."""
+    z = r * np.exp(2j * math.pi * np.arange(m) / m)
+    z.flags.writeable = False
+    return z
+
+
 def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndarray:
     """xi at the m_out points r e^{2 pi i k/m_out} in one sweep, for a level,
     or as one row per level for a 1-D array of levels.
@@ -564,8 +573,8 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndar
     """
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
-    if m_out < 1 or m_out & (m_out - 1):
-        raise ValueError("m_out must be a power of two")
+    if not isinstance(m_out, (int, np.integer)) or m_out < 1 or m_out & (m_out - 1):
+        raise ValueError(f"m_out must be an integer power of two, got {m_out!r}")
     lams = [_check_level(sym, x) for x in (lam if _levels(lam) else [lam])]
     records = [_raised(record) for record in _level_records(sym, lams)]
     out = np.empty((len(lams), m_out), dtype=complex)
@@ -586,8 +595,7 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndar
                 continue
         closed.append(k)
     if closed:
-        z = r * np.exp(2j * math.pi * np.arange(m_out) / m_out)
-        out[closed] = _closed_xi(_stack([records[k] for k in closed]), z)
+        out[closed] = _closed_xi(_stack([records[k] for k in closed]), _circle_grid(r, m_out))
     return out if _levels(lam) else out[0]
 
 
@@ -640,29 +648,6 @@ def phase_A_closed(arcs, z):
     logs = np.log(1.0 - col * ea) - np.log(1.0 - col * eb)
     value = 0.5 * math.pi * measure + 0.5j * np.sum(logs, axis=-1)
     return complex(value) if value.ndim == 0 else value
-
-
-def _phase_factor(arcs, z: np.ndarray) -> np.ndarray:
-    """e^{iA} at points inside the disk, broadcast like ``phase_A_closed``:
-    e^{i pi mu/2} prod_j sqrt((1 - z conj e^{i b_j})/(1 - z conj e^{i a_j})),
-    mu the sublevel measure.  Both factors of a ratio have a positive real
-    part, so its argument lies in (-pi, pi) and the principal root of each
-    ratio is exp of half the difference of the principal logs."""
-    if (np.abs(z) >= 1.0).any():
-        raise ValueError("closed phase form is the interior representation")
-    a, b = _arc_pairs(arcs)
-    levels, flat = a.shape[:-1], z.ravel()
-    col = levels + (1,)   # each level's arcs against every point
-    ea, eb = np.exp(-1j * a), np.exp(-1j * b)
-    out = np.empty(levels + flat.shape, dtype=complex)
-    out[...] = np.exp(0.5j * math.pi * np.asarray(arcs_measure(arcs)).reshape(col))
-    for j in range(a.shape[-1]):
-        # z times e in phase_A_closed's order: with fused multiply-adds the
-        # complex product need not commute, and 1 - z e cancels
-        ratio = 1.0 - flat * eb[..., j].reshape(col)
-        ratio /= 1.0 - flat * ea[..., j].reshape(col)
-        out *= np.sqrt(ratio, out=ratio)
-    return out.reshape(levels + z.shape)
 
 
 def coefficients_c(arcs):

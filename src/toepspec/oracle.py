@@ -101,8 +101,8 @@ class FiniteSection:
     """
 
     def __init__(self, sym: PiecewiseSymbol, N: int):
-        if N < 2:
-            raise ValueError("finite section needs N >= 2")
+        if not isinstance(N, (int, np.integer)) or N < 2:
+            raise ValueError(f"finite section needs an integer N >= 2, got {N!r}")
         self.sym = sym
         self.N = N
         coeffs = sym.fourier_coefficients(N)
@@ -258,9 +258,13 @@ def validate(sym: PiecewiseSymbol, interval, g, points, sizes) -> ValidationRepo
     analytic Gram matrix comes from one broadcast ``weak_measure`` call,
     each section's from one broadcast ``oracle_weak_measure`` call.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(sizes)
     if not sizes:
         raise ValueError("sizes is an empty list: validation needs one section size at least")
+    bad = next((n for n in sizes if not isinstance(n, (int, np.integer)) or n < 2), None)
+    if bad is not None:
+        raise ValueError(f"section sizes must be integers >= 2, got {bad!r}")
+    sizes = tuple(int(n) for n in sizes)
     a, b = float(interval[0]), float(interval[1])
     pairs = tuple((u, v) for u in points for v in points)
     pts = np.asarray(points, dtype=complex)

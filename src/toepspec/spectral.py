@@ -13,7 +13,7 @@ import numpy as np
 from .errors import FormMismatchError, QuadratureError
 from . import hardy
 from .hardy import (
-    _phase_factor,
+    _circle_grid,
     coefficients_c,
     gauss_legendre,
     phase_A_closed,
@@ -106,19 +106,15 @@ class SpectralFrame:
         if mixed is not None:
             raise ValueError(f"the levels of one frame need one arc count: level {levels[0].lam} "
                              f"has {self.m} arcs and level {mixed.lam} has {mixed.m}")
-        ends, full = _ends(levels), np.array([one.full for one in levels])
+        ends = _ends(levels)
         if isinstance(level, LevelSet):
-            lam, ends, full = float(level.lam), ends[:, 0], full[0]
-            c = coefficients_c(level.arcs)
+            self._hold(level, float(level.lam), coefficients_c(level.arcs), ends[:, 0])
         else:
-            lam = np.array([float(one.lam) for one in levels])
-            c = coefficients_c(ends)
-        self._hold(level, lam, c, ends,
-                   np.exp(-0.5j * math.pi * np.where(full, 1.0, arcs_measure(ends))))
+            self._hold(level, np.array([float(one.lam) for one in levels]), coefficients_c(ends), ends)
 
-    def _hold(self, level, lam, c, ends, phase0):
+    def _hold(self, level, lam, c, ends):
         """Store checked level data and derive the end points and weights."""
-        self.level, self.lam, self.c, self._ends, self._phase0 = level, lam, c, ends, phase0
+        self.level, self.lam, self.c, self._ends = level, lam, c, ends
         self._alpha, self._beta = np.exp(1j * ends)
         self._rho = np.sqrt(c)
 
@@ -133,8 +129,7 @@ class SpectralFrame:
             return
         for s in range(0, n, step):
             part, view = slice(s, s + step), copy.copy(self)
-            view._hold(self.level[part], self.lam[part], self.c[part], self._ends[:, part],
-                       self._phase0[part])
+            view._hold(self.level[part], self.lam[part], self.c[part], self._ends[:, part])
             yield part, view
 
     # -- scalar building blocks ------------------------------------------------
@@ -147,28 +142,38 @@ class SpectralFrame:
     def _branches(self, zs: np.ndarray, xiv=None) -> np.ndarray:
         """Every eigenfunction at the points ``zs`` on either side of the
         circle, whose xi values are ``xiv`` (by default ``xi_grid``'s); shape
-        (m,) + zs.shape, behind the level axis of a many-level frame.  The
-        single phase rho_j xi K_beta_j e^{iA}, times the half-integer
-        prefactor of the sublevel measure, fixes all branches at once.
-        e^{iA} is ``hardy._phase_factor``'s product of square roots; outside
-        the disk A(z) = -conj A(1/conj z), as Q in ``q_function``, so there
-        e^{iA} is the conjugate of its value at 1/conj z.
+        (m,) + zs.shape, behind the level axis of a many-level frame.
+
+        Branch j is rho_j xi K_beta_j prod_k sqrt((1 - z conj beta_k)/(1 - z
+        conj alpha_k)), the product form of ``eigenfunction_product``: inside
+        the disk both factors of a ratio have a positive real part, so the
+        principal root of the ratio is the ratio of the principal half
+        powers.  Outside, the phase A(z) = -conj A(1/conj z), as Q in
+        ``q_function``, so the product there is e^{-i pi mu} times the
+        conjugate of its value at 1/conj z, mu the sublevel measure.
         """
         if xiv is None:
             xiv = xi_grid(self.sym, zs, self.lam)
-        outside = np.abs(zs) > 1.0
-        mirror = np.divide(1.0, np.conj(zs), out=zs.copy(), where=outside)
-        factor = _phase_factor(self._ends, mirror)
+        levels = _levels(self.lam)
+        outside = np.abs(zs.ravel()) > 1.0
+        mirror = np.divide(1.0, np.conj(zs.ravel()), out=zs.flatten(), where=outside)
+        col = levels + (1,)   # each level's arc ends against every point
+        prod = np.ones(levels + mirror.shape, dtype=complex)
+        for j in range(self.m):
+            # z times e in the product form's order: with fused multiply-adds
+            # the complex product need not commute, and 1 - z e cancels
+            ratio = 1.0 - mirror * np.conj(self._beta[..., j]).reshape(col)
+            ratio /= 1.0 - mirror * np.conj(self._alpha[..., j]).reshape(col)
+            prod *= np.sqrt(ratio, out=ratio)
         if outside.any():
-            factor = np.where(outside, np.conj(factor), factor)
-        phase0 = self._phase0
-        if _levels(self.lam):   # each level's factors on its own branch axis
-            phase0, xiv = phase0.reshape((-1,) + (1,) * (zs.ndim + 1)), xiv[:, None]
-            factor = factor[:, None]
-        common = phase0 * xiv * factor
-        col = self._rho.shape + (1,) * zs.ndim
-        k = 1.0 / (1.0 - zs * np.conj(self._beta).reshape(col))
-        return self._rho.reshape(col) * k * common
+            twist = np.exp(-1j * math.pi * np.reshape(arcs_measure(self._ends), col))
+            prod = np.where(outside, twist * np.conj(prod), prod)
+        common = xiv * prod.reshape(levels + zs.shape)
+        if levels:   # each level's factors on its own branch axis
+            common = common[:, None]
+        rows = self._rho.shape + (1,) * zs.ndim
+        k = 1.0 / (1.0 - zs * np.conj(self._beta).reshape(rows))
+        return self._rho.reshape(rows) * k * common
 
     def eigenfunction(self, j: int, z: complex) -> complex:
         """Branch-j generalized eigenfunction at one point inside the disk."""
@@ -207,7 +212,7 @@ class SpectralFrame:
         xi comes from ``hardy.xi_circle``: the convolution fast path where
         that is exact, the level's closed form everywhere else."""
         xiv = hardy.xi_circle(self.sym, self.lam, r, m_out)
-        return self._branches(r * np.exp(2j * math.pi * np.arange(m_out) / m_out), xiv)
+        return self._branches(_circle_grid(r, m_out), xiv)
 
     def _check_branch(self, j: int):
         if not 1 <= j <= self.m:
@@ -283,6 +288,8 @@ def _taylor_points(nmax: int, radius: float) -> int:
     with weight radius^m, so m is the smallest power of two >= 2(nmax + 1)
     with radius^m <= ``DEFAULT_TOL``.  Larger radii tame the r^{-n} noise
     amplification of the higher coefficients and take more points."""
+    if nmax < 0:
+        raise ValueError(f"Taylor order must be at least 0, got {nmax}")
     if not 0.0 < radius <= hardy.CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {hardy.CIRCLE_R_MAX}]")
     m = 2
@@ -316,7 +323,7 @@ class FrameFamily:
     the symbol's store, and every level passes its sign check and its count
     against the interval's.  The family's evaluators take that frame's
     levels in chunks, views of it (``SpectralFrame._parts``); ``frames``
-    holds the per-level frames, built on first use from the same level sets."""
+    holds one-level views of it, made on first use."""
 
     def __init__(self, sym: PiecewiseSymbol, interval, n_grid: int = 256):
         self.sym = sym
@@ -330,7 +337,13 @@ class FrameFamily:
 
     @functools.cached_property
     def frames(self) -> list[SpectralFrame]:
-        return [SpectralFrame(self.sym, level) for level in self.frame.level]
+        """One-level views of ``frame``, as ``SpectralFrame._parts`` makes
+        chunks: no level is checked again."""
+        frame, views = self.frame, []
+        for k, level in enumerate(frame.level):
+            views.append(copy.copy(frame))
+            views[-1]._hold(level, float(level.lam), tuple(frame.c[k].tolist()), frame._ends[:, k])
+        return views
 
     def __len__(self) -> int:
         return len(self.lams)
@@ -344,8 +357,9 @@ class FrameFamily:
 
     def taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
         """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), by ``eigen_taylor``."""
+        width = self.m * _taylor_points(nmax, radius)
         out = np.empty((len(self), self.m, nmax + 1), dtype=complex)
-        for part, frame in self.frame._parts(self.m * _taylor_points(nmax, radius)):
+        for part, frame in self.frame._parts(width):
             out[part] = frame.eigen_taylor(nmax, radius=radius)
         return out
 
@@ -384,8 +398,11 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     ``FrameFamily`` per doubling; the density is smooth there, so
     convergence is fast for smooth weights.
     Raises ``QuadratureError`` with the worst change between doublings when
-    ``max_nodes`` is reached before ``rtol``.
+    ``max_nodes`` is reached before ``rtol``; the first change compares 32
+    and 64 nodes, so ``max_nodes`` below 64 is refused.
     """
+    if max_nodes < 64:
+        raise ValueError(f"max_nodes must be at least 64, got {max_nodes}")
     a, b = float(interval[0]), float(interval[1])
     counting_report(sym, (a, b))  # admissibility and constant multiplicity
     probe = np.concatenate((a - np.linspace(0.01, 1.0, 4) * (b - a),

@@ -296,6 +296,30 @@ def test_unwritable_csv_fails_before_the_eigensolves(capsys, tmp_path, monkeypat
 _GOOD_PIECE = {"theta_start": 0.0, "theta_end": 2.0 * math.pi, "a": [0.0, 1.0]}
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["validate", "--symbol", "regular", "--interval=-0.5,0.5", "--n", "64,1"], "'1' is below 2"),
+    (["density", "--symbol", "regular", "--interval=-0.5,0.5", "--points", "0.2,1.0"], "'1.0'"),
+    (["validate", "--symbol", "regular", "--interval=-0.5,0.5", "--points", "0.2, 1.5"], "'1.5'"),
+    (["density", "--symbol", "regular", "--interval=-0.5,0.5", "--points", "0.6+0.8i"],
+     "'0.6+0.8i'"),
+])
+def test_section_sizes_and_disk_points_are_checked_before_loading(capsys, monkeypatch, argv, named):
+    def never(path):
+        raise AssertionError("symbol loaded")
+
+    monkeypatch.setattr(cli, "load_symbol", never)
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["xi", "phase"])
+def test_points_outside_the_disk_stay_valid_for_xi_and_phase(capsys, command):
+    code, out, _ = run_capture(capsys, [command, "--symbol", "regular", "--z", "1.5",
+                                        "--lambda", "0.1"])
+    assert code == 0 and json.loads(out)["lambda"] == 0.1
+
+
 @pytest.mark.parametrize("files, argv", [
     ({"sym.json": {"pieces": [{"theta_start": 0.0, "theta_end": 2.0 * math.pi}]}},
      ["spectrum", "--symbol", "sym.json"]),

@@ -10,7 +10,15 @@ import pytest
 
 from conftest import doctor_crossings, random_symbol
 from toepspec import hardy, levelset, spectral
-from toepspec.diagonal import FrameFamily, HardyVector, phi_adjoint, phi_map_family, phi_r
+from toepspec.diagonal import (
+    FrameFamily,
+    HardyVector,
+    phi_adjoint,
+    phi_adjoint_taylor,
+    phi_map_family,
+    phi_on_taylor,
+    phi_r,
+)
 from toepspec.errors import CountingError, FormMismatchError, QuadratureError
 from toepspec.hardy import gauss_legendre, q_function, xi_grid
 from toepspec.levelset import admissible_intervals
@@ -144,7 +152,7 @@ def test_chunks_are_views_of_the_checked_frame(regular, singular, singular_asym,
                 want = spectral.SpectralFrame(sym, frame.level[part])
                 assert view.sym is sym and view.m == want.m
                 assert list(view.level) == list(want.level)
-                for name in ("lam", "c", "_ends", "_alpha", "_beta", "_rho", "_phase0"):
+                for name in ("lam", "c", "_ends", "_alpha", "_beta", "_rho"):
                     got, ref = getattr(view, name), getattr(want, name)
                     assert got.shape == ref.shape and np.array_equal(got, ref), name
     # the family's evaluators read those views: no level is counted again
@@ -156,6 +164,50 @@ def test_chunks_are_views_of_the_checked_frame(regular, singular, singular_asym,
     phi_r(fam, boundary, 0.99)
     fam.taylor(40)
     assert not calls
+
+
+def test_per_level_frames_are_views_of_the_checked_frame(regular, singular, singular_asym, fig2,
+                                                         cos2_symbol, monkeypatch):
+    calls = []
+    report = spectral.level_report
+    monkeypatch.setattr(spectral, "level_report", lambda s, lam: calls.append(lam) or report(s, lam))
+    for sym in (regular, singular, singular_asym, fig2, cos2_symbol):
+        fam = FrameFamily(sym, inner_interval(sym), n_grid=12)
+        del calls[:]
+        frames = fam.frames
+        assert not calls and len(frames) == len(fam)
+        for level, view in zip(fam.frame.level, frames):
+            want = spectral.SpectralFrame(sym, level)
+            assert view.sym is sym and view.level is level and view.m == want.m
+            assert type(view.lam) is type(want.lam) and type(view.c) is type(want.c)
+            for name in ("lam", "c", "_ends", "_alpha", "_beta", "_rho"):
+                got, ref = getattr(view, name), getattr(want, name)
+                assert np.shape(got) == np.shape(ref) and np.array_equal(got, ref), name
+
+
+def test_phi_r_builds_its_circle_grid_once():
+    fam = FrameFamily(preset_regular(), (-0.5, 0.5), n_grid=300)
+    boundary = 1.0 / (1.0 - 0.3 * np.exp(2j * math.pi * np.arange(512) / 512))
+    hardy._circle_grid.cache_clear()
+    phi_r(fam, boundary, 0.99)
+    assert hardy._circle_grid.cache_info().misses == 1
+
+
+def test_taylor_orders_below_zero_are_refused(regular, monkeypatch):
+    fam = FrameFamily(regular, (-0.5, 0.5), n_grid=8)
+    frame = fam.frames[0]
+
+    def no_circle(*args):
+        raise AssertionError("circle pass")
+
+    monkeypatch.setattr(hardy, "xi_circle", no_circle)
+    calls = [lambda: frame.eigen_taylor(-1), lambda: frame.density_taylor(-2),
+             lambda: fam.taylor(-1), lambda: fam.taylor(-3, 0.9),
+             lambda: phi_on_taylor(fam, np.array([])),
+             lambda: phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), -1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="Taylor order must be at least 0"):
+            call()
 
 
 # -- errors: the family raises what the per-level loop raises first ----------------------

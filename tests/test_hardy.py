@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -1037,10 +1038,25 @@ def random_arcs(rng):
     return [Arc(a % TWO_PI, a % TWO_PI + (b - a)) for a, b in ends]
 
 
-def test_phase_factor_is_exp_i_phase(rng):
-    # the product of principal square roots of the end-point ratios against
-    # exp(i A) of the closed log form, at points up to CIRCLE_R_MAX and 1e-6
-    # in angle from the arc ends
+def holding(frame, ends):
+    """A copy of ``frame`` that holds the arc ends ``ends``, (2, m) or
+    (2, levels, m), with every c = 1, through the frame's own ``_hold``."""
+    view = copy.copy(frame)
+    view.m = ends.shape[-1]
+    lam = np.zeros(ends.shape[1]) if ends.ndim == 3 else 0.0
+    view._hold(None, lam, np.ones(ends.shape[1:]), ends)
+    return view
+
+
+def test_phase_factor_is_exp_i_phase(rng, regular):
+    # the branches with rho = 1 and xi = 1 are K_beta_j times the product of
+    # principal square roots of the end-point ratios, which must be
+    # exp(i (A - pi mu/2)) of the closed log form at points up to
+    # CIRCLE_R_MAX and 1e-6 in angle from the arc ends, and of the integral
+    # form at their mirror points outside the disk, the ring at CIRCLE_R_MAX
+    # left out: there the rounding of 1/conj z, times the phase's condition
+    # number of about 2e3 at 1e-6 from an arc end, is 1e-13 in either form
+    frame = spectral_frame(regular, 0.0)
     wraps = narrow = 0
     for _ in range(200):
         arcs = random_arcs(rng)
@@ -1052,20 +1068,36 @@ def test_phase_factor_is_exp_i_phase(rng):
                              * np.exp(1j * rng.uniform(0.0, TWO_PI, 40)),
                              np.multiply.outer([0.9, 0.99, hardy.CIRCLE_R_MAX],
                                                np.exp(1j * near)).ravel()))
-        want = np.exp(1j * phase_A_closed(arcs, zs))
-        assert np.max(np.abs(hardy._phase_factor(arcs, zs) / want - 1.0)) <= 1e-13
+        view = holding(frame, ends.reshape(-1, 2).T)
+        kernels = 1.0 / (1.0 - zs * np.conj(view._beta)[:, None])
+        half = 0.5 * math.pi * hardy.arcs_measure(arcs)
+        want = kernels * np.exp(1j * (phase_A_closed(arcs, zs) - half))
+        assert np.max(np.abs(view._branches(zs, np.ones(zs.shape)) / want - 1.0)) <= 1e-13
+        out = 1.0 / np.conj(zs[:40 + 2 * len(near)])
+        kernels = 1.0 / (1.0 - out * np.conj(view._beta)[:, None])
+        want = kernels * np.exp(1j * (np.array([phase_A_integral(arcs, z) for z in out]) - half))
+        assert np.max(np.abs(view._branches(out, np.ones(out.shape)) / want - 1.0)) <= 1e-13
     assert wraps >= 20 and narrow >= 20
-    # a leading level axis, as phase_A_closed takes it, and the same refusal
+    # a leading level axis, on both sides of the circle
     levels = [random_arcs(np.random.default_rng(k)) for k in range(40)]
     levels = [arcs for arcs in levels if len(arcs) == 2]
     ends = np.array([[(arc.alpha, arc.beta) for arc in arcs] for arcs in levels]).transpose(2, 0, 1)
-    zs = np.array([[0.3 - 0.2j, -0.9], [0.99j, 0.0]])
-    got = hardy._phase_factor(ends, zs)
-    assert got.shape == (len(levels),) + zs.shape
-    for arcs, row in zip(levels, got):
-        assert np.max(np.abs(row / hardy._phase_factor(arcs, zs) - 1.0)) <= 1e-15
-    with pytest.raises(ValueError, match="interior"):
-        hardy._phase_factor(levels[0], np.array([0.2, 1.0]))
+    zs = np.array([[0.3 - 0.2j, -0.9, 1.5j], [0.99j, 0.0, -2.0 + 1.0j]])
+    got = holding(frame, ends)._branches(zs, np.ones((len(levels),) + zs.shape))
+    assert got.shape == (len(levels), 2) + zs.shape
+    for k, row in enumerate(got):
+        want = holding(frame, ends[:, k])._branches(zs, np.ones(zs.shape))
+        assert np.max(np.abs(row / want - 1.0)) <= 1e-15
+
+
+def test_circle_sizes_must_be_integer_powers_of_two(regular):
+    frame = spectral_frame(regular, 0.1)
+    for m_out in (512.0, np.float64(512.0), 0, 96):
+        with pytest.raises(ValueError, match="m_out must be an integer power of two"):
+            xi_circle(regular, 0.1, 0.9, m_out)
+        with pytest.raises(ValueError, match="m_out must be an integer power of two"):
+            frame.eigen_circle(0.9, m_out)
+    assert np.array_equal(xi_circle(regular, 0.1, 0.9, np.int64(512)), xi_circle(regular, 0.1, 0.9, 512))
 
 
 def test_one_piece_circle_xi_is_the_product_of_paired_roots(monkeypatch):

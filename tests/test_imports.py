@@ -103,12 +103,34 @@ def test_one_function_assembles_the_eigenfunctions():
 
 
 # The frames: a frame is built, and its levels checked, only from level sets;
-# the chunks that the evaluators read are views of a checked frame.
-def test_frames_are_built_in_three_places():
+# the chunks and the per-level frames that the evaluators read are views of a
+# checked frame.
+def test_frames_are_built_in_two_places():
     found = {name for name, fn in package_functions() for node in ast.walk(fn)
              if isinstance(node, ast.Call)
              and (node.func.id if isinstance(node.func, ast.Name)
                   else getattr(node.func, "attr", None)) == "SpectralFrame"}
-    assert sorted(found) == ["src/toepspec/spectral.py:FrameFamily.frames",
-                             "src/toepspec/spectral.py:SpectralFrame.alt_frame",
+    assert sorted(found) == ["src/toepspec/spectral.py:SpectralFrame.alt_frame",
                              "src/toepspec/spectral.py:spectral_frame"]
+
+
+# The branches are read from the arc end points that a frame holds, and the
+# explicit product is their cross-check.
+def test_two_functions_read_the_frame_end_points():
+    found = [name for name, fn in package_functions()
+             if any(isinstance(node, ast.Attribute) and node.attr == "_alpha"
+                    and isinstance(node.ctx, ast.Load) for node in ast.walk(fn))]
+    assert sorted(found) == ["src/toepspec/spectral.py:SpectralFrame._branches",
+                             "src/toepspec/spectral.py:SpectralFrame.eigenfunction_product"]
+
+
+# The circle grid: one function builds r e^{2 pi i k/m}.
+def test_one_function_builds_the_circle_grid():
+    found = [name for name, fn in package_functions()
+             if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp"
+                    and any(isinstance(sub, ast.Constant) and sub.value == 2j
+                            for sub in ast.walk(node))
+                    and any(isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "arange"
+                            for sub in ast.walk(node))
+                    for node in ast.walk(fn))]
+    assert found == ["src/toepspec/hardy.py:_circle_grid"]

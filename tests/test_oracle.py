@@ -122,6 +122,12 @@ def test_section_rejects_tiny(regular):
         build_section(regular, 1)
 
 
+@pytest.mark.parametrize("N", [2.5, 512.0, np.float64(8.0)])
+def test_section_refuses_a_size_that_is_not_an_integer(regular, N):
+    with pytest.raises(ValueError, match="finite section needs an integer N >= 2"):
+        build_section(regular, N)
+
+
 def test_k_vector():
     vec, tail = k_vector(0.0, 5)
     assert np.allclose(vec, [1, 0, 0, 0, 0])
@@ -205,6 +211,16 @@ def test_validate_refuses_an_empty_list_of_sizes(regular, monkeypatch):
     monkeypatch.setattr(oracle, "weak_measure", no_weak_measure)
     with pytest.raises(ValueError, match="sizes is an empty list"):
         validate(regular, (-0.6, 0.6), smooth_bump(-0.5, 0.5), [0.0, 0.3 + 0.2j], [])
+
+
+@pytest.mark.parametrize("sizes", [[1], [512, 0], [64, 2.5], [128.0]])
+def test_validate_refuses_a_size_that_is_not_an_integer_above_one(regular, monkeypatch, sizes):
+    def no_weak_measure(*args):
+        raise AssertionError("weak measure computed")
+
+    monkeypatch.setattr(oracle, "weak_measure", no_weak_measure)
+    with pytest.raises(ValueError, match="section sizes must be integers >= 2"):
+        validate(regular, (-0.6, 0.6), smooth_bump(-0.5, 0.5), [0.0, 0.3 + 0.2j], sizes)
 
 
 def test_validate_outside_spectrum_is_null(regular):

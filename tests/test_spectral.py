@@ -437,6 +437,18 @@ def test_weak_measure_unsettled_raises(regular):
     assert 1e-12 < info.value.achieved_tol < 1e-1
 
 
+def test_weak_measure_refuses_fewer_than_64_nodes(regular, monkeypatch):
+    # the first change compares a 32- and a 64-node rule
+    def no_family(*args):
+        raise AssertionError("family built")
+
+    monkeypatch.setattr(spectral, "FrameFamily", no_family)
+    ind = lambda lam: 1.0 if -0.5 <= lam <= 0.5 else 0.0
+    for max_nodes in (63, 32, 0):
+        with pytest.raises(ValueError, match=f"max_nodes must be at least 64, got {max_nodes}"):
+            weak_measure(regular, (-0.5, 0.5), 0.0, 0.0, ind, max_nodes=max_nodes)
+
+
 def test_weak_measure_broadcasts_over_point_arrays(regular, singular):
     pts = np.array([0.3 + 0.2j, -0.5j])
     for sym, (a, b) in ((regular, (-0.5, 0.5)), (singular, (0.2, 0.8))):
