@@ -10,8 +10,8 @@ import numpy as np
 
 from .hardy import CIRCLE_R_MAX, gauss_legendre
 from .oracle import FiniteSection, oracle_weak_measure
-from .spectral import FrameFamily, SpectralFrame, stone_density
-from .symbol import PiecewiseSymbol
+from .spectral import FrameFamily, SpectralFrame, _taylor_points, stone_density
+from .symbol import DEFAULT_TOL, PiecewiseSymbol
 
 
 @dataclass(frozen=True)
@@ -62,28 +62,28 @@ def phi_adjoint(family: FrameFamily, values: np.ndarray, z: complex) -> complex:
     return family.inner(values, phi_map_family(family, HardyVector.of((1.0, z))))
 
 
-def _trig_resample(vals: np.ndarray, m: int) -> np.ndarray:
-    """Trigonometric interpolation of uniform circle samples onto m points."""
-    n = len(vals)
-    if m == n:
-        return vals
-    c = np.fft.fft(vals)
-    out = np.zeros(m, dtype=complex)
-    h = n // 2
-    out[:h] = c[:h]
-    out[m - h + 1:] = c[h + 1:]
-    out[h] = 0.5 * c[h]
-    out[m - h] += 0.5 * c[h]
-    return np.fft.ifft(out) * (m / n)
+def _phi_on_circle(family: FrameFamily, fhat: np.ndarray, r: float, radius: float) -> np.ndarray:
+    """sum_n fhat_n r^n conj(phi_n) on the family grid, phi_n the Taylor
+    coefficients of each eigenfunction: the mean, over the
+    ``_taylor_points(len(fhat) - 1, radius)`` points zeta, of sum_n fhat_n
+    (r/radius)^n zeta^n times conj phi(radius zeta).  That grid aliases
+    coefficient n + m onto n with weight radius^m, so only the radius sets
+    the accuracy.  One ``eigen_circle`` call per chunk."""
+    m = _taylor_points(len(fhat) - 1, radius)
+    g = np.fft.ifft(fhat * (r / radius) ** np.arange(len(fhat)), m)
+    out = np.empty((len(family), family.m), dtype=complex)
+    for part, frame in family.frame._parts(family.m * m):
+        out[part] = np.conj(frame.eigen_circle(radius, m)) @ g
+    return out
 
 
 def phi_r(family: FrameFamily, boundary_values: np.ndarray, r: float) -> np.ndarray:
-    """Smoothed map from boundary samples by the uniform trapezoid rule, for
-    r in (0, ``CIRCLE_R_MAX``].  ``boundary_values`` samples the function on
-    e^{2 pi i k/M}, M >= 512 a power of two.  The eigenfunction factor is
-    analytic out to about 1/r, so m trapezoid points err by about
-    e^{-(1 - r) m}: the samples are trig-interpolated onto the first
-    doubling of M with (1 - r) m >= 16, an e^{-16} target.
+    """Smoothed map sum_n fhat_n r^n conj(phi_n) from boundary samples, for r
+    in (0, ``CIRCLE_R_MAX``].  ``boundary_values`` samples the function on
+    e^{2 pi i k/M}, M >= 512 a power of two, and fhat_n, n < M/2, is their
+    FFT.  The sum is read on the M-point circle of radius min(r, rho_M),
+    rho_M the largest radius at which M points alias no more than
+    ``DEFAULT_TOL``.
     """
     boundary_values = np.asarray(boundary_values, dtype=complex)
     if boundary_values.ndim != 1 or not np.all(np.isfinite(boundary_values)):
@@ -95,21 +95,17 @@ def phi_r(family: FrameFamily, boundary_values: np.ndarray, r: float) -> np.ndar
         raise ValueError("boundary grid size must be a power of two")
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"radius must lie in (0, {CIRCLE_R_MAX}]")
-    m_quad = M
-    while (1.0 - r) * m_quad < 16.0:
-        m_quad *= 2
-    bv = _trig_resample(boundary_values, m_quad)
-    out = np.empty((len(family), family.m), dtype=complex)
-    for part, frame in family.frame._parts(family.m * m_quad):
-        out[part] = np.mean(bv * np.conj(frame.eigen_circle(r, m_quad)), axis=-1)
-    return out
+    rho = DEFAULT_TOL ** (1.0 / M)
+    if rho**M > DEFAULT_TOL:   # rounded up: _taylor_points would double the grid
+        rho = float(np.nextafter(rho, 0.0))
+    fhat = np.fft.fft(boundary_values)[: M // 2] / M
+    return _phi_on_circle(family, fhat, r, min(r, rho))
 
 
 def phi_on_taylor(family: FrameFamily, fhat: np.ndarray, radius: float = 0.7) -> np.ndarray:
-    """Diagonalizing map on a Taylor-coefficient vector (monomial basis)."""
-    fhat = np.asarray(fhat, dtype=complex)
-    coeffs = family.taylor(len(fhat) - 1, radius=radius)
-    return np.einsum("n,kjn->kj", fhat, np.conj(coeffs))
+    """Diagonalizing map on a Taylor-coefficient vector (monomial basis), read
+    on the circle of the given radius."""
+    return _phi_on_circle(family, np.asarray(fhat, dtype=complex), 1.0, radius)
 
 
 def phi_adjoint_taylor(family: FrameFamily, values: np.ndarray, nmax: int,

@@ -557,7 +557,7 @@ def _circle_grid(r: float, m: int) -> np.ndarray:
     return z
 
 
-def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int = 4096) -> np.ndarray:
+def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int) -> np.ndarray:
     """xi at the m_out points r e^{2 pi i k/m_out} in one sweep, for a level,
     or as one row per level for a 1-D array of levels.
 

@@ -206,7 +206,7 @@ class SpectralFrame:
             raise ValueError("interior eigenfunction needs |z| < 1")
         return self._branches(zs)
 
-    def eigen_circle(self, r: float, m_out: int = 4096) -> np.ndarray:
+    def eigen_circle(self, r: float, m_out: int) -> np.ndarray:
         """All eigenfunctions on the uniform grid r e^{2 pi i k/m_out}, (m, m_out).
 
         xi comes from ``hardy.xi_circle``: the convolution fast path where
@@ -283,13 +283,14 @@ class SpectralFrame:
 
 
 def _taylor_points(nmax: int, radius: float) -> int:
-    """Circle points for Taylor coefficients up to z^nmax at a radius in
-    (0, ``CIRCLE_R_MAX``].  An m-point grid aliases coefficient n + m onto n
-    with weight radius^m, so m is the smallest power of two >= 2(nmax + 1)
-    with radius^m <= ``DEFAULT_TOL``.  Larger radii tame the r^{-n} noise
-    amplification of the higher coefficients and take more points."""
-    if nmax < 0:
-        raise ValueError(f"Taylor order must be at least 0, got {nmax}")
+    """Circle points for Taylor coefficients up to z^nmax, nmax an integer
+    at least 0, at a radius in (0, ``CIRCLE_R_MAX``].  An m-point grid
+    aliases coefficient n + m onto n with weight radius^m, so m is the
+    smallest power of two >= 2(nmax + 1) with radius^m <= ``DEFAULT_TOL``.
+    Larger radii tame the r^{-n} noise amplification of the higher
+    coefficients and take more points."""
+    if not isinstance(nmax, (int, np.integer)) or nmax < 0:
+        raise ValueError(f"Taylor order must be an integer at least 0, got {nmax!r}")
     if not 0.0 < radius <= hardy.CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {hardy.CIRCLE_R_MAX}]")
     m = 2
@@ -398,8 +399,9 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     ``FrameFamily`` per doubling; the density is smooth there, so
     convergence is fast for smooth weights.
     Raises ``QuadratureError`` with the worst change between doublings when
-    ``max_nodes`` is reached before ``rtol``; the first change compares 32
-    and 64 nodes, so ``max_nodes`` below 64 is refused.
+    the next doubling would pass ``max_nodes`` before ``rtol`` is met; the
+    first change compares 32 and 64 nodes, so ``max_nodes`` below 64 is
+    refused.
     """
     if max_nodes < 64:
         raise ValueError(f"max_nodes must be at least 64, got {max_nodes}")
@@ -424,7 +426,7 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     n = 32
     prev = sample(n)
     delta = math.inf
-    while n < max_nodes:
+    while 2 * n <= max_nodes:
         n *= 2
         cur = sample(n)
         gap = np.abs(cur - prev)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from toepspec import diagonal
+from conftest import random_symbol
 from toepspec.diagonal import (
     FrameFamily,
     HardyVector,
@@ -17,8 +17,10 @@ from toepspec.diagonal import (
     stone_projection,
 )
 from toepspec.hardy import CIRCLE_R_MAX
+from toepspec.levelset import admissible_intervals
 from toepspec.oracle import build_section
-from toepspec.spectral import spectral_frame, stone_density
+from toepspec.spectral import SpectralFrame, _taylor_points, spectral_frame, stone_density
+from toepspec.symbol import DEFAULT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,8 +132,9 @@ def test_phi_r_refuses_samples_that_are_not_a_finite_vector(family):
 
 @pytest.mark.parametrize("name, interval", [("regular", (-0.5, 0.5)), ("fig2", (-0.4, 0.4))])
 def test_phi_r_at_the_largest_radius(request, name, interval):
-    # the trapezoid grid grows with 1/(1 - r) with no cap: at r = 0.9995 it
-    # has 32768 points, where a 16384-point cap left about 2e-4
+    # the sum is read on the 512 samples' own grid at the radius where 512
+    # points alias DEFAULT_TOL, and scaled out to r = 0.9995 coefficient by
+    # coefficient
     fam = FrameFamily(request.getfixturevalue(name), interval, n_grid=3)
     terms = ((1.0, 0.3 + 0.1j), (0.5j, -0.2 + 0.4j))
     zeta = np.exp(2j * math.pi * np.arange(512) / 512)
@@ -142,13 +145,66 @@ def test_phi_r_at_the_largest_radius(request, name, interval):
 
 
 def test_phi_r_refuses_radii_past_the_circle_limit(family, monkeypatch):
-    def no_grid(vals, m):
-        raise AssertionError(f"built a {m}-point grid")
+    def no_circle(self, r, m):
+        raise AssertionError(f"read a {m}-point circle at radius {r}")
 
-    monkeypatch.setattr(diagonal, "_trig_resample", no_grid)
+    monkeypatch.setattr(SpectralFrame, "eigen_circle", no_circle)
     for r in (CIRCLE_R_MAX + 1e-5, 0.9999, 1.0 - 1e-12):
         with pytest.raises(ValueError):
             phi_r(family, np.ones(512), r)
+
+
+def largest_exact_radius(M: int) -> float:
+    """The largest radius at which ``_taylor_points`` keeps M points for the
+    M/2 Taylor coefficients of M samples."""
+    rho = DEFAULT_TOL ** (1.0 / M)
+    while _taylor_points(M // 2 - 1, rho) > M:
+        rho = float(np.nextafter(rho, 0.0))
+    assert _taylor_points(M // 2 - 1, float(np.nextafter(rho, 1.0))) > M
+    return rho
+
+
+def test_phi_r_reads_the_samples_grid_at_every_radius(regular, singular, singular_asym, fig2,
+                                                      cos2_symbol, monkeypatch):
+    # phi_r of the samples of f = sum c_i K_{z_i} is Phi of f(r .), that is
+    # sum c_i K_{r z_i}; each circle pass reads the M sample points, at the
+    # radius r or, past the radius where M points alias DEFAULT_TOL, at that
+    # radius, and scales the coefficients out to r
+    rng = np.random.default_rng(31)
+    symbols = [regular, singular, singular_asym, fig2, cos2_symbol]
+    while len(symbols) < 9:
+        sym = random_symbol(rng)
+        if admissible_intervals(sym):
+            symbols.append(sym)
+    calls = []
+    circle = SpectralFrame.eigen_circle
+    monkeypatch.setattr(SpectralFrame, "eigen_circle",
+                        lambda self, r, m: calls.append((r, m)) or circle(self, r, m))
+    terms = ((1.0, 0.3 + 0.1j), (0.5j, -0.2 + 0.4j), (-0.7, 0.1 - 0.6j))
+    for sym in symbols:
+        a, b = max(admissible_intervals(sym), key=lambda iv: iv[1] - iv[0])
+        fam = FrameFamily(sym, (a + 0.1 * (b - a), b - 0.1 * (b - a)), n_grid=4)
+        for M in (512, 1024):
+            zeta = np.exp(2j * math.pi * np.arange(M) / M)
+            boundary = sum(c / (1.0 - np.conj(z) * zeta) for c, z in terms)
+            rho = largest_exact_radius(M)
+            for r in (0.5, 0.9, 0.95, 0.97, 0.99, CIRCLE_R_MAX):
+                del calls[:]
+                got = phi_r(fam, boundary, r)
+                want = phi_map_family(fam, HardyVector.of(*((c, r * z) for c, z in terms)))
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (M, r)
+                assert calls and set(calls) == {(min(r, rho), M)}, (M, r)
+
+
+def test_phi_on_taylor_contracts_the_taylor_table(fig2):
+    fam = FrameFamily(fig2, (-0.4, 0.4), n_grid=12)
+    f = HardyVector.of((1.0, 0.3 + 0.1j), (0.5j, -0.2 + 0.4j), (-0.7, 0.1 - 0.6j))
+    for radius, nmax in ((0.9, 96), (0.98, 255)):
+        n = np.arange(nmax + 1)[:, None]
+        fhat = np.conj([z for _, z in f.terms]) ** n @ np.array([c for c, _ in f.terms])
+        want = np.einsum("n,kjn->kj", fhat, np.conj(fam.taylor(nmax, radius)))
+        got = phi_on_taylor(fam, fhat, radius)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), radius
 
 
 def test_taylor_grid_follows_the_radius(regular):

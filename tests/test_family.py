@@ -196,6 +196,7 @@ def test_phi_r_builds_its_circle_grid_once():
 def test_taylor_orders_below_zero_are_refused(regular, monkeypatch):
     fam = FrameFamily(regular, (-0.5, 0.5), n_grid=8)
     frame = fam.frames[0]
+    assert spectral._taylor_points(np.int64(40), 0.98) == spectral._taylor_points(40, 0.98)
 
     def no_circle(*args):
         raise AssertionError("circle pass")
@@ -205,8 +206,13 @@ def test_taylor_orders_below_zero_are_refused(regular, monkeypatch):
              lambda: fam.taylor(-1), lambda: fam.taylor(-3, 0.9),
              lambda: phi_on_taylor(fam, np.array([])),
              lambda: phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), -1)]
+    # an order that is not an integer is refused as early
+    for nmax in (2.5, np.float64(3.0)):
+        calls += [lambda n=nmax: frame.eigen_taylor(n), lambda n=nmax: frame.density_taylor(n),
+                  lambda n=nmax: fam.taylor(n), lambda n=nmax: fam.taylor(n, 0.9),
+                  lambda n=nmax: phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), n)]
     for call in calls:
-        with pytest.raises(ValueError, match="Taylor order must be at least 0"):
+        with pytest.raises(ValueError, match="Taylor order must be an integer at least 0"):
             call()
 
 

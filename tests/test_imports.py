@@ -134,3 +134,13 @@ def test_one_function_builds_the_circle_grid():
                             for sub in ast.walk(node))
                     for node in ast.walk(fn))]
     assert found == ["src/toepspec/hardy.py:_circle_grid"]
+
+
+# Phi on function data: one circle pass reads the eigenfunctions for the
+# Taylor-coefficient sums, and the Taylor table is the other reader.
+def test_two_functions_read_the_eigenfunctions_on_a_circle():
+    found = [name for name, fn in package_functions()
+             if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigen_circle"
+                    for node in ast.walk(fn))]
+    assert sorted(found) == ["src/toepspec/diagonal.py:_phi_on_circle",
+                             "src/toepspec/spectral.py:SpectralFrame.eigen_taylor"]

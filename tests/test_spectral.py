@@ -449,6 +449,19 @@ def test_weak_measure_refuses_fewer_than_64_nodes(regular, monkeypatch):
             weak_measure(regular, (-0.5, 0.5), 0.0, 0.0, ind, max_nodes=max_nodes)
 
 
+def test_weak_measure_stays_within_its_node_limit(regular, monkeypatch):
+    # a limit that is not a power of two stops the doubling below it
+    sizes = []
+    family = spectral.FrameFamily
+    monkeypatch.setattr(spectral, "FrameFamily",
+                        lambda sym, interval, n: sizes.append(n) or family(sym, interval, n))
+    step = lambda lam: 1.0 if -0.2 <= lam <= 0.3 else 0.0
+    with pytest.raises(QuadratureError, match="did not settle within 100 nodes") as err:
+        weak_measure(regular, (-0.5, 0.5), 0.3, 0.3, step, max_nodes=100)
+    assert sizes == [32, 64]
+    assert math.isfinite(err.value.achieved_tol) and err.value.achieved_tol > 0.0
+
+
 def test_weak_measure_broadcasts_over_point_arrays(regular, singular):
     pts = np.array([0.3 + 0.2j, -0.5j])
     for sym, (a, b) in ((regular, (-0.5, 0.5)), (singular, (0.2, 0.8))):
