@@ -68,9 +68,23 @@ def _phi_on_circle(family: FrameFamily, fhat: np.ndarray, r: float, radius: floa
     ``_taylor_points(len(fhat) - 1, radius)`` points zeta, of sum_n fhat_n
     (r/radius)^n zeta^n times conj phi(radius zeta).  That grid aliases
     coefficient n + m onto n with weight radius^m, so only the radius sets
-    the accuracy.  One ``eigen_circle`` call per chunk."""
+    the accuracy.  One ``eigen_circle`` call per chunk.  Where
+    (r/radius)^n overflows, fhat_n (r/radius)^n is taken in two halves of
+    the power, and is 0 for fhat_n = 0; a product that is still not finite
+    raises ``ValueError`` before any circle pass."""
     m = _taylor_points(len(fhat) - 1, radius)
-    g = np.fft.ifft(fhat * (r / radius) ** np.arange(len(fhat)), m)
+    n = np.arange(len(fhat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = (r / radius) ** n
+        scaled = fhat * power
+        big = ~np.isfinite(power)
+        if big.any():
+            half = n[big] // 2
+            scaled[big] = np.where(fhat[big] == 0.0, 0.0, fhat[big] * (r / radius) ** half
+                                   * (r / radius) ** (n[big] - half))
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("the coefficients times (r/radius)^n are not finite")
+    g = np.fft.ifft(scaled, m)
     out = np.empty((len(family), family.m), dtype=complex)
     for part, frame in family.frame._parts(family.m * m):
         out[part] = np.conj(frame.eigen_circle(radius, m)) @ g
@@ -104,7 +118,8 @@ def phi_r(family: FrameFamily, boundary_values: np.ndarray, r: float) -> np.ndar
 
 def phi_on_taylor(family: FrameFamily, fhat: np.ndarray, radius: float = 0.7) -> np.ndarray:
     """Diagonalizing map on a Taylor-coefficient vector (monomial basis), read
-    on the circle of the given radius."""
+    on the circle of the given radius.  Coefficients whose products with
+    radius^{-n} are not finite raise ``ValueError``."""
     return _phi_on_circle(family, np.asarray(fhat, dtype=complex), 1.0, radius)
 
 

@@ -8,6 +8,7 @@ on the circle too; no package code calls the panel rules, the tests' reference.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -308,10 +309,30 @@ def _closed_xi(factors: _LevelFactors, z: np.ndarray) -> np.ndarray:
     log or exp per point: each factor has a positive real part, so a pair's
     argument lies in (-pi, pi) and the principal root of the pair is the
     product of the factors' principal roots.  A root of a longer product
-    could wrap.  Every other record takes exp(-Q/2) of ``_closed_q``."""
-    if len(factors.pieces) > 1:
-        return np.exp(-0.5 * _closed_q(factors, z))
-    return _finite(_by_levels(_one_piece_xi, factors, z, 1), "xi")
+    could wrap.  On constant pieces only, the ends' terms of ``_arc_q``
+    meet at each seam t_s, and Q = m + (i/pi) sum_s s_s Log(1 - z e^{-i t_s}),
+    m the weight's mean and s_s its jump at t_s: xi is
+    e^{-m/2} exp(-(i/2 pi) sum_s s_s Log(1 - z e^{-i t_s})), one table of
+    seam logs for every level, one product with the jumps and one exp per
+    point (``_seam_powers``).  Every other record takes exp(-Q/2) of
+    ``_closed_q``."""
+    if len(factors.pieces) == 1:
+        return _finite(_by_levels(_one_piece_xi, factors, z, 1), "xi")
+    if factors.li2_free:
+        return _finite(_seam_powers(factors.pieces, z), "xi")
+    return np.exp(-0.5 * _closed_q(factors, z))
+
+
+def _seam_powers(pieces, z: np.ndarray) -> np.ndarray:
+    """``_closed_xi`` on constant pieces, unchecked: the principal Log is
+    exact, since 1 - z e^{-i t} has a positive real part in the disk."""
+    starts = np.array([a for a, *_ in pieces])
+    lengths = np.array([(b - a) % TWO_PI for a, b, *_ in pieces])
+    const = np.stack([np.asarray(c, dtype=float) for _, _, c, _, _ in pieces], axis=-1)
+    steps = const - np.roll(const, 1, axis=-1)   # piece i's value less piece i-1's
+    logs = np.log(1.0 - np.multiply.outer(z, np.exp(-1j * starts)))
+    mean = np.asarray(const @ lengths) / TWO_PI
+    return np.exp(-0.5 * mean[..., None] - (0.5j / math.pi) * (steps @ logs.T))
 
 
 def _finite(values: np.ndarray, name: str) -> np.ndarray:
@@ -416,53 +437,143 @@ def xi_grid(sym: PiecewiseSymbol, zs, lam) -> np.ndarray:
     return np.exp(-0.5 * np.asarray(q_function(sym, zs, lam)))
 
 
-LOG_FOURIER_N = 16384    # Fourier modes kept for the circle fast path
-LOG_FOURIER_GRID = 32768  # sample grid for the smooth remainder
+LOG_FOURIER_GRID = 32768  # the largest sample grid for the smooth remainder
+LOG_FOURIER_N = LOG_FOURIER_GRID // 2   # Fourier modes kept on it
 CIRCLE_R_MAX = 0.9995     # largest radius xi_circle accepts
-# a log singularity nearer than this to the circle costs more than eps on the grid
-FOURIER_REACH = math.log(1.0 / EPS) / LOG_FOURIER_GRID
-
+# a log singularity nearer than ln(1/eps)/G to the circle costs more than eps on G points
+_LOG_EPS = math.log(1.0 / EPS)
 # Long exponential vectors are outer products of two short tables, entry
-# _BLOCK*q + p being row[q]*col[p]; that keeps the module's tables small.
+# _BLOCK*q + p being row[q]*col[p]; that keeps the tables small.
 _BLOCK = 128
 _SHORT = np.arange(_BLOCK, dtype=float)
-# half angles tau/2 = A_q + B_p of the half-offset grid tau_k = 2 pi (k + 1/2)/GRID,
-# k = _BLOCK*q + p: A_q = pi _BLOCK q/GRID, and cos B_p, sin B_p as two rows
-_HALF_A = math.pi * _BLOCK * np.arange(LOG_FOURIER_GRID // _BLOCK) / LOG_FOURIER_GRID
-_HALF_B = np.stack((np.cos(math.pi * (_SHORT + 0.5) / LOG_FOURIER_GRID),
-                    np.sin(math.pi * (_SHORT + 0.5) / LOG_FOURIER_GRID)))
-
-# the half-offset sample grid, the phase that re-centres its FFT (with the
-# FFT's 1/GRID) and the reciprocal modes
-_TAU = TWO_PI * (np.arange(LOG_FOURIER_GRID) + 0.5) / LOG_FOURIER_GRID
-_TAU_PHASE = (np.exp(-1j * math.pi * np.arange(LOG_FOURIER_N) / LOG_FOURIER_GRID)
-              / LOG_FOURIER_GRID)
-_INV_MODES = 1.0 / np.arange(1, LOG_FOURIER_N)
+_MIN_GRID = 2 * _BLOCK    # the smallest grid: one row of _BLOCK modes
+# the grids log_fourier takes, _MIN_GRID to LOG_FOURIER_GRID
+_GRIDS = _MIN_GRID * 2.0 ** np.arange(int(math.log2(LOG_FOURIER_GRID // _MIN_GRID)) + 1)
+# zeta(4), zeta(5) and zeta(6), for the aliasing of the seams' uncorrected jumps
+_ZETA = {4: math.pi**4 / 90.0, 5: 1.0369277551433699, 6: math.pi**6 / 945.0}
+# the rounding level of Q from the Fourier route at radius r is about
+# _ROUNDING/(1 - r); xi_circle sizes its grid so its estimates stay below it
+_ROUNDING = 8.0 * EPS
+# samples nearer than this to a crossing take its cancellation-free form
+_NEAR = 1e-3
 
 
-def _fourier_resolves(sym: PiecewiseSymbol, factors: _LevelFactors) -> bool:
-    """Whether ``log_fourier``'s grid resolves the level's log weight.  Its
-    periodic trapezoid rule errs by O(h^2) at a slope jump (Lyness, Math. Comp.
-    28, 1974), so every seam needs a continuous slope; and by about e^{-d GRID}
-    at a log singularity d from the circle (Trefethen & Weideman, SIAM Rev. 56,
-    2014), so the root record's ``reach`` must be at least ``FOURIER_REACH``."""
-    return sym._c1_log_seams is not None and factors.reach >= FOURIER_REACH
+@functools.lru_cache(maxsize=8)
+def _grid_tables(grid: int) -> tuple[np.ndarray, ...]:
+    """Tables of the half-offset grid tau_k = 2 pi (k + 1/2)/grid, made once
+    per grid size and returned read-only: the samples; the half angles
+    tau/2 = A_q + B_p, k = _BLOCK*q + p, as A_q = pi _BLOCK q/grid and the
+    rows cos B_p, sin B_p; the phase that re-centres the FFT (with its
+    1/grid); and the reciprocal modes 1/n, n < grid/2, as rows of _BLOCK,
+    with 0 for n = 0."""
+    tau = TWO_PI * (np.arange(grid) + 0.5) / grid
+    half_a = math.pi * _BLOCK * np.arange(grid // _BLOCK) / grid
+    half_b = np.stack((np.cos(math.pi * (_SHORT + 0.5) / grid),
+                       np.sin(math.pi * (_SHORT + 0.5) / grid)))
+    phase = np.exp(-1j * math.pi * np.arange(grid // 2) / grid) / grid
+    inverse = np.zeros(grid // 2)
+    inverse[1:] = 1.0 / np.arange(1, grid // 2)
+    tables = (tau, half_a, half_b, phase, inverse.reshape(-1, _BLOCK))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _fourier_error(sym: PiecewiseSymbol, lam: float, fhat: np.ndarray, r: float) -> float:
-    """A bound on Q's error at radius r from ``log_fourier``'s ``fhat``: the
-    tail dropped past N modes, 2 max_{n >= N/2}(n |f_n|) r^N / (N (1 - r)),
-    and the aliasing of each seam's jump J in the weight's second derivative
-    p''/(p - lam), |J| (16 |cos G t|/(G (1 - r)) + 10 |sin G t|) / (pi G^3 (1 - r)),
-    whose 1/G^3 term cancels half-way between grid points; NaN on a crossing."""
-    n, grid = LOG_FOURIER_N, LOG_FOURIER_GRID
-    t, left, right, curv_left, curv_right = sym._c1_log_seams.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jump = np.abs(curv_right / (right - lam) - curv_left / (left - lam))
-    alias = np.sum(jump * (16.0 * np.abs(np.cos(grid * t)) / (grid * (1.0 - r))
-                           + 10.0 * np.abs(np.sin(grid * t)))) / (math.pi * grid**3)
+def _seam_jumps(sym: PiecewiseSymbol, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The seams' angles and, per seam, the jumps (right minus left) of
+    f = ln|omega - lam| and of f', f'', f''' and f'''' (seams, 5), from the
+    symbol's one-sided jets (``PiecewiseSymbol._seam_jets``): with
+    a_k = p^(k)/(p - lam), f' = a1, f'' = a2 - a1^2, f''' = a3 - 3 a1 a2 +
+    2 a1^3 and f'''' = a4 - 4 a1 a3 - 3 a2^2 + 12 a1^2 a2 - 6 a1^4.  The
+    value jump is 0 on a seam where the value is continuous; a side whose
+    value is lam gives jumps that are not finite."""
+    angles, jets, stepped = sym._seam_jets
+    u = jets[..., 0] - lam
+    f = np.empty(jets.shape)
+    with np.errstate(all="ignore"):
+        a1, a2, a3, a4 = np.moveaxis(jets[..., 1:] / u[..., None], -1, 0)
+        sq = a1 * a1
+        f[..., 0] = np.where(stepped[:, None], np.log(np.abs(u)), 0.0)
+        f[..., 1] = a1
+        f[..., 2] = a2 - sq
+        f[..., 3] = a3 - (3.0 * a2 - 2.0 * sq) * a1
+        f[..., 4] = a4 - 4.0 * a1 * a3 - 3.0 * a2 * a2 + (12.0 * a2 - 6.0 * sq) * sq
+        return angles, f[:, 1] - f[:, 0]
+
+
+def _seam_alias(seams: np.ndarray, jumps: np.ndarray, grid, r: float | None = None):
+    """The aliasing of the seams' jumps D_3, D_4 in f''' and f'''' on grids
+    of the given sizes (an array gives an array), which ``log_fourier``
+    does not correct.  A jump D_j at t has the coefficients
+    D_j e^{-i n t}/(2 pi (i n)^p), p = j + 1, and on the half-offset grid
+    mode n < grid/2 takes those of n + k grid, k != 0, turned by
+    e^{-i k psi}, psi = grid t + pi.  Their sum is at most
+    2 zeta(p)/(grid - n)^p.  For odd p the terms of k and -k cancel but for
+    their sines, so it is also at most 2 zeta(p - 1) |sin psi|/(grid - n)^p
+    + 2 p zeta(p + 1) n/(grid - n)^(p + 1), far less on a seam half-way
+    between grid points.  With r, the bound on Q's error at radius r, from
+    sum_n 2 r^n n^i/(grid - n)^p <= 2 rho^i/(grid^p (1 - rho)^(i + 1)) for
+    i = 0, 1 and rho = r 4^{(p + i)/grid} (huge where rho >= 1); without,
+    the bound on one coefficient, 2 zeta(p) (2/grid)^p per unit jump.  NaN
+    when a jump is not finite."""
+    curl, twist = np.abs(jumps[:, 3:5].T) / TWO_PI
+    if r is None:
+        return (float(np.sum(curl)) * 2.0 * _ZETA[4] * (2.0 / grid) ** 4
+                + float(np.sum(twist)) * 2.0 * _ZETA[5] * (2.0 / grid) ** 5)
+    gap4 = np.maximum(1.0 - r * 4.0 ** (4.0 / grid), 1e-150)
+    gap5 = np.maximum(1.0 - r * 4.0 ** (5.0 / grid), 1e-150)
+    gap6 = np.maximum(1.0 - r * 4.0 ** (6.0 / grid), 1e-150)
+    flat5 = 2.0 / (grid**5.0 * gap5)
+    odd = np.minimum(2.0 * _ZETA[5] * flat5,
+                     2.0 * _ZETA[4] * flat5 * np.abs(np.sin(np.multiply.outer(seams, grid)))
+                     + 20.0 * _ZETA[6] * (1.0 - gap6) / (grid**6.0 * gap6 * gap6))
+    return float(np.sum(curl)) * 4.0 * _ZETA[4] / (grid**4.0 * gap4) + twist @ odd
+
+
+def _fourier_resolves(factors: _LevelFactors, seams: np.ndarray, jumps: np.ndarray, grid):
+    """Whether ``log_fourier``'s grid of that size resolves the level's log
+    weight, for one size or an array of them.  Its periodic trapezoid rule
+    errs by about e^{-d grid} at a log singularity d from the circle
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), so the root record's
+    ``reach`` must be at least ln(1/eps)/grid; and the seams' jumps in f'''
+    and f'''' may alias into a coefficient by at most ``DEFAULT_TOL``
+    (``_seam_alias``)."""
+    return (factors.reach * grid >= _LOG_EPS) & (_seam_alias(seams, jumps, grid) <= DEFAULT_TOL)
+
+
+def _fourier_error(seams: np.ndarray, jumps: np.ndarray, fhat: np.ndarray, r: float) -> float:
+    """A bound on Q's error at radius r from ``log_fourier``'s ``fhat``, N
+    modes from 2N grid points: the tail dropped past N modes,
+    2 max_{n >= N/2}(n |f_n|) r^N/(N (1 - r)), and the aliasing of the
+    seams' jumps in f''' and f'''' (``_seam_alias``); NaN where a jump is
+    not finite."""
+    n = len(fhat)
     decay = float(np.max(np.arange(n // 2, n) * np.abs(fhat[n // 2:])))
-    return (2.0 * decay * r**n / n + float(alias)) / (1.0 - r)
+    return 2.0 * decay * r**n / (n * (1.0 - r)) + _seam_alias(seams, jumps, 2 * n, r)
+
+
+def _sized_grid(factors: _LevelFactors, seams: np.ndarray, jumps: np.ndarray,
+                r: float) -> int | None:
+    """The grid ``xi_circle`` asks ``log_fourier`` for at radius r, chosen
+    before any FFT: the smallest power of two from ``_MIN_GRID`` on that
+    resolves the level (``_fourier_resolves``) and on which the dropped
+    tail and the seams' aliasing at r (``_fourier_error``'s terms) stay at
+    the rounding level ``_ROUNDING``/(1 - r).  The tail takes max n |f_n|,
+    n >= N/2, from the exact terms: 1/2 per crossing, |J|/(2 pi) per value
+    jump J and |D_j|/(2 pi (N/2)^j) per jump D_j in f' and f''; and from
+    the remainder, 1/2 e^{-d N/2} per root, d the record's ``reach``.  Past
+    those, ``LOG_FOURIER_GRID`` where it resolves the level, and None where
+    it does not."""
+    sizes = np.sum(np.abs(jumps[:, :3]), axis=0) / TWO_PI
+    n = _GRIDS / 2.0
+    decay = (0.5 * len(factors.crossings) + sizes[0] + (sizes[1] + 2.0 * sizes[2] / n) * 2.0 / n
+             + 0.5 * factors.roots * np.exp(-0.5 * factors.reach * n))
+    resolves = _fourier_resolves(factors, seams, jumps, _GRIDS)
+    error = 2.0 * decay * r**n / (n * (1.0 - r)) + _seam_alias(seams, jumps, _GRIDS, r)
+    fits = resolves & (error <= _ROUNDING / (1.0 - r))
+    if fits.any():
+        return int(_GRIDS[np.argmax(fits)])
+    return LOG_FOURIER_GRID if resolves[-1] else None
 
 
 def _value_jumps(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, float]]:
@@ -471,79 +582,149 @@ def _value_jumps(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, float]]:
             for j in sym.jumps if j.kind != "zero"]
 
 
-# log_fourier's grid-sized work arrays, kept per thread (768 KiB each): fresh
-# ones on every call cost page faults that take a third of its time
+# log_fourier's work arrays for the largest grid, kept per thread (768 KiB
+# each), of which a smaller grid takes views: fresh ones on every call cost
+# page faults that take a third of its time
 _grid_buffers = threading.local()
 
 
-def _grid_work() -> tuple[np.ndarray, ...]:
-    """This thread's work arrays of ``log_fourier``: two of the grid's size,
-    one for its real FFT, and a view of the grid's size into that one, which
-    serves until the transform writes it."""
+def _grid_work(grid: int = LOG_FOURIER_GRID) -> tuple[np.ndarray, ...]:
+    """This thread's work arrays of ``log_fourier``, cut to the grid: two
+    real arrays of its size, the output of its real FFT, and a real view of
+    the grid's size into that one, which serves until the transform writes
+    it."""
     work = getattr(_grid_buffers, "arrays", None)
     if work is None:
         spectrum = np.empty(LOG_FOURIER_GRID // 2 + 1, dtype=complex)
         work = _grid_buffers.arrays = (np.empty(LOG_FOURIER_GRID), np.empty(LOG_FOURIER_GRID),
                                        spectrum.view(float)[:LOG_FOURIER_GRID], spectrum)
-    return work
+    ratio, chords, view, spectrum = work
+    return ratio[:grid], chords[:grid], view[:grid], spectrum[:grid // 2 + 1]
 
 
-def log_fourier(sym: PiecewiseSymbol, lam: float) -> np.ndarray:
-    """Fourier coefficients of ln|omega - lam| for modes 0..N-1.
+def _ratio_near_crossings(sym: PiecewiseSymbol, lam: float, crossings: np.ndarray,
+                          tau: np.ndarray, ratio: np.ndarray) -> None:
+    """Recompute ``log_fourier``'s ratio |omega - lam|/prod |2 sin((tau - t)/2)|
+    at the samples within ``_NEAR`` of a crossing t0 on its own piece.  There
+    omega - lam and 2 sin((tau - t0)/2) both lose about eps/|tau - t0| of
+    their relative accuracy, which a sample 1e-6 from t0 turns into an error
+    of 1e-10 in the weight.  With lam = p(t0), s = tau - t0 and
+    m = (tau + t0)/2, their quotient is
+    sum_k (sin(k s/2)/sin(s/2)) (b_k cos(k m) - a_k sin(k m)), free of
+    cancellation; it takes the singularity to lie at t0 exactly.  A crossing
+    has a sample or two this near, so this runs in scalars."""
+    grid, angles = len(tau), crossings.tolist()
+    for t0 in angles:
+        first = math.ceil((t0 - _NEAR) * grid / TWO_PI - 0.5)
+        last = math.floor((t0 + _NEAR) * grid / TWO_PI - 0.5)
+        if first > last:
+            continue
+        piece = sym.pieces[bisect.bisect_right(sym._starts, t0) - 1]
+        harmonics = list(enumerate(zip(piece.poly.a[1:], piece.poly.b), 1))
+        value = piece.poly.a[0] + sum(a * math.cos(k * t0) + b * math.sin(k * t0)
+                                      for k, (a, b) in harmonics)
+        if abs(value - lam) > 1e-12 * max(1.0, abs(lam)):
+            continue   # the root of a neighbouring piece, or a crossing on a seam
+        for index in range(first, last + 1):
+            index %= grid
+            t = float(tau[index])
+            if (t - piece.theta_start) % TWO_PI >= piece.theta_end - piece.theta_start:
+                continue
+            half = 0.5 * ((t - t0 + math.pi) % TWO_PI - math.pi) or 1e-300
+            mid = t0 + half
+            quotient = sum(math.sin(k * half) * (b * math.cos(k * mid) - a * math.sin(k * mid))
+                           for k, (a, b) in harmonics) / math.sin(half)
+            chords = math.prod(abs(2.0 * math.sin(0.5 * (t - c))) for c in angles if c != t0)
+            ratio[index] = abs(quotient) / max(chords, 1e-300)
 
-    Log singularities at the level crossings and steps at the jumps carry
-    exact closed-form coefficients; the continuous remainder is handled by
-    an FFT on a half-offset grid, in the calling thread's work arrays
-    (``_grid_work``).  The level passes ``_check_level``, and one whose
-    weight the grid does not resolve (``_fourier_resolves``) raises
-    ``QuadratureError``.
+
+def log_fourier(sym: PiecewiseSymbol, lam: float, grid: int = LOG_FOURIER_GRID) -> np.ndarray:
+    """Fourier coefficients of ln|omega - lam| for modes 0..grid/2 - 1, from
+    ``grid`` sample points, a power of two from ``_MIN_GRID`` = 256 to
+    ``LOG_FOURIER_GRID``.
+
+    Log singularities at the level crossings carry exact closed-form
+    coefficients, and so does each seam's jump in the weight and in its
+    first two derivatives: a jump D_j in the j-th derivative at t0 is D_j
+    times the periodic Bernoulli function -(2 pi)^j B_{j+1}(x/2 pi)/(j+1)!,
+    x = (tau - t0) mod 2 pi, whose coefficients are
+    e^{-i n t0}/(2 pi (i n)^{j+1}) (Lyness, Math. Comp. 28, 1974; Eckhoff,
+    Math. Comp. 64, 1995).  The remainder, with a continuous second
+    derivative, is handled by an FFT on a half-offset grid, in the calling
+    thread's work arrays (``_grid_work``).  The level passes
+    ``_check_level``, and one whose weight the grid does not resolve
+    (``_fourier_resolves``) raises ``QuadratureError``.
     """
     lam = _check_level(sym, lam)
+    if not (isinstance(grid, (int, np.integer)) and _MIN_GRID <= grid <= LOG_FOURIER_GRID
+            and not grid & (grid - 1)):
+        raise ValueError(f"grid must be a power of two from {_MIN_GRID} to {LOG_FOURIER_GRID}, "
+                         f"got {grid!r}")
     factors = _level_factors(sym, lam)
-    if not _fourier_resolves(sym, factors):
+    seams, jumps = _seam_jumps(sym, lam)
+    if not _fourier_resolves(factors, seams, jumps, grid):
         raise QuadratureError(f"the grid does not resolve the level {lam}", achieved_tol=math.inf)
     crossings = factors.crossings
-    steps = _value_jumps(sym, lam)
-    # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|) and a unit
-    # step rendered as the sawtooth (pi - x)/(2 pi) has e^{-i n t0}/(2 pi i n),
-    # both with zero mean: one sum of exponentials, divided by n once
-    angles = np.concatenate((crossings, [t for t, _ in steps]))
-    weights = np.concatenate((np.full(len(crossings), -0.5),
-                              [size / (2j * math.pi) for _, size in steps]))
-    fhat = np.zeros(LOG_FOURIER_N, dtype=complex)
+    tau, half_a, half_b, phase, inverse = _grid_tables(grid)
+    # ln|2 sin((t - t0)/2)| has coefficients -e^{-i n t0}/(2|n|) and a jump
+    # D_j the D_j e^{-i n t0}/(2 pi (i n)^{j+1}): a sum of exponentials per
+    # power of 1/n, each a product of two tables, taken by Horner in 1/n
+    angles = np.concatenate((crossings, seams))
+    weights = np.zeros((3, len(angles)), dtype=complex)
+    weights[0, :len(crossings)] = -0.5
+    weights[:, len(crossings):] = jumps[:, :3].T / (TWO_PI * np.array([[1j], [-1.0], [-1j]]))
+    fhat = np.zeros(grid // 2, dtype=complex)
     if len(angles):
-        rows = np.exp(-1j * _BLOCK * np.multiply.outer(_SHORT, angles))
-        cols = np.exp(-1j * np.multiply.outer(angles, _SHORT)) * weights[:, None]
-        np.matmul(rows, cols, out=fhat.reshape(_BLOCK, -1))
-        fhat[0] = 0.0
-        fhat[1:] *= _INV_MODES
-    rec = _record(sym)   # the symbol on the grid serves all its levels
-    if rec.tau_values is None:
-        rec.tau_values = sym.values(_TAU)
-    ratio, chords, work, spectrum = _grid_work()
-    np.subtract(rec.tau_values, lam, out=ratio)
+        table = fhat.reshape(-1, _BLOCK)
+        rows = np.exp(-1j * _BLOCK * np.multiply.outer(_SHORT[:len(table)], angles))
+        cols = np.exp(-1j * np.multiply.outer(angles, _SHORT))
+        for j in range(max((j for j in (1, 2) if np.any(weights[j])), default=0), -1, -1):
+            table += rows @ (cols * weights[j, :, None])
+            table *= inverse
+    # the symbol on the grid serves all its levels
+    rec = _record(sym)
+    values = rec.grid_values.get(grid)
+    if values is None:
+        values = rec.grid_values.setdefault(grid, sym.values(tau))
+    ratio, chords, work, spectrum = _grid_work(grid)
+    np.subtract(values, lam, out=ratio)
     np.abs(ratio, out=ratio)
     if len(crossings):
         # the product of the 2 sin((tau - t0)/2), each by angle addition:
         # 2 sin(A_q - t0/2) cos B_p + 2 cos(A_q - t0/2) sin B_p
         chords.fill(1.0)
         for t0 in crossings:
-            shifted = _HALF_A - 0.5 * t0
+            shifted = half_a - 0.5 * t0
             sin_cos = 2.0 * np.stack((np.sin(shifted), np.cos(shifted)), axis=1)
-            chords *= np.matmul(sin_cos, _HALF_B, out=work.reshape(-1, _BLOCK)).ravel()
+            chords *= np.matmul(sin_cos, half_b, out=work.reshape(-1, _BLOCK)).ravel()
         np.abs(chords, out=chords)
         ratio /= np.maximum(chords, 1e-300, out=chords)
+        _ratio_near_crossings(sym, lam, crossings, tau, ratio)
     g = np.log(np.maximum(ratio, 1e-300, out=ratio), out=ratio)
-    # each step's sawtooth (pi - x)/(2 pi), x = tau - t0 mod 2 pi, comes off g
-    for t0, size in steps:
-        np.subtract(_TAU, t0, out=work)
-        np.add(work, TWO_PI, out=work, where=work < 0.0)
-        work *= size / TWO_PI
-        g += work
-    g -= 0.5 * sum(size for _, size in steps)
+    # each seam's J S_0 + D_1 S_1 + D_2 S_2 comes off g, with the Bernoulli
+    # functions in y = ((tau - t0) mod 2 pi) - pi: S_0 = -y/(2 pi),
+    # S_1 = (pi^2/3 - y^2)/(4 pi) and S_2 = y (pi - y)(pi + y)/(12 pi), whose
+    # factored form keeps the rounding at eps |S_2| where the cubic cancels
+    for t0, (step, slope, curve) in zip(seams, jumps[:, :3]):
+        y = np.subtract(tau, t0 + math.pi, out=chords)
+        np.add(y, TWO_PI, out=y, where=y < -math.pi)
+        if curve:
+            w = np.subtract(math.pi, y, out=work)
+            w *= y + math.pi
+            w *= curve / (12.0 * math.pi)
+            w -= step / TWO_PI
+            w *= y
+            g -= w
+        elif step:
+            g += np.multiply(y, step / TWO_PI, out=work)
+        if slope:
+            y *= y
+            y -= math.pi**2 / 3.0
+            y *= slope / (4.0 * math.pi)
+            g += y
     # g is real: the kept modes are the first half of its spectrum
-    kept = np.fft.rfft(g, out=spectrum)[:LOG_FOURIER_N]
-    kept *= _TAU_PHASE
+    kept = np.fft.rfft(g, out=spectrum)[:grid // 2]
+    kept *= phase
     fhat += kept
     return fhat
 
@@ -557,19 +738,43 @@ def _circle_grid(r: float, m: int) -> np.ndarray:
     return z
 
 
+def _fourier_xi(sym: PiecewiseSymbol, lam: float, factors: _LevelFactors, r: float,
+                m_out: int) -> np.ndarray | None:
+    """``xi_circle``'s Fourier route at one level: one ``log_fourier`` call
+    on the grid ``_sized_grid`` picks, or None where no grid resolves the
+    level or ``_fourier_error`` is above ``DEFAULT_TOL``."""
+    seams, jumps = _seam_jumps(sym, lam)
+    grid = _sized_grid(factors, seams, jumps, r)
+    if grid is None:
+        return None
+    fhat = log_fourier(sym, lam, grid)
+    if not _fourier_error(seams, jumps, fhat, r) <= DEFAULT_TOL:
+        return None
+    # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
+    n = len(fhat)
+    c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT[:n // _BLOCK]), 2.0 * r ** _SHORT).ravel()
+    c[0] = fhat[0]
+    # mode n lands on sample index n mod m_out, so fold before transforming
+    if m_out < n:
+        c = c.reshape(-1, m_out).sum(axis=0)
+    elif m_out > n:
+        c = np.concatenate((c, np.zeros(m_out - n)))
+    return np.exp(-0.5 * np.fft.ifft(c) * m_out)
+
+
 def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int) -> np.ndarray:
     """xi at the m_out points r e^{2 pi i k/m_out} in one sweep, for a level,
     or as one row per level for a 1-D array of levels.
 
     The Schwarz average of ln|omega - lam| is a convolution on the circle,
     so one coefficient vector serves every radius.  That route is taken
-    where the record needs Li2, the grid resolves the weight
-    (``_fourier_resolves``) and ``_fourier_error`` is at most
-    ``DEFAULT_TOL`` (up to about r = 0.998), inside the range or out;
-    everywhere else xi is the level's closed form at the m_out points
-    (``_closed_xi``: a product of square roots on one piece, exp(-Q/2)
-    otherwise), for all such levels at once.  Each level passes
-    ``_check_level``.
+    where the record needs Li2 and some grid resolves the weight: the
+    level makes one ``log_fourier`` call, on the grid ``_sized_grid``
+    picks for r before any FFT, and its vector serves where
+    ``_fourier_error`` is at most ``DEFAULT_TOL`` (up to about r = 0.998),
+    inside the range or out.  Everywhere else xi is the level's closed form
+    at the m_out points (``_closed_xi``), for all such levels at once.
+    Each level passes ``_check_level``.
     """
     if not 0.0 < r <= CIRCLE_R_MAX:
         raise ValueError(f"circle radius must lie in (0, {CIRCLE_R_MAX}]")
@@ -580,20 +785,11 @@ def xi_circle(sym: PiecewiseSymbol, lam, r: float, m_out: int) -> np.ndarray:
     out = np.empty((len(lams), m_out), dtype=complex)
     closed = []
     for k, (x, factors) in enumerate(zip(lams, records)):
-        if not factors.li2_free and _fourier_resolves(sym, factors):
-            fhat = log_fourier(sym, x)
-            if _fourier_error(sym, x, fhat, r) <= DEFAULT_TOL:
-                # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
-                c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT), 2.0 * r ** _SHORT).ravel()
-                c[0] = fhat[0]
-                # mode n lands on sample index n mod m_out, so fold before transforming
-                if m_out < LOG_FOURIER_N:
-                    c = c.reshape(-1, m_out).sum(axis=0)
-                elif m_out > LOG_FOURIER_N:
-                    c = np.concatenate((c, np.zeros(m_out - LOG_FOURIER_N)))
-                out[k] = np.exp(-0.5 * np.fft.ifft(c) * m_out)
-                continue
-        closed.append(k)
+        row = None if factors.li2_free else _fourier_xi(sym, x, factors, r, m_out)
+        if row is None:
+            closed.append(k)
+        else:
+            out[k] = row
     if closed:
         out[closed] = _closed_xi(_stack([records[k] for k in closed]), _circle_grid(r, m_out))
     return out if _levels(lam) else out[0]

@@ -131,7 +131,8 @@ class _SymbolRecord:
     """Everything kept of one symbol, each part made on first use: the
     exceptional set and admissible intervals (``analysed``), one counting
     report per interval, where the multiplicity is constant (``report``),
-    the symbol on ``log_fourier``'s grid (``tau_values``) and an LRU store
+    the symbol on each of ``log_fourier``'s grids it was asked for
+    (``grid_values``, at most one per power of two) and an LRU store
     of real-level root records (``stored``, ``store``).  Stored values carry
     ``nbytes``; one over ``LEVEL_STORE_BYTES`` is not kept.  The record
     holds no reference to the symbol, so the weak-keyed dict can drop it.
@@ -141,7 +142,7 @@ class _SymbolRecord:
         self.exceptional: ExceptionalSet | None = None
         self.intervals, self.lo, self.hi = (), [], []
         self.reports: dict[int, CountReport] = {}
-        self.tau_values: np.ndarray | None = None
+        self.grid_values: dict[int, np.ndarray] = {}
         self.levels: OrderedDict = OrderedDict()
         self.nbytes = 0
 
@@ -239,8 +240,8 @@ class _LevelFactors:
     @property
     def li2_free(self) -> bool:
         """Whether Q needs no dilogarithm: one piece (the Wiener-Hopf form),
-        or constant pieces only."""
-        return len(self.pieces) == 1 or all(len(beta) == 0 for *_, beta, _ in self.pieces)
+        or constant pieces only; stacked (``hardy._stack``) or not."""
+        return len(self.pieces) == 1 or all(beta.shape[-1] == 0 for *_, beta, _ in self.pieces)
 
     def conj(self) -> "_LevelFactors":
         """The factorization at the conjugate level: a root zeta becomes

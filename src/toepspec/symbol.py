@@ -9,6 +9,7 @@ multiplicity machinery.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -139,6 +140,17 @@ class TrigPoly:
     def is_constant(self) -> bool:
         return self.degree == 0
 
+    def _jet(self, theta: float) -> list[float]:
+        """The value and the first four derivatives at ``theta``; a
+        derivative that overflows is inf or NaN."""
+        k = np.arange(1, len(self.a), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the harmonics as Re w_k, w_k = (a_k - i b_k) e^{i k theta}; the
+            # d-th derivative turns w_k by i^d and scales it by k^d
+            w = (np.asarray(self.a[1:]) - 1j * np.asarray(self.b)) * np.exp(1j * k * theta)
+            turns = (w.real, -w.imag, -w.real, w.imag)
+            return [float(self(theta))] + [float(np.sum(k**d * turns[d % 4])) for d in range(1, 5)]
+
     def _laurent(self, shift: float = 0.0) -> np.ndarray:
         """Coefficients c_{-K}..c_K of p(t) - shift as a Laurent series in e^{it}."""
         K = self.degree
@@ -246,7 +258,7 @@ class PiecewiseSymbol:
                 # each piece's critical angles, solved once; the essential range (on
                 # the closed arcs) and the exceptional set each take their own window
                 self._critical_angles = tuple(d.roots() for d in self._dpolys)
-                self.jumps, self._c1_log_seams = self._classify_jumps()
+                self.jumps = self._classify_jumps()
                 g1, g2 = self._essential_range()
         except FloatingPointError as exc:
             raise ValueError(f"symbol coefficients out of floating-point range: {exc}") from None
@@ -257,29 +269,40 @@ class PiecewiseSymbol:
 
     # -- construction helpers -------------------------------------------------
 
-    def _classify_jumps(self):
-        """The jump set S, and each seam's (angle, one-sided values and second
-        derivatives) where ln|omega - lam| has a continuous slope at every seam:
-        no slope jump, and one-sided slopes 0 at each value jump; else None."""
+    def _classify_jumps(self) -> tuple[JumpPoint, ...]:
+        """The jump set S: each seam whose one-sided values or slopes differ.
+        The one-sided second derivatives are evaluated too, so a symbol
+        whose curvature at a seam overflows is refused here."""
         jets = [(p.poly, d, d.derivative()) for p, d in zip(self.pieces, self._dpolys)]
-        jumps, seams, smooth = [], [], True
+        jumps = []
         for i, piece in enumerate(self.pieces):
             eta, prev = piece.theta_start, self.pieces[i - 1]
-            # one-sided values, slopes and second derivatives
-            left, dleft, ddleft = (float(f(prev.theta_end)) for f in jets[i - 1])
-            right, dright, ddright = (float(f(eta)) for f in jets[i])
-            seams.append((eta, left, right, ddleft, ddright))
+            left, dleft, _ = (float(f(prev.theta_end)) for f in jets[i - 1])
+            right, dright, _ = (float(f(eta)) for f in jets[i])
             vscale = max(1.0, abs(left), abs(right))
             dscale = max(1.0, abs(dleft), abs(dright))
             if abs(left - right) > VALUE_TOL * vscale:
                 kind = "plus" if left > right else "minus"
-                smooth = smooth and max(abs(dleft), abs(dright)) <= DERIV_TOL * dscale
             elif abs(dleft - dright) > DERIV_TOL * dscale:
-                kind, smooth = "zero", False
+                kind = "zero"
             else:
                 continue  # C1 seam, not in S
             jumps.append(JumpPoint(eta, left, right, kind))
-        return tuple(jumps), np.array(seams) if smooth else None
+        return tuple(jumps)
+
+    @functools.cached_property
+    def _seam_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each seam where two different polynomials meet: its angle, the
+        one-sided values and first four derivatives (seams, 2, 5), the left
+        (clockwise) side first, and whether it is a value jump of S.  Made
+        on first use."""
+        stepped_at = {j.theta for j in self.jumps if j.kind != "zero"}
+        seams = [(piece.theta_start, prev, piece) for prev, piece in zip(self.pieces[-1:] + self.pieces[:-1], self.pieces)
+                 if prev.poly != piece.poly]
+        jets = np.array([[prev.poly._jet(prev.theta_end), piece.poly._jet(eta)]
+                         for eta, prev, piece in seams]).reshape(-1, 2, 5)
+        angles = np.array([eta for eta, *_ in seams])
+        return angles, jets, np.array([eta in stepped_at for eta in angles], dtype=bool)
 
     def _essential_range(self):
         values = [float(p.poly(t)) for p, crit in zip(self.pieces, self._critical_angles)

@@ -83,7 +83,7 @@ def singular_phi_closed(z, lam, t1=0.0, t2=math.pi):
     """
     z1, z2 = np.exp(1j * t1), np.exp(1j * t2)
     mm = ((t2 - t1) % (2.0 * math.pi)) / (2.0 * math.pi)
-    sg = math.log(1.0 / lam - 1.0) / (2.0 * math.pi)
+    sg = math.log((1.0 - lam) / lam) / (2.0 * math.pi)
     rho = math.sqrt(abs(z1 - z2) / (2.0 * math.pi))
     return (rho * lam ** -0.5 * np.exp(-math.pi * sg * mm)
             * (1.0 - z / z1) ** (-0.5 - 1j * sg) * (1.0 - z / z2) ** (-0.5 + 1j * sg))
@@ -93,7 +93,7 @@ def singular_phi_ext_closed(z, lam, t1=0.0, t2=math.pi):
     """Exterior partner of the indicator symbol in closed form."""
     z1, z2 = np.exp(1j * t1), np.exp(1j * t2)
     mm = ((t2 - t1) % (2.0 * math.pi)) / (2.0 * math.pi)
-    sg = math.log(1.0 / lam - 1.0) / (2.0 * math.pi)
+    sg = math.log((1.0 - lam) / lam) / (2.0 * math.pi)
     rho = math.sqrt(abs(z1 - z2) / (2.0 * math.pi))
     return (rho * lam ** 0.5 * np.exp(math.pi * (sg + 1j) * mm) * z1 / z
             * (1.0 - z1 / z) ** (-0.5 - 1j * sg) * (1.0 - z2 / z) ** (-0.5 + 1j * sg))

@@ -321,3 +321,19 @@ def test_stone_projection_is_the_integrated_stone_gram(fig2):
     assert abs(val - ref) <= 1e-13 * abs(ref)
     back = stone_projection(fig2, g, f, X, n_nodes=6)
     assert abs(back - np.conj(val)) <= 1e-12 * abs(val)
+
+
+def test_phi_on_taylor_is_finite_where_radius_powers_overflow(regular, monkeypatch):
+    # 0.7^-n overflows past n = 1990 while 0.5^n underflows to 0 past 1074:
+    # f = 1/(1 - z/2) = K_{1/2} with 2,100 coefficients maps to conj phi(1/2)
+    # with no NaN and no warning; coefficients whose products with 0.7^-n
+    # overflow are refused before any circle pass
+    family = FrameFamily(regular, (-0.3, 0.3), n_grid=4)
+    got = phi_on_taylor(family, 0.5 ** np.arange(2100))
+    want = phi_map_family(family, HardyVector.of((1.0, 0.5)))
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    monkeypatch.setattr(SpectralFrame, "eigen_circle", lambda *args: pytest.fail("circle pass"))
+    for fhat in (np.ones(2100), np.r_[1.0, np.nan]):
+        with pytest.raises(ValueError, match="not finite"):
+            phi_on_taylor(family, fhat)

@@ -14,6 +14,7 @@ from conftest import (
     reference_boundary_sigma,
     reference_crossings,
     regular_xi_closed,
+    singular_phi_closed,
 )
 from toepspec import cli, hardy, levelset
 from toepspec.errors import ExceptionalLevelError, QuadratureError
@@ -346,11 +347,15 @@ def test_xi_circle_rejects_exceptional_level(regular, singular, fig2):
             xi_circle(sym, lam, 0.5, 512)
 
 
-def reference_log_fourier(sym, lam: float) -> np.ndarray:
+def reference_log_fourier(sym, lam: float, grid: int = hardy.LOG_FOURIER_GRID) -> np.ndarray:
     """Coefficients of ln|omega - lam| one closed-form term at a time, each
-    crossing and jump with its own exponential over all modes and its own
-    pass over the grid: the reference for the table-driven ``log_fourier``."""
-    N, G = hardy.LOG_FOURIER_N, hardy.LOG_FOURIER_GRID
+    crossing, jump and seam term with its own exponential over all modes
+    and its own pass over the grid: the reference for the table-driven
+    ``log_fourier``.  At each seam the jumps D_j of f' = p'/(p - lam) and
+    f'' = p''/(p - lam) - f'^2 come off the grid as the periodic Bernoulli
+    functions -(2 pi)^j B_{j+1}(x/2 pi)/(j+1)!, with the coefficients
+    D_j e^{-i n t}/(2 pi (i n)^{j+1})."""
+    N, G = grid // 2, grid
     tau = TWO_PI * (np.arange(G) + 0.5) / G
     n = np.arange(1, N)
     fhat = np.zeros(N, dtype=complex)
@@ -366,6 +371,21 @@ def reference_log_fourier(sym, lam: float) -> np.ndarray:
         size = math.log(abs(j.right - lam)) - math.log(abs(j.left - lam))
         fhat[1:] += size * np.exp(-1j * n * j.theta) / (2j * math.pi * n)
         g = g - size * (math.pi - np.mod(tau - j.theta, TWO_PI)) / TWO_PI
+
+    def slope_curvature(poly, t):
+        d1 = poly.derivative()
+        u = poly(t) - lam
+        return d1(t) / u, d1.derivative()(t) / u - (d1(t) / u) ** 2
+
+    bernoulli = {2: lambda x: x * x - x + 1.0 / 6.0, 3: lambda x: x * (x - 0.5) * (x - 1.0)}
+    for i, piece in enumerate(sym.pieces):
+        prev, t = sym.pieces[i - 1], piece.theta_start
+        left, right = slope_curvature(prev.poly, prev.theta_end), slope_curvature(piece.poly, t)
+        x = np.mod(tau - t, TWO_PI) / TWO_PI
+        for order in (1, 2):
+            jump = right[order - 1] - left[order - 1]
+            fhat[1:] += jump * np.exp(-1j * n * t) / (TWO_PI * (1j * n) ** (order + 1))
+            g = g + jump * TWO_PI**order * bernoulli[order + 1](x) / math.factorial(order + 1)
     ghat = np.fft.rfft(g)[:N] / G
     return fhat + ghat * np.exp(-1j * math.pi * np.arange(N) / G)
 
@@ -395,8 +415,9 @@ def counted_log_fourier(monkeypatch):
     """A list that gets the (symbol, level) of every ``hardy.log_fourier``
     call from here on."""
     calls, real = [], hardy.log_fourier
-    monkeypatch.setattr(hardy, "log_fourier", lambda sym, lam: calls.append((sym, lam))
-                        or real(sym, lam))
+    monkeypatch.setattr(hardy, "log_fourier",
+                        lambda sym, lam, grid=hardy.LOG_FOURIER_GRID: calls.append((sym, lam))
+                        or real(sym, lam, grid))
     return calls
 
 
@@ -439,8 +460,9 @@ def test_xi_circle_out_of_range_takes_the_fourier_route(monkeypatch, fig2):
     # from fig2's range [-1, 1] are resolved and take log_fourier
     served = []
     log_fourier = hardy.log_fourier
-    monkeypatch.setattr(hardy, "log_fourier", lambda sym, lam: served.append(lam)
-                        or log_fourier(sym, lam))
+    monkeypatch.setattr(hardy, "log_fourier",
+                        lambda sym, lam, grid=hardy.LOG_FOURIER_GRID: served.append(lam)
+                        or log_fourier(sym, lam, grid))
     circle = np.exp(2j * math.pi * np.arange(512) / 512)
     for lam in (1.5, -1.5, 1.01, -1.001, 3.0):
         for r in (0.5, 0.9, 0.99):
@@ -541,6 +563,73 @@ def test_xi_circle_certifies_its_truncation(monkeypatch, fig2):
     vals = xi_circle(fig2, 0.3, 0.99, 512)
     assert calls == [(fig2, 0.3)] and not np.array_equal(vals, xi_grid(fig2, z, 0.3))
     assert np.max(np.abs(vals / xi_grid(fig2, z, 0.3) - 1.0)) < 1e-12
+
+
+def test_sized_grid_matches_the_full_grid_on_fig2(monkeypatch):
+    # phi_r reads at rho_M ~ 0.956 when M = 512: up to there the grid sized
+    # for r agrees with the full grid's route, makes one log_fourier call
+    # per level on a smaller grid, and never samples the symbol on the full
+    # grid; a fresh symbol, so its record starts empty
+    sym = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0, 0.0, -1.0])),
+                           (math.pi, 1.5 * math.pi, TrigPoly([1.0])),
+                           (1.5 * math.pi, TWO_PI, TrigPoly([-1.0]))])
+    lams = np.linspace(-1.0, 1.0, 66)[1:-1]
+    grids, real = [], hardy.log_fourier
+    monkeypatch.setattr(hardy, "log_fourier",
+                        lambda sym, lam, grid=hardy.LOG_FOURIER_GRID: grids.append(grid)
+                        or real(sym, lam, grid))
+    radii = (0.5, 0.9, 0.95, 0.956)
+    got = [xi_circle(sym, lams, r, 512) for r in radii]
+    assert len(grids) == len(radii) * len(lams)
+    assert max(grids) < hardy.LOG_FOURIER_GRID
+    assert hardy.LOG_FOURIER_GRID not in levelset._record(sym).grid_values
+    for r, rows in zip(radii, got):
+        for lam, row in zip(lams, rows):
+            want = unfolded_xi_circle(sym, lam, r, 512)
+            assert np.max(np.abs(row / want - 1.0)) <= 1e-12
+
+
+def test_log_fourier_on_every_grid(fig2, rng):
+    # each grid size against the reference on the same grid, on fig2 and on
+    # random symbols, whose seams jump in value, slope and curvature; the
+    # grid must be a power of two from 256 to LOG_FOURIER_GRID
+    symbols = [fig2] + [random_symbol(rng) for _ in range(3)]
+    for sym in symbols:
+        g1, g2 = sym.essential_range()
+        for frac in (0.3, 1.2):
+            lam = g1 + frac * (g2 - g1)
+            for grid in (256, 1024, 4096, 16384):
+                try:
+                    fhat = hardy.log_fourier(sym, lam, grid)
+                except QuadratureError:
+                    continue
+                assert fhat.shape == (grid // 2,)
+                assert np.max(np.abs(fhat - reference_log_fourier(sym, lam, grid))) <= 1e-14
+    for grid in (128, 3000, 65536, 1024.0, "1024"):
+        with pytest.raises(ValueError, match="grid"):
+            hardy.log_fourier(fig2, 0.3, grid)
+
+
+def test_slope_jumps_take_the_fourier_route(monkeypatch):
+    # |sin theta| as two pieces, whose seams jump in slope, and two
+    # polynomials whose seams jump in value with sloped sides: the jumps in
+    # f' and f'' come off in closed form, so their circle values take
+    # log_fourier, where the closed form served before
+    abs_sin = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0], [1.0])),
+                               (math.pi, TWO_PI, TrigPoly([0.0], [-1.0]))])
+    sloped = PiecewiseSymbol([(0.5, 2.5, TrigPoly([0.1, 1.0, 0.3])),
+                              (2.5, 0.5 + TWO_PI, TrigPoly([0.0, 0.8], [0.4]))])
+    assert [j.kind for j in abs_sin.jumps] == ["zero", "zero"]
+    assert np.all(np.abs(sloped._seam_jets[1][:, :, 1]) > 0.02)
+    cases = [(sym, lam, r) for sym, lam in ((abs_sin, 0.37), (abs_sin, 0.8), (sloped, 0.2))
+             for r in (0.5, 0.9, 0.99)]
+    want = [xi_grid(sym, r * np.exp(2j * math.pi * np.arange(512) / 512), lam)
+            for sym, lam, r in cases]
+    calls = counted_log_fourier(monkeypatch)
+    monkeypatch.setattr(hardy, "_closed_q", lambda *args: pytest.fail("exp(-Q/2) served"))
+    for (sym, lam, r), ref in zip(cases, want):
+        assert np.max(np.abs(xi_circle(sym, lam, r, 512) / ref - 1.0)) <= 1e-12
+    assert len(calls) == len(cases)
 
 
 def test_xi_radial_reflection(regular, fig2, rng):
@@ -813,14 +902,18 @@ def test_range_end_levels_raise_on_the_circle():
 def test_log_fourier_refuses_what_its_grid_cannot_resolve(regular):
     # just past the range a near-double root lies 1.4e-6 and 4.5e-5 from
     # the circle, where the grid's coefficients were up to 6.0e-5 and 2.9e-5
-    # off; and |sin theta| as two pieces has slope jumps at its seams
+    # off; and |sin theta| as two pieces, 1e-3 above its minimum, has jumps
+    # of 4e9 in f''' at its seams, which alias by up to 1e-6 into a
+    # coefficient.  Its slope jumps at 0.37 are corrected in closed form
     for lam in (1.0 + 1e-12, 1.0 + 1e-9):
         with pytest.raises(QuadratureError):
             hardy.log_fourier(regular, lam)
     sym = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0], [1.0])),
                            (math.pi, TWO_PI, TrigPoly([0.0], [-1.0]))])
     with pytest.raises(QuadratureError):
-        hardy.log_fourier(sym, 0.37)
+        hardy.log_fourier(sym, 1e-3)
+    ref = reference_log_fourier(sym, 0.37)
+    assert np.max(np.abs(hardy.log_fourier(sym, 0.37) - ref)) <= 1e-14
     # at 1.2 the roots lie acosh(1.2) = 0.62 from the circle:
     # ln|cos t - lam| = ln(1/(2b)) - 2 sum b^n cos(n t)/n, b = lam - sqrt(lam^2 - 1)
     lam = 1.2
@@ -831,12 +924,10 @@ def test_log_fourier_refuses_what_its_grid_cannot_resolve(regular):
     assert np.max(np.abs(fhat[1:] + b ** n / n)) <= 1e-14
 
 
-@pytest.mark.xfail(strict=True, reason="log_fourier does not bound the aliasing of the seams' "
-                   "jumps in the weight's second derivative (FOUND in CHANGES.md: the public "
-                   "hardy.log_fourier passes its resolve check on fig2 at -1 + 1e-5)")
 def test_log_fourier_is_exact_or_refuses_at_a_seam_curvature_jump(fig2):
-    # Q from the coefficients is 6.2e-9 off the closed form at r = 0.99,
-    # within xi_circle's own bound of 3.5e-8, which takes the closed form there
+    # the seams' curvature jumps, about 4e5 each, come off in closed form;
+    # their jumps of 4.8e11 in f'''' alias by up to 2.7e-10 into a
+    # coefficient, so the grid refuses the level
     lam = -1.0 + 1e-5
     try:
         fhat = hardy.log_fourier(fig2, lam)
@@ -858,8 +949,8 @@ def test_boundary_xi_at_a_plateau_level_is_exceptional():
 
 @pytest.mark.parametrize("r", [0.9, 0.99])
 def test_xi_circle_at_a_slope_jump(r):
-    # |sin theta| as two pieces, with slope jumps at 0 and pi, where the
-    # Fourier route's grid errs by O(h^2): the closed form serves
+    # |sin theta| as two pieces, with slope jumps at 0 and pi, which the
+    # Fourier route corrects in closed form; its grid alone errs by O(h^2)
     sym = PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0], [1.0])),
                            (math.pi, TWO_PI, TrigPoly([0.0], [-1.0]))])
     z = r * np.exp(2j * math.pi * np.arange(512) / 512)
@@ -1121,6 +1212,55 @@ def test_one_piece_circle_xi_is_the_product_of_paired_roots(monkeypatch):
         assert np.max(np.abs(xi_circle(sym, lams, r, 512) / want - 1.0)) <= 1e-13
         for lam, row in zip(lams, want):
             assert np.max(np.abs(xi_circle(sym, lam, r, 512) / row - 1.0)) <= 1e-13
+
+
+def constant_piece_symbols(rng, count):
+    """``count`` random symbols of 2-6 constant pieces."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        cuts = np.sort(rng.uniform(0.0, TWO_PI, n))
+        ends = np.append(cuts[1:], cuts[0] + TWO_PI)
+        out.append(PiecewiseSymbol([(a, b, TrigPoly([v]))
+                                    for a, b, v in zip(cuts, ends, rng.normal(size=n))]))
+    return out
+
+
+def test_constant_piece_xi_is_a_product_of_seam_powers(monkeypatch, singular, singular_asym):
+    # on constant pieces xi_circle takes e^{-m/2} exp(-(i/2 pi) sum_s s_s
+    # Log(1 - z e^{-i t_s})), one seam log per point, with no _closed_q:
+    # against exp(-Q/2) of _closed_q at levels between the piece values,
+    # 1e-6 from each of them and past the range, one level at a time and
+    # all at once; and singular's eigenfunctions on the circle against the
+    # closed form, to 1e-13 but for the rounding of the sample points, which
+    # (1 - z/z_k)^(-1/2 -+ i sigma) magnifies by |1/2 + i sigma|/(1 - r),
+    # with sigma up to 2.2 at 1e-6 from the range's ends
+    rng = np.random.default_rng(2815)
+    radii = (0.5, 0.9, 0.99, 0.999, hardy.CIRCLE_R_MAX)
+    cases = []
+    for sym in [singular, singular_asym] + constant_piece_symbols(rng, 12):
+        values = sorted({piece.poly.a[0] for piece in sym.pieces})
+        lams = np.array([0.5 * (a + b) for a, b in zip(values, values[1:])]
+                        + [v + s * 1e-6 for v in values for s in (-1.0, 1.0)]
+                        + [values[0] - 0.3, values[-1] + 0.3])
+        for r in radii:
+            z = r * np.exp(2j * math.pi * np.arange(512) / 512)
+            want = np.array([np.exp(-0.5 * hardy._closed_q(hardy._level_factors(sym, lam), z))
+                             for lam in lams])
+            cases.append((sym, lams, r, want))
+    frames = [(sym, t1, t2, spectral_frame(sym, np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])))
+              for sym, t1, t2 in ((singular, 0.0, math.pi), (singular_asym, 0.7, 2.9))]
+    monkeypatch.setattr(hardy, "_closed_q", lambda *args: pytest.fail("exp(-Q/2) served"))
+    for sym, lams, r, want in cases:
+        assert np.max(np.abs(xi_circle(sym, lams, r, 512) / want - 1.0)) <= 1e-13
+        for lam, row in zip(lams, want):
+            assert np.max(np.abs(xi_circle(sym, lam, r, 512) / row - 1.0)) <= 1e-13
+    for sym, t1, t2, frame in frames:
+        for r in radii:
+            z = r * np.exp(2j * math.pi * np.arange(512) / 512)
+            got = frame.eigen_circle(r, 512)[:, 0]
+            want = np.array([singular_phi_closed(z, lam, t1, t2) for lam in frame.lam])
+            assert np.max(np.abs(got / want - 1.0)) <= max(1e-13, 6e-16 / (1.0 - r))
 
 
 def test_closed_forms_refuse_a_value_that_is_not_finite(regular):

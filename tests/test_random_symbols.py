@@ -212,8 +212,9 @@ def test_circle_values_on_random_symbols(monkeypatch):
     circle = np.exp(2j * math.pi * np.arange(m_out) / m_out)
     fourier, closed = [], []
     log_fourier, closed_q = hardy.log_fourier, hardy._closed_q
-    monkeypatch.setattr(hardy, "log_fourier", lambda sym, lam: fourier.append(lam)
-                        or log_fourier(sym, lam))
+    monkeypatch.setattr(hardy, "log_fourier",
+                        lambda sym, lam, grid=hardy.LOG_FOURIER_GRID: fourier.append(lam)
+                        or log_fourier(sym, lam, grid))
     monkeypatch.setattr(hardy, "_closed_q", lambda *args: closed.append(1) or closed_q(*args))
     rng = np.random.default_rng(1818)
     fig2_fast = 0
