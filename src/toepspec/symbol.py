@@ -297,7 +297,8 @@ class PiecewiseSymbol:
         (clockwise) side first, and whether it is a value jump of S.  Made
         on first use."""
         stepped_at = {j.theta for j in self.jumps if j.kind != "zero"}
-        seams = [(piece.theta_start, prev, piece) for prev, piece in zip(self.pieces[-1:] + self.pieces[:-1], self.pieces)
+        seams = [(piece.theta_start, prev, piece)
+                 for prev, piece in zip(self.pieces[-1:] + self.pieces[:-1], self.pieces)
                  if prev.poly != piece.poly]
         jets = np.array([[prev.poly._jet(prev.theta_end), piece.poly._jet(eta)]
                          for eta, prev, piece in seams]).reshape(-1, 2, 5)
