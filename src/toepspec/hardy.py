@@ -541,39 +541,36 @@ def _fourier_resolves(factors: _LevelFactors, seams: np.ndarray, jumps: np.ndarr
     return (factors.reach * grid >= _LOG_EPS) & (_seam_alias(seams, jumps, grid) <= DEFAULT_TOL)
 
 
-def _fourier_error(seams: np.ndarray, jumps: np.ndarray, fhat: np.ndarray, r: float) -> float:
-    """A bound on Q's error at radius r from ``log_fourier``'s ``fhat``, N
-    modes from 2N grid points: the tail dropped past N modes,
-    2 max_{n >= N/2}(n |f_n|) r^N/(N (1 - r)), and the aliasing of the
-    seams' jumps in f''' and f'''' (``_seam_alias``); NaN where a jump is
-    not finite."""
-    n = len(fhat)
-    decay = float(np.max(np.arange(n // 2, n) * np.abs(fhat[n // 2:])))
-    return 2.0 * decay * r**n / (n * (1.0 - r)) + _seam_alias(seams, jumps, 2 * n, r)
+def _fourier_error(decay, n, r: float, alias):
+    """A bound on Q's error at radius r from N = n modes of ``log_fourier``
+    (2N grid points; an array of N gives an array): the tail dropped past N
+    modes, 2 decay r^N/(N (1 - r)), where decay bounds max_{n >= N/2} n |f_n|,
+    plus ``alias``, the seams' aliasing at r (``_seam_alias``); NaN where a
+    jump is not finite."""
+    return 2.0 * decay * r**n / (n * (1.0 - r)) + alias
 
 
 def _sized_grid(factors: _LevelFactors, seams: np.ndarray, jumps: np.ndarray,
-                r: float) -> int | None:
+                r: float) -> tuple[int, float] | None:
     """The grid ``xi_circle`` asks ``log_fourier`` for at radius r, chosen
-    before any FFT: the smallest power of two from ``_MIN_GRID`` on that
-    resolves the level (``_fourier_resolves``) and on which the dropped
-    tail and the seams' aliasing at r (``_fourier_error``'s terms) stay at
-    the rounding level ``_ROUNDING``/(1 - r).  The tail takes max n |f_n|,
-    n >= N/2, from the exact terms: 1/2 per crossing, |J|/(2 pi) per value
-    jump J and |D_j|/(2 pi (N/2)^j) per jump D_j in f' and f''; and from
-    the remainder, 1/2 e^{-d N/2} per root, d the record's ``reach``.  Past
-    those, ``LOG_FOURIER_GRID`` where it resolves the level, and None where
-    it does not."""
+    before any FFT, with the seams' aliasing at r on it: the smallest power
+    of two from ``_MIN_GRID`` on that resolves the level
+    (``_fourier_resolves``) and on which ``_fourier_error`` stays at the
+    rounding level ``_ROUNDING``/(1 - r).  Its decay is estimated from the
+    exact terms: 1/2 per crossing, |J|/(2 pi) per value jump J and
+    |D_j|/(2 pi (N/2)^j) per jump D_j in f' and f''; and from the remainder,
+    1/2 e^{-d N/2} per root, d the record's ``reach``.  Past those,
+    ``LOG_FOURIER_GRID`` where it resolves the level, and None where it
+    does not."""
     sizes = np.sum(np.abs(jumps[:, :3]), axis=0) / TWO_PI
     n = _GRIDS / 2.0
     decay = (0.5 * len(factors.crossings) + sizes[0] + (sizes[1] + 2.0 * sizes[2] / n) * 2.0 / n
              + 0.5 * factors.roots * np.exp(-0.5 * factors.reach * n))
     resolves = _fourier_resolves(factors, seams, jumps, _GRIDS)
-    error = 2.0 * decay * r**n / (n * (1.0 - r)) + _seam_alias(seams, jumps, _GRIDS, r)
-    fits = resolves & (error <= _ROUNDING / (1.0 - r))
-    if fits.any():
-        return int(_GRIDS[np.argmax(fits)])
-    return LOG_FOURIER_GRID if resolves[-1] else None
+    alias = _seam_alias(seams, jumps, _GRIDS, r)
+    fits = resolves & (_fourier_error(decay, n, r, alias) <= _ROUNDING / (1.0 - r))
+    i = int(np.argmax(fits)) if fits.any() else -1
+    return (int(_GRIDS[i]), float(alias[i])) if fits[i] or resolves[-1] else None
 
 
 def _value_jumps(sym: PiecewiseSymbol, lam: float) -> list[tuple[float, float]]:
@@ -742,16 +739,18 @@ def _fourier_xi(sym: PiecewiseSymbol, lam: float, factors: _LevelFactors, r: flo
                 m_out: int) -> np.ndarray | None:
     """``xi_circle``'s Fourier route at one level: one ``log_fourier`` call
     on the grid ``_sized_grid`` picks, or None where no grid resolves the
-    level or ``_fourier_error`` is above ``DEFAULT_TOL``."""
-    seams, jumps = _seam_jumps(sym, lam)
-    grid = _sized_grid(factors, seams, jumps, r)
-    if grid is None:
+    level or ``_fourier_error``, with the measured decay and the seams'
+    aliasing ``_sized_grid`` found on that grid, is above ``DEFAULT_TOL``."""
+    sized = _sized_grid(factors, *_seam_jumps(sym, lam), r)
+    if sized is None:
         return None
+    grid, alias = sized
     fhat = log_fourier(sym, lam, grid)
-    if not _fourier_error(seams, jumps, fhat, r) <= DEFAULT_TOL:
+    n = len(fhat)
+    decay = float(np.max(np.arange(n // 2, n) * np.abs(fhat[n // 2:])))
+    if not _fourier_error(decay, n, r, alias) <= DEFAULT_TOL:
         return None
     # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
-    n = len(fhat)
     c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT[:n // _BLOCK]), 2.0 * r ** _SHORT).ravel()
     c[0] = fhat[0]
     # mode n lands on sample index n mod m_out, so fold before transforming

@@ -29,7 +29,6 @@ from .symbol import (
     UNIT_ROOT_TOL,
     VALUE_TOL,
     PiecewiseSymbol,
-    angles_on,
     certified_roots,
     distinct_angles,
     uncertified,
@@ -352,7 +351,7 @@ def _factor_nonreal(sym: PiecewiseSymbol, lam: complex) -> _LevelFactors:
     _raised(_plateau_error(sym, lam))
     none = np.empty(0, dtype=complex)
     pieces, roots, worst = [], 0, 0.0
-    for piece, nxt in zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1]):
+    for piece, nxt, slope in zip(sym.pieces, sym.pieces[1:] + sym.pieces[:1], sym._dpolys):
         a, b, poly, end = piece.theta_start, piece.theta_end, piece.poly, nxt.theta_start
         if poly.is_constant():
             pieces.append((a, end, cmath.log(poly.a[0] - lam), none, none))
@@ -365,7 +364,7 @@ def _factor_nonreal(sym: PiecewiseSymbol, lam: complex) -> _LevelFactors:
         roots += len(zeta)
         modulus = np.abs(zeta)
         inside = np.where(np.abs(modulus - 1.0) < 1e-8,
-                          lam.imag * poly.derivative()(np.angle(zeta)) > 0.0, modulus < 1.0)
+                          lam.imag * slope(np.angle(zeta)) > 0.0, modulus < 1.0)
         if np.count_nonzero(inside) != poly.degree:
             raise QuadratureError(f"level {lam}: {np.count_nonzero(inside)} of "
                                   f"{len(zeta)} roots placed inside the circle",
@@ -432,14 +431,14 @@ def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
 def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
     thresholds = {v for j in sym.jumps for v in (j.left, j.right)}
     plateaus, points = [], []
-    for piece, roots in zip(sym.pieces, sym._critical_angles):
+    for piece, critical in zip(sym.pieces, sym._critical):
         if piece.poly.is_constant():
             plateaus.append(float(piece.poly.a[0]))
-        for t in angles_on(roots, piece.theta_start - ANGLE_TOL, piece.theta_end + ANGLE_TOL):
+        for t, value in critical:
             tw = t % TWO_PI
             if not sym._is_jump_angle(tw) and not any(
                     abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s, _ in points):
-                points.append((tw, float(piece.poly(t))))
+                points.append((tw, value))
     return ExceptionalSet(tuple(sorted(thresholds)), _distinct(plateaus + [v for _, v in points]),
                           tuple(points))
 

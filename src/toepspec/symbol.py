@@ -140,17 +140,6 @@ class TrigPoly:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def _jet(self, theta: float) -> list[float]:
-        """The value and the first four derivatives at ``theta``; a
-        derivative that overflows is inf or NaN."""
-        k = np.arange(1, len(self.a), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the harmonics as Re w_k, w_k = (a_k - i b_k) e^{i k theta}; the
-            # d-th derivative turns w_k by i^d and scales it by k^d
-            w = (np.asarray(self.a[1:]) - 1j * np.asarray(self.b)) * np.exp(1j * k * theta)
-            turns = (w.real, -w.imag, -w.real, w.imag)
-            return [float(self(theta))] + [float(np.sum(k**d * turns[d % 4])) for d in range(1, 5)]
-
     def _laurent(self, shift: float = 0.0) -> np.ndarray:
         """Coefficients c_{-K}..c_K of p(t) - shift as a Laurent series in e^{it}."""
         K = self.degree
@@ -213,6 +202,22 @@ class JumpInterval:
         return self.low < lo and hi < self.high
 
 
+def _end_jets(piece: SymbolPiece) -> np.ndarray:
+    """A piece's value and first four derivatives at its start and at its
+    end (2, 5); one that overflows is inf or NaN."""
+    poly, ends = piece.poly, np.array([piece.theta_start, piece.theta_end])
+    jets = np.zeros((2, 5))
+    jets[:, 0] = poly(ends)
+    if poly.degree:
+        # the harmonics as Re w_k, w_k = (a_k - i b_k) e^{i k theta}; the d-th
+        # derivative turns w_k by i^d and scales it by k^d
+        k = np.arange(1, len(poly.a), dtype=float)
+        w = (np.asarray(poly.a[1:]) - 1j * np.asarray(poly.b)) * np.exp(1j * k * ends[:, None])
+        turns = np.stack((-w.imag, -w.real, w.imag, w.real))
+        jets[:, 1:] = np.sum(k ** np.arange(1.0, 5.0)[:, None, None] * turns, axis=-1).T
+    return jets
+
+
 class PiecewiseSymbol:
     """Bounded real piecewise trig-polynomial symbol with classified jumps.
 
@@ -252,17 +257,29 @@ class PiecewiseSymbol:
         self._polys = [it[2] for it in items]
         self.pieces = tuple(SymbolPiece(*piece) for piece in zip(starts, ends, self._polys))
         self.name = name
-        try:  # refuse coefficients whose derivatives or critical angles overflow
+        try:  # refuse coefficients whose derivatives, end jets or critical angles overflow
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 self._dpolys = [poly.derivative() for poly in self._polys]
-                # each piece's critical angles, solved once; the essential range (on
-                # the closed arcs) and the exceptional set each take their own window
-                self._critical_angles = tuple(d.roots() for d in self._dpolys)
-                self.jumps = self._classify_jumps()
-                g1, g2 = self._essential_range()
+                # each piece's value and first four derivatives at its start
+                # and its end (pieces, 2, 5), and the (angle, value) of its
+                # critical points in its closed arc widened by ANGLE_TOL; only
+                # the third and fourth derivatives may overflow
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._ends = np.array([_end_jets(piece) for piece in self.pieces])
+                if not np.all(np.isfinite(self._ends[:, :, :3])):
+                    raise FloatingPointError("a value, slope or curvature at a piece end overflows")
+                self._critical = tuple(
+                    tuple((t, float(p.poly(t))) for t in angles_on(
+                        d.roots(), p.theta_start - ANGLE_TOL, p.theta_end + ANGLE_TOL))
+                    for p, d in zip(self.pieces, self._dpolys))
         except FloatingPointError as exc:
             raise ValueError(f"symbol coefficients out of floating-point range: {exc}") from None
+        self.jumps = self._classify_jumps()
+        self.jump_intervals = tuple(
+            JumpInterval(k, min(j.left, j.right), max(j.left, j.right), j.kind)
+            for k, j in enumerate(self.jumps) if j.kind != "zero")
         self._jump_angles = np.array([j.theta for j in self.jumps])
+        g1, g2 = self._essential_range()
         if not g1 < g2:
             raise ValueError("constant symbol excluded")
         self._range = (g1, g2)
@@ -270,15 +287,12 @@ class PiecewiseSymbol:
     # -- construction helpers -------------------------------------------------
 
     def _classify_jumps(self) -> tuple[JumpPoint, ...]:
-        """The jump set S: each seam whose one-sided values or slopes differ.
-        The one-sided second derivatives are evaluated too, so a symbol
-        whose curvature at a seam overflows is refused here."""
-        jets = [(p.poly, d, d.derivative()) for p, d in zip(self.pieces, self._dpolys)]
+        """The jump set S: each seam whose one-sided values or slopes differ,
+        read from the end-jet table."""
+        ends = self._ends[:, 1, :2].tolist()   # each piece's (value, slope) at its end
         jumps = []
-        for i, piece in enumerate(self.pieces):
-            eta, prev = piece.theta_start, self.pieces[i - 1]
-            left, dleft, _ = (float(f(prev.theta_end)) for f in jets[i - 1])
-            right, dright, _ = (float(f(eta)) for f in jets[i])
+        for eta, (left, dleft), (right, dright) in zip(
+                self._starts.tolist(), ends[-1:] + ends[:-1], self._ends[:, 0, :2].tolist()):
             vscale = max(1.0, abs(left), abs(right))
             dscale = max(1.0, abs(dleft), abs(dright))
             if abs(left - right) > VALUE_TOL * vscale:
@@ -292,22 +306,21 @@ class PiecewiseSymbol:
 
     @functools.cached_property
     def _seam_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each seam where two different polynomials meet: its angle, the
-        one-sided values and first four derivatives (seams, 2, 5), the left
-        (clockwise) side first, and whether it is a value jump of S.  Made
-        on first use."""
+        """Each seam where two different polynomials meet: its angle, its
+        rows of the end-jet table, the one-sided values and first four
+        derivatives (seams, 2, 5) with the left (clockwise) side first, and
+        whether it is a value jump of S.  Made on first use."""
         stepped_at = {j.theta for j in self.jumps if j.kind != "zero"}
-        seams = [(piece.theta_start, prev, piece)
-                 for prev, piece in zip(self.pieces[-1:] + self.pieces[:-1], self.pieces)
-                 if prev.poly != piece.poly]
-        jets = np.array([[prev.poly._jet(prev.theta_end), piece.poly._jet(eta)]
-                         for eta, prev, piece in seams]).reshape(-1, 2, 5)
-        angles = np.array([eta for eta, *_ in seams])
+        seams = np.flatnonzero([prev.poly != piece.poly for prev, piece
+                                in zip(self.pieces[-1:] + self.pieces[:-1], self.pieces)])
+        jets = np.stack((self._ends[seams - 1, 1], self._ends[seams, 0]), axis=1)
+        angles = self._starts[seams]
         return angles, jets, np.array([eta in stepped_at for eta in angles], dtype=bool)
 
     def _essential_range(self):
-        values = [float(p.poly(t)) for p, crit in zip(self.pieces, self._critical_angles)
-                  for t in [p.theta_start, p.theta_end] + angles_on(crit, p.theta_start, p.theta_end)]
+        values = self._ends[:, :, 0].ravel().tolist() + [
+            v for p, points in zip(self.pieces, self._critical) for t, v in points
+            if p.theta_start <= t <= p.theta_end]
         return min(values), max(values)
 
     # -- queries ---------------------------------------------------------------
@@ -359,11 +372,7 @@ class PiecewiseSymbol:
         if len(hits) == 0:
             return float(self.values(t))
         i = int(hits[0])
-        if side == "+":
-            piece = self.pieces[i]
-            return float(piece.poly(piece.theta_start))
-        piece = self.pieces[(i - 1) % len(self.pieces)]
-        return float(piece.poly(piece.theta_end))
+        return float(self._ends[i, 0, 0] if side == "+" else self._ends[i - 1, 1, 0])
 
     def derivative_values(self, theta) -> np.ndarray:
         return self._piecewise(self._dpolys, theta)
@@ -371,15 +380,6 @@ class PiecewiseSymbol:
     def essential_range(self) -> tuple[float, float]:
         """(gamma1, gamma2): essential infimum and supremum."""
         return self._range
-
-    @property
-    def jump_intervals(self) -> tuple[JumpInterval, ...]:
-        out = []
-        for k, j in enumerate(self.jumps):
-            if j.kind == "zero":
-                continue
-            out.append(JumpInterval(k, min(j.left, j.right), max(j.left, j.right), j.kind))
-        return tuple(out)
 
     def fourier_coefficient(self, n: int) -> complex:
         """n-th Fourier coefficient against the normalized circle measure;

@@ -144,3 +144,16 @@ def test_two_functions_read_the_eigenfunctions_on_a_circle():
                     for node in ast.walk(fn))]
     assert sorted(found) == ["src/toepspec/diagonal.py:_phi_on_circle",
                              "src/toepspec/spectral.py:SpectralFrame.eigen_taylor"]
+
+
+# Symbol data: each piece's derivative polynomial is built once, when the
+# symbol is, and its end jets come from the one end-jet table, not from a
+# per-polynomial jet.
+def test_derivative_polynomials_are_built_with_the_symbol():
+    found = [name for name, fn in package_functions()
+             if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "derivative"
+                    for node in ast.walk(fn))]
+    assert found == ["src/toepspec/symbol.py:PiecewiseSymbol.__init__"]
+    methods = [name for name, _ in package_functions() if ":TrigPoly." in name]
+    assert "src/toepspec/symbol.py:TrigPoly.roots" in methods
+    assert "src/toepspec/symbol.py:TrigPoly._jet" not in methods

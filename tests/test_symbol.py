@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_symbol
+from toepspec.levelset import _distinct, exceptional_set
 from toepspec.symbol import (
+    ANGLE_TOL,
+    DERIV_TOL,
+    VALUE_TOL,
+    JumpPoint,
     PiecewiseSymbol,
     TrigPoly,
     certified_roots,
@@ -216,3 +222,103 @@ def test_from_dict_takes_coefficient_lists_only(piece):
 def test_out_of_range_coefficients_are_refused(a):
     with pytest.raises(ValueError, match="coefficients"):
         PiecewiseSymbol([(0.0, TWO_PI, TrigPoly(a))])
+
+
+def test_a_curvature_that_overflows_is_refused():
+    # on a piece a5 cos 5 theta the fourth derivative 625 a5 overflows at
+    # a5 = 1e306, which the seam jets keep as inf; the curvature 25 a5
+    # overflows at a5 = 1e307, which is refused
+    def two_pieces(a5):
+        return PiecewiseSymbol([(0.0, math.pi, TrigPoly([0.0] * 5 + [a5])),
+                                (math.pi, TWO_PI, TrigPoly([0.0, 1.0]))])
+
+    _, jets, _ = two_pieces(1e306)._seam_jets
+    assert np.all(np.isfinite(jets[..., :4])) and np.all(np.isinf(jets[[0, 1], [1, 0], 4]))
+    with pytest.raises(ValueError, match="coefficients"):
+        two_pieces(1e307)
+
+
+def reference_end_jets(piece) -> np.ndarray:
+    """A piece's value and first four derivatives at its start and its end
+    (2, 5), from scalar ``TrigPoly`` calls on the piece's polynomial and on
+    its ``derivative()`` polynomials."""
+    polys = [piece.poly]
+    for _ in range(4):
+        polys.append(polys[-1].derivative())
+    return np.array([[float(p(t)) for p in polys] for t in (piece.theta_start, piece.theta_end)])
+
+
+def reference_symbol_data(sym):
+    """The jump set, the essential range, the exceptional set's three fields
+    and the one-sided values at each seam, evaluated piece by piece with
+    scalar calls: the reference for the symbol's end-jet table and
+    critical-point list."""
+    pairs = list(zip(sym.pieces[-1:] + sym.pieces[:-1], sym.pieces))
+    jumps, one_sided = [], []
+    for prev, piece in pairs:
+        left, dleft = (float(f(prev.theta_end)) for f in (prev.poly, prev.poly.derivative()))
+        right, dright = (float(f(piece.theta_start)) for f in (piece.poly, piece.poly.derivative()))
+        one_sided.append((right, left))
+        if abs(left - right) > VALUE_TOL * max(1.0, abs(left), abs(right)):
+            jumps.append(JumpPoint(piece.theta_start, left, right, "plus" if left > right else "minus"))
+        elif abs(dleft - dright) > DERIV_TOL * max(1.0, abs(dleft), abs(dright)):
+            jumps.append(JumpPoint(piece.theta_start, left, right, "zero"))
+    values, plateaus, points = [], [], []
+    for piece in sym.pieces:
+        a, b, poly = piece.theta_start, piece.theta_end, piece.poly
+        values += [float(poly(a)), float(poly(b))]
+        if poly.is_constant():
+            plateaus.append(float(poly.a[0]))
+        for r in poly.derivative().roots():
+            for t in (r, r + TWO_PI):
+                if a - ANGLE_TOL <= t <= b + ANGLE_TOL:
+                    if a <= t <= b:
+                        values.append(float(poly(t)))
+                    tw = t % TWO_PI
+                    on_jump = any(min(abs(tw - j.theta), TWO_PI - abs(tw - j.theta)) < ANGLE_TOL
+                                  for j in jumps)
+                    if not on_jump and not any(abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9
+                                               for s, _ in points):
+                        points.append((tw, float(poly(t))))
+    thresholds = tuple(sorted({v for j in jumps for v in (j.left, j.right)}))
+    return (tuple(jumps), (min(values), max(values)),
+            (thresholds, _distinct(plateaus + [v for _, v in points]), tuple(points)), one_sided)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_symbol_data_matches_scalar_evaluation(regular, singular, singular_asym, fig2,
+                                               cos2_symbol):
+    # each piece end and critical point is evaluated once per symbol, into
+    # the end-jet table and the critical-point list; what is read from them
+    # is bit for bit what scalar evaluation gives, and the table's
+    # derivative columns are the derivative polynomials' values to 1e-13
+    # of each column's scale, sum k^d (|a_k| + |b_k|)
+    rng = np.random.default_rng(3301)
+    symbols = [regular, singular, singular_asym, fig2, cos2_symbol]
+    symbols += [random_symbol(rng) for _ in range(120)]
+    for sym in symbols:
+        jumps, essential, exceptional, one_sided = reference_symbol_data(sym)
+        assert sym.jumps == jumps
+        assert bits([(j.left, j.right) for j in sym.jumps]) == bits([(j.left, j.right) for j in jumps])
+        assert bits(sym.essential_range()) == bits(essential)
+        exc = exceptional_set(sym)
+        assert bits(exc.thresholds) == bits(exceptional[0])
+        assert bits(exc.critical) == bits(exceptional[1])
+        assert bits(exc.critical_points) == bits(exceptional[2]) and len(exc.critical_points) == len(
+            exceptional[2])
+        assert bits([(sym.eval_one_sided(p.theta_start, "+"), sym.eval_one_sided(p.theta_start, "-"))
+                     for p in sym.pieces]) == bits(one_sided)
+        angles, jets, _ = sym._seam_jets
+        for piece, table in zip(sym.pieces, sym._ends):
+            want = reference_end_jets(piece)
+            assert bits(table[:, 0]) == bits(want[:, 0])
+            k = np.arange(len(piece.poly.a))
+            scale = [np.sum(k**d * (np.abs(piece.poly.a) + np.abs((0.0,) + piece.poly.b)))
+                     for d in range(1, 5)]
+            assert np.all(np.abs(table[:, 1:] - want[:, 1:]) <= 1e-13 * np.array(scale))
+        for eta, (left, right) in zip(angles, jets):
+            i = int(np.flatnonzero(sym._starts == eta)[0])
+            assert bits(left) == bits(sym._ends[i - 1, 1]) and bits(right) == bits(sym._ends[i, 0])
