@@ -134,15 +134,26 @@ def phi_adjoint_taylor(family: FrameFamily, values: np.ndarray, nmax: int,
 # -- independent projections for the intertwining checks ---------------------------
 
 
+def _parts_of_x(subintervals) -> list[tuple[float, float]]:
+    """The subintervals of X as floats.  Each one is summed on its own, so
+    two that overlap would count their overlap twice: they raise
+    ``ValueError``, and ones that only touch are allowed."""
+    parts = [(float(a), float(b)) for a, b in subintervals]
+    ordered = sorted(parts)
+    if any(c < b for (_, b), (c, _) in zip(ordered, ordered[1:])):
+        raise ValueError("the subintervals of X must not overlap")
+    return parts
+
+
 def stone_projection(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector,
                      subintervals, n_nodes: int = 64) -> complex:
-    """(E(X)f, g) for a finite union of intervals: the Stone density Gram of
-    the kernel points, integrated over each interval."""
+    """(E(X)f, g) for a finite union of intervals that do not overlap: the
+    Stone density Gram of the kernel points, integrated over each interval."""
     cf, zf = np.array(f.terms, dtype=complex).reshape(-1, 2).T
     cg, zg = np.array(g.terms, dtype=complex).reshape(-1, 2).T
     x_nodes, x_w = gauss_legendre(n_nodes)
     total = 0.0 + 0.0j
-    for a, b in subintervals:
+    for a, b in _parts_of_x(subintervals):
         for wl, la in zip(0.5 * (b - a) * x_w, 0.5 * (a + b) + 0.5 * (b - a) * x_nodes):
             gram = stone_density(sym, zf[:, None], zg[None, :], float(la))
             total += wl * (cf @ gram @ np.conj(cg))
@@ -164,9 +175,10 @@ def intertwining_check(family: FrameFamily, f: HardyVector, g: HardyVector,
     and, when a section is supplied, from the finite-section oracle.
 
     Each subinterval of X gets its own quadrature grid: the integrand is
-    smooth there, but a shared grid against a sharp indicator is not.
+    smooth there, but a shared grid against a sharp indicator is not.  The
+    subintervals must not overlap.
     """
-    subintervals = [(float(a), float(b)) for a, b in subintervals]
+    subintervals = _parts_of_x(subintervals)
     lo, hi = family.interval
     for a, b in subintervals:
         if not (lo - 1e-12 <= a < b <= hi + 1e-12):

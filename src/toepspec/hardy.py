@@ -813,10 +813,13 @@ def phase_A_integral(arcs, z: complex) -> complex:
     """Phase A(z) as the per-arc Schwarz-kernel integral in closed form.
 
     Inside the disk each arc contributes through the primitive of the
-    Schwarz kernel; outside, through its exterior counterpart.
+    Schwarz kernel; outside, through its exterior counterpart.  A point on
+    the circle, or one that is not finite, raises ``ValueError``.
     """
     a, b = _arc_pairs(arcs)
     az = abs(z)
+    if not math.isfinite(az):
+        raise ValueError(f"phase undefined at the point {z}: it is not finite")
     if abs(az - 1.0) < 1e-12:
         raise ValueError("phase undefined on the circle")
     if az < 1.0:
@@ -830,9 +833,10 @@ def phase_A_closed(arcs, z):
     """Phase A(z) inside the disk, for a point or an array of points:
     half-pi times the sublevel measure plus the principal-branch log sum
     over the arc endpoints.  An array of many levels' arcs (``_arc_pairs``)
-    gives a leading level axis."""
+    gives a leading level axis.  A point outside the open disk, or one that
+    is not finite, raises ``ValueError``."""
     zs = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zs) >= 1.0):
+    if not np.all(np.abs(zs) < 1.0):
         raise ValueError("closed phase form is the interior representation")
     a, b = _arc_pairs(arcs)
     ea, eb, measure = np.exp(-1j * a), np.exp(-1j * b), arcs_measure(arcs)
@@ -916,10 +920,12 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
     Its error estimate, the sum of (eps + e)/|1 - beta z| over the roots beta
     (e their ``beta_error``) and of eps (1 + |J|)/|1 - z/s| over the value
     jumps s of the log weight by J, raises ``QuadratureError`` above
-    ``DEFAULT_TOL``; a jump angle or omega(zeta) = lambda ``ValueError``; and
-    the level passes ``_check_level``.
+    ``DEFAULT_TOL``; an angle that is not finite, a jump angle or
+    omega(zeta) = lambda ``ValueError``; and the level passes ``_check_level``.
     """
     theta = float(zeta) % TWO_PI
+    if not math.isfinite(theta):
+        raise ValueError(f"boundary value undefined here: angle {zeta} is not finite")
     lam = _check_level(sym, lam)
     if sym._is_jump_angle(theta):
         raise ValueError("boundary value undefined here: jump angle")
@@ -964,15 +970,15 @@ class MuMeasure:
             raise ValueError("mu measure is defined for points inside the disk")
         self.sym = sym
         self.z = complex(z)
-        self._exc = exceptional_set(sym)
+        self._symbol_record = _record(sym).analysed(sym)
         self.t = np.asarray(t_grid, dtype=float)
         self.mu = np.array([self.at(t) for t in self.t])
 
     def at(self, t: float) -> float:
-        """mu(t; z), nudged off exceptional levels by the guard width."""
+        """mu(t; z), moved 2 GUARD off the nearest exceptional value if no interval admits t."""
         g1, g2 = self.sym.essential_range()
-        if g1 < t <= g2 and self._exc.distance(t) < GUARD:
-            v = min(self._exc.values, key=lambda v: abs(v - t))
+        if g1 < t <= g2 and self._symbol_record.index(t) is None:
+            v = min(self._symbol_record.exceptional.values, key=lambda v: abs(v - t))
             t = v + 2.0 * GUARD * (1.0 if t >= v else -1.0)
         if t <= g1:
             return 0.0

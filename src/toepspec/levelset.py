@@ -29,6 +29,7 @@ from .symbol import (
     UNIT_ROOT_TOL,
     VALUE_TOL,
     PiecewiseSymbol,
+    _circle_distance,
     certified_roots,
     distinct_angles,
     uncertified,
@@ -107,9 +108,6 @@ class ExceptionalSet:
     def values(self) -> tuple[float, ...]:
         return _distinct(self.thresholds + self.critical)
 
-    def distance(self, lam: float) -> float:
-        return min((abs(lam - v) for v in self.values), default=math.inf)
-
 
 @dataclass(frozen=True)
 class CountReport:
@@ -128,8 +126,8 @@ _lock = threading.Lock()
 
 class _SymbolRecord:
     """Everything kept of one symbol, each part made on first use: the
-    exceptional set and admissible intervals (``analysed``), one counting
-    report per interval, where the multiplicity is constant (``report``),
+    exceptional set and admissible intervals (``analysed``, ``index``), one
+    counting report per interval, where the multiplicity is constant (``report``),
     the symbol on each of ``log_fourier``'s grids it was asked for
     (``grid_values``, at most one per power of two) and an LRU store
     of real-level root records (``stored``, ``store``).  Stored values carry
@@ -139,38 +137,32 @@ class _SymbolRecord:
 
     def __init__(self):
         self.exceptional: ExceptionalSet | None = None
-        self.intervals, self.lo, self.hi = (), [], []
+        self.intervals = ()
         self.reports: dict[int, CountReport] = {}
         self.grid_values: dict[int, np.ndarray] = {}
         self.levels: OrderedDict = OrderedDict()
         self.nbytes = 0
 
     def analysed(self, sym: PiecewiseSymbol) -> "_SymbolRecord":
-        """The record with its exceptional set, admissible intervals and
-        their bounds filled in."""
+        """The record with its exceptional set and admissible intervals filled in."""
         if self.exceptional is None:
             exc = _exceptional_set(sym)
-            vals = exc.values
             g1, g2 = sym.essential_range()
-            points = [g1] + [v for v in vals if g1 < v < g2] + [g2]
+            points = [g1] + [v for v in exc.values if g1 < v < g2] + [g2]
             self.intervals = tuple(zip(points[:-1], points[1:]))
-            # the intervals shrunk to their points more than GUARD from every
-            # exceptional value
-            self.lo = [max([lo] + [v + GUARD for v in vals if v <= lo]) for lo, _ in self.intervals]
-            self.hi = [min([hi] + [v - GUARD for v in vals if v >= hi]) for _, hi in self.intervals]
             self.exceptional = exc   # set last: the analysis is complete
         return self
 
     def index(self, a: float, b: float | None = None) -> int | None:
-        """Index of the admissible interval, shrunk by the guard, that holds
-        the level ``a`` or the interval [a, b]; None if there is none."""
+        """Index of the admissible interval (lo, hi) whose [lo + GUARD, hi - GUARD]
+        holds the level ``a`` or [a, b], or None: the one admissibility rule."""
         b = a if b is None else b
-        i = bisect.bisect_left(self.lo, a) - 1
-        return i if i >= 0 and a <= b < self.hi[i] else None
+        i = bisect.bisect_right(self.intervals, a, key=lambda iv: iv[0] + GUARD) - 1
+        return i if i >= 0 and a <= b <= self.intervals[i][1] - GUARD else None
 
     def report(self, sym: PiecewiseSymbol, i: int) -> CountReport:
         if i not in self.reports:
-            self.reports[i] = _count(sym, self.lo[i], self.hi[i])
+            self.reports[i] = _count(sym, self.intervals[i])
         return self.reports[i]
 
     def stored(self, keys) -> list:
@@ -429,18 +421,18 @@ def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
 
 
 def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
+    # a seam's critical point is found by both its pieces: the first is kept
     thresholds = {v for j in sym.jumps for v in (j.left, j.right)}
-    plateaus, points = [], []
-    for piece, critical in zip(sym.pieces, sym._critical):
-        if piece.poly.is_constant():
-            plateaus.append(float(piece.poly.a[0]))
-        for t, value in critical:
-            tw = t % TWO_PI
-            if not sym._is_jump_angle(tw) and not any(
-                    abs(tw - s) < 1e-9 or abs(abs(tw - s) - TWO_PI) < 1e-9 for s, _ in points):
-                points.append((tw, value))
+    plateaus = [float(p.poly.a[0]) for p in sym.pieces if p.poly.is_constant()]
+    found = [point for critical in sym._critical for point in critical]
+    angles = np.array([t for t, _ in found]) % TWO_PI
+    off = ~sym._is_jump_angle(angles)
+    repeats = np.tri(len(found), k=-1, dtype=bool) & off & (
+        _circle_distance(angles[:, None], angles) < 1e-9)
+    keep = off & ~repeats.any(axis=1)
+    points = tuple((t, v) for t, (_, v), kept in zip(angles, found, keep) if kept)
     return ExceptionalSet(tuple(sorted(thresholds)), _distinct(plateaus + [v for _, v in points]),
-                          tuple(points))
+                          points)
 
 
 def _distinct(values) -> tuple:
@@ -465,12 +457,12 @@ def _level(lam, real: bool = False) -> float | complex:
 def _check_level(sym: PiecewiseSymbol, lam) -> float:
     """The one gate for a real level, returned as a float.  A level that is
     not finite and real raises ``ValueError``, and one in the closed range
-    [gamma1, gamma2] within ``GUARD`` of an exceptional value, such as a
-    jump's one-sided value at its end, ``ExceptionalLevelError``; just
-    outside the range there is no crossing to classify."""
+    [gamma1, gamma2] that no admissible interval admits (``_SymbolRecord.index``),
+    such as a jump's one-sided value at its end, ``ExceptionalLevelError``;
+    just outside the range there is no crossing to classify."""
     lam = _level(lam, real=True)
     g1, g2 = sym.essential_range()
-    if g1 <= lam <= g2 and exceptional_set(sym).distance(lam) < GUARD:
+    if g1 <= lam <= g2 and _record(sym).analysed(sym).index(lam) is None:
         raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
     return lam
 
@@ -574,7 +566,7 @@ def _assemble(sym: PiecewiseSymbol, lam: float, signed) -> LevelSet | ToepspecEr
 def _validate_levels(sym: PiecewiseSymbol, levels) -> list:
     """Sampled sign check of each level set: omega < lambda at
     ``SIGN_SAMPLES`` points inside each arc, > lambda in each complement gap,
-    except at sample points that collide with a jump angle.  Returns, per
+    except at sample points on a jump angle (``_is_jump_angle``).  Returns, per
     level, the ``CountingError`` of its first failing stretch, or None.  The
     stretches of all levels are sampled together, in chunks of ``CHUNK``
     points."""
@@ -595,7 +587,6 @@ def _validate_levels(sym: PiecewiseSymbol, levels) -> list:
     lams = np.array([level.lam for level in levels])[owner]
     pad = np.minimum(1e-7, 1e-3 * (hi - lo))
     start, stop = lo + pad, hi - pad
-    jumps = np.round(sym._jump_angles, 9)
     fails = np.zeros(len(lo), dtype=bool)
     steps = np.arange(SIGN_SAMPLES)
     rows = max(1, CHUNK // SIGN_SAMPLES)
@@ -604,7 +595,7 @@ def _validate_levels(sym: PiecewiseSymbol, levels) -> list:
         # np.linspace's points, stretch by stretch
         t = steps * ((stop[part] - start[part]) / (SIGN_SAMPLES - 1))[:, None] + start[part, None]
         t[:, -1] = stop[part]
-        keep = ~np.isin(np.round(t % TWO_PI, 9), jumps)
+        keep = ~sym._is_jump_angle(t)
         wrong = sign[part, None] * (sym.values(t) - lams[part, None]) >= 0.0
         fails[part] = np.any(keep & wrong, axis=1)
     out = [None] * len(levels)
@@ -649,10 +640,12 @@ def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
     return an.report(sym, i)
 
 
-def _count(sym: PiecewiseSymbol, a: float, b: float) -> CountReport:
-    """Counts on [a, b]: the root counts at the midpoint, checked for
-    constancy at four more interior samples; a mismatch between the two
-    orientation sums signals a root-finder defect."""
+def _count(sym: PiecewiseSymbol, interval) -> CountReport:
+    """Counts on the range [a, b] that an admissible interval admits: the root
+    counts at the midpoint, checked for constancy at four more interior
+    samples; a mismatch between the two orientation sums signals a
+    root-finder defect."""
+    a, b = interval[0] + GUARD, interval[1] - GUARD
     lams = [0.5 * (a + b)] + [a + frac * (b - a) for frac in (0.125, 0.3125, 0.6875, 0.875)]
     counts = []
     for signed in map(_raised, _signed_crossings(sym, [_check_level(sym, lam) for lam in lams])):

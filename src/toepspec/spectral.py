@@ -33,7 +33,7 @@ from .levelset import (
     sublevel_set,
     sublevel_sets,
 )
-from .symbol import DEFAULT_TOL, TWO_PI, PiecewiseSymbol
+from .symbol import DEFAULT_TOL, TWO_PI, PiecewiseSymbol, _circle_distance
 
 FORM_TOL = 1e-8
 
@@ -379,7 +379,7 @@ def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> floa
     if sym._is_jump_angle(theta):
         raise ValueError("boundary relation undefined at a jump angle")
     ends = np.array([(arc.alpha, arc.beta) for arc in frame.level.arcs])
-    if np.any(np.abs(np.mod(ends - theta + math.pi, TWO_PI) - math.pi) < 1e-9):
+    if np.any(_circle_distance(ends, theta) < 1e-9):
         raise ValueError("boundary relation undefined at an arc end")
     om = sym.eval(theta)
     if abs(om - frame.lam) < GUARD:
@@ -401,8 +401,10 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     Raises ``QuadratureError`` with the worst change between doublings when
     the next doubling would pass ``max_nodes`` before ``rtol`` is met; the
     first change compares 32 and 64 nodes, so ``max_nodes`` below 64 is
-    refused.
+    refused, as is an ``rtol`` that is not positive and finite.
     """
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if max_nodes < 64:
         raise ValueError(f"max_nodes must be at least 64, got {max_nodes}")
     a, b = float(interval[0]), float(interval[1])

@@ -120,6 +120,11 @@ def chebyshev_U(n, x):
     return u1
 
 
+def value_gap(exc, lam: float) -> float:
+    """The distance from a level to the nearest value of an exceptional set."""
+    return min((abs(lam - v) for v in exc.values), default=math.inf)
+
+
 def random_symbol(rng) -> PiecewiseSymbol:
     """1-6 pieces of degree up to 6 (at least 1 for a single piece)."""
     n = int(rng.integers(1, 7))

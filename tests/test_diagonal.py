@@ -237,6 +237,22 @@ def test_intertwining_additivity(family):
     assert both.stone_residual <= first.stone_residual + second.stone_residual + 1e-10
 
 
+def test_overlapping_parts_of_x_are_refused(family, regular):
+    # each part of X is summed on its own, so an overlap would count twice
+    f = HardyVector.of((1.0, 0.2))
+    for X in ([(-0.2, 0.3), (0.0, 0.4)], [(0.0, 0.4), (-0.2, 0.3)],
+              [(-0.4, 0.4), (-0.1, 0.1)], [(-0.1, 0.2), (-0.1, 0.2)]):
+        with pytest.raises(ValueError, match="overlap"):
+            intertwining_check(family, f, f, X)
+        with pytest.raises(ValueError, match="overlap"):
+            stone_projection(regular, f, f, X, n_nodes=6)
+    # parts that touch are their union
+    touching = intertwining_check(family, f, f, [(0.1, 0.4), (-0.2, 0.1)])
+    union = intertwining_check(family, f, f, [(-0.2, 0.4)])
+    assert abs(touching.value - union.value) < 1e-12
+    assert abs(touching.stone - union.stone) < 1e-12
+
+
 def test_intertwining_subinterval_against_stone(family):
     f = HardyVector.of((1.0, 0.25), (0.5j, -0.2 + 0.1j))
     res = intertwining_check(family, f, f, [(-0.3, 0.2)])

@@ -15,6 +15,7 @@ from conftest import (
     reference_crossings,
     regular_xi_closed,
     singular_phi_closed,
+    value_gap,
 )
 from toepspec import cli, hardy, levelset
 from toepspec.errors import ExceptionalLevelError, QuadratureError
@@ -750,7 +751,7 @@ def test_closed_form_matches_panels_on_random_symbols():
         g1, g2 = sym.essential_range()
         exc = levelset.exceptional_set(sym)
         levels = [lam for lam in rng.uniform(g1 - 0.3 * (g2 - g1), g2 + 0.3 * (g2 - g1), 3)
-                  if exc.distance(lam) >= 1e-3]
+                  if value_gap(exc, lam) >= 1e-3]
         for lam in levels:
             _assert_closed_matches_panels(sym, lam, _band_points(rng, 6, 2, 2))
 
@@ -773,7 +774,7 @@ def test_closed_form_matches_panels_at_non_real_levels_on_random_symbols():
         g1, g2 = sym.essential_range()
         exc = levelset.exceptional_set(sym)
         levels = [lam for lam in rng.uniform(g1 - 0.3 * (g2 - g1), g2 + 0.3 * (g2 - g1), 3)
-                  if exc.distance(lam) >= 1e-3]
+                  if value_gap(exc, lam) >= 1e-3]
         for lam in levels:
             eta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 0.0)
             _assert_closed_matches_panels(sym, complex(lam, eta), _band_points(rng, 6, 2, 2))
@@ -811,7 +812,7 @@ def test_limiting_absorption_on_random_symbols():
         g1, g2 = sym.essential_range()
         exc = levelset.exceptional_set(sym)
         for lam in rng.uniform(g1, g2, 3):
-            if exc.distance(lam) >= 1e-3:
+            if value_gap(exc, lam) >= 1e-3:
                 _assert_limiting_absorption(sym, lam, _disk_points(rng))
 
 
@@ -1204,7 +1205,7 @@ def test_one_piece_circle_xi_is_the_product_of_paired_roots(monkeypatch):
                                                       rng.normal(size=degree)))])
         g1, g2 = sym.essential_range()
         exc = levelset.exceptional_set(sym)
-        lams = [lam for lam in np.linspace(g1, g2, 9)[1:-1] if exc.distance(lam) > 1e-6]
+        lams = [lam for lam in np.linspace(g1, g2, 9)[1:-1] if value_gap(exc, lam) > 1e-6]
         lams = np.array(lams + [g1 - 1e-6, g2 + 1e-9])
         cases += [(sym, lams, r, xi_grid(sym, r * circle, lams)) for r in radii]
     monkeypatch.setattr(hardy, "_closed_q", lambda *args: pytest.fail("exp(-Q/2) served"))
@@ -1416,6 +1417,21 @@ def test_boundary_rejects_bad_points(regular, singular):
     for lam in (math.nan, 0.3 + 0.1j):
         with pytest.raises(ValueError, match="level"):
             boundary_sigma(regular, 1.0, lam)
+    for theta in (math.inf, -math.inf, math.nan):
+        for side in ("+", "-"):
+            with pytest.raises(ValueError, match="angle .* is not finite"):
+                boundary_xi(regular, theta, 0.1, side)
+        with pytest.raises(ValueError, match="angle .* is not finite"):
+            boundary_sigma(singular, theta, 0.5)
+
+
+def test_phase_refuses_points_that_are_not_finite(fig2):
+    arcs = sublevel_set(fig2, 0.25).arcs
+    for z in (math.nan, math.inf, complex(math.nan, 0.2), complex(0.1, -math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            phase_A_integral(arcs, z)
+        with pytest.raises(ValueError, match="interior"):
+            phase_A_closed(arcs, np.array([0.2, z]))
 
 
 def _trig_q_plus(theta, lam, k):

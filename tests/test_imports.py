@@ -157,3 +157,16 @@ def test_derivative_polynomials_are_built_with_the_symbol():
     methods = [name for name, _ in package_functions() if ":TrigPoly." in name]
     assert "src/toepspec/symbol.py:TrigPoly.roots" in methods
     assert "src/toepspec/symbol.py:TrigPoly._jet" not in methods
+
+
+# The two exceptional sets: one rule decides each. The admissible intervals'
+# lookup (levelset._SymbolRecord.index) decides which levels are off the
+# exceptional values, and _is_jump_angle which angles are on the jump set; no
+# package function measures a level's distance to the exceptional values or
+# matches rounded angles.
+def test_one_rule_each_for_exceptional_levels_and_jump_angles():
+    found = [name for name, fn in package_functions() for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and (node.func.attr == "distance"
+                  or node.func.attr == "isin" and getattr(node.func.value, "id", None) == "np")]
+    assert not found

@@ -10,6 +10,7 @@ from conftest import (
     reference_crossings,
     reference_signed_crossings,
     reference_solve_level,
+    value_gap,
 )
 from toepspec import cli, hardy, levelset
 from toepspec.errors import (
@@ -95,7 +96,7 @@ def test_one_level_gate_refuses_the_closed_range_only(regular, singular_asym, fi
         for v in exc.values:
             for d in (0.0, 0.5, -0.5, 2.0, -2.0):
                 lam = v + d * GUARD
-                refused = g1 <= lam <= g2 and exc.distance(lam) < GUARD
+                refused = g1 <= lam <= g2 and value_gap(exc, lam) < GUARD
                 avoid = np.concatenate((reference_crossings(sym, lam), sym._starts))
                 theta = next(t for t in np.linspace(0.0, TWO_PI, 128, endpoint=False)
                              if all(_gap(t, a) >= 0.1 for a in avoid))
@@ -107,6 +108,42 @@ def test_one_level_gate_refuses_the_closed_range_only(regular, singular_asym, fi
                     assert (_outcome(call) is ExceptionalLevelError) == refused, (sym, lam)
                 outside += not g1 <= lam <= g2
     assert outside >= 4 * len(symbols)
+
+
+def _accepts(call) -> bool:
+    """Whether the call returns, False if it refuses its level or interval."""
+    try:
+        call()
+    except (ExceptionalLevelError, InadmissibleIntervalError, ValueError):
+        return False
+    return True
+
+
+def test_every_route_admits_the_same_guarded_bounds(regular, singular, singular_asym, fig2,
+                                                    cos2_symbol):
+    # an admissible interval (a, b) admits the closed range [a + GUARD,
+    # b - GUARD]: the gate, the level report, the frame and the interval
+    # count agree at both bounds and at the float on each side of each
+    rng = np.random.default_rng(3434)
+    symbols = [regular, singular, singular_asym, fig2, cos2_symbol]
+    symbols += [random_symbol(rng) for _ in range(2)]
+    seen = set()
+    for sym in symbols:
+        mu = hardy.MuMeasure(sym, 0.3 + 0.2j, [])
+        for a, b in admissible_intervals(sym):
+            mid = 0.5 * (a + b)
+            for bound in (a + GUARD, b - GUARD):
+                for lam in (float(np.nextafter(bound, -math.inf)), bound,
+                            float(np.nextafter(bound, math.inf))):
+                    pair = (lam, mid) if lam < mid else (mid, lam)
+                    verdicts = {_accepts(lambda: levelset._check_level(sym, lam)),
+                                _accepts(lambda: level_report(sym, lam)),
+                                _accepts(lambda: spectral_frame(sym, lam)),
+                                _accepts(lambda: counting_report(sym, pair))}
+                    assert len(verdicts) == 1, (sym, lam)
+                    seen |= verdicts
+                    assert 0.0 <= mu.at(lam) <= 1.0, (sym, lam)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("pick, match", [
@@ -407,7 +444,7 @@ def _probe_levels(sym, rng, n_far):
 def _assert_crossings_match(monkeypatch, sym, levels):
     exc = exceptional_set(sym)
     for lam in levels:
-        gap = exc.distance(lam)
+        gap = value_gap(exc, lam)
         if GUARD <= gap < 2e-9:
             continue
         tol = 1e-12 if gap >= 1e-4 else 1e-10

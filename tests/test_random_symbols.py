@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symbol as wide_symbol
-from conftest import reference_boundary_sigma
+from conftest import reference_boundary_sigma, value_gap
 from toepspec import hardy, levelset, spectral
 from toepspec.errors import ExceptionalLevelError, QuadratureError, ToepspecError
 from toepspec.symbol import PiecewiseSymbol, TrigPoly
@@ -227,7 +227,7 @@ def test_circle_values_on_random_symbols(monkeypatch):
         levels = list(np.linspace(g1, g2, 7)[1:-1]) + [g1 - 1e-12, g1 - 1e-9, g2 + 1e-9, g2 + 1e-12]
         levels += [v + s * 10.0 ** -k for v in values for s in (-1.0, 1.0) for k in range(2, 9)]
         for j, lam in enumerate(map(float, levels)):
-            dist = exc.distance(lam)
+            dist = value_gap(exc, lam)
             rs = radii if sym.name else radii[j % len(radii):][:1]
             want = hardy.xi_grid(sym, np.multiply.outer(rs, circle[::4]), lam)
             for r, ref in zip(rs, want):

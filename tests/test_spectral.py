@@ -449,6 +449,18 @@ def test_weak_measure_refuses_fewer_than_64_nodes(regular, monkeypatch):
             weak_measure(regular, (-0.5, 0.5), 0.0, 0.0, ind, max_nodes=max_nodes)
 
 
+def test_weak_measure_refuses_a_tolerance_that_is_not_positive_and_finite(regular, monkeypatch):
+    # refused before any family is built, as stone_density refuses its eps
+    def no_family(*args):
+        raise AssertionError("family built")
+
+    monkeypatch.setattr(spectral, "FrameFamily", no_family)
+    ind = lambda lam: 1.0 if -0.5 <= lam <= 0.5 else 0.0
+    for rtol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            weak_measure(regular, (-0.5, 0.5), 0.0, 0.0, ind, rtol=rtol)
+
+
 def test_weak_measure_stays_within_its_node_limit(regular, monkeypatch):
     # a limit that is not a power of two stops the doubling below it
     sizes = []

@@ -34,6 +34,23 @@ def test_eval_at_jump_is_ambiguous(singular):
         singular.eval(math.pi)
 
 
+def test_jump_angle_test_is_elementwise(regular, singular, singular_asym, fig2):
+    # on an array, _is_jump_angle gives its scalar answer at each angle: at
+    # 0, 0.5 and 2 ANGLE_TOL on each side of each jump, also across 0 = 2 pi
+    steps = np.array([0.0, 0.5, -0.5, 2.0, -2.0]) * ANGLE_TOL
+    for sym in (singular, singular_asym, fig2):
+        assert len(sym._jump_angles) >= 2
+        for eta in sym._jump_angles:
+            angles = eta + steps + np.array([[-TWO_PI], [0.0], [TWO_PI]])
+            got = sym._is_jump_angle(angles)
+            assert got.shape == angles.shape
+            assert got.tolist() == [[sym._is_jump_angle(float(t)) for t in row] for row in angles]
+            assert got.tolist() == [[abs(s) < ANGLE_TOL for s in steps]] * 3
+    assert 0.0 in singular._jump_angles
+    assert not regular._is_jump_angle(np.zeros((2, 3))).any()
+    assert regular._is_jump_angle(0.0) is False
+
+
 def test_one_sided_limits(regular, singular):
     assert singular.eval_one_sided(0.0, "+") == pytest.approx(1.0)
     assert singular.eval_one_sided(0.0, "-") == pytest.approx(0.0)
