@@ -421,18 +421,17 @@ def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
 
 
 def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
-    # a seam's critical point is found by both its pieces: the first is kept
     thresholds = {v for j in sym.jumps for v in (j.left, j.right)}
     plateaus = [float(p.poly.a[0]) for p in sym.pieces if p.poly.is_constant()]
     found = [point for critical in sym._critical for point in critical]
-    angles = np.array([t for t, _ in found]) % TWO_PI
-    off = ~sym._is_jump_angle(angles)
-    repeats = np.tri(len(found), k=-1, dtype=bool) & off & (
-        _circle_distance(angles[:, None], angles) < 1e-9)
-    keep = off & ~repeats.any(axis=1)
-    points = tuple((t, v) for t, (_, v), kept in zip(angles, found, keep) if kept)
+    points = []
+    for (t, value), jump in zip(found, sym._is_jump_angle(np.array([t for t, _ in found]))):
+        tw = t % TWO_PI
+        # a seam's critical point is found by both its pieces: the first is kept
+        if not jump and all(_circle_distance(tw, s) >= 1e-9 for s, _ in points):
+            points.append((tw, value))
     return ExceptionalSet(tuple(sorted(thresholds)), _distinct(plateaus + [v for _, v in points]),
-                          points)
+                          tuple(points))
 
 
 def _distinct(values) -> tuple:

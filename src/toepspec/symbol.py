@@ -47,8 +47,8 @@ def wrap_angle(theta: float) -> float:
 def _circle_distance(x, t):
     """|((x - t + pi) mod 2pi) - pi| elementwise, the mod as y - 2pi floor(y / 2pi):
     equal to ``np.mod``'s for the |y| < 6pi of angles, and five times faster on big arrays."""
-    y = np.subtract(x, t) + math.pi
-    return np.abs(y - TWO_PI * np.floor(y / TWO_PI) - math.pi)
+    y = x - t + math.pi
+    return abs(y - TWO_PI * np.floor(y / TWO_PI) - math.pi)
 
 
 def angles_on(roots, t0: float, t1: float) -> list[float]:
@@ -361,8 +361,9 @@ class PiecewiseSymbol:
 
     def _is_jump_angle(self, t):
         """Whether the angle, or each one of an array, is near a jump (``ANGLE_TOL``)."""
-        jumps = self._jump_angles.reshape(-1, *[1] * np.ndim(t))
-        near = (_circle_distance(jumps, t) < ANGLE_TOL).any(axis=0)
+        t = np.asarray(t)
+        jumps = self._jump_angles.reshape((-1,) + (1,) * t.ndim)
+        near = np.logical_or.reduce(_circle_distance(jumps, t) < ANGLE_TOL)
         return near if near.ndim else bool(near)
 
     def eval_one_sided(self, eta: float, side: str) -> float:
