@@ -35,7 +35,6 @@ from .levelset import (
     _record,
     admissible_intervals,
     arcs_measure,
-    exceptional_set,
     sublevel_set,
 )
 from .symbol import DEFAULT_TOL, EPS, TWO_PI, PiecewiseSymbol
@@ -140,7 +139,7 @@ def plain_rule(sym: PiecewiseSymbol, x: float | None = None, extra=(),
     every interior extremum, next to which ln|omega - x| can dip where no
     panel breaks, at the angles where the symbol crosses ``x``, and at ``extra``."""
     crossings = _level_factors(sym, x).crossings if x is not None else ()
-    extrema = [t for t, _ in exceptional_set(sym).critical_points]
+    extrema = [t for t, _ in sym.exceptional.critical_points]
     return CircleRule(np.concatenate((sym._starts, extrema, crossings, extra), dtype=float), depth)
 
 
@@ -541,13 +540,24 @@ def _fourier_resolves(factors: _LevelFactors, seams: np.ndarray, jumps: np.ndarr
     return (factors.reach * grid >= _LOG_EPS) & (_seam_alias(seams, jumps, grid) <= DEFAULT_TOL)
 
 
-def _fourier_error(decay, n, r: float, alias):
+def _fourier_error(decay, n, r: float, extra):
     """A bound on Q's error at radius r from N = n modes of ``log_fourier``
     (2N grid points; an array of N gives an array): the tail dropped past N
     modes, 2 decay r^N/(N (1 - r)), where decay bounds max_{n >= N/2} n |f_n|,
-    plus ``alias``, the seams' aliasing at r (``_seam_alias``); NaN where a
-    jump is not finite."""
-    return 2.0 * decay * r**n / (n * (1.0 - r)) + alias
+    plus ``extra``: the seams' aliasing at r (``_seam_alias``) and, where
+    ``_fourier_xi`` accepts a vector, its rounding (``_fourier_rounding``);
+    NaN where a jump is not finite."""
+    return 2.0 * decay * r**n / (n * (1.0 - r)) + extra
+
+
+def _fourier_rounding(jumps: np.ndarray, r: float) -> float:
+    """A bound on the rounding of Q from ``log_fourier`` at radius r: each
+    sample of the smooth remainder is rounded to about ``_ROUNDING``, and the
+    seams' J S_0 + D_1 S_1 + D_2 S_2 taken off it to about
+    eps (|J| + |D_1| + |D_2|) per seam, which grows like 1/|omega - lam|^2
+    next to a seam's one-sided value; each coefficient is an average of the
+    samples, and Q at r sums 2 r^n of them.  No grid makes it smaller."""
+    return (_ROUNDING + 2.0 * EPS * float(np.sum(np.abs(jumps[:, :3])))) / (1.0 - r)
 
 
 def _sized_grid(factors: _LevelFactors, seams: np.ndarray, jumps: np.ndarray,
@@ -739,16 +749,18 @@ def _fourier_xi(sym: PiecewiseSymbol, lam: float, factors: _LevelFactors, r: flo
                 m_out: int) -> np.ndarray | None:
     """``xi_circle``'s Fourier route at one level: one ``log_fourier`` call
     on the grid ``_sized_grid`` picks, or None where no grid resolves the
-    level or ``_fourier_error``, with the measured decay and the seams'
-    aliasing ``_sized_grid`` found on that grid, is above ``DEFAULT_TOL``."""
-    sized = _sized_grid(factors, *_seam_jumps(sym, lam), r)
+    level or ``_fourier_error``, with the measured decay, the seams'
+    aliasing ``_sized_grid`` found on that grid and the rounding
+    (``_fourier_rounding``), is above ``DEFAULT_TOL``."""
+    seams, jumps = _seam_jumps(sym, lam)
+    sized = _sized_grid(factors, seams, jumps, r)
     if sized is None:
         return None
     grid, alias = sized
     fhat = log_fourier(sym, lam, grid)
     n = len(fhat)
     decay = float(np.max(np.arange(n // 2, n) * np.abs(fhat[n // 2:])))
-    if not _fourier_error(decay, n, r, alias) <= DEFAULT_TOL:
+    if not _fourier_error(decay, n, r, alias + _fourier_rounding(jumps, r)) <= DEFAULT_TOL:
         return None
     # 2 r^n for n = _BLOCK*q + p as r^{_BLOCK q} times 2 r^p
     c = fhat * np.multiply.outer(r ** (_BLOCK * _SHORT[:n // _BLOCK]), 2.0 * r ** _SHORT).ravel()
@@ -923,13 +935,30 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
     ``DEFAULT_TOL``; an angle that is not finite, a jump angle or
     omega(zeta) = lambda ``ValueError``; and the level passes ``_check_level``.
     """
+    return _boundary(sym, zeta, lam)[0]
+
+
+def boundary_xi(sym: PiecewiseSymbol, zeta: float, lam: float, side: str) -> complex:
+    """One-sided boundary value of xi: sigma times |omega - lam|^{-1/2} from
+    inside ('+'), which is exp(-Q+/2), and |omega - lam|^{+1/2} from outside ('-')."""
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    sigma, omega = _boundary(sym, zeta, lam)
+    mod = abs(omega - lam)
+    return complex(sigma * mod ** (-0.5 if side == "+" else 0.5))
+
+
+def _boundary(sym: PiecewiseSymbol, zeta: float, lam: float) -> tuple[complex, float]:
+    """``boundary_sigma``'s factor and omega(zeta), with its refusals: the
+    angle is tested against the jump set once and the symbol evaluated once."""
     theta = float(zeta) % TWO_PI
     if not math.isfinite(theta):
         raise ValueError(f"boundary value undefined here: angle {zeta} is not finite")
     lam = _check_level(sym, lam)
     if sym._is_jump_angle(theta):
         raise ValueError("boundary value undefined here: jump angle")
-    if abs(sym.eval(theta) - lam) <= 1e-13:
+    omega = float(sym.values(theta))
+    if abs(omega - lam) <= 1e-13:
         raise ValueError("boundary value undefined here: omega(zeta) = lambda")
     factors = _level_factors(sym, lam)
     z = np.exp(1j * np.array([theta]))
@@ -941,17 +970,7 @@ def boundary_sigma(sym: PiecewiseSymbol, zeta: float, lam: float) -> complex:
     if not err <= DEFAULT_TOL:
         raise QuadratureError(f"boundary value at angle {theta} loses up to {err:.3e} "
                               "to rounding next to a root or jump", achieved_tol=err)
-    return complex(np.exp(-0.5j * _closed_q(factors, z)[0].imag))
-
-
-def boundary_xi(sym: PiecewiseSymbol, zeta: float, lam: float, side: str) -> complex:
-    """One-sided boundary value of xi: sigma times |omega - lam|^{-1/2} from
-    inside ('+'), which is exp(-Q+/2), and |omega - lam|^{+1/2} from outside ('-')."""
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    sigma = boundary_sigma(sym, zeta, lam)
-    mod = abs(sym.eval(float(zeta) % TWO_PI) - lam)
-    return complex(sigma * mod ** (-0.5 if side == "+" else 0.5))
+    return complex(np.exp(-0.5j * _closed_q(factors, z)[0].imag)), omega
 
 
 # -- the mu measure ---------------------------------------------------------------
@@ -970,15 +989,14 @@ class MuMeasure:
             raise ValueError("mu measure is defined for points inside the disk")
         self.sym = sym
         self.z = complex(z)
-        self._symbol_record = _record(sym).analysed(sym)
         self.t = np.asarray(t_grid, dtype=float)
         self.mu = np.array([self.at(t) for t in self.t])
 
     def at(self, t: float) -> float:
         """mu(t; z), moved 2 GUARD off the nearest exceptional value if no interval admits t."""
         g1, g2 = self.sym.essential_range()
-        if g1 < t <= g2 and self._symbol_record.index(t) is None:
-            v = min(self._symbol_record.exceptional.values, key=lambda v: abs(v - t))
+        if g1 < t <= g2 and self.sym.admitting(t) is None:
+            v = min(self.sym.exceptional.values, key=lambda v: abs(v - t))
             t = v + 2.0 * GUARD * (1.0 if t >= v else -1.0)
         if t <= g1:
             return 0.0

@@ -4,14 +4,12 @@ Schwarz average Q both read."""
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -25,19 +23,16 @@ from .errors import (
 from .symbol import (
     ANGLE_TOL,
     DEFAULT_TOL,
+    GUARD,
     TWO_PI,
     UNIT_ROOT_TOL,
-    VALUE_TOL,
+    ExceptionalSet,
     PiecewiseSymbol,
-    _circle_distance,
     certified_roots,
     distinct_angles,
     uncertified,
 )
 
-# Levels closer than this to an exceptional value are rejected: crossings
-# there cannot be classified reliably.
-GUARD = 1e-9
 # Elements in one temporary of the paths that take many levels at once; the
 # levels go through in chunks that keep each temporary under it.
 CHUNK = 2**12
@@ -98,18 +93,6 @@ class LevelSet:
 
 
 @dataclass(frozen=True)
-class ExceptionalSet:
-    thresholds: tuple[float, ...]
-    critical: tuple[float, ...]
-    # (angle, value) of each critical point inside a piece, off the jump set
-    critical_points: tuple[tuple[float, float], ...]
-
-    @cached_property
-    def values(self) -> tuple[float, ...]:
-        return _distinct(self.thresholds + self.critical)
-
-
-@dataclass(frozen=True)
 class CountReport:
     n_plus: int
     n_minus: int
@@ -118,51 +101,30 @@ class CountReport:
     m: int
 
 
-# Per-symbol bound on the bytes of the stored root records' arrays; a
-# record holds 100-300 of them on the test and benchmark symbols.
-LEVEL_STORE_BYTES = 64 * 2**20
+# Per-symbol bound on the number of stored root records: a benchmark job
+# stores at most about 400, and a record takes 1-2 KB.
+LEVEL_STORE_RECORDS = 4096
 _lock = threading.Lock()
 
 
 class _SymbolRecord:
-    """Everything kept of one symbol, each part made on first use: the
-    exceptional set and admissible intervals (``analysed``, ``index``), one
-    counting report per interval, where the multiplicity is constant (``report``),
-    the symbol on each of ``log_fourier``'s grids it was asked for
-    (``grid_values``, at most one per power of two) and an LRU store
-    of real-level root records (``stored``, ``store``).  Stored values carry
-    ``nbytes``; one over ``LEVEL_STORE_BYTES`` is not kept.  The record
-    holds no reference to the symbol, so the weak-keyed dict can drop it.
+    """The caches of one symbol, each filled on first use: one counting
+    report per admissible interval, where the multiplicity is constant
+    (``report``), the symbol on each of ``log_fourier``'s grids it was asked
+    for (``grid_values``, at most one per power of two) and an LRU store of
+    at most ``LEVEL_STORE_RECORDS`` real-level root records (``stored``,
+    ``store``).  The record holds no reference to the symbol, so the
+    weak-keyed dict can drop it.
     """
 
     def __init__(self):
-        self.exceptional: ExceptionalSet | None = None
-        self.intervals = ()
         self.reports: dict[int, CountReport] = {}
         self.grid_values: dict[int, np.ndarray] = {}
         self.levels: OrderedDict = OrderedDict()
-        self.nbytes = 0
-
-    def analysed(self, sym: PiecewiseSymbol) -> "_SymbolRecord":
-        """The record with its exceptional set and admissible intervals filled in."""
-        if self.exceptional is None:
-            exc = _exceptional_set(sym)
-            g1, g2 = sym.essential_range()
-            points = [g1] + [v for v in exc.values if g1 < v < g2] + [g2]
-            self.intervals = tuple(zip(points[:-1], points[1:]))
-            self.exceptional = exc   # set last: the analysis is complete
-        return self
-
-    def index(self, a: float, b: float | None = None) -> int | None:
-        """Index of the admissible interval (lo, hi) whose [lo + GUARD, hi - GUARD]
-        holds the level ``a`` or [a, b], or None: the one admissibility rule."""
-        b = a if b is None else b
-        i = bisect.bisect_right(self.intervals, a, key=lambda iv: iv[0] + GUARD) - 1
-        return i if i >= 0 and a <= b <= self.intervals[i][1] - GUARD else None
 
     def report(self, sym: PiecewiseSymbol, i: int) -> CountReport:
         if i not in self.reports:
-            self.reports[i] = _count(sym, self.intervals[i])
+            self.reports[i] = _count(sym, sym.admissible_intervals[i])
         return self.reports[i]
 
     def stored(self, keys) -> list:
@@ -176,15 +138,11 @@ class _SymbolRecord:
         return hits
 
     def store(self, key, value):
-        size = value.nbytes
-        if size > LEVEL_STORE_BYTES:
-            return
         with _lock:
             if key not in self.levels:
-                while self.levels and self.nbytes + size > LEVEL_STORE_BYTES:
-                    self.nbytes -= self.levels.popitem(last=False)[1].nbytes
+                if len(self.levels) >= LEVEL_STORE_RECORDS:
+                    self.levels.popitem(last=False)
                 self.levels[key] = value
-                self.nbytes += size
 
 
 _records: "weakref.WeakKeyDictionary[PiecewiseSymbol, _SymbolRecord]" = weakref.WeakKeyDictionary()
@@ -222,11 +180,6 @@ class _LevelFactors:
     crossings: np.ndarray
     beta_error: np.ndarray
     reach: float
-
-    @property
-    def nbytes(self) -> int:
-        return self.crossings.nbytes + self.beta_error.nbytes + sum(
-            40 + beta.nbytes + gamma.nbytes for *_, beta, gamma in self.pieces)
 
     @property
     def li2_free(self) -> bool:
@@ -412,34 +365,8 @@ def _level_factors(sym: PiecewiseSymbol, lam: float) -> _LevelFactors:
 
 
 def exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
-    """Threshold values at jumps plus critical values of the smooth part.
-
-    Locally constant pieces contribute their value as critical: a level
-    equal to a plateau breaks the finite-arc structure of the sublevel set.
-    """
-    return _record(sym).analysed(sym).exceptional
-
-
-def _exceptional_set(sym: PiecewiseSymbol) -> ExceptionalSet:
-    thresholds = {v for j in sym.jumps for v in (j.left, j.right)}
-    plateaus = [float(p.poly.a[0]) for p in sym.pieces if p.poly.is_constant()]
-    found = [point for critical in sym._critical for point in critical]
-    points = []
-    for (t, value), jump in zip(found, sym._is_jump_angle(np.array([t for t, _ in found]))):
-        tw = t % TWO_PI
-        # a seam's critical point is found by both its pieces: the first is kept
-        if not jump and all(_circle_distance(tw, s) >= 1e-9 for s, _ in points):
-            points.append((tw, value))
-    return ExceptionalSet(tuple(sorted(thresholds)), _distinct(plateaus + [v for _, v in points]),
-                          tuple(points))
-
-
-def _distinct(values) -> tuple:
-    """The sorted values, less each one within ``VALUE_TOL`` max(1, |v|) of
-    the one before: two values that differ only by rounding are one."""
-    values = sorted(values)
-    return tuple(v for u, v in zip([-math.inf] + values, values)
-                 if v - u > VALUE_TOL * max(1.0, abs(v)))
+    """The symbol's one exceptional set (``PiecewiseSymbol.exceptional``)."""
+    return sym.exceptional
 
 
 def _level(lam, real: bool = False) -> float | complex:
@@ -456,12 +383,12 @@ def _level(lam, real: bool = False) -> float | complex:
 def _check_level(sym: PiecewiseSymbol, lam) -> float:
     """The one gate for a real level, returned as a float.  A level that is
     not finite and real raises ``ValueError``, and one in the closed range
-    [gamma1, gamma2] that no admissible interval admits (``_SymbolRecord.index``),
+    [gamma1, gamma2] that no admissible interval admits (``PiecewiseSymbol.admitting``),
     such as a jump's one-sided value at its end, ``ExceptionalLevelError``;
     just outside the range there is no crossing to classify."""
     lam = _level(lam, real=True)
     g1, g2 = sym.essential_range()
-    if g1 <= lam <= g2 and _record(sym).analysed(sym).index(lam) is None:
+    if g1 <= lam <= g2 and sym.admitting(lam) is None:
         raise ExceptionalLevelError(f"level {lam} within {GUARD} of the exceptional set")
     return lam
 
@@ -607,17 +534,16 @@ def _validate_levels(sym: PiecewiseSymbol, levels) -> list:
 
 def admissible_intervals(sym: PiecewiseSymbol) -> list[tuple[float, float]]:
     """Maximal open subintervals of (gamma1, gamma2) avoiding the exceptional set."""
-    return list(_record(sym).analysed(sym).intervals)
+    return list(sym.admissible_intervals)
 
 
 def level_report(sym: PiecewiseSymbol, lam: float) -> CountReport:
     """Counting report of the admissible interval that holds the level
     ``lam``, shared by every level of that interval."""
-    an = _record(sym).analysed(sym)
-    i = an.index(float(lam))
+    i = sym.admitting(float(lam))
     if i is None:
         raise ValueError(f"level {lam} lies in no admissible interval")
-    return an.report(sym, i)
+    return _record(sym).report(sym, i)
 
 
 def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
@@ -631,12 +557,11 @@ def counting_report(sym: PiecewiseSymbol, interval) -> CountReport:
     if not (g1 < a < b < g2):
         raise InadmissibleIntervalError(
             f"interval ({a}, {b}) not strictly inside the spectrum ({g1}, {g2})")
-    an = _record(sym).analysed(sym)
-    i = an.index(a, b)
+    i = sym.admitting(a, b)
     if i is None:
         raise InadmissibleIntervalError(
             f"interval ({a}, {b}) comes within {GUARD} of an exceptional value")
-    return an.report(sym, i)
+    return _record(sym).report(sym, i)
 
 
 def _count(sym: PiecewiseSymbol, interval) -> CountReport:

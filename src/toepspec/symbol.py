@@ -9,6 +9,7 @@ multiplicity machinery.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -30,6 +31,9 @@ DERIV_TOL = 1e-10
 DEFAULT_TOL = 1e-10
 # a root this close to the unit circle is a crossing of its level
 UNIT_ROOT_TOL = 1e-7
+# Levels closer than this to an exceptional value are rejected: crossings
+# there cannot be classified reliably.
+GUARD = 1e-9
 EPS = float(np.finfo(float).eps)
 
 
@@ -209,6 +213,26 @@ class JumpInterval:
         return self.low < lo and hi < self.high
 
 
+@dataclass(frozen=True)
+class ExceptionalSet:
+    thresholds: tuple[float, ...]
+    critical: tuple[float, ...]
+    # (angle, value) of each critical point inside a piece, off the jump set
+    critical_points: tuple[tuple[float, float], ...]
+
+    @functools.cached_property
+    def values(self) -> tuple[float, ...]:
+        return _distinct(self.thresholds + self.critical)
+
+
+def _distinct(values) -> tuple:
+    """The sorted values, less each one within ``VALUE_TOL`` max(1, |v|) of
+    the one before: two values that differ only by rounding are one."""
+    values = sorted(values)
+    return tuple(v for u, v in zip([-math.inf] + values, values)
+                 if v - u > VALUE_TOL * max(1.0, abs(v)))
+
+
 def _end_jets(piece: SymbolPiece) -> np.ndarray:
     """A piece's value and first four derivatives at its start and at its
     end (2, 5); one that overflows is inf or NaN."""
@@ -323,6 +347,46 @@ class PiecewiseSymbol:
         jets = np.stack((self._ends[seams - 1, 1], self._ends[seams, 0]), axis=1)
         angles = self._starts[seams]
         return angles, jets, np.array([eta in stepped_at for eta in angles], dtype=bool)
+
+    @functools.cached_property
+    def exceptional(self) -> ExceptionalSet:
+        """The exceptional set: threshold values at jumps plus critical values
+        of the smooth part, a locally constant piece's value among them (a
+        level equal to a plateau breaks the finite-arc structure of the
+        sublevel set).  Made on first use."""
+        thresholds = {v for j in self.jumps for v in (j.left, j.right)}
+        plateaus = [float(p.poly.a[0]) for p in self.pieces if p.poly.is_constant()]
+        found = [point for critical in self._critical for point in critical]
+        points = []
+        for (t, value), jump in zip(found, self._is_jump_angle(np.array([t for t, _ in found]))):
+            tw = t % TWO_PI
+            # a seam's critical point is found by both its pieces: the first is kept
+            if not jump and all(_circle_distance(tw, s) >= 1e-9 for s, _ in points):
+                points.append((tw, value))
+        return ExceptionalSet(tuple(sorted(thresholds)),
+                              _distinct(plateaus + [v for _, v in points]), tuple(points))
+
+    @functools.cached_property
+    def admissible_intervals(self) -> tuple[tuple[float, float], ...]:
+        """The maximal open subintervals of (gamma1, gamma2) that avoid the
+        exceptional set.  Made on first use."""
+        g1, g2 = self._range
+        points = [g1] + [v for v in self.exceptional.values if g1 < v < g2] + [g2]
+        return tuple(zip(points[:-1], points[1:]))
+
+    @functools.cached_property
+    def _admitted(self) -> tuple[list[float], list[float]]:
+        """The closed range [a + GUARD, b - GUARD] that each admissible
+        interval (a, b) admits, as its lower ends and its upper ends."""
+        return ([a + GUARD for a, _ in self.admissible_intervals],
+                [b - GUARD for _, b in self.admissible_intervals])
+
+    def admitting(self, a: float, b: float | None = None) -> int | None:
+        """Index of the admissible interval whose admitted range holds the
+        level ``a`` or the levels [a, b], or None: the one admissibility rule."""
+        lows, highs = self._admitted
+        i = bisect.bisect_right(lows, a) - 1
+        return i if i >= 0 and a <= (a if b is None else b) <= highs[i] else None
 
     def _essential_range(self):
         values = self._ends[:, :, 0].ravel().tolist() + [

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from conftest import (
     value_gap,
 )
 from toepspec import cli, hardy, levelset
-from toepspec.errors import ExceptionalLevelError, QuadratureError
+from toepspec.errors import ExceptionalLevelError, QuadratureError, ToepspecError
 from toepspec.hardy import (
     CircleRule,
     boundary_sigma,
@@ -166,47 +167,44 @@ def test_complex_dtype_real_levels(regular):
 
 
 def test_rule_cache_evicts_least_recently_used(monkeypatch):
-    # root records of levels above the range, all of one size
+    # a store of three root records, filled with levels above the range
     sym = preset_regular()
-    size = hardy._level_factors(preset_regular(), 1.1).nbytes
-    monkeypatch.setattr(levelset, "LEVEL_STORE_BYTES", 3 * size)
+    monkeypatch.setattr(levelset, "LEVEL_STORE_RECORDS", 3)
     rec = levelset._record(sym)
 
     def keys():
+        assert len(rec.levels) <= levelset.LEVEL_STORE_RECORDS
         return list(rec.levels)
-
-    def check_budget():
-        assert rec.nbytes == sum(v.nbytes for v in rec.levels.values())
-        assert rec.nbytes <= levelset.LEVEL_STORE_BYTES
 
     for lam in (1.1, 1.2, 1.3):
         hardy._level_factors(sym, lam)
-        check_budget()
+        keys()
     assert keys() == [1.1, 1.2, 1.3]
     first = hardy._level_factors(sym, 1.1)      # a hit refreshes 1.1
     assert keys() == [1.2, 1.3, 1.1]
     hardy._level_factors(sym, 1.4)              # evicts 1.2, the least recent
-    check_budget()
     assert keys() == [1.3, 1.1, 1.4]
     assert hardy._level_factors(sym, 1.1) is first   # and refreshes it again
-    # a level inside the range also keeps its two crossings, so its record
-    # is larger and evicts as many records as it needs
+    assert keys() == [1.3, 1.4, 1.1]
+    # a level inside the range also keeps its two crossings; its record is
+    # larger, and still one record, so it evicts one
     record = hardy._level_factors(sym, 0.5)
-    assert record.nbytes > size
-    check_budget()
-    assert keys() == [1.1, 0.5]
+    assert len(record.crossings) == 2
+    assert keys() == [1.4, 1.1, 0.5]
     assert hardy._level_factors(sym, 0.5) is record
-    # a value larger than the whole budget is returned but not kept
-    monkeypatch.setattr(levelset, "LEVEL_STORE_BYTES", size // 2)
-    before = keys()
-    hardy._level_factors(sym, 1.6)
-    assert keys() == before
+    # a batch of more misses than the bound returns every record and keeps
+    # the last three it stored
+    batch = levelset._level_records(sym, [1.5, 1.6, 1.7, 1.8])
+    assert all(isinstance(r, levelset._LevelFactors) for r in batch)
+    assert keys() == [1.6, 1.7, 1.8]
+    assert [rec.levels[lam] for lam in keys()] == batch[1:]
 
 
 def test_rule_cache_budget_holds_under_threads(monkeypatch):
-    # cheap values keep the threads inside the cache's bookkeeping, where a
-    # lost update would break the byte count
-    monkeypatch.setattr(levelset, "LEVEL_STORE_BYTES", 5 * 800)
+    # cheap values keep the threads inside the store's bookkeeping, where a
+    # lost update would let it hold more records than its bound, or evict a
+    # key between its lookup and its refresh
+    monkeypatch.setattr(levelset, "LEVEL_STORE_RECORDS", 5)
     cache = levelset._record(preset_regular())
     errors = []
 
@@ -216,9 +214,10 @@ def test_rule_cache_budget_holds_under_threads(monkeypatch):
             for key in rng.integers(0, 20, size=10000):
                 value = cache.stored([int(key)])[0]
                 if value is None:
-                    value = np.zeros(100)
+                    value = np.full(100, float(key))
                     cache.store(int(key), value)
-                assert value.nbytes == 800
+                assert value[0] == key
+                assert len(cache.levels) <= levelset.LEVEL_STORE_RECORDS
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -234,8 +233,24 @@ def test_rule_cache_budget_holds_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert cache.nbytes == sum(v.nbytes for v in cache.levels.values())
-    assert cache.nbytes <= levelset.LEVEL_STORE_BYTES
+    assert len(cache.levels) == levelset.LEVEL_STORE_RECORDS
+    assert all(value[0] == key for key, value in cache.levels.items())
+
+
+def test_a_full_store_stays_small(fig2):
+    # a store filled to its bound with fig2's root records, each inside the
+    # range with its two crossings, holds about 1.7 KB a record
+    sym = PiecewiseSymbol([(p.theta_start, p.theta_end, p.poly) for p in fig2.pieces])
+    lams = np.linspace(-0.9, 0.9, levelset.LEVEL_STORE_RECORDS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levelset._level_records(sym, lams)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(levelset._record(sym).levels) == levelset.LEVEL_STORE_RECORDS
+    assert held < 10 * 2**20
 
 
 # -- Q and xi --------------------------------------------------------------------
@@ -529,10 +544,10 @@ def test_cold_xi_computes_no_exceptional_set(monkeypatch, capsys):
     sym = PiecewiseSymbol([(0.0, TWO_PI, TrigPoly([0.1, 1.0, 0.3]))])
     xi(sym, 0.3 + 0.2j, 0.25)
     rec = levelset._record(sym)
-    assert rec.exceptional is None and not rec.reports and list(rec.levels) == [0.25]
+    assert "exceptional" not in vars(sym) and not rec.reports and list(rec.levels) == [0.25]
     # and so does the CLI's, which loads its symbol afresh
     calls = []
-    monkeypatch.setattr(levelset, "_exceptional_set", lambda s: calls.append(s))
+    monkeypatch.setattr(PiecewiseSymbol, "exceptional", property(lambda s: calls.append(s)))
     assert cli.run(["xi", "--symbol", "regular", "--z", "0.3+0.2i", "--lambda", "0.1"]) == 0
     assert json.loads(capsys.readouterr().out)["roots"] == 2
     assert not calls
@@ -631,6 +646,39 @@ def test_slope_jumps_take_the_fourier_route(monkeypatch):
     for (sym, lam, r), ref in zip(cases, want):
         assert np.max(np.abs(xi_circle(sym, lam, r, 512) / ref - 1.0)) <= 1e-12
     assert len(calls) == len(cases)
+
+
+def test_fourier_route_counts_its_seam_rounding(monkeypatch, fig2):
+    # next to a seam's one-sided value the jumps D_j grow like
+    # 1/|omega - lam|^j, and taking J S_0 + D_1 S_1 + D_2 S_2 off the samples
+    # costs about eps |D_j| in Q: where the Fourier route serves, its gap to
+    # the closed form stays within the bound it accepted the vector by
+    rng = np.random.default_rng(3501)
+    symbols = [fig2]
+    while len(symbols) < 4:
+        sym = random_symbol(rng)
+        jets = sym._seam_jets[1]
+        if len(jets) and np.all(np.abs(jets[:, :, 1]) > 0.1):
+            symbols.append(sym)
+    bounds, real = [], hardy._fourier_error
+    monkeypatch.setattr(hardy, "_fourier_error", lambda decay, n, r, extra: bounds.append(
+        real(decay, n, r, extra)) or bounds[-1])
+    served = 0
+    for sym in symbols:
+        for v in np.unique(sym._seam_jets[1][:, :, 0]):
+            for lam in v + np.outer([-1.0, 1.0], [1e-5, 1e-4, 1e-3, 1e-2]).ravel():
+                try:
+                    factors = hardy._level_factors(sym, levelset._check_level(sym, lam))
+                except ToepspecError:
+                    continue
+                for r in (0.5, 0.9, 0.99):
+                    row = None if factors.li2_free else hardy._fourier_xi(sym, lam, factors, r, 256)
+                    if row is None:
+                        continue
+                    served += 1
+                    ref = xi_grid(sym, r * np.exp(2j * math.pi * np.arange(256) / 256), lam)
+                    assert np.max(np.abs(2.0 * np.log(row / ref))) <= bounds[-1]
+    assert served > 50
 
 
 def test_xi_radial_reflection(regular, fig2, rng):
@@ -1405,6 +1453,21 @@ def test_boundary_xi_vs_radial_extrapolation(regular, singular):
         vals = [xi(sym, (1 - d) * np.exp(1j * theta), lam) for d in (1e-3, 5e-4, 2.5e-4)]
         extrap = vals[2] + (vals[2] - vals[1])
         assert abs(xp - extrap) < 1e-6
+
+
+def test_boundary_xi_tests_the_jump_set_once_and_evaluates_once(monkeypatch, fig2):
+    # one call tests its angle against the jump set once and evaluates the
+    # symbol there once, for sigma and the modulus alike
+    boundary_xi(fig2, 0.4, 0.3, "+")     # the level's record and the symbol's data
+    calls = []
+    for name in ("_is_jump_angle", "values"):
+        real = getattr(PiecewiseSymbol, name)
+        monkeypatch.setattr(PiecewiseSymbol, name, lambda self, t, real=real, name=name:
+                            calls.append(name) or real(self, t))
+    for side in ("+", "-"):
+        calls.clear()
+        boundary_xi(fig2, 0.4, 0.3, side)
+        assert sorted(calls) == ["_is_jump_angle", "values"]
 
 
 def test_boundary_rejects_bad_points(regular, singular):

@@ -160,7 +160,7 @@ def test_derivative_polynomials_are_built_with_the_symbol():
 
 
 # The two exceptional sets: one rule decides each. The admissible intervals'
-# lookup (levelset._SymbolRecord.index) decides which levels are off the
+# lookup (PiecewiseSymbol.admitting) decides which levels are off the
 # exceptional values, and _is_jump_angle which angles are on the jump set; no
 # package function measures a level's distance to the exceptional values or
 # matches rounded angles.
@@ -170,3 +170,24 @@ def test_one_rule_each_for_exceptional_levels_and_jump_angles():
              and (node.func.attr == "distance"
                   or node.func.attr == "isin" and getattr(node.func.value, "id", None) == "np")]
     assert not found
+
+
+# The symbol holds both exceptional sets: only symbol.py computes the
+# exceptional set and the one module-level GUARD, no package code reaches them
+# through a level-set record's analysis, and the root store is bounded by its
+# record count, not by array bytes.
+def test_the_symbol_holds_the_exceptional_set():
+    built = [name for name, fn in package_functions() for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExceptionalSet"]
+    assert built == ["src/toepspec/symbol.py:PiecewiseSymbol.exceptional"]
+    guards = [f"{path.relative_to(ROOT)}" for path in sorted((ROOT / "src" / "toepspec").rglob("*.py"))
+              for top in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(top, ast.Assign) and any(getattr(t, "id", None) == "GUARD"
+                                                      for t in top.targets)]
+    assert guards == ["src/toepspec/symbol.py"]
+    calls = [name for name, fn in package_functions() for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "analysed"]
+    assert not calls
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "nbytes" not in text and "LEVEL_STORE_BYTES" not in text, path

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symbol
-from toepspec.levelset import _distinct, exceptional_set
+from toepspec.levelset import exceptional_set
 from toepspec.symbol import (
     ANGLE_TOL,
     DERIV_TOL,
@@ -13,6 +13,7 @@ from toepspec.symbol import (
     JumpPoint,
     PiecewiseSymbol,
     TrigPoly,
+    _distinct,
     certified_roots,
     named_symbol,
     preset_singular,
