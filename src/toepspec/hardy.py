@@ -551,12 +551,13 @@ def _fourier_error(decay, n, r: float, extra):
 
 
 def _fourier_rounding(jumps: np.ndarray, r: float) -> float:
-    """A bound on the rounding of Q from ``log_fourier`` at radius r: each
-    sample of the smooth remainder is rounded to about ``_ROUNDING``, and the
-    seams' J S_0 + D_1 S_1 + D_2 S_2 taken off it to about
-    eps (|J| + |D_1| + |D_2|) per seam, which grows like 1/|omega - lam|^2
-    next to a seam's one-sided value; each coefficient is an average of the
-    samples, and Q at r sums 2 r^n of them.  No grid makes it smaller."""
+    """The rounding of Q from ``log_fourier`` at radius r, taken at its
+    worst: each sample of the smooth remainder is rounded to about
+    ``_ROUNDING``, and the seams' J S_0 + D_1 S_1 + D_2 S_2 taken off it to
+    about eps (|J| + |D_1| + |D_2|) per seam, which grows like
+    1/|omega - lam|^2 next to a seam's one-sided value; each coefficient is
+    an average of the samples, and Q at r sums 2 r^n of them.  No grid
+    makes it smaller."""
     return (_ROUNDING + 2.0 * EPS * float(np.sum(np.abs(jumps[:, :3])))) / (1.0 - r)
 
 

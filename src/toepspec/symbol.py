@@ -426,8 +426,11 @@ class PiecewiseSymbol:
     def _is_jump_angle(self, t):
         """Whether the angle, or each one of an array, is near a jump (``ANGLE_TOL``)."""
         t = np.asarray(t)
-        jumps = self._jump_angles.reshape((-1,) + (1,) * t.ndim)
-        near = np.logical_or.reduce(_circle_distance(jumps, t) < ANGLE_TOL)
+        if t.size and len(self._jump_angles):
+            jumps = self._jump_angles.reshape((-1,) + (1,) * t.ndim)
+            near = np.logical_or.reduce(_circle_distance(jumps, t) < ANGLE_TOL)
+        else:   # no jumps or no angles: nothing is near a jump
+            near = np.zeros(t.shape, dtype=bool)
         return near if near.ndim else bool(near)
 
     def eval_one_sided(self, eta: float, side: str) -> float:
