@@ -33,7 +33,6 @@ from .levelset import (
     _plateau_error,
     _raised,
     _record,
-    admissible_intervals,
     arcs_measure,
     sublevel_set,
 )
@@ -1018,7 +1017,7 @@ class MuMeasure:
         """
         g2 = self.sym.essential_range()[1]
         total = math.log(abs(g2 - w))
-        for lo, hi in admissible_intervals(self.sym):
+        for lo, hi in self.sym.admissible_intervals:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
             def integrand(ss):
