@@ -10,7 +10,7 @@ import numpy as np
 
 from .hardy import CIRCLE_R_MAX, gauss_legendre
 from .oracle import FiniteSection, oracle_weak_measure
-from .spectral import FrameFamily, SpectralFrame, _taylor_points, stone_density
+from .spectral import FrameFamily, SpectralFrame, _settle, _taylor_points, stone_density
 from .symbol import DEFAULT_TOL, PiecewiseSymbol
 
 
@@ -62,13 +62,19 @@ def phi_adjoint(family: FrameFamily, values: np.ndarray, z: complex) -> complex:
     return family.inner(values, phi_map_family(family, HardyVector.of((1.0, z))))
 
 
+def _circle_samples(family: FrameFamily, radius: float, m: int):
+    """(slice, ``eigen_circle(radius, m)``) per chunk of the family's levels."""
+    for part, frame in family.frame._parts(family.m * m):
+        yield part, frame.eigen_circle(radius, m)
+
+
 def _phi_on_circle(family: FrameFamily, fhat: np.ndarray, r: float, radius: float) -> np.ndarray:
     """sum_n fhat_n r^n conj(phi_n) on the family grid, phi_n the Taylor
     coefficients of each eigenfunction: the mean, over the
     ``_taylor_points(len(fhat) - 1, radius)`` points zeta, of sum_n fhat_n
     (r/radius)^n zeta^n times conj phi(radius zeta).  That grid aliases
     coefficient n + m onto n with weight radius^m, so only the radius sets
-    the accuracy.  One ``eigen_circle`` call per chunk.  Where
+    the accuracy.  One circle pass, ``_circle_samples``.  Where
     (r/radius)^n overflows, fhat_n (r/radius)^n is taken in two halves of
     the power, and is 0 for fhat_n = 0; a product that is still not finite
     raises ``ValueError`` before any circle pass."""
@@ -86,8 +92,8 @@ def _phi_on_circle(family: FrameFamily, fhat: np.ndarray, r: float, radius: floa
         raise ValueError("the coefficients times (r/radius)^n are not finite")
     g = np.fft.ifft(scaled, m)
     out = np.empty((len(family), family.m), dtype=complex)
-    for part, frame in family.frame._parts(family.m * m):
-        out[part] = np.conj(frame.eigen_circle(radius, m)) @ g
+    for part, circle in _circle_samples(family, radius, m):
+        out[part] = np.conj(circle) @ g
     return out
 
 
@@ -125,10 +131,13 @@ def phi_on_taylor(family: FrameFamily, fhat: np.ndarray, radius: float = 0.7) ->
 
 def phi_adjoint_taylor(family: FrameFamily, values: np.ndarray, nmax: int,
                        radius: float = 0.7) -> np.ndarray:
-    """Taylor coefficients of the adjoint map applied to a grid function."""
-    values = np.asarray(values, dtype=complex)
-    coeffs = family.taylor(nmax, radius=radius)
-    return np.einsum("k,kjn,kj->n", family.weights, coeffs, values)
+    """Taylor coefficients of the adjoint map applied to a grid function: the
+    grid integral of sum_j g_j phi_j on one circle pass, read off as in ``eigen_taylor``."""
+    m = _taylor_points(nmax, radius)
+    weighted = family.weights[:, None] * family._grid_function(values)
+    total = sum(np.tensordot(weighted[part], circle, axes=2)
+                for part, circle in _circle_samples(family, radius, m))
+    return np.fft.fft(total)[: nmax + 1] / m * radius ** -np.arange(nmax + 1)
 
 
 # -- independent projections for the intertwining checks ---------------------------
@@ -145,18 +154,19 @@ def _parts_of_x(subintervals) -> list[tuple[float, float]]:
     return parts
 
 
-def stone_projection(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector,
-                     subintervals, n_nodes: int = 64) -> complex:
+def stone_projection(sym: PiecewiseSymbol, f: HardyVector, g: HardyVector, subintervals) -> complex:
     """(E(X)f, g) for a finite union of intervals that do not overlap: the
-    Stone density Gram of the kernel points, integrated over each interval."""
+    Stone density Gram of the kernel points, settled on each interval by ``spectral._settle``."""
     cf, zf = np.array(f.terms, dtype=complex).reshape(-1, 2).T
     cg, zg = np.array(g.terms, dtype=complex).reshape(-1, 2).T
-    x_nodes, x_w = gauss_legendre(n_nodes)
     total = 0.0 + 0.0j
     for a, b in _parts_of_x(subintervals):
-        for wl, la in zip(0.5 * (b - a) * x_w, 0.5 * (a + b) + 0.5 * (b - a) * x_nodes):
-            gram = stone_density(sym, zf[:, None], zg[None, :], float(la))
-            total += wl * (cf @ gram @ np.conj(cg))
+        def sample(n):
+            x, w = gauss_legendre(n)
+            return sum(wl * stone_density(sym, zf[:, None], zg[None, :], float(la))
+                       for wl, la in zip(0.5 * (b - a) * w, 0.5 * (a + b) + 0.5 * (b - a) * x))
+
+        total += cf @ _settle(sample) @ np.conj(cg)
     return complex(total)
 
 
@@ -174,9 +184,9 @@ def intertwining_check(family: FrameFamily, f: HardyVector, g: HardyVector,
     """Compare <1_X Phi f, Phi g> against (E(X)f, g) from the resolvent jump
     and, when a section is supplied, from the finite-section oracle.
 
-    Each subinterval of X gets its own quadrature grid: the integrand is
-    smooth there, but a shared grid against a sharp indicator is not.  The
-    subintervals must not overlap.
+    The family gives the symbol and the interval X lies in, not its grid.  Each
+    subinterval of X is integrated on its own, by ``spectral._settle`` on
+    ``FrameFamily(sym, part, n)``; the subintervals must not overlap.
     """
     subintervals = _parts_of_x(subintervals)
     lo, hi = family.interval
@@ -185,14 +195,11 @@ def intertwining_check(family: FrameFamily, f: HardyVector, g: HardyVector,
             raise ValueError("X must be a union of subintervals of the family interval")
     value = 0.0 + 0.0j
     for a, b in subintervals:
-        if (a, b) == family.interval:
-            sub = family
-        else:
-            sub = FrameFamily(family.sym, (a, b), n_grid=64)
-        F = phi_map_family(sub, f)
-        G = phi_map_family(sub, g)
-        value += sub.inner(F, G)
-    value = complex(value)
+        def sample(n):
+            sub = FrameFamily(family.sym, (a, b), n)
+            return sub.inner(phi_map_family(sub, f), phi_map_family(sub, g))
+
+        value += _settle(sample)
 
     stone = stone_projection(family.sym, f, g, subintervals)
     oracle_val = None

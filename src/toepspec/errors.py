@@ -21,8 +21,8 @@ class QuadratureError(ToepspecError):
     """A numerical route missed its tolerance or refused to try: the root
     certificate (``certified_roots``, or a non-real level without K roots
     inside), a non-finite closed-form Q, ``log_fourier`` at a level its grid
-    does not resolve, ``weak_measure`` or ``_adaptive_gl`` unsettled at their
-    caps, ``boundary_sigma`` above ``DEFAULT_TOL``, or the panel rules.
+    does not resolve, the lambda-rule ``spectral._settle`` or ``_adaptive_gl``
+    unsettled at their caps, ``boundary_sigma`` above ``DEFAULT_TOL``, or the panel rules.
     ``achieved_tol`` is the accuracy reached, where one is known."""
 
     def __init__(self, message, achieved_tol=None):

@@ -36,6 +36,7 @@ from .levelset import (
 from .symbol import DEFAULT_TOL, TWO_PI, PiecewiseSymbol, _circle_distance
 
 FORM_TOL = 1e-8
+SETTLE_RTOL, SETTLE_MAX_NODES = 1e-9, 1024   # the lambda-rule's defaults
 
 
 def resolvent_form(sym: PiecewiseSymbol, u, v, zlam: complex):
@@ -266,9 +267,9 @@ class SpectralFrame:
         return coeffs[..., : nmax + 1] * radius ** -np.arange(nmax + 1)
 
     def density_taylor(self, nmax: int) -> np.ndarray:
-        """Gram matrix of the density against monomials z^n, n <= nmax."""
+        """Gram matrix of the density against monomials z^n, n <= nmax, per level."""
         coeffs = self.eigen_taylor(nmax)
-        return coeffs.conj().T @ coeffs
+        return np.swapaxes(coeffs.conj(), -1, -2) @ coeffs
 
     # -- complementary-arc variant -------------------------------------------------
 
@@ -327,6 +328,8 @@ class FrameFamily:
     holds one-level views of it, made on first use."""
 
     def __init__(self, sym: PiecewiseSymbol, interval, n_grid: int = 256):
+        if not isinstance(n_grid, (int, np.integer)) or n_grid < 1:
+            raise ValueError(f"n_grid must be an integer at least 1, got {n_grid!r}")
         self.sym = sym
         self.interval = (float(interval[0]), float(interval[1]))
         self.m = counting_report(sym, self.interval).m
@@ -349,20 +352,20 @@ class FrameFamily:
     def __len__(self) -> int:
         return len(self.lams)
 
+    def _grid_function(self, F) -> np.ndarray:
+        """``F`` as an array of shape (n, m); no other shape is broadcast."""
+        if np.shape(F) != (len(self), self.m):
+            raise ValueError(f"grid functions have shape (len(family), m) = {(len(self), self.m)}, "
+                             f"got {np.shape(F)}")
+        return np.asarray(F)
+
     def inner(self, F: np.ndarray, G: np.ndarray) -> complex:
         """L^2(Lambda; C^m) inner product of two grid functions (n, m)."""
+        F, G = self._grid_function(F), self._grid_function(G)
         return complex(np.sum(self.weights[:, None] * F * np.conj(G)))
 
     def norm(self, F: np.ndarray) -> float:
         return math.sqrt(max(self.inner(F, F).real, 0.0))
-
-    def taylor(self, nmax: int, radius: float = 0.7) -> np.ndarray:
-        """Eigenfunction Taylor coefficients on the grid, (n, m, nmax+1), by ``eigen_taylor``."""
-        width = self.m * _taylor_points(nmax, radius)
-        out = np.empty((len(self), self.m, nmax + 1), dtype=complex)
-        for part, frame in self.frame._parts(width):
-            out[part] = frame.eigen_taylor(nmax, radius=radius)
-        return out
 
 
 def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> float:
@@ -390,14 +393,14 @@ def rh_residual(frame: SpectralFrame, j: int, zeta: float, delta: float) -> floa
 
 
 def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
-                 rtol: float = 1e-9, max_nodes: int = 1024):
+                 rtol: float = SETTLE_RTOL, max_nodes: int = SETTLE_MAX_NODES):
     """Integral of g(lambda) times the density kernel over an admissible interval,
     for points ``u`` and ``v`` or arrays of them that broadcast as in
     ``SpectralFrame.density``.
 
-    Gauss-Legendre in lambda with doubling until every entry settles, one
-    ``FrameFamily`` per doubling; the density is smooth there, so
-    convergence is fast for smooth weights.
+    Gauss-Legendre in lambda with doubling until every entry settles
+    (``_settle``), one ``FrameFamily`` per doubling; the density is smooth
+    there, so convergence is fast for smooth weights.
     Raises ``QuadratureError`` with the worst change between doublings when
     the next doubling would pass ``max_nodes`` before ``rtol`` is met; the
     first change compares 32 and 64 nodes, so ``max_nodes`` below 64 is
@@ -425,12 +428,19 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
             total += np.tensordot(gw[part], frame.density(u, v), axes=1)
         return total
 
+    return _settle(sample, rtol, max_nodes)
+
+
+def _settle(sample, rtol: float = SETTLE_RTOL, max_nodes: int = SETTLE_MAX_NODES):
+    """The one lambda-rule: n-node Gauss-Legendre sums ``sample(n)`` from n = 32, doubled
+    until every entry changes by at most rtol * max(1, |value|); ``QuadratureError``
+    with the last change when the next doubling would pass ``max_nodes``."""
     n = 32
-    prev = sample(n)
+    prev = np.asarray(sample(n))
     delta = math.inf
     while 2 * n <= max_nodes:
         n *= 2
-        cur = sample(n)
+        cur = np.asarray(sample(n))
         gap = np.abs(cur - prev)
         delta = float(np.max(gap, initial=0.0))
         if np.all(gap <= rtol * np.maximum(1.0, np.abs(cur))):

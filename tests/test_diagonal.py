@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_symbol
+from conftest import random_symbol, regular_phi_closed
+from toepspec import diagonal
 from toepspec.diagonal import (
     FrameFamily,
     HardyVector,
@@ -16,10 +17,11 @@ from toepspec.diagonal import (
     phi_r,
     stone_projection,
 )
+from toepspec.errors import QuadratureError
 from toepspec.hardy import CIRCLE_R_MAX
 from toepspec.levelset import admissible_intervals
 from toepspec.oracle import build_section
-from toepspec.spectral import SpectralFrame, _taylor_points, spectral_frame, stone_density
+from toepspec.spectral import SpectralFrame, _settle, _taylor_points, spectral_frame, stone_density
 from toepspec.symbol import DEFAULT_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -28,6 +30,12 @@ TWO_PI = 2.0 * math.pi
 @pytest.fixture(scope="module")
 def family(regular):
     return FrameFamily(regular, (-0.5, 0.5), n_grid=64)
+
+
+def taylor_table(family, nmax, radius):
+    """Every eigenfunction's Taylor coefficients on the family grid,
+    (n, m, nmax+1), stacked from the one-level frames."""
+    return np.array([frame.eigen_taylor(nmax, radius) for frame in family.frames])
 
 
 def test_hardy_vector_validation():
@@ -202,7 +210,7 @@ def test_phi_on_taylor_contracts_the_taylor_table(fig2):
     for radius, nmax in ((0.9, 96), (0.98, 255)):
         n = np.arange(nmax + 1)[:, None]
         fhat = np.conj([z for _, z in f.terms]) ** n @ np.array([c for c, _ in f.terms])
-        want = np.einsum("n,kjn->kj", fhat, np.conj(fam.taylor(nmax, radius)))
+        want = np.einsum("n,kjn->kj", fhat, np.conj(taylor_table(fam, nmax, radius)))
         got = phi_on_taylor(fam, fhat, radius)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), radius
 
@@ -210,8 +218,28 @@ def test_phi_on_taylor_contracts_the_taylor_table(fig2):
 def test_taylor_grid_follows_the_radius(regular):
     # a fixed 256-point grid aliased 5.6e-3 at radius 0.98
     fam = FrameFamily(regular, (-0.5, 0.5), n_grid=8)
-    near, far = fam.taylor(40, radius=0.7), fam.taylor(40, radius=0.98)
+    near, far = taylor_table(fam, 40, 0.7), taylor_table(fam, 40, 0.98)
     assert np.max(np.abs(far - near)) <= 1e-9 * np.max(np.abs(near))
+    values = np.linspace(1.0, 2.0, len(fam))[:, None] * (1.0 - 0.5j)
+    near, far = (phi_adjoint_taylor(fam, values, 40, radius) for radius in (0.7, 0.98))
+    assert np.max(np.abs(far - near)) <= 1e-9 * np.max(np.abs(near))
+
+
+def test_phi_adjoint_taylor_contracts_the_taylor_table(regular, singular, fig2, cos2_symbol):
+    # one circle pass against the weighted sum of the per-level Taylor
+    # tables, at low and high orders and radii, to rounding on the scale of
+    # sum |w g| radius^-n
+    rng = np.random.default_rng(3701)
+    for sym, interval in ((regular, (-0.5, 0.5)), (singular, (0.2, 0.8)), (fig2, (-0.4, 0.4)),
+                          (cos2_symbol, (-0.5, 0.5))):
+        fam = FrameFamily(sym, interval, n_grid=12)
+        values = rng.standard_normal((len(fam), fam.m)) + 1j * rng.standard_normal((len(fam), fam.m))
+        scale = np.sum(np.abs(fam.weights[:, None] * values))
+        for nmax, radius in ((5, 0.7), (40, 0.7), (96, 0.9), (300, 0.98)):
+            want = np.einsum("k,kjn,kj->n", fam.weights, taylor_table(fam, nmax, radius), values)
+            got = phi_adjoint_taylor(fam, values, nmax, radius)
+            gap = np.abs(got - want) * radius ** np.arange(nmax + 1)
+            assert np.max(gap) <= 1e-15 * scale, (nmax, radius)
 
 
 def test_intertwining_full_interval(family):
@@ -245,7 +273,7 @@ def test_overlapping_parts_of_x_are_refused(family, regular):
         with pytest.raises(ValueError, match="overlap"):
             intertwining_check(family, f, f, X)
         with pytest.raises(ValueError, match="overlap"):
-            stone_projection(regular, f, f, X, n_nodes=6)
+            stone_projection(regular, f, f, X)
     # parts that touch are their union
     touching = intertwining_check(family, f, f, [(0.1, 0.4), (-0.2, 0.1)])
     union = intertwining_check(family, f, f, [(-0.2, 0.4)])
@@ -257,6 +285,41 @@ def test_intertwining_subinterval_against_stone(family):
     f = HardyVector.of((1.0, 0.25), (0.5j, -0.2 + 0.1j))
     res = intertwining_check(family, f, f, [(-0.3, 0.2)])
     assert res.stone_residual < 1e-4
+
+
+def test_intertwining_settles_next_to_the_spectral_edge(regular):
+    # 1e-6 from the edge -1 of regular, where the density has a root
+    # singularity, both sides settle; against the closed form |phi|^2 =
+    # (2/pi) sqrt(1 - lam^2)/|1 - 2 lam u + u^2|^2, integrated in lam = -cos t.
+    # A fixed 64-node rule was 1.2e-7 off.
+    u = 0.3 + 0.1j
+    t0, t1 = math.acos(0.999999), 0.5 * math.pi
+    x, w = np.polynomial.legendre.leggauss(200)
+    t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x
+    want = np.sum(0.5 * (t1 - t0) * w * np.abs(regular_phi_closed(u, -np.cos(t))) ** 2 * np.sin(t))
+    f = HardyVector.of((1.0, u))
+    res = intertwining_check(FrameFamily(regular, (-0.999999, 0.5), n_grid=4), f, f,
+                             [(-0.999999, 0.0)])
+    assert abs(res.value - want) <= 1e-10
+    assert res.stone_residual < 1e-4
+
+
+def test_the_lambda_rule_raises_where_a_sum_does_not_settle():
+    # a sum that moves by n/2 at every doubling: the rule reads 32 to 1,024
+    # nodes and raises with the last change; one that settles returns at 64
+    read = []
+    with pytest.raises(QuadratureError, match=r"^weak measure did not settle within 1024 nodes: "
+                                              r"last change 5\.120e\+02$") as err:
+        _settle(lambda n: read.append(n) or float(n))
+    assert read == [32, 64, 128, 256, 512, 1024]
+    assert err.value.achieved_tol == 512.0
+    del read[:]
+    with pytest.raises(QuadratureError, match="within 127 nodes: last change 3.200e-07") as err:
+        _settle(lambda n: read.append(n) or np.array([1.0, 1.0 + 1e-8 * n]), max_nodes=127)
+    assert read == [32, 64] and err.value.achieved_tol == pytest.approx(3.2e-7, rel=1e-9)
+    got = _settle(lambda n: np.array([2.0, 1.0 + 1e-12 * n]))
+    assert isinstance(got, np.ndarray) and got.shape == (2,)
+    assert _settle(lambda n: 1.0 + 1e-12 * n) == 1.0 + 64e-12
 
 
 def test_intertwining_oracle_route(family, regular):
@@ -320,23 +383,36 @@ def test_norm_squared_is_the_taylor_coefficient_sum():
     assert abs(f.norm_squared() - ref) <= 1e-12 * ref
 
 
-def test_stone_projection_is_the_integrated_stone_gram(fig2):
+def test_stone_projection_is_the_integrated_stone_gram(fig2, monkeypatch):
     # (E(X)f, g) = sum_ik c_i conj(d_k) (E(X)K_i, K_k), each term the Stone
-    # density integrated over the nodes of each subinterval
+    # density integrated over each subinterval.  The one lambda-rule reads the
+    # 32- and 64-node Gauss-Legendre nodes of each part, where every Gram entry
+    # has settled; the value is the 64-node sum, contracted term by term, and
+    # each Gram entry is the Stone density of its pair
     f = HardyVector.of((1.0, 0.3), (0.5j, -0.2 + 0.4j))
     g = HardyVector.of((2.0 - 1.0j, 0.1 - 0.6j))
     X = [(-0.6, -0.3), (0.1, 0.4)]
-    val = stone_projection(fig2, f, g, X, n_nodes=6)
-    x, w = np.polynomial.legendre.leggauss(6)
-    ref = 0.0
-    for a, b in X:
-        for wl, la in zip(0.5 * (b - a) * w, 0.5 * (a + b) + 0.5 * (b - a) * x):
-            for ci, zi in f.terms:
-                for dk, zk in g.terms:
-                    ref += wl * ci * np.conj(dk) * stone_density(fig2, zi, zk, float(la))
-    assert abs(val - ref) <= 1e-13 * abs(ref)
-    back = stone_projection(fig2, g, f, X, n_nodes=6)
-    assert abs(back - np.conj(val)) <= 1e-12 * abs(val)
+    read = []
+    monkeypatch.setattr(diagonal, "stone_density",
+                        lambda *args: read.append((args[3], stone_density(*args))) or read[-1][1])
+    val = stone_projection(fig2, f, g, X)
+    (x32, _), (x64, w64) = np.polynomial.legendre.leggauss(32), np.polynomial.legendre.leggauss(64)
+    assert np.array_equal([la for la, _ in read],
+                          [0.5 * (a + b) + 0.5 * (b - a) * x for a, b in X for x in (*x32, *x64)])
+    parts = []
+    for p, (a, b) in enumerate(X):
+        grams, part = read[96 * p + 32: 96 * (p + 1)], 0.0
+        for wl, (la, gram) in zip(0.5 * (b - a) * w64, grams):
+            for i, (ci, zi) in enumerate(f.terms):
+                for k, (dk, zk) in enumerate(g.terms):
+                    part += wl * ci * np.conj(dk) * gram[i, k]
+                    if la in (grams[0][0], grams[-1][0]):
+                        one = stone_density(fig2, zi, zk, la)
+                        assert abs(gram[i, k] - one) <= 1e-13 * abs(one)
+        parts.append(part)
+    assert abs(val - sum(parts)) <= 1e-13 * abs(sum(parts))
+    back = stone_projection(fig2, g, f, X[:1])
+    assert abs(back - np.conj(parts[0])) <= 1e-12 * abs(parts[0])
 
 
 def test_phi_on_taylor_is_finite_where_radius_powers_overflow(regular, monkeypatch):

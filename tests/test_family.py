@@ -2,6 +2,7 @@
 tests hold it to the per-level frames and records it stands for."""
 
 import math
+import re
 import threading
 from dataclasses import fields, replace
 
@@ -134,8 +135,8 @@ def test_family_evaluators_match_the_frames(symbols):
         want = sum(w * np.dot(fr.eigen_matrix([0.1 + 0.3j]).ravel(), g)
                    for w, fr, g in zip(fam.weights, frames, values))
         assert close(phi_adjoint(fam, values, 0.1 + 0.3j), want)
-        want = np.array([fr.eigen_taylor(5) for fr in frames])
-        assert close(fam.taylor(5), want)
+        want = np.einsum("k,kjn,kj->n", fam.weights, [fr.eigen_taylor(5) for fr in frames], values)
+        assert close(phi_adjoint_taylor(fam, values, 5), want)
         g = smooth_bump(*iv)
         want = looped_weak_measure(sym, iv, u[:, None], u[None, :], g)
         assert close(weak_measure(sym, iv, u[:, None], u[None, :], g), want)
@@ -162,7 +163,7 @@ def test_chunks_are_views_of_the_checked_frame(regular, singular, singular_asym,
     report = spectral.level_report
     monkeypatch.setattr(spectral, "level_report", lambda s, lam: calls.append(lam) or report(s, lam))
     phi_r(fam, boundary, 0.99)
-    fam.taylor(40)
+    phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), 40)
     assert not calls
 
 
@@ -203,13 +204,15 @@ def test_taylor_orders_below_zero_are_refused(regular, monkeypatch):
 
     monkeypatch.setattr(hardy, "xi_circle", no_circle)
     calls = [lambda: frame.eigen_taylor(-1), lambda: frame.density_taylor(-2),
-             lambda: fam.taylor(-1), lambda: fam.taylor(-3, 0.9),
+             lambda: fam.frame.eigen_taylor(-1), lambda: fam.frame.density_taylor(-3),
+             lambda: phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), -3, 0.9),
              lambda: phi_on_taylor(fam, np.array([])),
              lambda: phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), -1)]
     # an order that is not an integer is refused as early
     for nmax in (2.5, np.float64(3.0)):
         calls += [lambda n=nmax: frame.eigen_taylor(n), lambda n=nmax: frame.density_taylor(n),
-                  lambda n=nmax: fam.taylor(n), lambda n=nmax: fam.taylor(n, 0.9),
+                  lambda n=nmax: fam.frame.eigen_taylor(n),
+                  lambda n=nmax: phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), n, 0.9),
                   lambda n=nmax: phi_adjoint_taylor(fam, np.ones((len(fam), fam.m)), n)]
     for call in calls:
         with pytest.raises(ValueError, match="Taylor order must be an integer at least 0"):
@@ -338,6 +341,40 @@ def test_many_level_input_of_another_shape_is_refused(call, regular):
 def test_frame_of_no_level_sets_is_refused(regular):
     with pytest.raises(ValueError, match="one level set at least"):
         spectral.SpectralFrame(regular, [])
+
+
+def test_density_taylor_is_per_level_on_a_many_level_frame(regular, fig2):
+    # each level's Gram against the monomials, (levels, n + 1, n + 1), as
+    # the one-level frames give it; one level in an array keeps its axis
+    for sym, lams in ((regular, np.linspace(-0.4, 0.4, 5)), (fig2, np.linspace(-0.3, 0.3, 3)),
+                      (regular, np.array([0.2]))):
+        want = np.array([spectral_frame(sym, float(lam)).density_taylor(3) for lam in lams])
+        assert close(spectral_frame(sym, lams).density_taylor(3), want, 1e-13)
+
+
+def test_grid_functions_of_another_shape_are_refused(cos2_symbol):
+    # cos 2 theta on 8 levels has grid functions of shape (8, 2): nothing of
+    # another shape is spread across the levels or the branches
+    fam = FrameFamily(cos2_symbol, (-0.5, 0.5), n_grid=8)
+    good = np.ones((8, 2))
+    for bad in (np.ones(8), np.ones((1, 2)), np.ones((8, 1)), np.ones(2)):
+        for call in (lambda: fam.inner(bad, good), lambda: fam.inner(good, bad),
+                     lambda: fam.norm(bad), lambda: phi_adjoint(fam, bad, 0.1 + 0.3j),
+                     lambda: phi_adjoint_taylor(fam, bad, 5)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"shape (len(family), m) = (8, 2), got {bad.shape}")):
+                call()
+    # the interval has length 1 and each level two branches
+    assert fam.norm(good) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+
+def test_family_grid_counts_are_integers_at_least_one(regular):
+    # numpy's Legendre rule raised TypeError or its own ValueError for these
+    for n_grid in (2.5, np.float64(4.0), 0, -3):
+        with pytest.raises(ValueError, match=re.escape(f"n_grid must be an integer at least 1, "
+                                                       f"got {n_grid!r}")):
+            FrameFamily(regular, (-0.5, 0.5), n_grid=n_grid)
+    assert len(FrameFamily(regular, (-0.5, 0.5), n_grid=np.int64(3))) == 3
 
 
 # -- log_fourier's work arrays ------------------------------------------------------------

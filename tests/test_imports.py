@@ -136,14 +136,39 @@ def test_one_function_builds_the_circle_grid():
     assert found == ["src/toepspec/hardy.py:_circle_grid"]
 
 
-# Phi on function data: one circle pass reads the eigenfunctions for the
-# Taylor-coefficient sums, and the Taylor table is the other reader.
+# Phi and its adjoint on function data: one circle pass reads the
+# eigenfunctions for the Taylor-coefficient sums of both, and one frame's
+# Taylor coefficients are the other reader.
 def test_two_functions_read_the_eigenfunctions_on_a_circle():
     found = [name for name, fn in package_functions()
              if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigen_circle"
                     for node in ast.walk(fn))]
-    assert sorted(found) == ["src/toepspec/diagonal.py:_phi_on_circle",
+    assert sorted(found) == ["src/toepspec/diagonal.py:_circle_samples",
                              "src/toepspec/spectral.py:SpectralFrame.eigen_taylor"]
+
+
+# The lambda-integrals: one rule, spectral._settle, doubles its node count
+# until the sum settles; no function of spectral.py or diagonal.py runs a
+# doubling loop of samples of its own, and no fixed node count is left.
+def test_one_function_doubles_the_lambda_rule():
+    found = []
+    for name, fn in package_functions():
+        if not name.startswith(("src/toepspec/spectral.py:", "src/toepspec/diagonal.py:")):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.While):
+                continue
+            doubled = {node.target.id for node in ast.walk(loop)
+                       if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                       and isinstance(node.target, ast.Name)
+                       and isinstance(node.value, ast.Constant) and node.value.value == 2}
+            if any(isinstance(arg, ast.Name) and arg.id in doubled for node in ast.walk(loop)
+                   if isinstance(node, ast.Call) for arg in node.args):
+                found.append(name)
+    assert found == ["src/toepspec/spectral.py:_settle"]
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "n_nodes" not in text and "n_grid=64" not in text, path
 
 
 # Symbol data: each piece's derivative polynomial is built once, when the
