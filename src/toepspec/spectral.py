@@ -398,11 +398,8 @@ def weak_measure(sym: PiecewiseSymbol, interval, u, v, g,
     for points ``u`` and ``v`` or arrays of them that broadcast as in
     ``SpectralFrame.density``.
 
-    Gauss-Legendre in lambda with doubling until every entry settles
-    (``_settle``), one ``FrameFamily`` per doubling; the density is smooth
-    there, so convergence is fast for smooth weights.
-    Raises ``QuadratureError`` with the worst change between doublings when
-    the next doubling would pass ``max_nodes`` before ``rtol`` is met; the
+    The lambda-rule is ``_settle``, one ``FrameFamily`` per doubling; the
+    density is smooth there, so convergence is fast for smooth weights.  Its
     first change compares 32 and 64 nodes, so ``max_nodes`` below 64 is
     refused, as is an ``rtol`` that is not positive and finite.
     """
